@@ -72,7 +72,10 @@ def _parse_coeffs_file(path: str):
         parts = line.split()
         if len(parts) != 2:
             raise UsageError(f"{path}:{lineno}: expected 'degree value'")
-        pairs.append((int(parts[0]), float(parts[1])))
+        try:
+            pairs.append((int(parts[0]), float(parts[1])))
+        except ValueError as exc:
+            raise UsageError(f"{path}:{lineno}: {exc}") from exc
     if not pairs:
         raise UsageError(f"{path}: no coefficients found")
     return pairs

@@ -71,7 +71,15 @@ def build_identifier() -> str:
 
 def _worker_count(n_tasks: int) -> int:
     env = os.environ.get("NGG_THREADS")
-    cap = int(env) if env else min(4, os.cpu_count() or 1)
+    if env:
+        try:
+            cap = int(env)
+        except ValueError:
+            cap = 0
+        if cap < 1:
+            raise DomainError(f"NGG_THREADS must be a positive integer, got {env!r}")
+    else:
+        cap = min(4, os.cpu_count() or 1)
     return max(1, min(n_tasks, cap))
 
 
@@ -322,12 +330,10 @@ def _aggregate(config: ExperimentConfig, basis: HarmonicBasis, truth: np.ndarray
         }
     agg = {"per_n": per_n}
     ok_ns = [n for n in config.n_values if per_n[str(n)].get("replicates_ok")]
-    if len(ok_ns) >= 2:
+    ys = [per_n[str(n)]["mean_sq_delta2_selected"] for n in ok_ns]
+    if len(ok_ns) >= 2 and all(v > 0 for v in ys):
         xs = np.log(np.asarray(ok_ns, dtype=float))
-        ys = np.log(
-            np.asarray([per_n[str(n)]["mean_sq_delta2_selected"] for n in ok_ns])
-        )
-        slope = float(np.polyfit(xs, ys, 1)[0])
+        slope = float(np.polyfit(xs, np.log(ys), 1)[0])
         agg["rate"] = {"log_slope_mean_sq_delta2_selected": slope}
     return agg
 

@@ -188,6 +188,35 @@ def test_cli_envelope_coefficients_file(tmp_path, capsys):
     assert np.allclose(vals, expect)
 
 
+def test_cli_coefficients_file_bad_number_is_usage_error(tmp_path, capsys):
+    coeffs = tmp_path / "env.txt"
+    coeffs.write_text("0 0.4\n1.5 0.3\n")
+    assert main(["eval-envelope", "--envelope", str(coeffs), "--grid", "3"]) == 2
+    assert f"{coeffs}:2:" in capsys.readouterr().err
+
+
+def test_cli_resolution_above_seven(tmp_path):
+    # r_max 8 is past the old (R+2)! enumeration cap
+    sim_json, adj = tmp_path / "sim.json", tmp_path / "adj.txt"
+    assert main(["simulate", "--envelope", "p4", "--n", "170", "--seed", "4",
+                 "--r-max", "8", "--out", str(sim_json), "--dump-adjacency", str(adj)]) == 0
+    record = json.loads(sim_json.read_text())["records"][0]
+    assert "error" not in record
+    assert [f["r"] for f in record["fits"]] == list(range(1, 9))
+    est_json = tmp_path / "est.json"
+    assert main(["estimate", "--input", str(adj), "--r-max", "8", "--out", str(est_json)]) == 0
+    assert len(json.loads(est_json.read_text())["per_r"]) == 8
+
+
+def test_cli_bad_thread_count_is_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NGG_THREADS", "abc")
+    rc = main(["simulate", "--envelope", "p4", "--n", "60", "--r-max", "2",
+               "--out", str(tmp_path / "x.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "NGG_THREADS" in err
+
+
 def test_cli_from_report_eval(tmp_path, capsys):
     sim_json = tmp_path / "sim.json"
     adj = tmp_path / "adj.txt"

@@ -1,5 +1,7 @@
 import itertools
 import math
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -108,6 +110,11 @@ def test_fit_resolution_requires_enough_eigenvalues(basis3):
         ngg.fit_resolution(np.zeros(3), basis3, 1)  # needs n >= 4
 
 
+def test_fit_resolution_rejects_negative_resolution(basis3):
+    with pytest.raises(DomainError):
+        ngg.fit_resolution(np.zeros(10), basis3, -1)
+
+
 def test_fit_matches_brute_force(rng, basis3):
     for _ in range(100):
         n = int(rng.integers(4, 9))
@@ -170,3 +177,59 @@ def test_estimate_vector_expansion(basis3):
         r=2, stage_values=np.zeros(3), ordering=(0, 1, 2, ZERO_BLOCK), score=0.0, n=20
     )
     assert np.array_equal(ngg.estimate_vector(zero, basis3.dims), np.zeros(9))
+
+
+# --- subset DP against the exhaustive ordering search ---------------------------------
+
+_ORACLE_BASES = {
+    "sphere3": ngg.harmonic_basis(ngg.sphere(3), 4),
+    "sphere4": ngg.harmonic_basis(ngg.sphere(4), 4),
+    "rp3": ngg.harmonic_basis(ngg.real_projective(3), 4),
+    "cp2": ngg.harmonic_basis(ngg.complex_projective(2), 4),
+    "tied": SimpleNamespace(max_degree=4, dims=(1, 2, 2, 2, 2), cum_dims=(1, 3, 5, 7, 9)),
+}
+
+
+def exhaustive_scores(values, basis, r):
+    values = np.sort(np.asarray(values, float))[::-1]
+    return [(ngg.score_ordering(values, o, basis.dims), o) for o in ngg.enumerate_orderings(r)]
+
+
+def _oracle_spectrum(basis, r, extra, seed):
+    return np.random.default_rng(seed).standard_normal(basis.cum_dims[r] + extra)
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_BASES))
+@given(st.integers(0, 4), st.integers(0, 12), st.integers(0, 2**32 - 1))
+def test_fit_matches_exhaustive_search(name, r, extra, seed):
+    basis = _ORACLE_BASES[name]
+    values = _oracle_spectrum(basis, r, extra, seed)
+    est = ngg.fit_resolution(values, basis, r)
+    (stages, score), ordering = min(exhaustive_scores(values, basis, r), key=lambda t: t[0][1])
+    assert est.ordering == ordering
+    assert np.array_equal(est.stage_values, stages)
+    assert est.score == score
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_BASES))
+@given(st.integers(0, 4), st.integers(0, 12), st.integers(0, 2**32 - 1), st.booleans())
+def test_fit_tie_rule_on_tied_spectra(name, r, extra, seed, zero):
+    # rounded spectra tie exactly in exact arithmetic: the DP returns the
+    # lexicographically first ordering within 1e-12 * sum(v^2) of the minimum
+    basis = _ORACLE_BASES[name]
+    values = _oracle_spectrum(basis, r, extra, seed)
+    values = np.zeros_like(values) if zero else np.round(values, 1)
+    tol = 1e-12 * float(np.sum(values * values))
+    scored = exhaustive_scores(values, basis, r)
+    best = min(score for (_, score), _ in scored)
+    est = ngg.fit_resolution(values, basis, r)
+    assert abs(est.score - best) <= tol
+    assert est.ordering == next(o for (_, score), o in scored if score <= best + tol)
+
+
+def test_fit_high_resolution_is_fast_and_monotone(basis3):
+    values = np.random.default_rng(10).standard_normal(200) / 10
+    t0 = time.perf_counter()
+    scores = [ngg.fit_resolution(values, basis3, r).score for r in range(11)]
+    assert time.perf_counter() - t0 < 5.0  # the (R+2)! search needs hours at R=10
+    assert all(scores[i + 1] <= scores[i] + 1e-12 for i in range(10))

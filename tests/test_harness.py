@@ -122,6 +122,30 @@ def test_worker_count_respects_env(monkeypatch):
     assert 1 <= _worker_count(8) <= 4
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_worker_count_rejects_bad_env(monkeypatch, value):
+    from ngg.harness import _worker_count
+
+    monkeypatch.setenv("NGG_THREADS", value)
+    with pytest.raises(DomainError, match="NGG_THREADS"):
+        _worker_count(8)
+
+
+def test_rate_skipped_when_an_error_is_zero():
+    from ngg.harness import _aggregate
+
+    config = _config(n_values=(100, 200), r_max=2)
+    records = [
+        {"n": n, "replicate": 0, "selected_r": 1, "delta2_selected_vs_truth": err,
+         "fits": [{"r": r, "delta2_vs_truth_r": err, "stages": [0.0] * (r + 1)}
+                  for r in (1, 2)]}
+        for n, err in ((100, 0.0), (200, 0.0))
+    ]
+    agg = _aggregate(config, ngg.harmonic_basis(config.space, 2), np.zeros(3), records)
+    assert "rate" not in agg
+    json_dumps(agg)  # every value is finite
+
+
 def test_true_coefficients_truncates(basis3):
     big = ngg.harmonic_basis(ngg.sphere(3), 64)
     coeffs = ngg.true_coefficients(big, ngg.builtin_envelope(5))
