@@ -194,8 +194,10 @@ def _cmd_estimate(args) -> int:
         print(f"error: input file {args.input!r} not found", file=sys.stderr)
         return 1
     warnings: list[str] = []
-    head = path.read_text(encoding="utf-8", errors="replace")[:64]
-    if head.startswith("ngg-adjacency"):
+    magic = b"ngg-adjacency"
+    with path.open("rb") as fh:
+        is_dump = fh.read(len(magic)) == magic
+    if is_dump:
         adjacency = read_adjacency(path)
     else:
         data = read_edge_list(path)
@@ -216,7 +218,8 @@ def _cmd_estimate(args) -> int:
         )
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    spectrum = eigenvalues_symmetric(adjacency / n)
+    adjacency /= n  # in place: bit for bit adjacency / n, without the copy
+    spectrum = eigenvalues_symmetric(adjacency)
     adapt_cfg = AdaptConfig(n=n, r_max=args.r_max, kappa=args.kappa,
                             include_r0=args.include_r0)
     estimates = fit_all_resolutions(spectrum, basis, adapt_cfg)

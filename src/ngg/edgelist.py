@@ -1,14 +1,21 @@
 """Edge-list ingestion and adjacency dump formats.
 
-Edge lists are whitespace-separated integer pairs, one edge per line; lines
-starting with '%' are comments and blank lines are skipped.  Indexing is
-auto-detected: files mentioning node 0 are 0-based, otherwise 1-based.  The
-parsed graph is simple and undirected: duplicate and reversed pairs collapse,
-self-loops are dropped with a warning.
+Edge lists are whitespace-separated integer pairs, one edge per line; '%'
+starts a comment (a whole line or the rest of one), blank lines are skipped
+and columns after the second are ignored.  Indexing is auto-detected: files
+mentioning node 0 are 0-based, otherwise 1-based.  The parsed graph is simple
+and undirected: duplicate and reversed pairs collapse, self-loops are dropped
+with a warning.  Parsing is numpy's C reader plus array operations; the edges
+come back as a sorted ``(m, 2)`` int64 array.
+
+Both readers refuse, before allocating it, a dense ``n x n`` float64 matrix
+larger than the machine's physical memory.
 """
 
 from __future__ import annotations
 
+import os
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,58 +26,69 @@ from .errors import DomainError
 __all__ = ["EdgeListData", "read_edge_list", "write_adjacency", "read_adjacency"]
 
 
+def _check_dense_size(path, n: int):
+    """Refuse a graph whose dense float64 adjacency cannot fit in memory."""
+    try:
+        phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf on this platform
+        return
+    need = 8 * n * n
+    if need > phys:
+        raise DomainError(
+            f"{path}: n = {n} nodes needs {need / 2**30:.1f} GiB for the dense "
+            f"adjacency matrix, more than the {phys / 2**30:.1f} GiB of physical memory"
+        )
+
+
 @dataclass(frozen=True)
 class EdgeListData:
     n: int
-    edges: tuple[tuple[int, int], ...]  # 0-based, i < j, sorted
+    edges: np.ndarray  # (m, 2) int64, 0-based, i < j, sorted, read-only
     one_based: bool
     warnings: tuple[str, ...]
 
     def adjacency(self, dtype=np.float64) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=dtype)
-        for i, j in self.edges:
-            a[i, j] = 1
-            a[j, i] = 1
+        i, j = self.edges.T
+        a[i, j] = 1
+        a[j, i] = 1
         return a
 
 
 def read_edge_list(path) -> EdgeListData:
-    raw_pairs: list[tuple[int, int]] = []
-    warnings: list[str] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("%"):
-            continue
-        parts = line.split()
-        if len(parts) < 2:
-            raise DomainError(f"{path}:{lineno}: expected two node ids, got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise DomainError(f"{path}:{lineno}: non-integer node id in {line!r}") from exc
-        if u < 0 or v < 0:
-            raise DomainError(f"{path}:{lineno}: negative node id")
-        raw_pairs.append((u, v))
-    if not raw_pairs:
+    try:
+        with warnings.catch_warnings():
+            # an input with no data lines is reported below as "no edges"
+            warnings.simplefilter("ignore", UserWarning)
+            pairs = np.loadtxt(path, comments="%", usecols=(0, 1), dtype=np.int64,
+                               ndmin=2, encoding="utf-8")
+    except ValueError as exc:  # also overflow and undecodable bytes
+        raise DomainError(f"{path}: {exc}") from exc
+    if not pairs.size:
         raise DomainError(f"{path}: no edges found")
-    one_based = min(min(u, v) for u, v in raw_pairs) >= 1
-    shift = 1 if one_based else 0
-    edges = set()
-    loops = 0
-    for u, v in raw_pairs:
-        u -= shift
-        v -= shift
-        if u == v:
-            loops += 1
-            continue
-        edges.add((min(u, v), max(u, v)))
-    if loops:
-        warnings.append(f"dropped {loops} self-loop(s)")
-    n = 1 + max(max(e) for e in edges) if edges else 0
+    low = int(pairs.min())
+    if low < 0:
+        raise DomainError(f"{path}: negative node id {low}")
+    one_based = low >= 1
+    if one_based:
+        pairs -= 1
+    loop = pairs[:, 0] == pairs[:, 1]
+    loops = int(np.count_nonzero(loop))
+    pairs = pairs[~loop]
+    n = int(pairs.max()) + 1 if pairs.size else 0
     if n < 2:
         raise DomainError(f"{path}: graph has fewer than 2 nodes")
+    _check_dense_size(path, n)
+    lo = pairs.min(axis=1)
+    hi = pairs.max(axis=1)
+    keys = np.unique(lo * n + hi)  # n*n fits in int64 once the size check passed
+    edges = np.column_stack((keys // n, keys % n))
+    edges.flags.writeable = False
     return EdgeListData(
-        n=n, edges=tuple(sorted(edges)), one_based=one_based, warnings=tuple(warnings)
+        n=n,
+        edges=edges,
+        one_based=one_based,
+        warnings=(f"dropped {loops} self-loop(s)",) if loops else (),
     )
 
 
@@ -107,36 +125,52 @@ def write_adjacency(path, adj: np.ndarray, fmt: str = "rle"):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _header_int(path, lines, index: int, key: str) -> int:
+    """The value of header line ``index``, which must read ``key <integer>``."""
+    parts = lines[index].split() if index < len(lines) else []
+    if len(parts) != 2 or parts[0] != key:
+        raise DomainError(f"{path}: header line {index + 1} must read '{key} <integer>'")
+    try:
+        return int(parts[1])
+    except ValueError as exc:
+        raise DomainError(f"{path}: header line {index + 1}: non-integer {key} {parts[1]!r}") from exc
+
+
 def read_adjacency(path) -> np.ndarray:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
     if not lines or not lines[0].startswith(_MAGIC):
         raise DomainError(f"{path}: not an adjacency dump")
     header = lines[0].split()
     fmt = header[2] if len(header) >= 3 else ""
-    n = int(lines[1].split()[1])
+    if fmt not in ("dense", "rle"):
+        raise DomainError(f"{path}: unknown adjacency dump format {fmt!r}")
+    n = _header_int(path, lines, 1, "n")
+    if n < 0:
+        raise DomainError(f"{path}: negative node count n = {n}")
+    _check_dense_size(path, n)
     if fmt == "dense":
-        rows = [list(map(int, line)) for line in lines[2 : 2 + n]]
-        adj = np.asarray(rows, dtype=np.uint8)
-        if adj.shape != (n, n):
-            raise DomainError(f"{path}: dense dump has wrong shape")
-        return adj.astype(np.float64)
-    if fmt == "rle":
-        start = int(lines[2].split()[1])
+        rows = lines[2 : 2 + n]
+        if len(rows) != n or any(len(row) != n or row.strip("01") for row in rows):
+            raise DomainError(f"{path}: dense dump must have {n} rows of {n} '0'/'1' characters")
+        adj = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8).reshape(n, n)
+        return (adj - ord("0")).astype(np.float64)
+    start = _header_int(path, lines, 2, "start")
+    if start not in (0, 1):
+        raise DomainError(f"{path}: start must be 0 or 1, got {start}")
+    try:
         runs = [int(tok) for line in lines[3:] for tok in line.split()]
-        total = n * (n - 1) // 2
-        bits = np.zeros(total, dtype=np.uint8)
-        pos = 0
-        val = start
-        for r in runs:
-            if val:
-                bits[pos : pos + r] = 1
-            pos += r
-            val ^= 1
-        if pos != total and runs:
-            raise DomainError(f"{path}: run lengths cover {pos} of {total} pairs")
-        adj = np.zeros((n, n), dtype=np.float64)
-        iu = np.triu_indices(n, k=1)
-        adj[iu] = bits
-        adj += adj.T
-        return adj
-    raise DomainError(f"{path}: unknown adjacency dump format {fmt!r}")
+    except ValueError as exc:
+        raise DomainError(f"{path}: non-integer run length: {exc}") from exc
+    total = n * (n - 1) // 2
+    if min(runs, default=0) < 0 or sum(runs) != total:
+        raise DomainError(f"{path}: run lengths must be >= 0 and cover all {total} pairs")
+    # runs alternate between the start bit and its complement
+    bits = np.repeat(((start + np.arange(len(runs))) % 2).astype(np.uint8), runs)
+    adj = np.zeros((n, n), dtype=np.float64)
+    iu = np.triu_indices(n, k=1)
+    adj[iu] = bits
+    adj += adj.T
+    return adj

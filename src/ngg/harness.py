@@ -209,7 +209,9 @@ def _one_replicate(config: ExperimentConfig, basis: HarmonicBasis, truth: np.nda
     t1 = time.perf_counter()
     graph = generate_graph(latent, config.envelope, gseed, keep_theta=False)
     t2 = time.perf_counter()
-    spectrum = eigenvalues_symmetric(graph.adjacency() / n)
+    a = graph.adjacency()
+    a /= n  # in place: bit for bit adjacency / n, without the copy
+    spectrum = eigenvalues_symmetric(a)
     t3 = time.perf_counter()
     adapt_cfg = AdaptConfig(
         n=n, r_max=config.r_max, kappa=config.kappa, include_r0=config.include_r0
@@ -379,9 +381,12 @@ def concentration_check(
         latent = sample_latent(space, n, rep_seed)
         theta = probability_matrix(latent, envelope)
         graph = generate_graph(latent, envelope, _graph_seed(rep_seed), keep_theta=False)
-        diff = (graph.adjacency() - theta) / n
+        diff = graph.adjacency()
+        diff -= theta
+        diff /= n
         o = operator_norm(diff)
-        s = delta2(eigenvalues_symmetric(theta / n).values, truth)
+        theta /= n
+        s = delta2(eigenvalues_symmetric(theta).values, truth)
         return task, o, s
 
     workers = _worker_count(len(tasks))
@@ -434,7 +439,9 @@ def risk_curve(config: ExperimentConfig):
             latent = sample_latent(config.space, n, rep_seed)
             graph = generate_graph(latent, config.envelope, _graph_seed(rep_seed),
                                    keep_theta=False)
-            spectrum = eigenvalues_symmetric(graph.adjacency() / n)
+            a = graph.adjacency()
+            a /= n
+            spectrum = eigenvalues_symmetric(a)
             for r in grid:
                 est = fit_resolution(spectrum, basis, r)
                 vec = estimate_vector(est, basis.dims)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,8 @@ __all__ = ["Spectrum", "eigenvalues_symmetric", "operator_norm", "delta2"]
 
 _SYM_TOL = 1e-10
 _RESIDUAL_FACTOR = 1e-9
+_BLOCK = 256  # rows per block of the symmetry check
+_LAPACK_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -23,20 +26,42 @@ class Spectrum:
     residual_bound: float
 
 
+def _scale_and_asymmetry(m: np.ndarray) -> tuple[float, float]:
+    """``max|M_ij|`` and ``max|M_ij - M_ji|``, one block of rows at a time so
+    the only temporaries are ``_BLOCK x n``; a non-finite entry is refused."""
+    scale = asym = 0.0
+    for lo in range(0, m.shape[0], _BLOCK):
+        rows = m[lo : lo + _BLOCK]
+        block_scale = float(np.max(np.abs(rows)))
+        if not np.isfinite(block_scale):  # max propagates NaN and inf
+            raise DomainError("matrix has non-finite entries")
+        diff = rows - m[:, lo : lo + _BLOCK].T
+        scale = max(scale, block_scale)
+        asym = max(asym, float(np.max(np.abs(diff, out=diff))))
+    return scale, asym
+
+
 def eigenvalues_symmetric(matrix) -> Spectrum:
     """Full spectrum of a symmetric matrix, eigenvalues only.
 
-    Delegates to LAPACK through numpy; the residual bound recorded is the
-    backward-stability contract 1e-9 * n * max|M_ij|.
+    The input is checked for finite entries and for symmetry to
+    ``1e-10 * max|M_ij|`` in row blocks, so the check allocates no ``n x n``
+    temporary; LAPACK (through numpy) then makes the one copy it works in.
+    A module-wide lock runs one dense solve at a time: replicate threads
+    that called LAPACK together would each share a BLAS pool that already
+    uses every core, and run slower than one after the other.  The residual
+    bound recorded is the backward-stability contract
+    ``1e-9 * n * max|M_ij|``.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError("matrix must be square")
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    if float(np.max(np.abs(m - m.T), initial=0.0)) > _SYM_TOL * max(scale, 1e-300):
+    scale, asym = _scale_and_asymmetry(m)
+    if asym > _SYM_TOL * max(scale, 1e-300):
         raise DomainError("matrix is not symmetric")
     try:
-        vals = np.linalg.eigvalsh(m)
+        with _LAPACK_LOCK:
+            vals = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError(f"eigenvalue computation failed: {exc}") from exc
     return Spectrum(

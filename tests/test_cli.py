@@ -29,7 +29,7 @@ def test_read_edge_list_konect_style(tmp_path):
     data = read_edge_list(path)
     assert data.one_based
     assert data.n == 4
-    assert data.edges == ((0, 1), (1, 3))
+    assert data.edges.tolist() == [[0, 1], [1, 3]]
     assert any("self-loop" in w for w in data.warnings)
     a = data.adjacency()
     assert np.array_equal(a, a.T) and a[0, 1] == 1 and a[1, 3] == 1
@@ -63,6 +63,34 @@ def test_adjacency_dump_roundtrip(tmp_path, fmt):
     path = tmp_path / "adj.txt"
     write_adjacency(path, a, fmt=fmt)
     assert np.array_equal(read_adjacency(path), a)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "ngg-adjacency 1 dense\nn 3\n010\n1x1\n010\n",  # bad character in a row
+        "ngg-adjacency 1 rle\nn 10\nstart 0\n",  # no run lines
+        "ngg-adjacency 1 rle\nn\nstart 0\n3\n",  # n without a value
+        "ngg-adjacency 1 dense\nn 3.5\n010\n101\n010\n",  # non-integer n
+        "ngg-adjacency 1 rle\nn 3000000\nstart 0\n",  # larger than memory
+    ],
+)
+def test_cli_estimate_malformed_adjacency_dump(tmp_path, capsys, text):
+    path = tmp_path / "adj.txt"
+    path.write_text(text)
+    rc = main(["estimate", "--input", str(path), "--r-max", "1",
+               "--out", str(tmp_path / "o.json")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_estimate_graph_larger_than_memory(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("0 3000000\n")
+    rc = main(["estimate", "--input", str(path), "--out", str(tmp_path / "o.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n = 3000001 nodes" in err and "GiB" in err
 
 
 # --- commands -----------------------------------------------------------------------

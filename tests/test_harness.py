@@ -45,6 +45,17 @@ def test_report_deterministic():
     assert json_dumps(a.to_json_dict()) == json_dumps(b.to_json_dict())
 
 
+def test_report_independent_of_thread_count(monkeypatch):
+    # replicate threads take turns in the eigensolver; the results must not
+    # depend on how many threads there are
+    cfg = _config(replicates=4, n_values=(300,))
+    docs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("NGG_THREADS", threads)
+        docs.append(json_dumps(ngg.run_experiment(cfg).to_json_dict()))
+    assert docs[0] == docs[1]
+
+
 def test_report_embeds_config_and_build():
     report = ngg.run_experiment(_config(replicates=1))
     doc = report.to_json_dict()

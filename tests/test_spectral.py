@@ -46,6 +46,25 @@ def test_eigenvalues_rejects_asymmetric():
         ngg.eigenvalues_symmetric(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("j", [0, 280])
+def test_eigenvalues_rejects_asymmetry_in_last_partial_block(rng, j):
+    # the check runs in blocks of 256 rows; row 299 is in the partial block
+    a = rng.standard_normal((300, 300))
+    m = (a + a.T) / 2
+    assert ngg.eigenvalues_symmetric(m).values.size == 300
+    m[299, j] += 1e-6
+    with pytest.raises(DomainError, match="not symmetric"):
+        ngg.eigenvalues_symmetric(m)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eigenvalues_rejects_non_finite(bad):
+    m = np.eye(300)
+    m[5, 280] = m[280, 5] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        ngg.eigenvalues_symmetric(m)
+
+
 def test_eigenvalue_residual_contract(rng):
     a = rng.standard_normal((50, 50))
     m = (a + a.T) / 2
