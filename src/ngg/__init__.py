@@ -40,10 +40,9 @@ from .model import (
     LatentSample,
     builtin_envelope,
     constant_envelope,
-    cosine_matrix,
+    cosines,
     envelope_from_coefficients,
     generate_graph,
-    pairwise_cosine,
     probability_matrix,
     sample_latent,
 )

@@ -45,8 +45,8 @@ class AdaptConfig:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("n must be positive")
-        if self.kappa <= 0:
-            raise DomainError("kappa must be positive")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise DomainError(f"kappa must be a finite positive number, got {self.kappa}")
         if self.r_max < (0 if self.include_r0 else 1):
             raise DomainError("r_max too small for the candidate grid")
 

@@ -13,6 +13,7 @@ configuration and render floats with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -24,10 +25,11 @@ from .errors import NggError
 from .harness import (
     ExperimentConfig,
     build_identifier,
+    replicate_graph,
     run_experiment,
     true_coefficients,
 )
-from .model import builtin_envelope, envelope_from_coefficients, generate_graph, sample_latent
+from .model import builtin_envelope, envelope_from_coefficients
 from .reports import write_csv, write_json
 from .spaces import (
     LatentSpace,
@@ -102,6 +104,27 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
     return values
 
 
+def _grid(count: int) -> np.ndarray:
+    if count < 1:
+        raise UsageError(f"--grid must be a positive integer, got {count}")
+    return np.linspace(-1.0, 1.0, count)
+
+
+def _read_estimate_report(path: str):
+    """Sphere dimension and stage values of an ``estimate`` report."""
+    try:
+        report = json.loads(Path(path).read_text(encoding="utf-8"))
+        if report.get("kind") != "estimate":
+            raise UsageError(f"{path}: not an estimate report")
+        dim = int(report["config"]["dim"])
+        stages = np.asarray(report["stages"], dtype=float)
+    except (ValueError, TypeError, AttributeError, KeyError) as exc:
+        raise UsageError(f"{path}: not an estimate report ({type(exc).__name__}: {exc})") from exc
+    if stages.ndim != 1 or stages.size == 0 or not np.all(np.isfinite(stages)):
+        raise UsageError(f"{path}: not an estimate report (stages must be finite numbers)")
+    return dim, stages
+
+
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--r-max", type=int, default=4, help="largest candidate resolution")
     p.add_argument("--kappa", type=float, default=0.25, help="selection penalty constant")
@@ -173,11 +196,7 @@ def _cmd_simulate(args) -> int:
             raise UsageError("--dump-adjacency requires a single --n value")
         n = n_values[0]
         for rep in range(args.replicates):
-            latent = sample_latent(space, n, args.seed + rep)
-            from .harness import _graph_seed  # same derivation as the experiment
-
-            graph = generate_graph(latent, envelope, _graph_seed(args.seed + rep),
-                                   keep_theta=False)
+            _, graph = replicate_graph(space, envelope, n, args.seed + rep)
             path = (
                 args.dump_adjacency
                 if args.replicates == 1
@@ -193,6 +212,7 @@ def _cmd_estimate(args) -> int:
     if not path.exists():
         print(f"error: input file {args.input!r} not found", file=sys.stderr)
         return 1
+    grid = _grid(args.grid)
     warnings: list[str] = []
     magic = b"ngg-adjacency"
     with path.open("rb") as fh:
@@ -204,6 +224,8 @@ def _cmd_estimate(args) -> int:
         warnings.extend(data.warnings)
         adjacency = data.adjacency()
     n = adjacency.shape[0]
+    adapt_cfg = AdaptConfig(n=n, r_max=args.r_max, kappa=args.kappa,
+                            include_r0=args.include_r0)
     basis = harmonic_basis(sphere(args.dim), max(args.r_max, 8))
     model_dim = cumulative_dim(sphere(args.dim), args.r_max)
     if n < model_dim:
@@ -220,11 +242,8 @@ def _cmd_estimate(args) -> int:
         print(f"warning: {w}", file=sys.stderr)
     adjacency /= n  # in place: bit for bit adjacency / n, without the copy
     spectrum = eigenvalues_symmetric(adjacency)
-    adapt_cfg = AdaptConfig(n=n, r_max=args.r_max, kappa=args.kappa,
-                            include_r0=args.include_r0)
     estimates = fit_all_resolutions(spectrum, basis, adapt_cfg)
     result = select_resolution(estimates, adapt_cfg, basis)
-    grid = np.linspace(-1.0, 1.0, args.grid)
     values = result.envelope(grid)
     out = {
         "schema": 1,
@@ -283,23 +302,17 @@ def _cmd_coefs(args) -> int:
 def _cmd_eval_envelope(args) -> int:
     if (args.envelope is None) == (args.from_report is None):
         raise UsageError("pass exactly one of --envelope / --from-report")
+    grid = _grid(args.grid)
     clamp = args.clamp
     if args.from_report:
-        import json
-
-        report = json.loads(Path(args.from_report).read_text(encoding="utf-8"))
-        if report.get("kind") != "estimate":
-            raise UsageError(f"{args.from_report}: not an estimate report")
-        dim = report["config"]["dim"]
-        stages = report["stages"]
-        basis = harmonic_basis(sphere(dim), max(len(stages) - 1, 1))
-        fn = lambda t: basis.reconstruct(np.asarray(stages, float), t)
+        dim, stages = _read_estimate_report(args.from_report)
+        basis = harmonic_basis(sphere(dim), max(stages.size - 1, 1))
+        fn = lambda t: basis.reconstruct(stages, t)
         clamp = True  # fitted envelopes are always clamped
     else:
         basis = harmonic_basis(sphere(args.dim), 64)
         envelope = _resolve_envelope(args.envelope, basis)
         fn = envelope
-    grid = np.linspace(-1.0, 1.0, args.grid)
     values = np.asarray(fn(grid), dtype=float)
     if clamp:
         values = np.clip(values, 0.0, 1.0)

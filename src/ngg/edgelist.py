@@ -14,7 +14,6 @@ larger than the machine's physical memory.
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,22 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError
+from .spectral import check_dense_size
 
 __all__ = ["EdgeListData", "read_edge_list", "write_adjacency", "read_adjacency"]
-
-
-def _check_dense_size(path, n: int):
-    """Refuse a graph whose dense float64 adjacency cannot fit in memory."""
-    try:
-        phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):  # no sysconf on this platform
-        return
-    need = 8 * n * n
-    if need > phys:
-        raise DomainError(
-            f"{path}: n = {n} nodes needs {need / 2**30:.1f} GiB for the dense "
-            f"adjacency matrix, more than the {phys / 2**30:.1f} GiB of physical memory"
-        )
 
 
 @dataclass(frozen=True)
@@ -78,7 +64,7 @@ def read_edge_list(path) -> EdgeListData:
     n = int(pairs.max()) + 1 if pairs.size else 0
     if n < 2:
         raise DomainError(f"{path}: graph has fewer than 2 nodes")
-    _check_dense_size(path, n)
+    check_dense_size(n, path)
     lo = pairs.min(axis=1)
     hi = pairs.max(axis=1)
     keys = np.unique(lo * n + hi)  # n*n fits in int64 once the size check passed
@@ -150,7 +136,7 @@ def read_adjacency(path) -> np.ndarray:
     n = _header_int(path, lines, 1, "n")
     if n < 0:
         raise DomainError(f"{path}: negative node count n = {n}")
-    _check_dense_size(path, n)
+    check_dense_size(n, path)
     if fmt == "dense":
         rows = lines[2 : 2 + n]
         if len(rows) != n or any(len(row) != n or row.strip("01") for row in rows):

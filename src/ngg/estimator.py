@@ -30,6 +30,7 @@ __all__ = [
     "SpectrumEstimate",
     "fit_resolution",
     "estimate_vector",
+    "spectrum_vector",
 ]
 
 ZERO_BLOCK = -1  # ordering symbol for the zero block
@@ -171,8 +172,14 @@ def fit_resolution(spectrum, basis: HarmonicBasis, r: int) -> SpectrumEstimate:
     return SpectrumEstimate(r=r, stage_values=stages, ordering=ordering, score=score, n=n)
 
 
+def spectrum_vector(values, dims) -> np.ndarray:
+    """Repeat the value of each degree ``ell`` ``dims[ell]`` times: the model
+    spectrum of stage values or expansion coefficients of degrees 0..len-1."""
+    values = np.asarray(values, dtype=float)
+    return np.repeat(values, np.asarray(dims[: values.size], dtype=int))
+
+
 def estimate_vector(est: SpectrumEstimate, dims) -> np.ndarray:
     """Expand stage values with their multiplicities into the model spectrum
     vector (length cum_dims[r])."""
-    reps = np.asarray(dims[: est.r + 1], dtype=int)
-    return np.repeat(np.asarray(est.stage_values, dtype=float), reps)
+    return spectrum_vector(est.stage_values, dims)

@@ -9,6 +9,7 @@ aggregates) and a CSV part that additionally carries wall-clock timings.
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import time
@@ -20,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .adapt import AdaptConfig, fit_all_resolutions, select_resolution
-from .errors import DomainError
-from .estimator import estimate_vector, fit_resolution
+from .errors import DomainError, NggError
+from .estimator import estimate_vector, spectrum_vector
 from .model import Envelope, generate_graph, probability_matrix, sample_latent
 from .reports import write_csv, write_json
 from .spaces import (
@@ -31,7 +32,7 @@ from .spaces import (
     envelope_coefficients,
     harmonic_basis,
 )
-from .spectral import delta2, eigenvalues_symmetric, operator_norm
+from .spectral import check_dense_size, delta2, eigenvalues_symmetric, operator_norm
 
 __all__ = [
     "ExperimentConfig",
@@ -39,6 +40,7 @@ __all__ = [
     "run_experiment",
     "concentration_check",
     "risk_curve",
+    "replicate_graph",
     "true_coefficients",
     "build_identifier",
 ]
@@ -83,6 +85,15 @@ def _worker_count(n_tasks: int) -> int:
     return max(1, min(n_tasks, cap))
 
 
+def _map_replicates(fn, tasks: list) -> list:
+    """``[fn(task) for task in tasks]``, on up to ``_worker_count`` threads."""
+    workers = _worker_count(len(tasks))
+    if workers == 1:
+        return [fn(task) for task in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def true_coefficients(
     basis: HarmonicBasis,
     envelope: Envelope,
@@ -104,10 +115,6 @@ def true_coefficients(
     return coeffs
 
 
-def _expand(coeffs: np.ndarray, dims) -> np.ndarray:
-    return np.repeat(coeffs, np.asarray(dims[: coeffs.size], dtype=int))
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     space: LatentSpace
@@ -124,12 +131,15 @@ class ExperimentConfig:
             raise DomainError("replicates must be >= 1")
         if not self.n_values:
             raise DomainError("at least one graph size is required")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise DomainError(f"kappa must be a finite positive number, got {self.kappa}")
         need = 2 * cumulative_dim(self.space, self.r_max)
         for n in self.n_values:
             if n < max(need, 2):
                 raise DomainError(
                     f"n = {n} violates n >= 2 * cum_dim(r_max) = {need}"
                 )
+            check_dense_size(n, "graph size")
 
     def to_dict(self) -> dict:
         d: dict = {
@@ -152,6 +162,13 @@ class ExperimentConfig:
 def _graph_seed(rep_seed: int) -> int:
     # independent stream for the Bernoulli draws, reproducible from rep_seed
     return int(np.random.SeedSequence([rep_seed, 0x9E3779B9]).generate_state(1, np.uint64)[0])
+
+
+def replicate_graph(space: LatentSpace, envelope: Envelope, n: int, rep_seed: int):
+    """The latent sample and the graph of the replicate seeded ``rep_seed``,
+    drawn exactly as ``run_experiment`` draws them."""
+    latent = sample_latent(space, n, rep_seed)
+    return latent, generate_graph(latent, envelope, _graph_seed(rep_seed))
 
 
 @dataclass
@@ -207,7 +224,7 @@ def _one_replicate(config: ExperimentConfig, basis: HarmonicBasis, truth: np.nda
     t0 = time.perf_counter()
     latent = sample_latent(config.space, n, rep_seed)
     t1 = time.perf_counter()
-    graph = generate_graph(latent, config.envelope, gseed, keep_theta=False)
+    graph = generate_graph(latent, config.envelope, gseed)
     t2 = time.perf_counter()
     a = graph.adjacency()
     a /= n  # in place: bit for bit adjacency / n, without the copy
@@ -223,7 +240,7 @@ def _one_replicate(config: ExperimentConfig, basis: HarmonicBasis, truth: np.nda
     timing.update(
         t_sample=t1 - t0, t_generate=t2 - t1, t_eig=t3 - t2, t_fit=t4 - t3, t_adapt=t5 - t4
     )
-    truth_full = _expand(truth, basis.dims)
+    truth_full = spectrum_vector(truth, basis.dims)
     fits = []
     for r in sorted(estimates):
         est = estimates[r]
@@ -234,7 +251,7 @@ def _one_replicate(config: ExperimentConfig, basis: HarmonicBasis, truth: np.nda
                 "stages": [float(v) for v in est.stage_values],
                 "score": float(est.score),
                 "ordering": list(est.ordering),
-                "delta2_vs_truth_r": delta2(vec, _expand(truth[: r + 1], basis.dims)),
+                "delta2_vs_truth_r": delta2(vec, spectrum_vector(truth[: r + 1], basis.dims)),
                 "delta2_vs_truth": delta2(vec, truth_full),
             }
         )
@@ -262,31 +279,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """
     basis = harmonic_basis(config.space, max(_TRUTH_MAX_DEGREE, config.r_max))
     truth = true_coefficients(basis, config.envelope)
-    tasks = [(n, rep) for n in config.n_values for rep in range(config.replicates)]
-    results: dict[tuple[int, int], tuple] = {}
+    # one record per (n, replicate), in sorted order whatever the order of n_values
+    tasks = sorted({(n, rep) for n in config.n_values for rep in range(config.replicates)})
 
     def run(task):
         n, rep = task
         try:
-            return task, _one_replicate(config, basis, truth, n, rep)
+            return _one_replicate(config, basis, truth, n, rep)
         except Exception as exc:  # recorded, not swallowed
-            return task, (
+            return (
                 {"n": n, "replicate": rep, "seed": config.base_seed + rep,
                  "error": f"{type(exc).__name__}: {exc}"},
                 {"n": n, "replicate": rep},
             )
 
-    workers = _worker_count(len(tasks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for task, payload in pool.map(run, tasks):
-                results[task] = payload
-    else:
-        for task in tasks:
-            results[task] = run(task)[1]
-
-    records = [results[t][0] for t in sorted(results)]
-    timings = [results[t][1] for t in sorted(results)]
+    results = _map_replicates(run, tasks)
+    records = [record for record, _ in results]
+    timings = [timing for _, timing in results]
     aggregates = _aggregate(config, basis, truth, records)
     return ExperimentReport(
         config=config.to_dict(),
@@ -370,36 +379,23 @@ def concentration_check(
     """Empirical operator-norm error of A/n around theta/n and spectrum error
     of theta/n against the reference expansion, with log-log slope fits."""
     basis = harmonic_basis(space, _TRUTH_MAX_DEGREE)
-    truth = _expand(true_coefficients(basis, envelope), basis.dims)
-    op: dict[tuple[int, int], float] = {}
-    sperr: dict[tuple[int, int], float] = {}
+    truth = spectrum_vector(true_coefficients(basis, envelope), basis.dims)
     tasks = [(int(n), rep) for n in n_values for rep in range(replicates)]
 
     def run(task):
         n, rep = task
-        rep_seed = seed + rep
-        latent = sample_latent(space, n, rep_seed)
+        latent, graph = replicate_graph(space, envelope, n, seed + rep)
         theta = probability_matrix(latent, envelope)
-        graph = generate_graph(latent, envelope, _graph_seed(rep_seed), keep_theta=False)
         diff = graph.adjacency()
         diff -= theta
         diff /= n
         o = operator_norm(diff)
         theta /= n
-        s = delta2(eigenvalues_symmetric(theta).values, truth)
-        return task, o, s
+        return o, delta2(eigenvalues_symmetric(theta).values, truth)
 
-    workers = _worker_count(len(tasks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for task, o, s in pool.map(run, tasks):
-                op[task] = o
-                sperr[task] = s
-    else:
-        for task in tasks:
-            _, o, s = run(task)
-            op[task] = o
-            sperr[task] = s
+    results = dict(zip(tasks, _map_replicates(run, tasks)))
+    op = {task: o for task, (o, _) in results.items()}
+    sperr = {task: s for task, (_, s) in results.items()}
 
     rows = []
     for n in n_values:
@@ -427,25 +423,20 @@ def concentration_check(
 
 def risk_curve(config: ExperimentConfig):
     """Mean squared spectrum error of the fixed-resolution fit, per (n, r):
-    the empirical bias/variance trade-off behind the adaptive selection."""
-    basis = harmonic_basis(config.space, max(_TRUTH_MAX_DEGREE, config.r_max))
-    truth = true_coefficients(basis, config.envelope)
-    grid = list(range(0 if config.include_r0 else 1, config.r_max + 1))
-    rows = []
-    for n in config.n_values:
-        errs = {r: [] for r in grid}
-        for rep in range(config.replicates):
-            rep_seed = config.base_seed + rep
-            latent = sample_latent(config.space, n, rep_seed)
-            graph = generate_graph(latent, config.envelope, _graph_seed(rep_seed),
-                                   keep_theta=False)
-            a = graph.adjacency()
-            a /= n
-            spectrum = eigenvalues_symmetric(a)
-            for r in grid:
-                est = fit_resolution(spectrum, basis, r)
-                vec = estimate_vector(est, basis.dims)
-                errs[r].append(delta2(vec, _expand(truth[: r + 1], basis.dims)) ** 2)
-        for r in grid:
-            rows.append({"n": int(n), "r": r, "mean_sq_delta2": float(np.mean(errs[r]))})
-    return rows
+    the empirical bias/variance trade-off behind the adaptive selection.
+
+    The rows are ``run_experiment(config)``'s ``risk_fixed`` aggregates; a
+    failing replicate raises ``NggError`` instead of being left out.
+    """
+    report = run_experiment(config)
+    for rec in report.records:
+        if "error" in rec:
+            raise NggError(
+                f"replicate {rec['replicate']} at n = {rec['n']} failed: {rec['error']}"
+            )
+    per_n = report.aggregates["per_n"]
+    return [
+        {"n": int(n), "r": int(r), "mean_sq_delta2": risk}
+        for n in config.n_values
+        for r, risk in per_n[str(n)]["risk_fixed"].items()
+    ]

@@ -24,8 +24,7 @@ __all__ = [
     "envelope_from_coefficients",
     "LatentSample",
     "sample_latent",
-    "pairwise_cosine",
-    "cosine_matrix",
+    "cosines",
     "probability_matrix",
     "GraphSample",
     "generate_graph",
@@ -126,6 +125,11 @@ class LatentSample:
     points: np.ndarray  # (n, d); complex for the complex projective family
     seed: int
 
+    def __post_init__(self):
+        pts = self.points
+        if pts.ndim != 2 or not np.all(np.abs(np.linalg.norm(pts, axis=1) - 1.0) <= _UNIT_TOL):
+            raise DomainError("latent points must be an (n, d) array of unit vectors")
+
     @property
     def n(self) -> int:
         return self.points.shape[0]
@@ -152,61 +156,24 @@ def sample_latent(space: LatentSpace, n: int, seed: int) -> LatentSample:
     return LatentSample(space=space, points=x, seed=int(seed))
 
 
-def _check_unit(x: np.ndarray):
-    if abs(np.linalg.norm(x) - 1.0) > _UNIT_TOL:
-        raise DomainError("points must be unit vectors")
-
-
-def pairwise_cosine(space: LatentSpace, x: np.ndarray, y: np.ndarray) -> float:
-    """Cosine of the (normalized) distance between two points.
+def cosines(space: LatentSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cosines of the (normalized) distances between the rows of ``x`` and the
+    rows of ``y``, clipped to [-1, 1]; ``y`` may also be a single point ``(d,)``.
 
     Sphere: <x, y>.  Real projective: 2 <x, y>^2 - 1.  Complex projective:
     2 |<x, y>|^2 - 1.  The projective forms follow from the pole formula and
-    two-point homogeneity.
+    two-point homogeneity.  Points are taken to be unit vectors, as
+    ``LatentSample`` guarantees.
     """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    _check_unit(x)
-    _check_unit(y)
     if space.kind is SpaceKind.SPHERE:
-        t = float(np.real(np.vdot(x, y)))
+        t = x @ y.T
     elif space.kind is SpaceKind.REAL_PROJECTIVE:
-        t = 2.0 * float(np.dot(x, y)) ** 2 - 1.0
+        t = 2.0 * (x @ y.T) ** 2 - 1.0
     elif space.kind is SpaceKind.COMPLEX_PROJECTIVE:
-        t = 2.0 * abs(np.vdot(x, y)) ** 2 - 1.0
-    else:
-        raise DomainError(f"pairwise cosine not supported on {space.kind.value}")
-    return float(np.clip(t, -1.0, 1.0))
-
-
-def _cosine_rows(space: LatentSpace, points: np.ndarray, i: int) -> np.ndarray:
-    """Cosines between point i and points i+1..n-1."""
-    rest = points[i + 1 :]
-    if space.kind is SpaceKind.SPHERE:
-        t = rest @ points[i]
-    elif space.kind is SpaceKind.REAL_PROJECTIVE:
-        t = 2.0 * (rest @ points[i]) ** 2 - 1.0
-    elif space.kind is SpaceKind.COMPLEX_PROJECTIVE:
-        t = 2.0 * np.abs(rest @ points[i].conj()) ** 2 - 1.0
+        t = 2.0 * np.abs(x @ y.conj().T) ** 2 - 1.0
     else:
         raise DomainError(f"pairwise cosine not supported on {space.kind.value}")
     return np.clip(np.real(t), -1.0, 1.0)
-
-
-def cosine_matrix(latent: LatentSample) -> np.ndarray:
-    """Full n x n matrix of pairwise cosines (diagonal = 1)."""
-    pts = latent.points
-    if latent.space.kind is SpaceKind.SPHERE:
-        g = pts @ pts.T
-    elif latent.space.kind is SpaceKind.REAL_PROJECTIVE:
-        g = 2.0 * (pts @ pts.T) ** 2 - 1.0
-    elif latent.space.kind is SpaceKind.COMPLEX_PROJECTIVE:
-        g = 2.0 * np.abs(pts @ pts.conj().T) ** 2 - 1.0
-    else:
-        raise DomainError(f"pairwise cosine not supported on {latent.space.kind.value}")
-    g = np.clip(np.real(g), -1.0, 1.0)
-    np.fill_diagonal(g, 1.0)
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -227,27 +194,23 @@ def _checked_probabilities(p: Envelope, t: np.ndarray) -> np.ndarray:
 
 def probability_matrix(latent: LatentSample, p: Envelope) -> np.ndarray:
     """Matrix of edge probabilities p(cosine), zero diagonal."""
-    theta = _checked_probabilities(p, cosine_matrix(latent))
+    t = cosines(latent.space, latent.points, latent.points)
+    np.fill_diagonal(t, 1.0)
+    theta = _checked_probabilities(p, t)
     np.fill_diagonal(theta, 0.0)
     return theta
 
 
 @dataclass(frozen=True)
 class GraphSample:
-    """An undirected simple graph, adjacency kept bit-packed by row.
-
-    ``theta0``/``latent`` are retained when the sample came from a model run
-    that asked for them.
-    """
+    """An undirected simple graph, adjacency kept bit-packed by row."""
 
     n: int
     packed: np.ndarray  # uint8, shape (n, ceil(n / 8))
     seed: int
-    theta0: np.ndarray | None = None
-    latent: LatentSample | None = None
 
     @classmethod
-    def from_dense(cls, adj: np.ndarray, seed: int = 0, theta0=None, latent=None) -> "GraphSample":
+    def from_dense(cls, adj: np.ndarray, seed: int = 0) -> "GraphSample":
         adj = np.asarray(adj)
         n = adj.shape[0]
         if adj.shape != (n, n):
@@ -255,7 +218,7 @@ class GraphSample:
         b = adj.astype(bool)
         if np.any(b != b.T) or np.any(np.diagonal(b)):
             raise DomainError("adjacency must be symmetric with zero diagonal")
-        return cls(n=n, packed=np.packbits(b, axis=1), seed=int(seed), theta0=theta0, latent=latent)
+        return cls(n=n, packed=np.packbits(b, axis=1), seed=int(seed))
 
     def adjacency_bool(self) -> np.ndarray:
         return np.unpackbits(self.packed, axis=1, count=self.n).astype(bool)
@@ -270,31 +233,20 @@ class GraphSample:
         return self.edge_count() / (self.n * (self.n - 1) / 2.0)
 
 
-def generate_graph(
-    latent: LatentSample, p: Envelope, seed: int, keep_theta: bool = True
-) -> GraphSample:
+def generate_graph(latent: LatentSample, p: Envelope, seed: int) -> GraphSample:
     """Draw one Bernoulli graph: independent edges for i < j with probability
     p applied to the pairwise cosine, symmetric, zero diagonal.
 
-    Generation streams one row at a time so only the packed adjacency (plus
-    theta when ``keep_theta``) stays resident.  Identical (latent, p, seed)
-    reproduce the adjacency bit for bit.
+    Generation streams one row at a time so only the boolean adjacency, packed
+    on return, stays resident.  Identical (latent, p, seed) reproduce the
+    adjacency bit for bit.
     """
     rng = np.random.default_rng(seed)
     n = latent.n
+    pts = latent.points
     adj = np.zeros((n, n), dtype=bool)
-    theta = np.zeros((n, n)) if keep_theta else None
     for i in range(n - 1):
-        probs = _checked_probabilities(p, _cosine_rows(latent.space, latent.points, i))
+        probs = _checked_probabilities(p, cosines(latent.space, pts[i + 1 :], pts[i]))
         adj[i, i + 1 :] = rng.random(n - 1 - i) < probs
-        if theta is not None:
-            theta[i, i + 1 :] = probs
-            theta[i + 1 :, i] = probs
     adj |= adj.T
-    return GraphSample(
-        n=n,
-        packed=np.packbits(adj, axis=1),
-        seed=int(seed),
-        theta0=theta,
-        latent=latent,
-    )
+    return GraphSample(n=n, packed=np.packbits(adj, axis=1), seed=int(seed))

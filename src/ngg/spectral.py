@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from .errors import DomainError, SolverError
 
-__all__ = ["Spectrum", "eigenvalues_symmetric", "operator_norm", "delta2"]
+__all__ = ["Spectrum", "check_dense_size", "eigenvalues_symmetric", "operator_norm", "delta2"]
 
 _SYM_TOL = 1e-10
 _RESIDUAL_FACTOR = 1e-9
@@ -39,6 +40,21 @@ def _scale_and_asymmetry(m: np.ndarray) -> tuple[float, float]:
         scale = max(scale, block_scale)
         asym = max(asym, float(np.max(np.abs(diff, out=diff))))
     return scale, asym
+
+
+def check_dense_size(n: int, label) -> None:
+    """Refuse a graph whose dense float64 adjacency cannot fit in memory;
+    ``label`` (an input path, or the option that set ``n``) starts the message."""
+    try:
+        phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf on this platform
+        return
+    need = 8 * n * n
+    if need > phys:
+        raise DomainError(
+            f"{label}: n = {n} nodes needs {need / 2**30:.1f} GiB for the dense "
+            f"adjacency matrix, more than the {phys / 2**30:.1f} GiB of physical memory"
+        )
 
 
 def eigenvalues_symmetric(matrix) -> Spectrum:

@@ -25,6 +25,12 @@ def _estimates_from_stages(stage_map, n=100):
     return {r: _estimate(r, stages, n) for r, stages in stage_map.items()}
 
 
+@pytest.mark.parametrize("kappa", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_kappa(kappa):
+    with pytest.raises(DomainError, match="kappa"):
+        ngg.AdaptConfig(n=100, kappa=kappa)
+
+
 def test_config_validation():
     with pytest.raises(DomainError):
         ngg.AdaptConfig(n=100, kappa=0.0)

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ngg
 from ngg.cli import main
@@ -91,6 +92,84 @@ def test_cli_estimate_graph_larger_than_memory(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "n = 3000001 nodes" in err and "GiB" in err
+
+
+def test_cli_simulate_graph_larger_than_memory(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    rc = main(["simulate", "--envelope", "p5", "--n", "3000000", "--replicates", "1",
+               "--out", str(out), "--dump-adjacency", str(tmp_path / "adj.txt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n = 3000000 nodes" in err and "GiB" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--kappa", "nan"],
+        ["estimate", "--kappa", "inf"],
+        ["simulate", "--envelope", "p4", "--n", "60", "--r-max", "2", "--kappa", "nan"],
+    ],
+    ids=["estimate-nan", "estimate-inf", "simulate-nan"],
+)
+def test_cli_non_finite_kappa_is_error(tmp_path, capsys, argv):
+    edges = tmp_path / "g.txt"
+    edges.write_text("1 2\n2 3\n")
+    out = tmp_path / "o.json"
+    if argv[0] == "estimate":
+        argv = argv + ["--input", str(edges)]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "kappa" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["estimate", "--grid", "-1"], ["eval-envelope", "--envelope", "p1", "--grid", "-3"],
+     ["eval-envelope", "--envelope", "p1", "--grid", "0"]],
+    ids=["estimate", "eval-envelope", "eval-envelope-zero"],
+)
+def test_cli_non_positive_grid_is_usage_error(tmp_path, capsys, argv):
+    edges = tmp_path / "g.txt"
+    edges.write_text("1 2\n2 3\n")
+    if argv[0] == "estimate":
+        argv = argv + ["--input", str(edges), "--out", str(tmp_path / "o.json")]
+    assert main(argv) == 2
+    assert "--grid must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"{not json",
+        b"\xff\xfe\x00\x81 garbage",
+        b"27",
+        b'{"kind": "estimate", "stages": [0.5]}',
+        b'{"kind": "estimate", "config": {"dim": 3}}',
+        b'{"kind": "estimate", "config": 3, "stages": [0.5]}',
+        b'{"kind": "estimate", "config": {"dim": 3}, "stages": []}',
+        b'{"kind": "estimate", "config": {"dim": 3}, "stages": [0.5, NaN]}',
+    ],
+    ids=["bad-json", "bad-utf8", "not-object", "no-dim", "no-stages", "config-not-object",
+         "empty-stages", "nan-stage"],
+)
+def test_cli_from_report_malformed_is_usage_error(tmp_path, capsys, content):
+    path = tmp_path / "report.json"
+    path.write_bytes(content)
+    assert main(["eval-envelope", "--from-report", str(path)]) == 2
+    assert f"{path}: not an estimate report" in capsys.readouterr().err
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.binary(max_size=200))
+def test_cli_arbitrary_input_bytes_never_raise(tmp_path, content):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    for argv in (["estimate", "--input", str(path), "--out", str(tmp_path / "o.json")],
+                 ["eval-envelope", "--from-report", str(path), "--out", str(tmp_path / "o.csv")]):
+        assert main(argv) in (0, 1, 2)
 
 
 # --- commands -----------------------------------------------------------------------

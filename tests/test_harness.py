@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ngg
-from ngg.errors import DomainError
+from ngg.errors import DomainError, NggError
 from ngg.reports import json_dumps
 
 
@@ -27,6 +27,18 @@ def test_config_validation():
         _config(replicates=0)
     with pytest.raises(DomainError):
         _config(n_values=(10,), r_max=4)  # needs n >= 2 * 25
+
+
+@pytest.mark.parametrize("kappa", [float("nan"), float("inf"), 0.0, -1.0])
+def test_config_rejects_bad_kappa(kappa):
+    with pytest.raises(DomainError, match="kappa"):
+        _config(kappa=kappa)
+
+
+def test_config_rejects_graph_larger_than_memory():
+    # checked before any replicate allocates its n x n adjacency
+    with pytest.raises(DomainError, match="n = 3000000 nodes needs .* GiB"):
+        _config(n_values=(400, 3_000_000))
 
 
 def test_constant_envelope_recovery():
@@ -182,6 +194,33 @@ def test_concentration_rows_and_pairing():
     assert set(table.op_norm) == {(n, r) for n in (100, 200) for r in range(3)}
     assert all(v > 0 for v in table.op_norm.values())
     assert "mean_op_norm_error" in table.slopes
+
+
+def test_concentration_independent_of_thread_count(monkeypatch):
+    tables = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("NGG_THREADS", threads)
+        table = ngg.concentration_check(
+            ngg.builtin_envelope(4), ngg.sphere(3), (100, 200), replicates=3, seed=9
+        )
+        tables.append((json_dumps(table.to_json_dict()), table.op_norm, table.spectrum_error))
+    assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("include_r0", [False, True])
+def test_risk_curve_is_run_experiment_risk_fixed(include_r0):
+    cfg = _config(envelope=ngg.builtin_envelope(4), n_values=(300, 200), replicates=2,
+                  r_max=3, include_r0=include_r0)
+    per_n = ngg.run_experiment(cfg).aggregates["per_n"]
+    expected = [{"n": n, "r": int(r), "mean_sq_delta2": risk}
+                for n in (300, 200) for r, risk in per_n[str(n)]["risk_fixed"].items()]
+    assert ngg.risk_curve(cfg) == expected
+    assert {row["r"] for row in expected} == set(range(0 if include_r0 else 1, 4))
+
+
+def test_risk_curve_raises_on_failing_replicate():
+    with pytest.raises(NggError, match="replicate 0 at n = 400 failed: ModelError"):
+        ngg.risk_curve(_config(envelope=ngg.constant_envelope(1.5), replicates=2))
 
 
 def test_risk_curve_shapes():

@@ -72,15 +72,54 @@ def test_sample_latent_unsupported():
 def test_pairwise_cosine_basics(sphere3):
     e1 = np.array([1.0, 0.0, 0.0])
     e2 = np.array([0.0, 1.0, 0.0])
-    assert ngg.pairwise_cosine(sphere3, e1, e1) == 1.0
-    assert ngg.pairwise_cosine(sphere3, e1, e2) == 0.0
+    assert ngg.cosines(sphere3, e1, e1) == 1.0
+    assert ngg.cosines(sphere3, e1, e2) == 0.0
     rp = ngg.real_projective(3)
-    assert ngg.pairwise_cosine(rp, e1, -e1) == 1.0  # antipodes are identified
+    assert ngg.cosines(rp, e1, -e1) == 1.0  # antipodes are identified
     cp = ngg.complex_projective(2)
     z = np.array([1.0 + 0j, 0.0])
-    assert ngg.pairwise_cosine(cp, z, np.exp(0.7j) * z) == pytest.approx(1.0)
+    assert ngg.cosines(cp, z, np.exp(0.7j) * z) == pytest.approx(1.0)
     with pytest.raises(DomainError):
-        ngg.pairwise_cosine(sphere3, 2 * e1, e2)
+        ngg.LatentSample(sphere3, np.stack([2 * e1, e2]), seed=0)
+
+
+_S = 1 / math.sqrt(2)
+_E1, _E2, _E3 = np.eye(3)
+_Z1 = np.array([1.0 + 0j, 0.0])
+_Z2 = np.array([1.0 + 0j, 1j]) * _S
+_Z3 = np.array([0.0 + 0j, 1.0])
+
+
+@pytest.mark.parametrize(
+    "space,x,y,expected",
+    [
+        # sphere: <x, y>
+        (ngg.sphere(3), [_E1, (_E1 + _E2) * _S], [_E1, _E2, -_E1],
+         [[1.0, 0.0, -1.0], [_S, _S, -_S]]),
+        # real projective: 2 <x, y>^2 - 1
+        (ngg.real_projective(3), [_E1, (_E1 + _E2) * _S], [_E1, _E2, -_E1],
+         [[1.0, -1.0, 1.0], [0.0, 0.0, 0.0]]),
+        # complex projective: 2 |<x, y>|^2 - 1, blind to a phase on either point
+        (ngg.complex_projective(2), [_Z1, _Z2], [_Z1, 1j * _Z3, np.exp(0.3j) * _Z2],
+         [[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]]),
+    ],
+    ids=["sphere3", "rp3", "cp2"],
+)
+def test_cosines_per_space_formula(space, x, y, expected):
+    x, y, expected = np.array(x), np.array(y), np.array(expected)
+    assert np.allclose(ngg.cosines(space, x, y), expected, rtol=0, atol=1e-15)
+    for j in range(len(y)):  # a single point (d,) gives one column
+        assert np.allclose(ngg.cosines(space, x, y[j]), expected[:, j], rtol=0, atol=1e-15)
+
+
+def test_latent_sample_rejects_non_unit_rows(sphere3):
+    pts = ngg.sample_latent(sphere3, 5, 0).points
+    assert ngg.LatentSample(sphere3, pts, seed=0).n == 5
+    for bad in (pts * np.array([[1.0], [1.0], [1.001], [1.0], [1.0]]),
+                np.vstack([pts, np.full(3, np.nan)]),
+                pts[0]):
+        with pytest.raises(DomainError):
+            ngg.LatentSample(sphere3, bad, seed=0)
 
 
 @pytest.mark.parametrize(
@@ -166,15 +205,6 @@ def test_generate_graph_deterministic(sphere3):
     a = ngg.generate_graph(lat, p, 17)
     b = ngg.generate_graph(lat, p, 17)
     assert np.array_equal(a.packed, b.packed)
-    assert np.array_equal(a.theta0, b.theta0)
-
-
-def test_generate_graph_keeps_theta(sphere3):
-    lat = ngg.sample_latent(sphere3, 30, 6)
-    p = ngg.builtin_envelope(4)
-    g = ngg.generate_graph(lat, p, 1, keep_theta=True)
-    assert np.allclose(g.theta0, ngg.probability_matrix(lat, p))
-    assert ngg.generate_graph(lat, p, 1, keep_theta=False).theta0 is None
 
 
 def test_conditional_edge_frequency(sphere3):
@@ -182,8 +212,8 @@ def test_conditional_edge_frequency(sphere3):
     n = 2000
     lat = ngg.sample_latent(sphere3, n, 8)
     p = ngg.builtin_envelope(4)
-    g = ngg.generate_graph(lat, p, 9, keep_theta=False)
-    t = ngg.cosine_matrix(lat)
+    g = ngg.generate_graph(lat, p, 9)
+    t = ngg.cosines(sphere3, lat.points, lat.points)
     iu = np.triu_indices(n, k=1)
     tv = t[iu]
     av = g.adjacency_bool()[iu]
