@@ -112,7 +112,6 @@ class ResolutionRow:
 class AdaptResult:
     selected_r: int
     rows: tuple[ResolutionRow, ...]
-    estimates: dict[int, SpectrumEstimate]
     envelope: Envelope
 
 
@@ -133,7 +132,6 @@ def select_resolution(
     return AdaptResult(
         selected_r=selected,
         rows=tuple(rows),
-        estimates=dict(estimates),
         envelope=reconstruct_envelope(estimates[selected], basis),
     )
 

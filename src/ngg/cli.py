@@ -23,18 +23,19 @@ from .adapt import AdaptConfig, fit_all_resolutions, select_resolution
 from .edgelist import read_adjacency, read_edge_list, write_adjacency
 from .errors import NggError
 from .harness import (
+    TRUTH_DEGREE,
     ExperimentConfig,
     build_identifier,
     replicate_graph,
     run_experiment,
-    true_coefficients,
 )
 from .model import builtin_envelope, envelope_from_coefficients
 from .reports import write_csv, write_json
 from .spaces import (
+    QUAD_NODE_CAP,
     LatentSpace,
     SpaceKind,
-    cumulative_dim,
+    envelope_coefficients,
     harmonic_basis,
     sphere,
 )
@@ -75,15 +76,19 @@ def _parse_coeffs_file(path: str):
         if len(parts) != 2:
             raise UsageError(f"{path}:{lineno}: expected 'degree value'")
         try:
-            pairs.append((int(parts[0]), float(parts[1])))
+            ell, value = int(parts[0]), float(parts[1])
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: {exc}") from exc
+        if not np.isfinite(value):
+            raise UsageError(f"{path}:{lineno}: coefficient {parts[1]!r} is not finite")
+        pairs.append((ell, value))
     if not pairs:
         raise UsageError(f"{path}: no coefficients found")
     return pairs
 
 
-def _resolve_envelope(name_or_path: str, basis):
+def _resolve_envelope(name_or_path: str, space: LatentSpace):
+    """A builtin envelope, or a coefficient file over degrees 0..TRUTH_DEGREE."""
     if name_or_path in _BUILTIN_IDS:
         return builtin_envelope(_BUILTIN_IDS[name_or_path])
     path = Path(name_or_path)
@@ -91,7 +96,8 @@ def _resolve_envelope(name_or_path: str, basis):
         raise UsageError(
             f"unknown envelope {name_or_path!r}: not one of p1..p6 and not a file"
         )
-    return envelope_from_coefficients(basis, _parse_coeffs_file(name_or_path), name=path.stem)
+    pairs = _parse_coeffs_file(name_or_path)
+    return envelope_from_coefficients(harmonic_basis(space, TRUTH_DEGREE), pairs, name=path.stem)
 
 
 def _parse_n_list(text: str) -> tuple[int, ...]:
@@ -176,9 +182,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args) -> int:
     space = _parse_space(args.space)
-    basis = harmonic_basis(space, max(args.r_max, 8))
-    envelope = _resolve_envelope(args.envelope, basis)
+    envelope = _resolve_envelope(args.envelope, space)
     n_values = _parse_n_list(args.n)
+    if args.dump_adjacency and len(n_values) != 1:
+        raise UsageError("--dump-adjacency requires a single --n value")
     config = ExperimentConfig(
         space=space,
         envelope=envelope,
@@ -192,8 +199,6 @@ def _cmd_simulate(args) -> int:
     report = run_experiment(config)
     report.write(args.out)
     if args.dump_adjacency:
-        if len(n_values) != 1:
-            raise UsageError("--dump-adjacency requires a single --n value")
         n = n_values[0]
         for rep in range(args.replicates):
             _, graph = replicate_graph(space, envelope, n, args.seed + rep)
@@ -226,8 +231,8 @@ def _cmd_estimate(args) -> int:
     n = adjacency.shape[0]
     adapt_cfg = AdaptConfig(n=n, r_max=args.r_max, kappa=args.kappa,
                             include_r0=args.include_r0)
-    basis = harmonic_basis(sphere(args.dim), max(args.r_max, 8))
-    model_dim = cumulative_dim(sphere(args.dim), args.r_max)
+    basis = harmonic_basis(sphere(args.dim), args.r_max)
+    model_dim = basis.cum_dims[args.r_max]
     if n < model_dim:
         raise UsageError(
             f"graph has n = {n} nodes but the resolution-{args.r_max} model needs "
@@ -285,17 +290,14 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_coefs(args) -> int:
-    basis = harmonic_basis(sphere(args.dim), max(args.degree, 8))
-    envelope = _resolve_envelope(args.envelope, basis)
-    coeffs = true_coefficients(basis, envelope, max_degree=args.degree, tail_tol=0.0)
-    header = ["degree", "dim", "coefficient"]
+    # the quadrature holds a (degree + 1) x nodes table, so the node cap bounds both
+    if not 0 <= args.degree <= QUAD_NODE_CAP:
+        raise UsageError(f"--degree must be in 0..{QUAD_NODE_CAP}, got {args.degree}")
+    basis = harmonic_basis(sphere(args.dim), args.degree)
+    envelope = _resolve_envelope(args.envelope, basis.space)
+    coeffs = envelope_coefficients(basis, envelope, args.degree)
     rows = [[ell, basis.dims[ell], float(coeffs[ell])] for ell in range(args.degree + 1)]
-    if args.out:
-        write_csv(args.out, header, rows)
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(f"{row[0]},{row[1]},{row[2]:.17g}")
+    write_csv(args.out, ["degree", "dim", "coefficient"], rows)
     return 0
 
 
@@ -306,24 +308,16 @@ def _cmd_eval_envelope(args) -> int:
     clamp = args.clamp
     if args.from_report:
         dim, stages = _read_estimate_report(args.from_report)
-        basis = harmonic_basis(sphere(dim), max(stages.size - 1, 1))
+        basis = harmonic_basis(sphere(dim), stages.size - 1)
         fn = lambda t: basis.reconstruct(stages, t)
         clamp = True  # fitted envelopes are always clamped
     else:
-        basis = harmonic_basis(sphere(args.dim), 64)
-        envelope = _resolve_envelope(args.envelope, basis)
-        fn = envelope
+        fn = _resolve_envelope(args.envelope, sphere(args.dim))
     values = np.asarray(fn(grid), dtype=float)
     if clamp:
         values = np.clip(values, 0.0, 1.0)
-    header = ["t", "value"]
     rows = [[float(t), float(v)] for t, v in zip(grid, values)]
-    if args.out:
-        write_csv(args.out, header, rows)
-    else:
-        print(",".join(header))
-        for t, v in rows:
-            print(f"{t:.17g},{v:.17g}")
+    write_csv(args.out, ["t", "value"], rows)
     return 0
 
 

@@ -43,9 +43,12 @@ __all__ = [
     "replicate_graph",
     "true_coefficients",
     "build_identifier",
+    "TRUTH_DEGREE",
 ]
 
-_TRUTH_MAX_DEGREE = 64
+# Highest degree of the reference expansion, and of the basis that
+# coefficient-file envelopes are built on.
+TRUTH_DEGREE = 64
 _TRUTH_TAIL_TOL = 1e-12
 _TRUTH_CHUNK = 8
 
@@ -94,15 +97,10 @@ def _map_replicates(fn, tasks: list) -> list:
         return list(pool.map(fn, tasks))
 
 
-def true_coefficients(
-    basis: HarmonicBasis,
-    envelope: Envelope,
-    max_degree: int = _TRUTH_MAX_DEGREE,
-    tail_tol: float = _TRUTH_TAIL_TOL,
-) -> np.ndarray:
-    """Reference expansion of the envelope, truncated at ``max_degree`` or as
-    soon as a whole chunk of degrees carries weighted mass below ``tail_tol``."""
-    max_degree = min(max_degree, basis.max_degree)
+def true_coefficients(basis: HarmonicBasis, envelope: Envelope) -> np.ndarray:
+    """Reference expansion of the envelope up to ``TRUTH_DEGREE``, cut short as
+    soon as a whole chunk of degrees carries weighted mass below the tail tolerance."""
+    max_degree = min(TRUTH_DEGREE, basis.max_degree)
     top = min(_TRUTH_CHUNK, max_degree)
     coeffs = envelope_coefficients(basis, envelope, top)
     while top < max_degree:
@@ -110,7 +108,7 @@ def true_coefficients(
         top = min(top + _TRUTH_CHUNK, max_degree)
         coeffs = envelope_coefficients(basis, envelope, top)
         dims = np.asarray(basis.dims[lo : top + 1], dtype=float)
-        if float(np.sum(dims * coeffs[lo:] ** 2)) < tail_tol:
+        if float(np.sum(dims * coeffs[lo:] ** 2)) < _TRUTH_TAIL_TOL:
             break
     return coeffs
 
@@ -277,7 +275,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     A failing replicate is recorded with its error message; it never aborts
     the rest of the run.
     """
-    basis = harmonic_basis(config.space, max(_TRUTH_MAX_DEGREE, config.r_max))
+    basis = harmonic_basis(config.space, max(TRUTH_DEGREE, config.r_max))
     truth = true_coefficients(basis, config.envelope)
     # one record per (n, replicate), in sorted order whatever the order of n_values
     tasks = sorted({(n, rep) for n in config.n_values for rep in range(config.replicates)})
@@ -341,12 +339,18 @@ def _aggregate(config: ExperimentConfig, basis: HarmonicBasis, truth: np.ndarray
         }
     agg = {"per_n": per_n}
     ok_ns = [n for n in config.n_values if per_n[str(n)].get("replicates_ok")]
-    ys = [per_n[str(n)]["mean_sq_delta2_selected"] for n in ok_ns]
-    if len(ok_ns) >= 2 and all(v > 0 for v in ys):
-        xs = np.log(np.asarray(ok_ns, dtype=float))
-        slope = float(np.polyfit(xs, np.log(ys), 1)[0])
+    slope = _log_slope(ok_ns, [per_n[str(n)]["mean_sq_delta2_selected"] for n in ok_ns])
+    if slope is not None:
         agg["rate"] = {"log_slope_mean_sq_delta2_selected": slope}
     return agg
+
+
+def _log_slope(ns, ys) -> float | None:
+    """Least-squares slope of log y against log n; None for fewer than two
+    points or any y <= 0, where the log-log fit is undefined."""
+    if len(ns) < 2 or not all(v > 0 for v in ys):
+        return None
+    return float(np.polyfit(np.log(np.asarray(ns, dtype=float)), np.log(ys), 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +382,7 @@ def concentration_check(
 ) -> ConcentrationTable:
     """Empirical operator-norm error of A/n around theta/n and spectrum error
     of theta/n against the reference expansion, with log-log slope fits."""
-    basis = harmonic_basis(space, _TRUTH_MAX_DEGREE)
+    basis = harmonic_basis(space, TRUTH_DEGREE)
     truth = spectrum_vector(true_coefficients(basis, envelope), basis.dims)
     tasks = [(int(n), rep) for n in n_values for rep in range(replicates)]
 
@@ -410,12 +414,10 @@ def concentration_check(
             }
         )
     slopes = {}
-    if len(rows) >= 2:
-        xs = np.log([row["n"] for row in rows])
-        for key in ("mean_op_norm_error", "mean_delta2_theta_spectrum"):
-            ys = [row[key] for row in rows]
-            if all(v > 0 for v in ys):
-                slopes[key] = float(np.polyfit(xs, np.log(ys), 1)[0])
+    for key in ("mean_op_norm_error", "mean_delta2_theta_spectrum"):
+        slope = _log_slope([row["n"] for row in rows], [row[key] for row in rows])
+        if slope is not None:
+            slopes[key] = slope
     return ConcentrationTable(
         rows=tuple(rows), op_norm=op, spectrum_error=sperr, slopes=slopes
     )

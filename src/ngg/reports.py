@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
+
+from .errors import DomainError
 
 __all__ = ["format_float", "json_dumps", "write_json", "write_csv"]
 
@@ -18,7 +21,7 @@ __all__ = ["format_float", "json_dumps", "write_json", "write_csv"]
 def format_float(x: float) -> str:
     x = float(x)
     if not math.isfinite(x):
-        raise ValueError(f"non-finite value {x!r} in report")
+        raise DomainError(f"non-finite value {x!r} in report")
     return format(x, ".17g")
 
 
@@ -71,6 +74,12 @@ def _cell(v) -> str:
 
 
 def write_csv(path, header, rows):
+    """Write the table to ``path``, or to stdout when ``path`` is None; every
+    cell is rendered before anything is written."""
     lines = [",".join(header)]
     lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8")

@@ -41,6 +41,7 @@ __all__ = [
     "harmonic_basis",
     "envelope_coefficients",
     "orthonormality_gram",
+    "QUAD_NODE_CAP",
 ]
 
 _T_SLACK = 1e-12  # tolerance for arguments nominally in [-1, 1]
@@ -77,12 +78,6 @@ class LatentSpace:
         elif self.kind is SpaceKind.OCTONIONIC:
             if self.dim != 3:
                 raise DomainError("the octonionic plane has exactly 3 homogeneous coordinates")
-
-    @property
-    def riemannian_dim(self) -> int:
-        if self.kind is not SpaceKind.SPHERE:
-            raise DomainError("riemannian_dim is only defined here for the sphere")
-        return self.dim - 1
 
 
 def sphere(d: int) -> LatentSpace:
@@ -440,15 +435,16 @@ def _vectorized(fn: Callable) -> Callable:
 
 
 _QUAD_START = 24
-_QUAD_CAP = 3072
+QUAD_NODE_CAP = 3072  # most Gauss nodes per panel before bisection
 _QUAD_MAX_DEPTH = 10
+_QUAD_TOL = 1e-10
 
 
 def _integrate_panel(basis, fn, max_degree, lo, hi, tol, depth, failures):
     alpha, beta = basis.beta_shape
     m = _QUAD_START
     prev = None
-    while m <= _QUAD_CAP:
+    while m <= QUAD_NODE_CAP:
         x, w = _panel_rule(alpha, beta, lo, hi, m)
         z = basis.orthonormal_all(max_degree, x)
         est = z @ (w * fn(x))
@@ -465,19 +461,14 @@ def _integrate_panel(basis, fn, max_degree, lo, hi, tol, depth, failures):
     return prev
 
 
-def envelope_coefficients(
-    basis: HarmonicBasis,
-    envelope,
-    max_degree: int,
-    tol: float = 1e-10,
-) -> np.ndarray:
+def envelope_coefficients(basis: HarmonicBasis, envelope, max_degree: int) -> np.ndarray:
     """Coefficients (one per degree 0..max_degree) of a function of the cosine
     in the eigenbasis of its kernel operator.
 
     The degree-``ell`` output is <f, Z_ell> / sqrt(d_ell) under the cosine law;
     it is exactly the degree-``ell`` operator eigenvalue, carrying multiplicity
     ``d_ell``.  Integrals use adaptive Gauss rules: node doubling until two
-    successive estimates agree to ``tol``, the domain pre-split at any jump
+    successive estimates agree to ``_QUAD_TOL``, the domain pre-split at any jump
     the envelope declares, and recursive bisection as a fallback.
 
     Raises
@@ -495,7 +486,7 @@ def envelope_coefficients(
     failures: list[tuple[float, float]] = []
     total = np.zeros(max_degree + 1)
     for lo, hi in zip(edges[:-1], edges[1:]):
-        share = tol * max((hi - lo) / 2.0, 1e-3)
+        share = _QUAD_TOL * max((hi - lo) / 2.0, 1e-3)
         total = total + _integrate_panel(basis, fn, max_degree, lo, hi, share, 0, failures)
     raw = total / np.sqrt(np.asarray(basis.dims[: max_degree + 1], dtype=float))
     if failures:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -349,3 +350,103 @@ def test_cli_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("degree,dim,coefficient")
+
+
+# --- coefficient files, coefs --degree and CSV output ---------------------------------
+
+
+def test_cli_dump_adjacency_needs_single_n_before_running(tmp_path, capsys):
+    out = tmp_path / "z.json"
+    rc = main(["simulate", "--envelope", "p4", "--n", "60,80", "--r-max", "2",
+               "--out", str(out), "--dump-adjacency", str(tmp_path / "d.txt")])
+    assert rc == 2
+    assert "--dump-adjacency" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".csv").exists()
+
+
+@pytest.mark.parametrize("degree", ["100000", "-1"])
+def test_cli_coefs_degree_out_of_range_is_usage_error(capsys, degree):
+    assert main(["coefs", "--envelope", "p5", "--degree", degree]) == 2
+    assert "--degree must be in 0..3072" in capsys.readouterr().err
+
+
+def test_cli_coefs_high_degree_is_one_quadrature(capsys):
+    start = time.perf_counter()
+    assert main(["coefs", "--envelope", "p5", "--degree", "2048"]) == 0
+    assert time.perf_counter() - start < 5.0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2050 and lines[-1].startswith("2048,")
+
+
+def test_cli_coefficient_file_above_degree_eight(tmp_path, capsys):
+    coeffs = tmp_path / "env.txt"
+    coeffs.write_text("0 0.4\n9 0.01\n")
+    sim_json = tmp_path / "sim.json"
+    assert main(["simulate", "--envelope", str(coeffs), "--n", "60", "--r-max", "2",
+                 "--out", str(sim_json)]) == 0
+    sim = json.loads(sim_json.read_text())
+    assert sim["config"]["envelope_coeffs"][9] == [9, 0.01]
+    assert "error" not in sim["records"][0]
+    capsys.readouterr()
+    assert main(["coefs", "--envelope", str(coeffs), "--degree", "4"]) == 0
+    coefs = [float(line.split(",")[2]) for line in capsys.readouterr().out.splitlines()[1:]]
+    assert coefs[0] == pytest.approx(0.4, abs=1e-12)
+    assert max(abs(c) for c in coefs[1:]) < 1e-12
+    assert main(["eval-envelope", "--envelope", str(coeffs), "--grid", "3"]) == 0
+    vals = [float(line.split(",")[1]) for line in capsys.readouterr().out.splitlines()[1:]]
+    basis = ngg.harmonic_basis(ngg.sphere(3), 9)
+    expect = basis.reconstruct(np.r_[0.4, np.zeros(8), 0.01], np.array([-1.0, 0.0, 1.0]))
+    assert vals == expect.tolist()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coefs", "--envelope", "p2", "--degree", "8"],
+        ["coefs", "--envelope", "{coeffs}", "--degree", "8"],
+        ["eval-envelope", "--envelope", "p3", "--grid", "11"],
+        ["eval-envelope", "--envelope", "{coeffs}", "--grid", "11"],
+    ],
+)
+def test_cli_csv_stdout_matches_out_file(tmp_path, capsys, argv):
+    coeffs = tmp_path / "env.txt"
+    coeffs.write_text("0 0.4\n2 0.1\n9 0.01\n")
+    argv = [a.format(coeffs=coeffs) for a in argv]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode("utf-8")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("to_file", [False, True])
+def test_cli_non_finite_envelope_values_are_errors(tmp_path, capsys, to_file):
+    coeffs = tmp_path / "env.txt"
+    coeffs.write_text("0 1e308\n1 1e308\n")
+    out = tmp_path / "o.csv"
+    argv = ["eval-envelope", "--envelope", str(coeffs), "--grid", "5"]
+    assert main(argv + (["--out", str(out)] if to_file else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "non-finite" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "60", "--r-max", "2", "--out", "{tmp}/x.json"],
+        ["coefs", "--degree", "4"],
+        ["eval-envelope", "--grid", "3"],
+        ["eval-envelope", "--grid", "3", "--out", "{tmp}/x.csv"],
+    ],
+)
+def test_cli_non_finite_coefficient_is_usage_error(tmp_path, capsys, argv, value):
+    coeffs = tmp_path / "env.txt"
+    coeffs.write_text(f"0 0.4\n2 {value}\n")
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--envelope", str(coeffs)]
+    assert main(argv) == 2
+    assert f"{coeffs}:2: coefficient {value!r} is not finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x.*"))
