@@ -55,6 +55,19 @@ class UsageError(Exception):
     pass
 
 
+# Largest sphere dimension of --dim and of a report's config.dim.  coefs at
+# degree 64 stays warning-free up to d = 55000 (scipy's Gauss-Jacobi rule
+# overflows by d = 60000); 10000 keeps a wide margin, and a model on a larger
+# sphere needs over 10000 nodes even at r_max = 1 (cum_dim(1) = d + 1).
+_MAX_DIM = 10_000
+
+
+def _sphere(dim: int, what: str = "--dim") -> LatentSpace:
+    if dim > _MAX_DIM:
+        raise UsageError(f"{what} must be at most {_MAX_DIM}, got {dim}")
+    return sphere(dim)
+
+
 def _parse_space(text: str) -> LatentSpace:
     name, _, dim = text.partition(":")
     kind = _SPACE_ALIASES.get(name.strip().lower())
@@ -117,7 +130,7 @@ def _grid(count: int) -> np.ndarray:
 
 
 def _read_estimate_report(path: str):
-    """Sphere dimension and stage values of an ``estimate`` report."""
+    """Sphere and stage values of an ``estimate`` report."""
     try:
         report = json.loads(Path(path).read_text(encoding="utf-8"))
         if report.get("kind") != "estimate":
@@ -128,7 +141,7 @@ def _read_estimate_report(path: str):
         raise UsageError(f"{path}: not an estimate report ({type(exc).__name__}: {exc})") from exc
     if stages.ndim != 1 or stages.size == 0 or not np.all(np.isfinite(stages)):
         raise UsageError(f"{path}: not an estimate report (stages must be finite numbers)")
-    return dim, stages
+    return _sphere(dim, f"{path}: config.dim"), stages
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -213,6 +226,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    space = _sphere(args.dim)
     path = Path(args.input)
     if not path.exists():
         print(f"error: input file {args.input!r} not found", file=sys.stderr)
@@ -231,7 +245,7 @@ def _cmd_estimate(args) -> int:
     n = adjacency.shape[0]
     adapt_cfg = AdaptConfig(n=n, r_max=args.r_max, kappa=args.kappa,
                             include_r0=args.include_r0)
-    basis = harmonic_basis(sphere(args.dim), args.r_max)
+    basis = harmonic_basis(space, args.r_max)
     model_dim = basis.cum_dims[args.r_max]
     if n < model_dim:
         raise UsageError(
@@ -293,7 +307,7 @@ def _cmd_coefs(args) -> int:
     # the quadrature holds a (degree + 1) x nodes table, so the node cap bounds both
     if not 0 <= args.degree <= QUAD_NODE_CAP:
         raise UsageError(f"--degree must be in 0..{QUAD_NODE_CAP}, got {args.degree}")
-    basis = harmonic_basis(sphere(args.dim), args.degree)
+    basis = harmonic_basis(_sphere(args.dim), args.degree)
     envelope = _resolve_envelope(args.envelope, basis.space)
     coeffs = envelope_coefficients(basis, envelope, args.degree)
     rows = [[ell, basis.dims[ell], float(coeffs[ell])] for ell in range(args.degree + 1)]
@@ -307,12 +321,12 @@ def _cmd_eval_envelope(args) -> int:
     grid = _grid(args.grid)
     clamp = args.clamp
     if args.from_report:
-        dim, stages = _read_estimate_report(args.from_report)
-        basis = harmonic_basis(sphere(dim), stages.size - 1)
+        space, stages = _read_estimate_report(args.from_report)
+        basis = harmonic_basis(space, stages.size - 1)
         fn = lambda t: basis.reconstruct(stages, t)
         clamp = True  # fitted envelopes are always clamped
     else:
-        fn = _resolve_envelope(args.envelope, sphere(args.dim))
+        fn = _resolve_envelope(args.envelope, _sphere(args.dim))
     values = np.asarray(fn(grid), dtype=float)
     if clamp:
         values = np.clip(values, 0.0, 1.0)

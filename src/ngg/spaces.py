@@ -13,6 +13,7 @@ spectral fitting, envelope reconstruction) consumes these objects.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -20,7 +21,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi
 
 from .errors import DomainError, QuadratureError
 
@@ -247,6 +247,8 @@ def _jacobi_all(a: float, b: float, max_degree: int, t: np.ndarray) -> np.ndarra
 def _jacobi_density_norms(alpha: float, beta: float, max_degree: int) -> np.ndarray:
     """L2 norms of Jacobi P^(alpha-1, beta-1) under the Beta(alpha, beta)
     density, via log-gamma (norm of degree 0 is exactly 1)."""
+    from scipy.special import gammaln  # lazily: most of `import ngg`'s time
+
     a, b = alpha - 1.0, beta - 1.0
     ells = np.arange(max_degree + 1, dtype=float)
     log_sq = (
@@ -342,7 +344,8 @@ class HarmonicBasis:
         scalar = tt.ndim == 0
         z = self.orthonormal_all(top, np.atleast_1d(tt))
         scale = np.sqrt(np.asarray(self.dims[: top + 1], dtype=float))
-        out = (coefficients * scale) @ z
+        with np.errstate(over="ignore", invalid="ignore"):  # callers refuse inf and nan
+            out = (coefficients * scale) @ z
         return float(out[0]) if scalar else out
 
     def _check_degree(self, ell: int):
@@ -354,6 +357,12 @@ def harmonic_basis(space: LatentSpace, max_degree: int) -> HarmonicBasis:
     if max_degree < 0:
         raise DomainError("max_degree must be nonnegative")
     dims = tuple(dim_of_degree(space, ell) for ell in range(max_degree + 1))
+    for ell, v in enumerate(dims):  # sqrt(d_ell) scales every evaluation
+        if v > sys.float_info.max:
+            raise DomainError(
+                f"the degree-{ell} eigenspace dimension of {space.kind.value}:{space.dim} "
+                "exceeds the float range"
+            )
     cum = []
     total = 0
     for v in dims:
@@ -393,6 +402,8 @@ def harmonic_basis(space: LatentSpace, max_degree: int) -> HarmonicBasis:
 
 @lru_cache(maxsize=256)
 def _jacobi_rule(m: int, a: float, b: float):
+    from scipy.special import roots_jacobi  # lazily, as in _jacobi_density_norms
+
     x, w = roots_jacobi(m, a, b)
     return np.asarray(x), np.asarray(w)
 

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -450,3 +452,59 @@ def test_cli_non_finite_coefficient_is_usage_error(tmp_path, capsys, argv, value
     assert main(argv) == 2
     assert f"{coeffs}:2: coefficient {value!r} is not finite" in capsys.readouterr().err
     assert not list(tmp_path.glob("x.*"))
+
+
+# --- --dim bound and warning-free failures ------------------------------------------
+
+
+def _run_cli(*argv):
+    """``python -m ngg`` in a fresh process, so numpy and scipy warnings reach stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ngg.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "ngg", *argv], capture_output=True,
+                          text=True, env=env)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coefs", "--envelope", "p5", "--degree", "8", "--dim", "100000000"],
+        ["eval-envelope", "--envelope", "p1", "--dim", "100000000"],
+        ["estimate", "--input", "{edges}", "--out", "{tmp}/o.json", "--dim", "100000000"],
+        ["eval-envelope", "--from-report", "{report}"],
+    ],
+    ids=["coefs", "eval-envelope", "estimate", "from-report"],
+)
+def test_cli_dim_above_bound_is_usage_error(tmp_path, argv):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1\n1 2\n2 0\n")
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"kind": "estimate", "config": {"dim": 100000000},
+                                  "stages": [0.5]}))
+    argv = [a.format(edges=edges, tmp=tmp_path, report=report) for a in argv]
+    proc = _run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage error:") and "at most 10000" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr and len(proc.stderr.splitlines()) == 1
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_cli_coefs_at_dim_bound_is_warning_free():
+    proc = _run_cli("coefs", "--envelope", "p5", "--dim", "10000", "--degree", "64")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert len(proc.stdout.splitlines()) == 66
+
+
+def test_cli_eigenspace_dimension_beyond_floats_is_error():
+    proc = _run_cli("coefs", "--envelope", "p5", "--dim", "10000", "--degree", "200")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "exceeds the float range" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_cli_overflowing_envelope_prints_only_the_error(tmp_path):
+    coeffs = tmp_path / "env.txt"
+    coeffs.write_text("0 1e308\n1 1e308\n")
+    proc = _run_cli("eval-envelope", "--envelope", str(coeffs))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "non-finite" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1

@@ -236,3 +236,99 @@ def test_graph_sample_from_dense_roundtrip():
     assert g.edge_count() == 2
     with pytest.raises(DomainError):
         ngg.GraphSample.from_dense(np.triu(np.ones((3, 3))))
+
+
+# --- block generation against the row loop --------------------------------------
+
+
+def _row_loop_graph(latent, p, seed):
+    """Reference generator: one row of pairs at a time, as generation was first
+    written; the block version must give the same packed adjacency."""
+    rng = np.random.default_rng(seed)
+    n, pts = latent.n, latent.points
+    adj = np.zeros((n, n), dtype=bool)
+    for i in range(n - 1):
+        probs = np.clip(p(ngg.cosines(latent.space, pts[i + 1 :], pts[i])), 0.0, 1.0)
+        adj[i, i + 1 :] = rng.random(n - 1 - i) < probs
+    adj |= adj.T
+    return np.packbits(adj, axis=1)
+
+
+def _oracle_envelopes(space):
+    basis = ngg.harmonic_basis(space, 2)
+    coeffs = ngg.envelope_from_coefficients(basis, [(0, 0.4), (1, 0.02), (2, 0.01)])
+    return [ngg.builtin_envelope(i) for i in range(1, 7)] + [
+        coeffs, ngg.constant_envelope(0.3)]
+
+
+def _past_block():
+    """One past the largest graph whose pairs fit in a single block."""
+    return math.isqrt(ngg.model._BLOCK_COSINES) + 2
+
+
+@pytest.mark.parametrize("space", [ngg.sphere(3), ngg.sphere(5), ngg.real_projective(3),
+                                   ngg.complex_projective(2)],
+                         ids=["sphere3", "sphere5", "rp3", "cp2"])
+def test_generate_graph_matches_row_loop(space):
+    for p in _oracle_envelopes(space):
+        for n in (1, 2, 3, _past_block(), 300):
+            for seed in (0, 1, 2):
+                lat = ngg.sample_latent(space, n, seed + 10)
+                got = ngg.generate_graph(lat, p, seed).packed
+                assert np.array_equal(got, _row_loop_graph(lat, p, seed)), (p.name, n, seed)
+
+
+@pytest.mark.parametrize("budget", [1, 5, 64, 1000])
+def test_generate_graph_small_blocks_match_row_loop(monkeypatch, budget):
+    # many block boundaries at small n, including blocks of a single row
+    monkeypatch.setattr(ngg.model, "_BLOCK_COSINES", budget)
+    for space in (ngg.sphere(3), ngg.complex_projective(2)):
+        for p in _oracle_envelopes(space):
+            for n in (2, 3, 17, 60):
+                lat = ngg.sample_latent(space, n, n)
+                got = ngg.generate_graph(lat, p, 5).packed
+                assert np.array_equal(got, _row_loop_graph(lat, p, 5)), (p.name, n)
+
+
+def test_generate_graph_envelope_calls_per_block(sphere3):
+    calls = []
+    p5 = ngg.builtin_envelope(5)
+    counted = ngg.Envelope(lambda t: calls.append(t.size) or p5(t), "p5")
+    n = 2000
+    ngg.generate_graph(ngg.sample_latent(sphere3, n, 0), counted, 1)
+    assert sum(calls) == n * (n - 1) // 2
+    assert len(calls) <= 20
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 17])
+def test_generate_graph_range_check_in_last_block(monkeypatch, budget):
+    # only the last pair, two equal points, leaves [0, 1]
+    n = _past_block()
+    monkeypatch.setattr(ngg.model, "_BLOCK_COSINES", budget)
+    space = ngg.sphere(3)
+    pts = ngg.sample_latent(space, n, 2).points
+    pts[-1] = pts[-2]
+    lat = ngg.LatentSample(space, pts, seed=2)
+    bump = ngg.Envelope(lambda t: np.where(t > 1.0 - 1e-9, 1.5, 0.5), "bump")
+    with pytest.raises(ModelError, match="bump"):
+        ngg.generate_graph(lat, bump, 0)
+
+
+# --- even powers without libm's negative-base pow -------------------------------
+
+
+def _envelope_grid():
+    t = np.random.default_rng(0).uniform(-1.0, 1.0, 1_000_000)
+    return np.concatenate([t, np.linspace(-1.0, 1.0, 200_001), [-0.0, 0.0, 5e-324, -5e-324]])
+
+
+def test_p6_values_unchanged():
+    t = _envelope_grid()
+    old = np.where(t > 0.0, t**10, 0.0)
+    assert np.array_equal(ngg.builtin_envelope(6)(t), old)
+
+
+def test_p5_values_within_float_tolerance():
+    t = _envelope_grid()
+    old = 1.0 / 3.0 + (35.0 * t**4 - 30.0 * t**2 + 3.0) / 12.0
+    assert np.max(np.abs(ngg.builtin_envelope(5)(t) - old)) <= 4 * np.finfo(float).eps

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,3 +239,23 @@ def test_quadrature_failure_carries_last_estimate(basis3):
 def test_envelope_coefficients_degree_checks(basis3):
     with pytest.raises(DomainError):
         ngg.envelope_coefficients(basis3, ngg.constant_envelope(0.5), 99)
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # scipy.special is most of the import time; only quadrature and the
+    # Jacobi norms of the projective spaces need it
+    code = "import sys, ngg, ngg.cli; assert 'scipy.special' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(Path(ngg.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_harmonic_basis_refuses_dimensions_beyond_floats():
+    with pytest.raises(DomainError, match="degree-135 eigenspace dimension"):
+        ngg.harmonic_basis(ngg.sphere(10000), 200)
+    assert ngg.harmonic_basis(ngg.sphere(10000), 134).max_degree == 134
+
+
+def test_reconstruct_overflow_is_silent_inf(basis3):
+    with np.errstate(all="raise"):
+        v = basis3.reconstruct([1e308, 1e308], np.array([-1.0, 1.0]))
+    assert np.isneginf(v[0]) and np.isposinf(v[1])
