@@ -73,9 +73,28 @@ def fit_all_resolutions(
 
 
 def _expansions(
-    estimates: Mapping[int, SpectrumEstimate], basis: HarmonicBasis
+    estimates: Mapping[int, SpectrumEstimate], config: AdaptConfig, basis: HarmonicBasis
 ) -> dict[int, np.ndarray]:
-    return {r: estimate_vector(est, basis.dims) for r, est in estimates.items()}
+    """Model spectrum vector of each fit on the candidate grid; a missing fit
+    or a non-finite stage value is refused."""
+    vecs = {}
+    for r in resolution_grid(config):
+        if r not in estimates:
+            raise DomainError(f"missing estimate for resolution {r}")
+        vecs[r] = estimate_vector(estimates[r], basis.dims)
+        if not np.all(np.isfinite(vecs[r])):
+            raise DomainError(f"the fit at resolution {r} has a non-finite stage value")
+    return vecs
+
+
+def _gl_bias(vecs: Mapping[int, np.ndarray], pens: Mapping[int, float], r: int) -> float:
+    """max over r' of [ delta2(vec r', vec min(r', r)) - pen(r') ], where
+    ``vecs`` and ``pens`` hold each resolution's expansion and penalty.
+
+    A term with r' <= r compares an expansion with itself, and ``delta2(v, v)``
+    is exactly 0.0 for finite ``v``, so only the pairs r < r' call ``delta2``.
+    """
+    return max((delta2(vecs[rp], vecs[r]) if rp > r else 0.0) - pen for rp, pen in pens.items())
 
 
 def bias_proxy(
@@ -87,17 +106,17 @@ def bias_proxy(
     """max over r' of [ distance(fit r', fit min(r', r)) - penalty(r') ].
 
     Implemented literally, without flooring at zero: terms with r' <= r
-    contribute -penalty(r'), which only shifts all objectives by a shared
-    amount.
+    contribute exactly -penalty(r') (``delta2(v, v)`` is exactly 0.0 for
+    finite ``v``), which only shifts all objectives by a shared amount, so
+    only the distances from fit ``r`` to the larger fits are computed.  ``r``
+    must lie on the candidate grid.  ``select_resolution`` evaluates this
+    formula for every row in one pass: |grid| expansions and
+    |grid|(|grid| - 1)/2 distances in all.
     """
-    grid = list(resolution_grid(config))
-    for rr in grid:
-        if rr not in estimates:
-            raise DomainError(f"missing estimate for resolution {rr}")
-    vecs = _expansions(estimates, basis)
-    return max(
-        delta2(vecs[rp], vecs[min(rp, r)]) - penalty(config, basis, rp) for rp in grid
-    )
+    vecs = _expansions(estimates, config, basis)
+    if r not in vecs:
+        raise DomainError(f"resolution {r} is not on the candidate grid {list(vecs)}")
+    return _gl_bias(vecs, {rr: penalty(config, basis, rr) for rr in vecs}, r)
 
 
 @dataclass(frozen=True)
@@ -121,12 +140,21 @@ def select_resolution(
     basis: HarmonicBasis,
 ) -> AdaptResult:
     """Pick the resolution minimizing bias proxy + penalty (ties: smallest r),
-    and reconstruct the clamped envelope at the winner."""
+    and reconstruct the clamped envelope at the winner.
+
+    All rows come from one pass: each resolution's expansion and penalty are
+    built once, and ``delta2`` runs once per pair r < r', so the rows cost
+    |grid| expansions and |grid|(|grid| - 1)/2 distances.  The terms with
+    r' <= r are exactly -penalty(r'), because ``delta2(v, v)`` is exactly 0.0
+    for the finite expansions accepted, so the rows equal ``bias_proxy``'s
+    bit for bit.
+    """
+    vecs = _expansions(estimates, config, basis)
+    pens = {r: penalty(config, basis, r) for r in vecs}
     rows = []
-    for r in sorted(resolution_grid(config)):
-        b = bias_proxy(estimates, r, config, basis)
-        pen = penalty(config, basis, r)
-        rows.append(ResolutionRow(r=r, bias=b, penalty=pen, objective=b + pen))
+    for r in vecs:
+        b = _gl_bias(vecs, pens, r)
+        rows.append(ResolutionRow(r=r, bias=b, penalty=pens[r], objective=b + pens[r]))
     best = min(rows, key=lambda row: (row.objective, row.r))
     selected = best.r
     return AdaptResult(

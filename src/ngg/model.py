@@ -194,11 +194,12 @@ _BLOCK_COSINES = 1 << 17
 
 def _checked_probabilities(p: Envelope, t: np.ndarray) -> np.ndarray:
     vals = np.asarray(p(t), dtype=float)
-    if vals.size and (np.min(vals) < -_RANGE_TOL or np.max(vals) > 1.0 + _RANGE_TOL):
-        raise ModelError(
-            f"envelope {p.name!r} leaves [0, 1]: range "
-            f"[{float(np.min(vals)):.3g}, {float(np.max(vals)):.3g}]"
-        )
+    if vals.size:
+        lo, hi = float(np.min(vals)), float(np.max(vals))  # NaN if any value is NaN
+        if not (lo >= -_RANGE_TOL and hi <= 1.0 + _RANGE_TOL):
+            finite = math.isfinite(lo) and math.isfinite(hi)
+            what = "leaves [0, 1]" if finite else "has a non-finite value"
+            raise ModelError(f"envelope {p.name!r} {what}: range [{lo:.3g}, {hi:.3g}]")
     return np.clip(vals, 0.0, 1.0)
 
 

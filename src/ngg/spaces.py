@@ -458,7 +458,12 @@ def _integrate_panel(basis, fn, max_degree, lo, hi, tol, depth, failures):
     while m <= QUAD_NODE_CAP:
         x, w = _panel_rule(alpha, beta, lo, hi, m)
         z = basis.orthonormal_all(max_degree, x)
-        est = z @ (w * fn(x))
+        with np.errstate(all="ignore"):  # a non-finite value is refused just below
+            fx = np.asarray(fn(x), dtype=float)
+        bad = x[~np.isfinite(fx)]
+        if bad.size:
+            raise DomainError(f"envelope is not finite at t = {bad[0]:.17g}")
+        est = z @ (w * fx)
         if prev is not None and np.max(np.abs(est - prev)) <= tol:
             return est
         prev = est
@@ -484,6 +489,9 @@ def envelope_coefficients(basis: HarmonicBasis, envelope, max_degree: int) -> np
 
     Raises
     ------
+    DomainError
+        if the envelope is not finite at a node, on the first rule that
+        meets it.
     QuadratureError
         if some sub-panel never converges; the error carries the last
         (unconverged) full estimate.

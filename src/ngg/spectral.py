@@ -112,8 +112,10 @@ def delta2(x, y) -> float:
     yn = np.sort(y[y < 0])
     kp = max(xp.size, yp.size)
     kn = max(xn.size, yn.size)
-    xp = np.pad(xp, (0, kp - xp.size))
-    yp = np.pad(yp, (0, kp - yp.size))
-    xn = np.pad(xn, (0, kn - xn.size))
-    yn = np.pad(yn, (0, kn - yn.size))
-    return float(np.sqrt(np.sum((xp - yp) ** 2) + np.sum((xn - yn) ** 2)))
+    pad = np.zeros((2, kp + kn))  # x then y: nonnegative run, then negative run
+    pad[0, : xp.size] = xp
+    pad[1, : yp.size] = yp
+    pad[0, kp : kp + xn.size] = xn
+    pad[1, kp : kp + yn.size] = yn
+    sq = (pad[0] - pad[1]) ** 2
+    return float(np.sqrt(np.sum(sq[:kp]) + np.sum(sq[kp:])))

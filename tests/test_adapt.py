@@ -2,12 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import ngg
 from ngg.adapt import penalty, resolution_grid
 from ngg.errors import DomainError
-from ngg.estimator import ZERO_BLOCK
+from ngg.estimator import ZERO_BLOCK, estimate_vector
+
+_BASES = {
+    name: ngg.harmonic_basis(space, 6)
+    for name, space in [
+        ("sphere:3", ngg.sphere(3)),
+        ("sphere:4", ngg.sphere(4)),
+        ("rp:3", ngg.real_projective(3)),
+        ("cp:2", ngg.complex_projective(2)),
+    ]
+}
 
 
 def _estimate(r, stages, n=100):
@@ -113,6 +123,100 @@ def test_bias_proxy_largest_resolution_is_minimal(basis3, seed):
     b_max = ngg.bias_proxy(ests, 4, cfg, basis3)
     for r in range(1, 5):
         assert b_max <= ngg.bias_proxy(ests, r, cfg, basis3) + 1e-12
+
+
+# --- one-pass selection against the per-resolution loop --------------------------
+
+
+def _bias_proxy_oracle(estimates, r, config, basis):
+    """Every expansion rebuilt and every term's distance computed, once per r."""
+    grid = list(resolution_grid(config))
+    vecs = {rr: estimate_vector(est, basis.dims) for rr, est in estimates.items()}
+    return max(
+        ngg.delta2(vecs[rp], vecs[min(rp, r)]) - penalty(config, basis, rp) for rp in grid
+    )
+
+
+def _selection_oracle(estimates, config, basis):
+    rows = []
+    for r in resolution_grid(config):
+        b = _bias_proxy_oracle(estimates, r, config, basis)
+        pen = penalty(config, basis, r)
+        rows.append((r, b, pen, b + pen))
+    return min(rows, key=lambda row: (row[3], row[0]))[0], rows
+
+
+@settings(max_examples=80)
+@given(
+    space=st.sampled_from(sorted(_BASES)),
+    r_max=st.integers(1, 6),
+    include_r0=st.booleans(),
+    kappa=st.sampled_from([0.01, 0.1, 0.25, 1.0, 4.0]),
+    rounded=st.booleans(),
+    extra=st.integers(0, 120),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_select_resolution_matches_per_resolution_loop(
+    space, r_max, include_r0, kappa, rounded, extra, seed
+):
+    basis = _BASES[space]
+    rng = np.random.default_rng(seed)
+    n = basis.cum_dims[r_max] + extra
+    v = rng.normal(0.0, 0.05, n)
+    stages = rng.normal(0.0, 0.3, r_max + 1)
+    v[: basis.cum_dims[r_max]] += np.repeat(stages, basis.dims[: r_max + 1])
+    if rounded:  # ties between runs, and fits that share stage values
+        v = np.round(v, 1)
+    cfg = ngg.AdaptConfig(n=n, r_max=r_max, kappa=kappa, include_r0=include_r0)
+    fits = ngg.fit_all_resolutions(v, basis, cfg)
+    res = ngg.select_resolution(fits, cfg, basis)
+    selected, rows = _selection_oracle(fits, cfg, basis)
+    assert [(x.r, x.bias, x.penalty, x.objective) for x in res.rows] == rows
+    assert res.selected_r == selected
+    for r, b, _, _ in rows:
+        assert ngg.bias_proxy(fits, r, cfg, basis) == b
+
+
+@pytest.mark.parametrize("r_max, include_r0", [(1, False), (1, True), (4, True), (6, False)])
+def test_select_resolution_expands_once_and_measures_each_pair_once(
+    monkeypatch, r_max, include_r0
+):
+    basis = _BASES["sphere:3"]
+    calls = {"estimate_vector": 0, "delta2": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(ngg.adapt, "estimate_vector", counted("estimate_vector", estimate_vector))
+    monkeypatch.setattr(ngg.adapt, "delta2", counted("delta2", ngg.delta2))
+    rng = np.random.default_rng(r_max)
+    cfg = ngg.AdaptConfig(n=200, r_max=r_max, include_r0=include_r0)
+    ests = {r: _estimate(r, rng.normal(0, 0.3, r + 1), n=200) for r in resolution_grid(cfg)}
+    ngg.select_resolution(ests, cfg, basis)
+    g = len(resolution_grid(cfg))
+    assert calls == {"estimate_vector": g, "delta2": g * (g - 1) // 2}
+
+
+def test_bias_proxy_resolution_off_the_grid(basis3):
+    cfg = ngg.AdaptConfig(n=100, r_max=2)
+    ests = _estimates_from_stages({0: [0.5], 1: [0.5, 0.1], 2: [0.5, 0.1, 0.0]})
+    for r in (0, 3):
+        with pytest.raises(DomainError, match="candidate grid"):
+            ngg.bias_proxy(ests, r, cfg, basis3)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_selection_refuses_non_finite_stage_values(basis3, bad):
+    cfg = ngg.AdaptConfig(n=100, r_max=2)
+    ests = _estimates_from_stages({1: [0.5, 0.1], 2: [0.5, bad, 0.0]})
+    with pytest.raises(DomainError, match="resolution 2 has a non-finite"):
+        ngg.select_resolution(ests, cfg, basis3)
+    with pytest.raises(DomainError, match="resolution 2 has a non-finite"):
+        ngg.bias_proxy(ests, 1, cfg, basis3)
 
 
 # --- envelope reconstruction -----------------------------------------------------

@@ -508,3 +508,23 @@ def test_cli_overflowing_envelope_prints_only_the_error(tmp_path):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and "non-finite" in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("content", ["0 1e308\n1 1e308\n", "0 0\n1 1e308\n2 1e308\n"],
+                         ids=["two-terms", "three-terms"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "50", "--replicates", "1", "--r-max", "1", "--out", "{tmp}/x.json"],
+        ["coefs", "--degree", "4"],
+    ],
+    ids=["simulate", "coefs"],
+)
+def test_cli_overflowing_envelope_stops_at_the_first_quadrature_rule(tmp_path, argv, content):
+    coeffs = tmp_path / "env.txt"
+    coeffs.write_text(content)
+    proc = _run_cli(*[a.format(tmp=tmp_path) for a in argv], "--envelope", str(coeffs))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: envelope is not finite at t = ")
+    assert "RuntimeWarning" not in proc.stderr and len(proc.stderr.splitlines()) == 1
+    assert not (tmp_path / "x.json").exists()

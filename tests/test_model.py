@@ -314,6 +314,31 @@ def test_generate_graph_range_check_in_last_block(monkeypatch, budget):
         ngg.generate_graph(lat, bump, 0)
 
 
+def test_nan_envelope_is_refused(sphere3):
+    lat = ngg.sample_latent(sphere3, 50, 0)
+    nan = ngg.Envelope(lambda t: np.full_like(t, np.nan), "nan")
+    with pytest.raises(ModelError, match="'nan' has a non-finite value"):
+        ngg.generate_graph(lat, nan, 0)
+    with pytest.raises(ModelError, match="'nan' has a non-finite value"):
+        ngg.probability_matrix(lat, nan)
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 17])
+def test_nan_at_the_last_pair_is_refused(monkeypatch, budget):
+    # two equal points, so only the last pair reaches t = 1
+    n = _past_block()
+    monkeypatch.setattr(ngg.model, "_BLOCK_COSINES", budget)
+    space = ngg.sphere(3)
+    pts = ngg.sample_latent(space, n, 2).points
+    pts[-1] = pts[-2]
+    lat = ngg.LatentSample(space, pts, seed=2)
+    hole = ngg.Envelope(lambda t: np.where(t > 1.0 - 1e-9, np.nan, 0.5), "hole")
+    with pytest.raises(ModelError, match="'hole' has a non-finite value"):
+        ngg.generate_graph(lat, hole, 0)
+    with pytest.raises(ModelError, match="'hole' has a non-finite value"):
+        ngg.probability_matrix(lat, hole)
+
+
 # --- even powers without libm's negative-base pow -------------------------------
 
 

@@ -236,6 +236,17 @@ def test_quadrature_failure_carries_last_estimate(basis3):
     assert err.value.last_estimate.shape == (1,)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_envelope_is_refused_at_the_first_rule(basis3, monkeypatch, bad):
+    rules = []
+    panel_rule = ngg.spaces._panel_rule
+    monkeypatch.setattr(ngg.spaces, "_panel_rule", lambda *a: rules.append(a) or panel_rule(*a))
+    env = ngg.Envelope(lambda t: np.where(np.asarray(t) < -0.5, bad, 0.5), "bad")
+    with np.errstate(all="raise"), pytest.raises(DomainError, match="not finite at t = -0.9"):
+        ngg.envelope_coefficients(basis3, env, 4)
+    assert len(rules) == 1
+
+
 def test_envelope_coefficients_degree_checks(basis3):
     with pytest.raises(DomainError):
         ngg.envelope_coefficients(basis3, ngg.constant_envelope(0.5), 99)

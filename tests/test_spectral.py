@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import ngg
 from ngg.errors import DomainError
@@ -135,3 +135,49 @@ def test_delta2_triangle_inequality(x, y, z):
 def test_delta2_zero_on_permutations(x, data):
     perm = data.draw(st.permutations(x))
     assert ngg.delta2(x, perm) == 0.0
+
+
+def delta2_padded(x, y):
+    """The distance with each signed run zero-padded by ``np.pad``: the
+    reference for the single-buffer padding."""
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    xp = np.sort(x[x >= 0])[::-1]
+    yp = np.sort(y[y >= 0])[::-1]
+    xn = np.sort(x[x < 0])
+    yn = np.sort(y[y < 0])
+    kp = max(xp.size, yp.size)
+    kn = max(xn.size, yn.size)
+    xp = np.pad(xp, (0, kp - xp.size))
+    yp = np.pad(yp, (0, kp - yp.size))
+    xn = np.pad(xn, (0, kn - xn.size))
+    yn = np.pad(yn, (0, kn - yn.size))
+    return float(np.sqrt(np.sum((xp - yp) ** 2) + np.sum((xn - yn) ** 2)))
+
+
+_signed = st.one_of(st.floats(-4, 4, allow_nan=False), st.sampled_from([0.0, -0.0, 0.1, -0.1]))
+
+
+@settings(max_examples=200)
+@given(st.lists(_signed, max_size=40), st.lists(_signed, max_size=40))
+def test_delta2_equals_padded_reference(x, y):
+    assert ngg.delta2(x, y) == delta2_padded(x, y)
+
+
+def test_delta2_equals_padded_reference_edge_cases():
+    rng = np.random.default_rng(3)
+    big_x, big_y = rng.normal(size=20_000), rng.normal(size=15_001)
+    cases = [
+        ([], []),
+        ([], [0.2, -0.3]),
+        ([-1.0, -2.0, -0.5], [-0.25]),  # all negative
+        ([-1.0, -2.0], [0.5, 1.5, 2.5]),
+        ([0.0, 0.0, 0.0], [0.0]),  # all zero
+        ([-0.0, 0.0, -0.0], [0.0, 0.3]),
+        ([-0.0], [-0.4, 0.4, -0.0]),
+        (np.round(rng.normal(size=49), 1), np.round(rng.normal(size=36), 1)),
+        (big_x, big_y),  # longer than one reduction buffer
+    ]
+    for x, y in cases:
+        assert ngg.delta2(x, y) == delta2_padded(x, y), (x, y)
+        assert ngg.delta2(y, x) == delta2_padded(y, x), (x, y)
