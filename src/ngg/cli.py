@@ -260,7 +260,7 @@ def _cmd_estimate(args) -> int:
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     adjacency /= n  # in place: bit for bit adjacency / n, without the copy
-    spectrum = eigenvalues_symmetric(adjacency)
+    spectrum = eigenvalues_symmetric(adjacency, overwrite=True)
     estimates = fit_all_resolutions(spectrum, basis, adapt_cfg)
     result = select_resolution(estimates, adapt_cfg, basis)
     values = result.envelope(grid)

@@ -67,7 +67,8 @@ def read_edge_list(path) -> EdgeListData:
     check_dense_size(n, path)
     lo = pairs.min(axis=1)
     hi = pairs.max(axis=1)
-    keys = np.unique(lo * n + hi)  # n*n fits in int64 once the size check passed
+    keys = np.sort(lo * n + hi)  # n*n fits in int64 once the size check passed
+    keys = keys[np.r_[True, keys[1:] != keys[:-1]]]  # np.unique, without its hash path
     edges = np.column_stack((keys // n, keys % n))
     edges.flags.writeable = False
     return EdgeListData(

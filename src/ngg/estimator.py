@@ -51,9 +51,12 @@ def enumerate_orderings(r: int, cap: int = DEFAULT_RESOLUTION_CAP):
 
 def _values(spectrum) -> np.ndarray:
     if isinstance(spectrum, Spectrum):
-        return spectrum.values
-    v = np.asarray(spectrum, dtype=float).ravel()
-    return np.sort(v)[::-1]
+        v = spectrum.values
+    else:
+        v = np.sort(np.asarray(spectrum, dtype=float).ravel())[::-1]
+    if not np.all(np.isfinite(v)):
+        raise DomainError("spectrum has non-finite values")
+    return v
 
 
 def score_ordering(spectrum, ordering, dims):

@@ -226,7 +226,7 @@ def _one_replicate(config: ExperimentConfig, basis: HarmonicBasis, truth: np.nda
     t2 = time.perf_counter()
     a = graph.adjacency()
     a /= n  # in place: bit for bit adjacency / n, without the copy
-    spectrum = eigenvalues_symmetric(a)
+    spectrum = eigenvalues_symmetric(a, overwrite=True)
     t3 = time.perf_counter()
     adapt_cfg = AdaptConfig(
         n=n, r_max=config.r_max, kappa=config.kappa, include_r0=config.include_r0
@@ -395,7 +395,7 @@ def concentration_check(
         diff /= n
         o = operator_norm(diff)
         theta /= n
-        return o, delta2(eigenvalues_symmetric(theta).values, truth)
+        return o, delta2(eigenvalues_symmetric(theta, overwrite=True).values, truth)
 
     results = dict(zip(tasks, _map_replicates(run, tasks)))
     op = {task: o for task, (o, _) in results.items()}

@@ -464,7 +464,10 @@ def _integrate_panel(basis, fn, max_degree, lo, hi, tol, depth, failures):
         if bad.size:
             raise DomainError(f"envelope is not finite at t = {bad[0]:.17g}")
         est = z @ (w * fx)
-        if prev is not None and np.max(np.abs(est - prev)) <= tol:
+        # relative to the envelope's size once it exceeds 1, so a large
+        # smooth envelope converges like its rescaled copy
+        scale = max(1.0, float(np.max(np.abs(fx))))
+        if prev is not None and np.max(np.abs(est - prev)) <= tol * scale:
             return est
         prev = est
         m *= 2
@@ -484,7 +487,8 @@ def envelope_coefficients(basis: HarmonicBasis, envelope, max_degree: int) -> np
     The degree-``ell`` output is <f, Z_ell> / sqrt(d_ell) under the cosine law;
     it is exactly the degree-``ell`` operator eigenvalue, carrying multiplicity
     ``d_ell``.  Integrals use adaptive Gauss rules: node doubling until two
-    successive estimates agree to ``_QUAD_TOL``, the domain pre-split at any jump
+    successive estimates agree to ``_QUAD_TOL`` times ``max(1, max|f|)`` over the
+    rule's nodes, the domain pre-split at any jump
     the envelope declares, and recursive bisection as a fallback.
 
     Raises

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import threading
 from dataclasses import dataclass
@@ -14,8 +16,12 @@ __all__ = ["Spectrum", "check_dense_size", "eigenvalues_symmetric", "operator_no
 
 _SYM_TOL = 1e-10
 _RESIDUAL_FACTOR = 1e-9
-_BLOCK = 256  # rows per block of the symmetry check
+_BLOCK = 256  # tile side of the symmetry check
 _LAPACK_LOCK = threading.Lock()
+_LAPACK_COL_MAJOR = 102  # LAPACKE matrix_layout
+# LAPACKE's two-stage symmetric eigenvalue routine with 64-bit integers, under
+# the prefixed name of the OpenBLAS that numpy's wheels bundle, then plain
+_SYEVD_2STAGE = ("scipy_LAPACKE_dsyevd_2stage64_", "LAPACKE_dsyevd_2stage64_")
 
 
 @dataclass(frozen=True)
@@ -28,17 +34,22 @@ class Spectrum:
 
 
 def _scale_and_asymmetry(m: np.ndarray) -> tuple[float, float]:
-    """``max|M_ij|`` and ``max|M_ij - M_ji|``, one block of rows at a time so
-    the only temporaries are ``_BLOCK x n``; a non-finite entry is refused."""
+    """``max|M_ij|`` and ``max|M_ij - M_ji|``, one pair of mirrored
+    ``_BLOCK x _BLOCK`` tiles at a time, so every entry is read once (twice on
+    the diagonal tiles) and the only temporary is one tile; a non-finite
+    entry is refused."""
     scale = asym = 0.0
-    for lo in range(0, m.shape[0], _BLOCK):
-        rows = m[lo : lo + _BLOCK]
-        block_scale = float(np.max(np.abs(rows)))
-        if not np.isfinite(block_scale):  # max propagates NaN and inf
-            raise DomainError("matrix has non-finite entries")
-        diff = rows - m[:, lo : lo + _BLOCK].T
-        scale = max(scale, block_scale)
-        asym = max(asym, float(np.max(np.abs(diff, out=diff))))
+    n = m.shape[0]
+    for lo in range(0, n, _BLOCK):
+        for lo2 in range(lo, n, _BLOCK):
+            upper = m[lo : lo + _BLOCK, lo2 : lo2 + _BLOCK]
+            lower = m[lo2 : lo2 + _BLOCK, lo : lo + _BLOCK]
+            tile_scale = max(float(np.max(np.abs(upper))), float(np.max(np.abs(lower))))
+            if not np.isfinite(tile_scale):  # max propagates NaN and inf
+                raise DomainError("matrix has non-finite entries")
+            diff = upper - lower.T
+            scale = max(scale, tile_scale)
+            asym = max(asym, float(np.max(np.abs(diff, out=diff))))
     return scale, asym
 
 
@@ -57,16 +68,73 @@ def check_dense_size(n: int, label) -> None:
         )
 
 
-def eigenvalues_symmetric(matrix) -> Spectrum:
+@functools.cache
+def _two_stage_routine():
+    """LAPACKE ``dsyevd_2stage`` from the LAPACK numpy already loaded, or
+    ``None`` when that build does not export it.
+
+    Resolved on the first solve, not at import.  ``dlsym`` on numpy's linalg
+    extension searches its dependency tree, so the symbol is found wherever
+    the wheel put the library.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):  # no such module, or not loadable
+        return None
+    for name in _SYEVD_2STAGE:
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            fn.argtypes = (ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
+                           ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
+            fn.restype = ctypes.c_int64
+            return fn
+    return None
+
+
+def _solve(m: np.ndarray, overwrite: bool) -> np.ndarray:
+    """Ascending eigenvalues of the checked symmetric matrix ``m``; the caller
+    holds ``_LAPACK_LOCK``."""
+    syevd = _two_stage_routine()
+    if syevd is None:
+        return np.linalg.eigvalsh(m)
+    n = m.shape[0]
+    if not (overwrite and m.flags.c_contiguous and m.flags.writeable):
+        m = np.array(m, order="C")  # float64 already: eigenvalues_symmetric converted it
+    w = np.empty(n)
+    if n:
+        # a C-ordered symmetric matrix is its own column-major transpose, so
+        # LAPACK works on the buffer as it is; its 'L' triangle is the upper
+        # triangle of the C-ordered rows
+        info = syevd(_LAPACK_COL_MAJOR, b"N", b"L", n, m.ctypes.data, n, w.ctypes.data)
+        if info != 0:
+            raise SolverError(f"eigenvalue computation failed: dsyevd_2stage info = {info}")
+    return w
+
+
+def eigenvalues_symmetric(matrix, *, overwrite: bool = False) -> Spectrum:
     """Full spectrum of a symmetric matrix, eigenvalues only.
 
     The input is checked for finite entries and for symmetry to
-    ``1e-10 * max|M_ij|`` in row blocks, so the check allocates no ``n x n``
-    temporary; LAPACK (through numpy) then makes the one copy it works in.
+    ``1e-10 * max|M_ij|`` in tiles, so the check allocates no ``n x n``
+    temporary.  The solve is LAPACK's two-stage routine ``dsyevd_2stage``
+    (full -> band -> tridiagonal, most of the reduction in BLAS-3 calls),
+    called through ctypes in the LAPACK numpy already loaded.  By default the
+    caller's array is left untouched and LAPACK works in one C-ordered copy;
+    with ``overwrite=True`` a C-contiguous, writable float64 array is solved
+    in place and its contents are destroyed (any other array is copied
+    anyway).  If that LAPACK does not export the routine, the solve falls back
+    to ``np.linalg.eigvalsh`` (one-stage ``dsyevd``, which always copies).
+    The routine reads the upper triangle of the rows, ``eigvalsh`` the lower:
+    on an input symmetric only to the tolerance the two can differ by up to
+    that asymmetry.
+
     A module-wide lock runs one dense solve at a time: replicate threads
     that called LAPACK together would each share a BLAS pool that already
-    uses every core, and run slower than one after the other.  The residual
-    bound recorded is the backward-stability contract
+    uses every core, and run slower than one after the other.  One BLAS
+    thread per replicate instead would change the results with the thread
+    count: OpenBLAS rounding depends on it (1 against 2 threads moves
+    eigenvalues by up to about 1e-15), so every solve keeps the default pool.
+    The residual bound recorded is the backward-stability contract
     ``1e-9 * n * max|M_ij|``.
     """
     m = np.asarray(matrix, dtype=float)
@@ -77,7 +145,7 @@ def eigenvalues_symmetric(matrix) -> Spectrum:
         raise DomainError("matrix is not symmetric")
     try:
         with _LAPACK_LOCK:
-            vals = np.linalg.eigvalsh(m)
+            vals = _solve(m, overwrite)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError(f"eigenvalue computation failed: {exc}") from exc
     return Spectrum(

@@ -528,3 +528,27 @@ def test_cli_overflowing_envelope_stops_at_the_first_quadrature_rule(tmp_path, a
     assert proc.stderr.startswith("error: envelope is not finite at t = ")
     assert "RuntimeWarning" not in proc.stderr and len(proc.stderr.splitlines()) == 1
     assert not (tmp_path / "x.json").exists()
+
+
+def _coefs(argv, capsys):
+    assert main(argv) == 0
+    return np.array([float(line.split(",")[2])
+                     for line in capsys.readouterr().out.splitlines()[1:]])
+
+
+def test_cli_coefs_large_envelope_is_scale_invariant(tmp_path, capsys):
+    big, small = tmp_path / "big.txt", tmp_path / "small.txt"
+    big.write_text("0 1e6\n1 0.5\n")
+    small.write_text("0 1\n1 5e-7\n")
+    c_big = _coefs(["coefs", "--envelope", str(big), "--degree", "4"], capsys)
+    c_small = _coefs(["coefs", "--envelope", str(small), "--degree", "4"], capsys)
+    # the vanishing degrees come out at round-off of the envelope's size
+    np.testing.assert_allclose(c_big, 1e6 * c_small, rtol=1e-9, atol=1e6 * 1e-12)
+
+
+def test_cli_coefs_huge_constant_converges(tmp_path, capsys):
+    f = tmp_path / "const.txt"
+    f.write_text("0 1e300\n")
+    c = _coefs(["coefs", "--envelope", str(f), "--degree", "4"], capsys)
+    assert c[0] == pytest.approx(1e300, rel=1e-12)
+    assert np.max(np.abs(c[1:])) <= 1e-12 * 1e300

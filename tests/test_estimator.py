@@ -233,3 +233,15 @@ def test_fit_high_resolution_is_fast_and_monotone(basis3):
     scores = [ngg.fit_resolution(values, basis3, r).score for r in range(11)]
     assert time.perf_counter() - t0 < 5.0  # the (R+2)! search needs hours at R=10
     assert all(scores[i + 1] <= scores[i] + 1e-12 for i in range(10))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("pos", [0, 25, 50])
+def test_non_finite_spectrum_is_refused(bad, pos):
+    v = np.zeros(51)
+    v[pos] = bad
+    basis = ngg.harmonic_basis(ngg.sphere(3), 8)
+    with pytest.raises(DomainError, match="non-finite"):
+        ngg.fit_all_resolutions(v, basis, ngg.AdaptConfig(n=51, r_max=2))
+    with pytest.raises(DomainError, match="non-finite"):
+        ngg.score_ordering(v, (ZERO_BLOCK, 0), basis.dims)

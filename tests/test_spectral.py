@@ -181,3 +181,108 @@ def test_delta2_equals_padded_reference_edge_cases():
     for x, y in cases:
         assert ngg.delta2(x, y) == delta2_padded(x, y), (x, y)
         assert ngg.delta2(y, x) == delta2_padded(y, x), (x, y)
+
+
+# --- the two-stage routine against numpy's eigvalsh ---------------------------------
+
+
+@st.composite
+def _symmetric_inputs(draw):
+    """A random symmetric matrix or a 0/1 adjacency divided by ``n``."""
+    n = draw(st.sampled_from([0, 1, 2, 3, 7, 64, 65, 300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        a = rng.standard_normal((n, n))
+        return (a + a.T) / 2
+    upper = np.triu(rng.random((n, n)) < draw(st.sampled_from([0.05, 0.5])), 1)
+    return (upper | upper.T).astype(float) / max(n, 1)
+
+
+@settings(max_examples=40)
+@given(_symmetric_inputs())
+def test_two_stage_matches_eigvalsh(m):
+    n = m.shape[0]
+    oracle = np.linalg.eigvalsh(m)[::-1]
+    vals = ngg.eigenvalues_symmetric(m).values
+    assert vals.shape == (n,)
+    if n:
+        tol = 8 * np.finfo(float).eps * n * np.max(np.abs(m))
+        assert np.max(np.abs(vals - oracle)) <= tol
+
+
+def test_overwrite_keeps_or_consumes_the_input(rng):
+    a = rng.standard_normal((65, 65))
+    m = (a + a.T) / 2
+    before = m.copy()
+    kept = ngg.eigenvalues_symmetric(m).values
+    assert m.tobytes() == before.tobytes()
+    consumed = ngg.eigenvalues_symmetric(m, overwrite=True).values
+    assert np.array_equal(consumed, kept)
+
+
+def _read_only(m):
+    m.flags.writeable = False
+    return m
+
+
+@pytest.mark.parametrize(
+    "make", [lambda m: np.asfortranarray(m), lambda m: m.astype(np.float32), _read_only],
+    ids=["fortran-order", "float32", "read-only"],
+)
+def test_overwrite_leaves_an_unsuitable_array_alone(rng, make):
+    # n = 65: below about 64 LAPACK works in a copy of its own whatever it is given
+    a = rng.standard_normal((65, 65))
+    m = make((a + a.T) / 2)
+    before = m.copy()
+    vals = ngg.eigenvalues_symmetric(m, overwrite=True).values
+    assert m.tobytes() == before.tobytes()
+    oracle = np.linalg.eigvalsh(np.asarray(m, dtype=float))[::-1]
+    assert np.max(np.abs(vals - oracle)) <= 8 * np.finfo(float).eps * 65 * np.max(np.abs(m))
+
+
+def test_repeated_solves_are_bitwise_equal(rng):
+    upper = np.triu(rng.random((600, 600)) < 0.1, 1)
+    m = (upper | upper.T).astype(float) / 600
+    first = ngg.eigenvalues_symmetric(m).values
+    for _ in range(4):
+        assert ngg.eigenvalues_symmetric(m).values.tobytes() == first.tobytes()
+
+
+def test_fallback_is_eigvalsh(rng, monkeypatch):
+    monkeypatch.setattr(ngg.spectral, "_two_stage_routine", lambda: None)
+    a = rng.standard_normal((64, 64))
+    m = (a + a.T) / 2
+    vals = ngg.eigenvalues_symmetric(m, overwrite=True).values
+    assert np.array_equal(vals, np.linalg.eigvalsh(m)[::-1])
+
+
+def _numpy_uses_scipy_openblas() -> bool:
+    deps = np.show_config(mode="dicts").get("Build Dependencies", {})
+    return any(deps.get(k, {}).get("name") == "scipy-openblas" for k in ("blas", "lapack"))
+
+
+@pytest.mark.skipif(not _numpy_uses_scipy_openblas(),
+                    reason="numpy is not built against scipy-openblas")
+def test_two_stage_routine_resolves_on_scipy_openblas():
+    # the wheels that bundle scipy-openblas export dsyevd_2stage; a silent
+    # fallback to eigvalsh there would cost the benchmark its solve time
+    assert ngg.spectral._two_stage_routine() is not None
+
+
+@settings(max_examples=30)
+@given(st.sampled_from([1, 255, 256, 257, 513]), st.integers(0, 2**32 - 1))
+def test_tiled_symmetry_check_matches_whole_matrix(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    m = (a + a.T) / 2
+    i, j = rng.integers(0, n, size=2)
+    m[i, j] += rng.choice([1e-3, 7.0])
+    scale, asym = ngg.spectral._scale_and_asymmetry(m)
+    assert scale == np.max(np.abs(m))
+    assert asym == np.max(np.abs(m - m.T))
+
+
+def test_lapack_failure_is_a_solver_error(monkeypatch):
+    monkeypatch.setattr(ngg.spectral, "_two_stage_routine", lambda: lambda *args: 3)
+    with pytest.raises(ngg.SolverError, match="info = 3"):
+        ngg.eigenvalues_symmetric(np.eye(3))
