@@ -15,13 +15,11 @@ from .errors import (
     DomainError,
     ModelError,
     NggError,
-    OrderingLimitError,
     QuadratureError,
     SolverError,
 )
 from .estimator import (
     SpectrumEstimate,
-    enumerate_orderings,
     estimate_vector,
     fit_resolution,
     score_ordering,
@@ -30,6 +28,7 @@ from .harness import (
     ExperimentConfig,
     ExperimentReport,
     concentration_check,
+    fit_graph,
     risk_curve,
     run_experiment,
     true_coefficients,

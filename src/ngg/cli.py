@@ -19,13 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapt import AdaptConfig, fit_all_resolutions, select_resolution
-from .edgelist import read_adjacency, read_edge_list, write_adjacency
+from .adapt import AdaptConfig
+from .edgelist import _MAGIC, read_adjacency, read_edge_list, write_adjacency
 from .errors import NggError
 from .harness import (
     TRUTH_DEGREE,
     ExperimentConfig,
+    _fit_fields,
     build_identifier,
+    fit_graph,
     replicate_graph,
     run_experiment,
 )
@@ -39,7 +41,6 @@ from .spaces import (
     harmonic_basis,
     sphere,
 )
-from .spectral import eigenvalues_symmetric
 
 _BUILTIN_IDS = {f"p{i}": i for i in range(1, 7)}
 _SPACE_ALIASES = {
@@ -233,9 +234,8 @@ def _cmd_estimate(args) -> int:
         return 1
     grid = _grid(args.grid)
     warnings: list[str] = []
-    magic = b"ngg-adjacency"
     with path.open("rb") as fh:
-        is_dump = fh.read(len(magic)) == magic
+        is_dump = fh.read(len(_MAGIC)) == _MAGIC.encode()
     if is_dump:
         adjacency = read_adjacency(path)
     else:
@@ -259,10 +259,7 @@ def _cmd_estimate(args) -> int:
         )
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    adjacency /= n  # in place: bit for bit adjacency / n, without the copy
-    spectrum = eigenvalues_symmetric(adjacency, overwrite=True)
-    estimates = fit_all_resolutions(spectrum, basis, adapt_cfg)
-    result = select_resolution(estimates, adapt_cfg, basis)
+    spectrum, estimates, result, _ = fit_graph(adjacency, basis, adapt_cfg)
     values = result.envelope(grid)
     out = {
         "schema": 1,
@@ -285,9 +282,7 @@ def _cmd_estimate(args) -> int:
                 "bias": row.bias,
                 "penalty": row.penalty,
                 "objective": row.objective,
-                "stages": [float(v) for v in estimates[row.r].stage_values],
-                "score": float(estimates[row.r].score),
-                "ordering": list(estimates[row.r].ordering),
+                **_fit_fields(estimates[row.r]),
             }
             for row in result.rows
         ],

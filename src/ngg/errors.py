@@ -17,10 +17,6 @@ class SolverError(NggError, RuntimeError):
     """The underlying numerical solver failed to converge."""
 
 
-class OrderingLimitError(NggError, ValueError):
-    """A resolution exceeds the factorial enumeration cap."""
-
-
 class QuadratureError(NggError, RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance.
 

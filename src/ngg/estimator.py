@@ -8,24 +8,22 @@ in least squares reduces to choosing an ordering of the ``R + 2`` blocks
 eigenvalues; the optimal stage value of each degree block is the mean of its
 run.  ``fit_resolution`` finds the best ordering with a Bellman/Held-Karp
 dynamic program over subsets of blocks, ``O(2^(R+2) (R+2))`` steps instead of
-scoring all ``(R + 2)!`` orderings; ``enumerate_orderings`` and
-``score_ordering`` are the exhaustive reference the tests compare against.
+scoring all ``(R + 2)!`` orderings.  ``score_ordering`` scores one ordering;
+the exhaustive search over all of them is kept in the tests as the oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OrderingLimitError
+from .errors import DomainError
 from .spaces import HarmonicBasis
 from .spectral import Spectrum
 
 __all__ = [
     "ZERO_BLOCK",
-    "enumerate_orderings",
     "score_ordering",
     "SpectrumEstimate",
     "fit_resolution",
@@ -34,19 +32,6 @@ __all__ = [
 ]
 
 ZERO_BLOCK = -1  # ordering symbol for the zero block
-DEFAULT_RESOLUTION_CAP = 7  # (R + 2)! beyond this is impractical
-
-
-def enumerate_orderings(r: int, cap: int = DEFAULT_RESOLUTION_CAP):
-    """All (r + 2)! orderings of the blocks {zero, degree 0, ..., degree r},
-    in deterministic (lexicographic) order."""
-    if r < 0:
-        raise DomainError("resolution must be nonnegative")
-    if r > cap:
-        raise OrderingLimitError(
-            f"resolution {r} exceeds the enumeration cap {cap} ((r+2)! orderings)"
-        )
-    return list(itertools.permutations((ZERO_BLOCK, *range(r + 1))))
 
 
 def _values(spectrum) -> np.ndarray:

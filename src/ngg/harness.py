@@ -1,5 +1,6 @@
-"""Seeded Monte Carlo drivers: full estimation runs, concentration rate
-checks, and fixed-resolution risk curves.
+"""The estimation chain ``fit_graph``, which ``ngg estimate`` and every
+replicate run, and the seeded Monte Carlo drivers: full estimation runs,
+concentration rate checks, and fixed-resolution risk curves.
 
 Replicates are embarrassingly parallel; each derives its seed as
 ``base_seed + replicate_index`` so reruns and cross-``n`` comparisons pair up
@@ -9,7 +10,6 @@ aggregates) and a CSV part that additionally carries wall-clock timings.
 
 from __future__ import annotations
 
-import math
 import os
 import subprocess
 import time
@@ -20,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapt import AdaptConfig, fit_all_resolutions, select_resolution
+from .adapt import AdaptConfig, fit_all_resolutions, resolution_grid, select_resolution
 from .errors import DomainError, NggError
-from .estimator import estimate_vector, spectrum_vector
+from .estimator import SpectrumEstimate, estimate_vector, spectrum_vector
 from .model import Envelope, generate_graph, probability_matrix, sample_latent
 from .reports import write_csv, write_json
 from .spaces import (
@@ -37,6 +37,7 @@ from .spectral import check_dense_size, delta2, eigenvalues_symmetric, operator_
 __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
+    "fit_graph",
     "run_experiment",
     "concentration_check",
     "risk_curve",
@@ -129,15 +130,18 @@ class ExperimentConfig:
             raise DomainError("replicates must be >= 1")
         if not self.n_values:
             raise DomainError("at least one graph size is required")
-        if not (math.isfinite(self.kappa) and self.kappa > 0):
-            raise DomainError(f"kappa must be a finite positive number, got {self.kappa}")
-        need = 2 * cumulative_dim(self.space, self.r_max)
         for n in self.n_values:
+            self.adapt_config(n)  # kappa, and a candidate grid that is not empty
+            need = 2 * cumulative_dim(self.space, self.r_max)
             if n < max(need, 2):
                 raise DomainError(
                     f"n = {n} violates n >= 2 * cum_dim(r_max) = {need}"
                 )
             check_dense_size(n, "graph size")
+
+    def adapt_config(self, n: int) -> AdaptConfig:
+        """The selection settings of a replicate on ``n`` nodes."""
+        return AdaptConfig(n=n, r_max=self.r_max, kappa=self.kappa, include_r0=self.include_r0)
 
     def to_dict(self) -> dict:
         d: dict = {
@@ -214,30 +218,50 @@ class ExperimentReport:
         write_csv(csv_path, header, rows)
 
 
+def fit_graph(adjacency: np.ndarray, basis: HarmonicBasis, config: AdaptConfig) -> tuple:
+    """Spectrum of ``adjacency / n``, the staircase fit at every candidate
+    resolution and the Goldenshluger-Lepski selection, as ``(spectrum,
+    estimates, result, seconds)``; ``seconds`` times the scaling and solve,
+    the fits, and the selection.  ``adjacency`` is consumed: it is divided by
+    ``n`` in place (bit for bit ``adjacency / n``) and the solver overwrites it.
+
+    The chain lives in this module because ``perfbench/tracing.py`` times its
+    steps by wrapping the names this module looks them up by
+    (``ngg.harness.eigenvalues_symmetric``, ``fit_all_resolutions``,
+    ``select_resolution``).
+    """
+    t0 = time.perf_counter()
+    adjacency /= adjacency.shape[0]
+    spectrum = eigenvalues_symmetric(adjacency, overwrite=True)
+    t1 = time.perf_counter()
+    estimates = fit_all_resolutions(spectrum, basis, config)
+    t2 = time.perf_counter()
+    result = select_resolution(estimates, config, basis)
+    t3 = time.perf_counter()
+    return spectrum, estimates, result, (t1 - t0, t2 - t1, t3 - t2)
+
+
+def _fit_fields(est: SpectrumEstimate) -> dict:
+    """Report fields of one fit: a ``simulate`` record's ``fits`` and an
+    ``estimate`` report's ``per_r`` both carry them."""
+    return {"stages": [float(v) for v in est.stage_values], "score": float(est.score),
+            "ordering": list(est.ordering)}
+
+
 def _one_replicate(config: ExperimentConfig, basis: HarmonicBasis, truth: np.ndarray,
                    n: int, rep: int):
     rep_seed = config.base_seed + rep
     gseed = _graph_seed(rep_seed)
-    timing = {"n": n, "replicate": rep}
     t0 = time.perf_counter()
     latent = sample_latent(config.space, n, rep_seed)
     t1 = time.perf_counter()
     graph = generate_graph(latent, config.envelope, gseed)
     t2 = time.perf_counter()
     a = graph.adjacency()
-    a /= n  # in place: bit for bit adjacency / n, without the copy
-    spectrum = eigenvalues_symmetric(a, overwrite=True)
     t3 = time.perf_counter()
-    adapt_cfg = AdaptConfig(
-        n=n, r_max=config.r_max, kappa=config.kappa, include_r0=config.include_r0
-    )
-    estimates = fit_all_resolutions(spectrum, basis, adapt_cfg)
-    t4 = time.perf_counter()
-    result = select_resolution(estimates, adapt_cfg, basis)
-    t5 = time.perf_counter()
-    timing.update(
-        t_sample=t1 - t0, t_generate=t2 - t1, t_eig=t3 - t2, t_fit=t4 - t3, t_adapt=t5 - t4
-    )
+    _, estimates, result, (t_solve, t_fit, t_adapt) = fit_graph(a, basis, config.adapt_config(n))
+    timing = {"n": n, "replicate": rep, "t_sample": t1 - t0, "t_generate": t2 - t1,
+              "t_eig": t3 - t2 + t_solve, "t_fit": t_fit, "t_adapt": t_adapt}
     truth_full = spectrum_vector(truth, basis.dims)
     fits = []
     for r in sorted(estimates):
@@ -246,9 +270,7 @@ def _one_replicate(config: ExperimentConfig, basis: HarmonicBasis, truth: np.nda
         fits.append(
             {
                 "r": r,
-                "stages": [float(v) for v in est.stage_values],
-                "score": float(est.score),
-                "ordering": list(est.ordering),
+                **_fit_fields(est),
                 "delta2_vs_truth_r": delta2(vec, spectrum_vector(truth[: r + 1], basis.dims)),
                 "delta2_vs_truth": delta2(vec, truth_full),
             }
@@ -311,7 +333,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 def _aggregate(config: ExperimentConfig, basis: HarmonicBasis, truth: np.ndarray, records):
     per_n = {}
-    grid = list(range(0 if config.include_r0 else 1, config.r_max + 1))
     for n in config.n_values:
         recs = [r for r in records if r.get("n") == n and "error" not in r]
         if not recs:
@@ -322,7 +343,7 @@ def _aggregate(config: ExperimentConfig, basis: HarmonicBasis, truth: np.ndarray
         for r in recs:
             hist[str(r["selected_r"])] = hist.get(str(r["selected_r"]), 0) + 1
         risk_fixed = {}
-        for rr in grid:
+        for rr in resolution_grid(config.adapt_config(n)):
             vals = [f["delta2_vs_truth_r"] for rec in recs for f in rec["fits"] if f["r"] == rr]
             risk_fixed[str(rr)] = float(np.mean(np.square(vals)))
         stages_rmax = np.asarray(

@@ -318,6 +318,39 @@ def test_cli_resolution_above_seven(tmp_path):
     assert len(json.loads(est_json.read_text())["per_r"]) == 8
 
 
+def test_cli_simulate_without_candidates_is_error(tmp_path, capsys):
+    # --r-max 0 without --include-r0 leaves an empty grid: refused before any replicate runs
+    out = tmp_path / "r0.json"
+    rc = main(["simulate", "--envelope", "p5", "--n", "100", "--r-max", "0",
+               "--replicates", "2", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "r_max" in err
+    assert not out.exists() and not out.with_suffix(".csv").exists()
+
+
+def test_cli_estimate_and_simulate_run_each_step_once_per_graph(tmp_path, monkeypatch):
+    # the benchmark traces these steps where ngg.harness looks them up
+    import ngg.harness
+
+    steps = ("eigenvalues_symmetric", "fit_all_resolutions", "select_resolution")
+    calls = []
+    for name in steps:
+        def counted(*args, _name=name, _step=getattr(ngg.harness, name), **kwargs):
+            calls.append(_name)  # list.append is atomic across replicate threads
+            return _step(*args, **kwargs)
+        monkeypatch.setattr(ngg.harness, name, counted)
+    adj = tmp_path / "adj.txt"
+    assert main(["simulate", "--envelope", "p4", "--n", "150", "--replicates", "3",
+                 "--r-max", "2", "--out", str(tmp_path / "sim.json"),
+                 "--dump-adjacency", str(adj)]) == 0
+    assert sorted(calls) == sorted(steps * 3)
+    calls.clear()
+    assert main(["estimate", "--input", f"{adj}.rep0", "--r-max", "2",
+                 "--out", str(tmp_path / "est.json")]) == 0
+    assert sorted(calls) == sorted(steps)
+
+
 def test_cli_bad_thread_count_is_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("NGG_THREADS", "abc")
     rc = main(["simulate", "--envelope", "p4", "--n", "60", "--r-max", "2",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ngg
-from ngg.errors import DomainError, OrderingLimitError
+from ngg.errors import DomainError
 from ngg.estimator import ZERO_BLOCK
 
 
@@ -40,17 +40,17 @@ def brute_force_min(values, dims):
     return best
 
 
+def enumerate_orderings(r):
+    """All (r + 2)! orderings of the blocks {zero, degree 0, ..., degree r},
+    in lexicographic order: the exhaustive search the subset DP must match."""
+    return list(itertools.permutations((ZERO_BLOCK, *range(r + 1))))
+
+
 def test_enumerate_orderings_counts():
-    assert len(ngg.enumerate_orderings(0)) == 2
-    assert len(ngg.enumerate_orderings(1)) == 6
-    assert len(ngg.enumerate_orderings(4)) == 720
-    assert {o for o in ngg.enumerate_orderings(0)} == {(ZERO_BLOCK, 0), (0, ZERO_BLOCK)}
-
-
-def test_enumerate_orderings_cap():
-    with pytest.raises(OrderingLimitError):
-        ngg.enumerate_orderings(8)
-    assert len(ngg.enumerate_orderings(8, cap=8)) == math.factorial(10)  # explicit override
+    assert len(enumerate_orderings(0)) == 2
+    assert len(enumerate_orderings(1)) == 6
+    assert len(enumerate_orderings(4)) == 720
+    assert {o for o in enumerate_orderings(0)} == {(ZERO_BLOCK, 0), (0, ZERO_BLOCK)}
 
 
 def test_score_ordering_walkthrough(basis3):
@@ -85,7 +85,7 @@ def test_fit_resolution_six_value_example(basis3):
     assert est.score == pytest.approx(5e-4, rel=1e-9)
     # oracle: score every ordering by hand
     scores = [
-        ngg.score_ordering(values, o, basis3.dims)[1] for o in ngg.enumerate_orderings(1)
+        ngg.score_ordering(values, o, basis3.dims)[1] for o in enumerate_orderings(1)
     ]
     assert est.score == pytest.approx(min(scores))
 
@@ -192,7 +192,7 @@ _ORACLE_BASES = {
 
 def exhaustive_scores(values, basis, r):
     values = np.sort(np.asarray(values, float))[::-1]
-    return [(ngg.score_ordering(values, o, basis.dims), o) for o in ngg.enumerate_orderings(r)]
+    return [(ngg.score_ordering(values, o, basis.dims), o) for o in enumerate_orderings(r)]
 
 
 def _oracle_spectrum(basis, r, extra, seed):

@@ -1,10 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import ngg
 from ngg.errors import DomainError, NggError
+from ngg.harness import replicate_graph
 from ngg.reports import json_dumps
 
 
@@ -27,6 +30,13 @@ def test_config_validation():
         _config(replicates=0)
     with pytest.raises(DomainError):
         _config(n_values=(10,), r_max=4)  # needs n >= 2 * 25
+
+
+def test_config_rejects_an_empty_candidate_grid():
+    # r_max = 0 leaves no candidate unless R = 0 is admitted
+    with pytest.raises(DomainError, match="r_max too small"):
+        _config(r_max=0)
+    assert _config(r_max=0, include_r0=True).adapt_config(400).r_max == 0
 
 
 @pytest.mark.parametrize("kappa", [float("nan"), float("inf"), 0.0, -1.0])
@@ -105,6 +115,60 @@ def test_report_files(tmp_path):
     assert csv[0].startswith("n,replicate,seed,selected_r")
     assert "t_eig" in csv[0]
     assert len(csv) == 3  # header + 2 replicates
+
+
+def test_report_csv_timings_are_finite(tmp_path):
+    report = ngg.run_experiment(_config(replicates=2))
+    report.write(tmp_path / "report.json")
+    header, *rows = (tmp_path / "report.csv").read_text().splitlines()
+    assert header.split(",")[-5:] == ["t_sample", "t_generate", "t_eig", "t_fit", "t_adapt"]
+    assert len(rows) == 2
+    for row in rows:
+        times = [float(v) for v in row.split(",")[-5:]]
+        assert all(math.isfinite(t) and t >= 0 for t in times)
+
+
+_CHAIN_SPACES = {
+    "sphere3": ngg.sphere(3),
+    "rp3": ngg.real_projective(3),
+    "cp2": ngg.complex_projective(2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHAIN_SPACES))
+@given(st.data())
+def test_fit_graph_is_the_four_call_chain(name, data):
+    space = _CHAIN_SPACES[name]
+    basis = ngg.harmonic_basis(space, 4)
+    n = data.draw(st.integers(30, 300), label="n")
+    top = max(r for r in range(1, 5) if basis.cum_dims[r] <= n)
+    config = ngg.AdaptConfig(n=n, r_max=data.draw(st.integers(1, top), label="r_max"),
+                             include_r0=data.draw(st.booleans(), label="include_r0"))
+    envelope = ngg.builtin_envelope(data.draw(st.integers(1, 6), label="envelope"))
+    _, graph = replicate_graph(space, envelope, n, data.draw(st.integers(0, 2**31), label="seed"))
+
+    spectrum = ngg.eigenvalues_symmetric(graph.adjacency() / n)
+    fits = ngg.fit_all_resolutions(spectrum, basis, config)
+    result = ngg.select_resolution(fits, config, basis)
+    got_spectrum, got_fits, got_result, seconds = ngg.fit_graph(graph.adjacency(), basis, config)
+
+    assert np.array_equal(got_spectrum.values, spectrum.values)
+    assert got_fits.keys() == fits.keys()
+    for r, fit in fits.items():
+        assert np.array_equal(got_fits[r].stage_values, fit.stage_values)
+        assert got_fits[r].ordering == fit.ordering
+        assert got_fits[r].score == fit.score
+    assert got_result.rows == result.rows
+    assert got_result.selected_r == result.selected_r
+    assert len(seconds) == 3 and all(math.isfinite(t) and t >= 0 for t in seconds)
+
+
+def test_fit_graph_consumes_its_input():
+    _, graph = replicate_graph(ngg.sphere(3), ngg.builtin_envelope(4), 200, 3)
+    a = graph.adjacency()
+    before = a.copy()
+    ngg.fit_graph(a, ngg.harmonic_basis(ngg.sphere(3), 2), ngg.AdaptConfig(n=200, r_max=2))
+    assert not np.array_equal(a, before)
 
 
 def test_rate_slope_reported():

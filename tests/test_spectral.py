@@ -48,7 +48,7 @@ def test_eigenvalues_rejects_asymmetric():
 
 @pytest.mark.parametrize("j", [0, 280])
 def test_eigenvalues_rejects_asymmetry_in_last_partial_block(rng, j):
-    # the check runs in blocks of 256 rows; row 299 is in the partial block
+    # the check walks 256x256 tiles; row 299 is in the last, partial tile
     a = rng.standard_normal((300, 300))
     m = (a + a.T) / 2
     assert ngg.eigenvalues_symmetric(m).values.size == 300
