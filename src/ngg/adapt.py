@@ -10,10 +10,16 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError
-from .estimator import SpectrumEstimate, estimate_vector, fit_resolution
+from .estimator import (
+    MAX_RESOLUTION,
+    SpectrumEstimate,
+    estimate_vector,
+    fit_resolution,
+    sorted_spectrum,
+)
 from .model import Envelope
 from .spaces import HarmonicBasis
-from .spectral import delta2
+from .spectral import SignedRuns, delta2, signed_runs
 
 __all__ = [
     "AdaptConfig",
@@ -34,7 +40,8 @@ class AdaptConfig:
 
     ``kappa`` scales the penalty kappa * sqrt(cum_dim(R) * log(n) / n).  The
     candidate grid is 1..r_max by default; ``include_r0`` adds the constant
-    model R = 0 (useful for degenerate, near-constant graphs).
+    model R = 0 (useful for degenerate, near-constant graphs).  ``r_max`` is
+    at most ``MAX_RESOLUTION``, the largest resolution the fit supports.
     """
 
     n: int
@@ -49,6 +56,10 @@ class AdaptConfig:
             raise DomainError(f"kappa must be a finite positive number, got {self.kappa}")
         if self.r_max < (0 if self.include_r0 else 1):
             raise DomainError("r_max too small for the candidate grid")
+        if self.r_max > MAX_RESOLUTION:
+            raise DomainError(
+                f"r_max = {self.r_max} exceeds the largest supported resolution {MAX_RESOLUTION}"
+            )
 
 
 def resolution_grid(config: AdaptConfig) -> range:
@@ -63,38 +74,42 @@ def penalty(config: AdaptConfig, basis: HarmonicBasis, r: int) -> float:
 def fit_all_resolutions(
     spectrum, basis: HarmonicBasis, config: AdaptConfig
 ) -> dict[int, SpectrumEstimate]:
-    """Staircase fits for every resolution on the candidate grid."""
+    """Staircase fits for every resolution on the candidate grid, all from
+    one sort of the spectrum and one set of its prefix sums."""
     if basis.cum_dims[config.r_max] > config.n:
         raise DomainError(
             f"n = {config.n} is below the model dimension "
             f"{basis.cum_dims[config.r_max]} at r_max = {config.r_max}"
         )
+    spectrum = sorted_spectrum(spectrum)
     return {r: fit_resolution(spectrum, basis, r) for r in resolution_grid(config)}
 
 
 def _expansions(
     estimates: Mapping[int, SpectrumEstimate], config: AdaptConfig, basis: HarmonicBasis
-) -> dict[int, np.ndarray]:
-    """Model spectrum vector of each fit on the candidate grid; a missing fit
-    or a non-finite stage value is refused."""
-    vecs = {}
+) -> dict[int, SignedRuns]:
+    """Model spectrum vector of each fit on the candidate grid, split and
+    sorted once into the runs ``delta2`` aligns; a missing fit or a
+    non-finite stage value is refused."""
+    runs = {}
     for r in resolution_grid(config):
         if r not in estimates:
             raise DomainError(f"missing estimate for resolution {r}")
-        vecs[r] = estimate_vector(estimates[r], basis.dims)
-        if not np.all(np.isfinite(vecs[r])):
+        vec = estimate_vector(estimates[r], basis.dims)
+        if not np.all(np.isfinite(vec)):
             raise DomainError(f"the fit at resolution {r} has a non-finite stage value")
-    return vecs
+        runs[r] = signed_runs(vec)
+    return runs
 
 
-def _gl_bias(vecs: Mapping[int, np.ndarray], pens: Mapping[int, float], r: int) -> float:
+def _gl_bias(runs: Mapping[int, SignedRuns], pens: Mapping[int, float], r: int) -> float:
     """max over r' of [ delta2(vec r', vec min(r', r)) - pen(r') ], where
-    ``vecs`` and ``pens`` hold each resolution's expansion and penalty.
+    ``runs`` and ``pens`` hold each resolution's split expansion and penalty.
 
     A term with r' <= r compares an expansion with itself, and ``delta2(v, v)``
     is exactly 0.0 for finite ``v``, so only the pairs r < r' call ``delta2``.
     """
-    return max((delta2(vecs[rp], vecs[r]) if rp > r else 0.0) - pen for rp, pen in pens.items())
+    return max((delta2(runs[rp], runs[r]) if rp > r else 0.0) - pen for rp, pen in pens.items())
 
 
 def bias_proxy(
@@ -110,13 +125,13 @@ def bias_proxy(
     finite ``v``), which only shifts all objectives by a shared amount, so
     only the distances from fit ``r`` to the larger fits are computed.  ``r``
     must lie on the candidate grid.  ``select_resolution`` evaluates this
-    formula for every row in one pass: |grid| expansions and
-    |grid|(|grid| - 1)/2 distances in all.
+    formula for every row in one pass: |grid| expansions, each sorted once,
+    and |grid|(|grid| - 1)/2 distances in all.
     """
-    vecs = _expansions(estimates, config, basis)
-    if r not in vecs:
-        raise DomainError(f"resolution {r} is not on the candidate grid {list(vecs)}")
-    return _gl_bias(vecs, {rr: penalty(config, basis, rr) for rr in vecs}, r)
+    runs = _expansions(estimates, config, basis)
+    if r not in runs:
+        raise DomainError(f"resolution {r} is not on the candidate grid {list(runs)}")
+    return _gl_bias(runs, {rr: penalty(config, basis, rr) for rr in runs}, r)
 
 
 @dataclass(frozen=True)
@@ -143,17 +158,18 @@ def select_resolution(
     and reconstruct the clamped envelope at the winner.
 
     All rows come from one pass: each resolution's expansion and penalty are
-    built once, and ``delta2`` runs once per pair r < r', so the rows cost
-    |grid| expansions and |grid|(|grid| - 1)/2 distances.  The terms with
-    r' <= r are exactly -penalty(r'), because ``delta2(v, v)`` is exactly 0.0
-    for the finite expansions accepted, so the rows equal ``bias_proxy``'s
-    bit for bit.
+    built once, each expansion is split into sorted signed runs once, and
+    ``delta2`` runs once per pair r < r' on those runs, so the rows cost
+    |grid| expansions, 2|grid| sorts and |grid|(|grid| - 1)/2 distances.  The
+    terms with r' <= r are exactly -penalty(r'), because ``delta2(v, v)`` is
+    exactly 0.0 for the finite expansions accepted, so the rows equal
+    ``bias_proxy``'s bit for bit.
     """
-    vecs = _expansions(estimates, config, basis)
-    pens = {r: penalty(config, basis, r) for r in vecs}
+    runs = _expansions(estimates, config, basis)
+    pens = {r: penalty(config, basis, r) for r in runs}
     rows = []
-    for r in vecs:
-        b = _gl_bias(vecs, pens, r)
+    for r in runs:
+        b = _gl_bias(runs, pens, r)
         rows.append(ResolutionRow(r=r, bias=b, penalty=pens[r], objective=b + pens[r]))
     best = min(rows, key=lambda row: (row.objective, row.r))
     selected = best.r

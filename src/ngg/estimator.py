@@ -8,12 +8,22 @@ in least squares reduces to choosing an ordering of the ``R + 2`` blocks
 eigenvalues; the optimal stage value of each degree block is the mean of its
 run.  ``fit_resolution`` finds the best ordering with a Bellman/Held-Karp
 dynamic program over subsets of blocks, ``O(2^(R+2) (R+2))`` steps instead of
-scoring all ``(R + 2)!`` orderings.  ``score_ordering`` scores one ordering;
-the exhaustive search over all of them is kept in the tests as the oracle.
+scoring all ``(R + 2)!`` orderings.  The DP runs in numpy one popcount level
+at a time, over a per-block-count table of subset transitions built once per
+process, so ``R`` is capped at ``MAX_RESOLUTION``.
+
+Every run cost reads prefix sums of the sorted values and of their squares.
+``sorted_spectrum`` sorts a spectrum and takes those sums once; every fit and
+``score_ordering`` accept its result in place of a raw spectrum, so
+``fit_all_resolutions`` prepares the spectrum once for all resolutions.  One
+helper holds the run-mean and run-cost formula for the DP and for
+``score_ordering``, which scores one ordering; the exhaustive search over all
+orderings is kept in the tests as the oracle.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +33,10 @@ from .spaces import HarmonicBasis
 from .spectral import Spectrum
 
 __all__ = [
+    "MAX_RESOLUTION",
     "ZERO_BLOCK",
+    "SortedSpectrum",
+    "sorted_spectrum",
     "score_ordering",
     "SpectrumEstimate",
     "fit_resolution",
@@ -33,15 +46,56 @@ __all__ = [
 
 ZERO_BLOCK = -1  # ordering symbol for the zero block
 
+# Largest resolution fitted.  The DP over R + 2 blocks holds 2^(R+2) states and
+# (R + 2) 2^(R+1) transitions: at R = 16 its cached table takes about 16 MB,
+# and one fit about 0.1 s and 40 MB of temporaries; each step up doubles all.
+MAX_RESOLUTION = 16
 
-def _values(spectrum) -> np.ndarray:
+_COST_CHUNK = 1 << 16  # transitions costed per numpy pass, to bound temporaries
+
+
+@dataclass(frozen=True)
+class SortedSpectrum:
+    """A spectrum sorted descending, with ``s1[k]`` and ``s2[k]`` the sums of
+    its ``k`` largest values and of their squares (``s1[0] = s2[0] = 0``)."""
+
+    values: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+
+
+def sorted_spectrum(spectrum) -> SortedSpectrum:
+    """Sort a spectrum once and take its prefix sums once.  A
+    ``SortedSpectrum`` is returned as it is, and a ``Spectrum``'s values are
+    already sorted; any other input is flattened and sorted descending."""
+    if isinstance(spectrum, SortedSpectrum):
+        return spectrum
     if isinstance(spectrum, Spectrum):
         v = spectrum.values
     else:
         v = np.sort(np.asarray(spectrum, dtype=float).ravel())[::-1]
     if not np.all(np.isfinite(v)):
         raise DomainError("spectrum has non-finite values")
-    return v
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        s1 = np.concatenate(([0.0], np.cumsum(v)))
+        s2 = np.concatenate(([0.0], np.cumsum(v * v)))
+        # a run's squared sum is at most n times the total sum of squares, so
+        # a finite bound keeps every run cost finite
+        bound = v.size * s2[-1]
+    if not np.isfinite(bound):
+        raise DomainError("spectrum values are too large: their sum of squares overflows")
+    return SortedSpectrum(v, s1, s2)
+
+
+def _run_costs(spec: SortedSpectrum, starts, ends, zero):
+    """Mean and cost of the runs ``[starts, ends)`` of the sorted values,
+    elementwise over arrays.  A degree-block run costs its squared deviation
+    from its mean (the fitted stage); a zero-block run (``zero`` true) costs
+    its raw sum of squares, may be empty, and its mean is unused."""
+    run_sum = spec.s1[ends] - spec.s1[starts]
+    run_sq = spec.s2[ends] - spec.s2[starts]
+    div = np.where(zero, 1, ends - starts)
+    return run_sum / div, np.where(zero, run_sq, run_sq - run_sum * run_sum / div)
 
 
 def score_ordering(spectrum, ordering, dims):
@@ -52,8 +106,8 @@ def score_ordering(spectrum, ordering, dims):
     its mean (the fitted stage), the zero block contributes the run's raw sum
     of squares.
     """
-    v = _values(spectrum)
-    n = v.size
+    spec = sorted_spectrum(spectrum)
+    n = spec.values.size
     r = len(ordering) - 2
     dims = tuple(int(d) for d in dims[: r + 1])
     total = sum(dims)
@@ -62,23 +116,54 @@ def score_ordering(spectrum, ordering, dims):
     lengths = {sym: (dims[sym] if sym != ZERO_BLOCK else n - total) for sym in ordering}
     if sum(lengths.values()) != n:
         raise AssertionError("block lengths do not partition the spectrum")
-    s1 = np.concatenate(([0.0], np.cumsum(v)))
-    s2 = np.concatenate(([0.0], np.cumsum(v * v)))
+    ends = np.cumsum([lengths[sym] for sym in ordering])
+    starts = np.concatenate(([0], ends[:-1]))
+    means, costs = _run_costs(spec, starts, ends, np.equal(ordering, ZERO_BLOCK))
     stages = np.zeros(r + 1)
     score = 0.0
-    pos = 0
-    for sym in ordering:
-        ln = lengths[sym]
-        a, b = pos, pos + ln
-        run_sum = s1[b] - s1[a]
-        run_sq = s2[b] - s2[a]
-        if sym == ZERO_BLOCK:
-            score += run_sq
-        else:
-            stages[sym] = run_sum / ln
-            score += run_sq - run_sum * run_sum / ln
-        pos = b
-    return stages, max(float(score), 0.0)
+    for sym, mean, cost in zip(ordering, means.tolist(), costs.tolist()):
+        if sym != ZERO_BLOCK:
+            stages[sym] = mean
+        score += cost
+    return stages, max(score, 0.0)
+
+
+@dataclass(frozen=True)
+class _SubsetLevels:
+    """Transitions of the subset DP over ``m`` blocks.  Transition ``j`` takes
+    block ``bit[j]`` out of a set and leaves the set ``pred[j]``; the
+    transitions of each set are stored together, in ascending ``bit``, from
+    ``row_start[set]`` on, and ``levels`` lists, per popcount ``k = 1..m``, the
+    sets of that size and the slice of their ``k``-wide rows."""
+
+    bit: np.ndarray
+    pred: np.ndarray
+    row_start: np.ndarray
+    levels: tuple
+
+
+@functools.lru_cache(maxsize=None)  # at most MAX_RESOLUTION + 2 entries
+def _subset_levels(m: int) -> _SubsetLevels:
+    sets = np.arange(1 << m)
+    member = np.zeros((1 << m, m), dtype=bool)
+    for i in range(m):
+        member[:, i] = sets >> i & 1
+    count = member.sum(axis=1)
+    bits, preds, levels = [], [], []
+    row_start = np.zeros(1 << m, dtype=np.intp)
+    off = 0
+    for k in range(1, m + 1):
+        level = sets[count == k]
+        bit = np.nonzero(member[level])[1]  # row by row, ascending within a row
+        bits.append(bit.astype(np.int8))
+        preds.append((np.repeat(level, k) ^ (1 << bit)).astype(np.int32))
+        row_start[level] = off + k * np.arange(level.size)
+        levels.append((level, slice(off, off + k * level.size), k))
+        off += k * level.size
+    table = _SubsetLevels(np.concatenate(bits), np.concatenate(preds), row_start, tuple(levels))
+    for a in (table.bit, table.pred, table.row_start, *(lv[0] for lv in levels)):
+        a.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)
@@ -93,12 +178,15 @@ class SpectrumEstimate:
 
 
 def fit_resolution(spectrum, basis: HarmonicBasis, r: int) -> SpectrumEstimate:
-    """Least-squares staircase fit at resolution ``r``.
+    """Least-squares staircase fit at resolution ``r``, at most
+    ``MAX_RESOLUTION``.  ``spectrum`` may be a ``SortedSpectrum``, which is
+    used without sorting again.
 
     ``G(T)``, the least cost of packing the block set ``T`` into the last
     ``|T|`` positions of the sorted spectrum, satisfies
     ``G(T) = min over b in T of cost(b, n - |T|) + G(T minus b)`` with
-    ``G(empty) = 0``; the optimum is ``G(all blocks)``.
+    ``G(empty) = 0``; the optimum is ``G(all blocks)``.  All transition costs
+    are computed in a few numpy passes, then ``G`` one set size at a time.
 
     Tie rule: the returned ordering is the lexicographically first one (symbols
     compared as integers, the zero block ``-1`` first) whose score is within
@@ -109,54 +197,51 @@ def fit_resolution(spectrum, basis: HarmonicBasis, r: int) -> SpectrumEstimate:
     """
     if r < 0:
         raise DomainError("resolution must be nonnegative")
+    if r > MAX_RESOLUTION:
+        raise DomainError(f"resolution {r} exceeds the largest supported {MAX_RESOLUTION}")
     if r > basis.max_degree:
         raise DomainError(f"resolution {r} exceeds basis max_degree {basis.max_degree}")
-    v = _values(spectrum)
-    n = v.size
+    spec = sorted_spectrum(spectrum)
+    n = spec.values.size
     if n < basis.cum_dims[r]:
         raise DomainError(
             f"n = {n} is below the model dimension {basis.cum_dims[r]} at resolution {r}"
         )
     symbols = (ZERO_BLOCK, *range(r + 1))  # bit i of a block set is symbols[i]
-    lengths = (n - basis.cum_dims[r], *(int(d) for d in basis.dims[: r + 1]))
-    s1 = np.concatenate(([0.0], np.cumsum(v))).tolist()
-    s2 = np.concatenate(([0.0], np.cumsum(v * v))).tolist()
-
-    def cost(i, a):
-        b = a + lengths[i]
-        run_sq = s2[b] - s2[a]
-        if i == 0:
-            return run_sq
-        run_sum = s1[b] - s1[a]
-        return run_sq - run_sum * run_sum / lengths[i]
-
+    lengths = np.array((n - basis.cum_dims[r], *basis.dims[: r + 1]), dtype=np.int64)
     m = len(symbols)
-    full = (1 << m) - 1
-    size = [0] * (full + 1)
-    best = [0.0] * (full + 1)
-    for mask in range(1, full + 1):
-        low = (mask & -mask).bit_length() - 1
-        size[mask] = size[mask & (mask - 1)] + lengths[low]
-        start = n - size[mask]
-        best[mask] = min(
-            cost(i, start) + best[mask ^ (1 << i)] for i in range(m) if mask >> i & 1
-        )
+    table = _subset_levels(m)
+    size = np.zeros(1 << m, dtype=np.int64)  # total length of each block set
+    for i, ln in enumerate(lengths):
+        size[1 << i : 2 << i] = size[: 1 << i] + ln
+
+    # total[j] = cost of transition j's block on the run just before its
+    # remaining set's positions, plus G(remaining set)
+    total = np.empty(table.bit.size)
+    for lo in range(0, total.size, _COST_CHUNK):
+        bit = table.bit[lo : lo + _COST_CHUNK]
+        ends = n - size[table.pred[lo : lo + _COST_CHUNK]]
+        total[lo : lo + _COST_CHUNK] = _run_costs(spec, ends - lengths[bit], ends, bit == 0)[1]
+    best = np.zeros(1 << m)
+    for level, rows, k in table.levels:
+        total[rows] += best[table.pred[rows]]
+        best[level] = total[rows].reshape(-1, k).min(axis=1)
 
     # The argmin symbol at each step has excess exactly 0.0, so some symbol
     # always fits the remaining slack.
-    ordering, rest, pos, slack = [], full, 0, 1e-12 * s2[n]
+    ordering, rest, slack = [], (1 << m) - 1, 1e-12 * float(spec.s2[n])
     while rest:
-        for i in range(m):
-            if rest >> i & 1:
-                excess = cost(i, pos) + best[rest ^ (1 << i)] - best[rest]
-                if excess <= slack:
-                    break
+        lo, k = table.row_start[rest], m - len(ordering)
+        row = total[lo : lo + k] - best[rest]
+        candidates = (i for i in range(m) if rest >> i & 1)
+        for i, excess in zip(candidates, row.tolist()):
+            if excess <= slack:
+                break
         ordering.append(symbols[i])
         slack -= excess
-        pos += lengths[i]
         rest ^= 1 << i
     ordering = tuple(ordering)
-    stages, score = score_ordering(v, ordering, basis.dims)
+    stages, score = score_ordering(spec, ordering, basis.dims)
     return SpectrumEstimate(r=r, stage_values=stages, ordering=ordering, score=score, n=n)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -12,7 +13,15 @@ import numpy as np
 
 from .errors import DomainError, SolverError
 
-__all__ = ["Spectrum", "check_dense_size", "eigenvalues_symmetric", "operator_norm", "delta2"]
+__all__ = [
+    "Spectrum",
+    "SignedRuns",
+    "check_dense_size",
+    "eigenvalues_symmetric",
+    "operator_norm",
+    "signed_runs",
+    "delta2",
+]
 
 _SYM_TOL = 1e-10
 _RESIDUAL_FACTOR = 1e-9
@@ -163,6 +172,24 @@ def operator_norm(matrix) -> float:
     return float(max(abs(vals[0]), abs(vals[-1])))
 
 
+@dataclass(frozen=True)
+class SignedRuns:
+    """A real multiset split the way ``delta2`` aligns it: its nonnegative
+    entries sorted descending, and its negative entries sorted ascending (most
+    negative first).  Exact zeros count as nonnegative."""
+
+    nonneg: np.ndarray
+    neg: np.ndarray
+
+
+def signed_runs(x) -> SignedRuns:
+    """Split ``x`` for ``delta2``; a ``SignedRuns`` is returned as it is."""
+    if isinstance(x, SignedRuns):
+        return x
+    x = np.asarray(x, dtype=float).ravel()
+    return SignedRuns(np.sort(x[x >= 0])[::-1], np.sort(x[x < 0]))
+
+
 def delta2(x, y) -> float:
     """l2 rearrangement distance between two real multisets.
 
@@ -170,20 +197,17 @@ def delta2(x, y) -> float:
     rearrangement inequality the optimal matching aligns the nonnegative
     entries downward from the largest and the negative entries upward from
     the smallest, surplus entries on either side matching zero.  Exact zeros
-    count as nonnegative (either convention gives the same distance).
+    count as nonnegative (either convention gives the same distance).  Either
+    input may be a ``SignedRuns``, so a multiset compared with many others is
+    split and sorted once.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    xp = np.sort(x[x >= 0])[::-1]
-    yp = np.sort(y[y >= 0])[::-1]
-    xn = np.sort(x[x < 0])  # most negative first
-    yn = np.sort(y[y < 0])
-    kp = max(xp.size, yp.size)
-    kn = max(xn.size, yn.size)
+    x, y = signed_runs(x), signed_runs(y)
+    kp = max(x.nonneg.size, y.nonneg.size)
+    kn = max(x.neg.size, y.neg.size)
     pad = np.zeros((2, kp + kn))  # x then y: nonnegative run, then negative run
-    pad[0, : xp.size] = xp
-    pad[1, : yp.size] = yp
-    pad[0, kp : kp + xn.size] = xn
-    pad[1, kp : kp + yn.size] = yn
+    pad[0, : x.nonneg.size] = x.nonneg
+    pad[1, : y.nonneg.size] = y.nonneg
+    pad[0, kp : kp + x.neg.size] = x.neg
+    pad[1, kp : kp + y.neg.size] = y.neg
     sq = (pad[0] - pad[1]) ** 2
-    return float(np.sqrt(np.sum(sq[:kp]) + np.sum(sq[kp:])))
+    return math.sqrt(sq[:kp].sum() + sq[kp:].sum())

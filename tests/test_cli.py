@@ -10,9 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ngg
-from ngg.cli import main
+from ngg.cli import _MAX_GRID, main
 from ngg.edgelist import read_adjacency, read_edge_list, write_adjacency
 from ngg.errors import DomainError
+from ngg.estimator import MAX_RESOLUTION
 
 
 # --- edge list parsing ------------------------------------------------------------
@@ -154,15 +155,39 @@ def test_cli_non_positive_grid_is_usage_error(tmp_path, capsys, argv):
         b'{"kind": "estimate", "config": 3, "stages": [0.5]}',
         b'{"kind": "estimate", "config": {"dim": 3}, "stages": []}',
         b'{"kind": "estimate", "config": {"dim": 3}, "stages": [0.5, NaN]}',
+        b'{"kind": "estimate", "config": {"dim": 3}, "stages": [%s0.5]}' % (b"0.1, " * 17),
     ],
     ids=["bad-json", "bad-utf8", "not-object", "no-dim", "no-stages", "config-not-object",
-         "empty-stages", "nan-stage"],
+         "empty-stages", "nan-stage", "more-stages-than-a-fit"],
 )
 def test_cli_from_report_malformed_is_usage_error(tmp_path, capsys, content):
     path = tmp_path / "report.json"
     path.write_bytes(content)
     assert main(["eval-envelope", "--from-report", str(path)]) == 2
     assert f"{path}: not an estimate report" in capsys.readouterr().err
+
+
+def test_cli_from_report_at_the_stage_cap(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"kind": "estimate", "config": {"dim": 3},
+                                "stages": [0.5] + [0.0] * MAX_RESOLUTION}))
+    assert main(["eval-envelope", "--from-report", str(path), "--grid", "3",
+                 "--out", str(tmp_path / "o.csv")]) == 0
+
+
+@pytest.mark.parametrize("command", ["estimate", "eval-envelope"])
+def test_cli_grid_above_the_cap_is_usage_error(tmp_path, capsys, command):
+    edges = tmp_path / "g.txt"
+    edges.write_text("1 2\n2 3\n")
+    out = tmp_path / "o.out"
+    argv = ([command, "--input", str(edges)] if command == "estimate"
+            else [command, "--envelope", "p1"])
+    assert main(argv + ["--grid", str(_MAX_GRID + 1), "--out", str(out)]) == 2
+    assert f"--grid must be at most {_MAX_GRID}" in capsys.readouterr().err
+    assert not out.exists()
+    if command == "eval-envelope":
+        assert main(argv + ["--grid", str(_MAX_GRID), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == _MAX_GRID + 1
 
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -327,6 +352,31 @@ def test_cli_simulate_without_candidates_is_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "r_max" in err
     assert not out.exists() and not out.with_suffix(".csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+def test_cli_resolution_above_the_cap_is_refused_at_once(tmp_path, capsys, monkeypatch,
+                                                         command):
+    # refused before any graph is sampled or solved, so no 2^(r+2)-state table is asked for
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached the pipeline")
+
+    monkeypatch.setattr(ngg.cli, "run_experiment", unreachable)
+    monkeypatch.setattr(ngg.cli, "fit_graph", unreachable)
+    out = tmp_path / "o.json"
+    if command == "simulate":
+        argv = ["simulate", "--space", "sphere:3", "--envelope", "p5", "--n", "2000",
+                "--r-max", "30"]
+    else:
+        edges = tmp_path / "g.txt"
+        edges.write_text("".join(f"{i} {j}\n" for i in range(1, 40) for j in range(i + 1, 41)))
+        argv = ["estimate", "--input", str(edges), "--r-max", str(MAX_RESOLUTION + 1)]
+    t0 = time.perf_counter()
+    assert main(argv + ["--out", str(out)]) == 1
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"largest supported resolution {MAX_RESOLUTION}" in err
+    assert not out.exists()
 
 
 def test_cli_estimate_and_simulate_run_each_step_once_per_graph(tmp_path, monkeypatch):

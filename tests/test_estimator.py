@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 import ngg
 from ngg.errors import DomainError
-from ngg.estimator import ZERO_BLOCK
+from ngg.estimator import MAX_RESOLUTION, ZERO_BLOCK, sorted_spectrum
 
 
 def brute_force_min(values, dims):
@@ -225,6 +225,67 @@ def test_fit_tie_rule_on_tied_spectra(name, r, extra, seed, zero):
     est = ngg.fit_resolution(values, basis, r)
     assert abs(est.score - best) <= tol
     assert est.ordering == next(o for (_, score), o in scored if score <= best + tol)
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_BASES))
+@pytest.mark.parametrize("r", range(5))
+def test_fit_with_empty_zero_block_matches_exhaustive_search(name, r):
+    # n == cum_dim(r): the zero block's run is empty, and no cost may divide by
+    # its length (a RuntimeWarning fails the test)
+    basis = _ORACLE_BASES[name]
+    values = _oracle_spectrum(basis, r, 0, r)
+    est = ngg.fit_resolution(values, basis, r)
+    (stages, score), ordering = min(exhaustive_scores(values, basis, r), key=lambda t: t[0][1])
+    assert est.ordering == ordering
+    assert np.array_equal(est.stage_values, stages)
+    assert est.score == score
+
+
+def _same_fit(a, b):
+    return (a.r, a.ordering, a.stage_values.tobytes(), a.score, a.n) == (
+        b.r, b.ordering, b.stage_values.tobytes(), b.score, b.n)
+
+
+@given(
+    name=st.sampled_from(sorted(_ORACLE_BASES)),
+    r_max=st.integers(1, 4),
+    include_r0=st.booleans(),
+    extra=st.integers(0, 40),
+    rounded=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_all_resolutions_equals_independent_fits(name, r_max, include_r0, extra, rounded,
+                                                     seed):
+    # one shared sort and one set of prefix sums change no bit of any fit
+    basis = _ORACLE_BASES[name]
+    values = _oracle_spectrum(basis, r_max, extra, seed)
+    if rounded:
+        values = np.round(values, 1)
+    cfg = ngg.AdaptConfig(n=values.size, r_max=r_max, include_r0=include_r0)
+    fits = ngg.fit_all_resolutions(values, basis, cfg)
+    assert sorted(fits) == list(range(0 if include_r0 else 1, r_max + 1))
+    for r, est in fits.items():
+        assert _same_fit(est, ngg.fit_resolution(values, basis, r))
+        assert _same_fit(est, ngg.fit_resolution(sorted_spectrum(values), basis, r))
+
+
+def test_resolution_above_the_cap_is_refused():
+    basis = ngg.harmonic_basis(ngg.sphere(3), MAX_RESOLUTION + 1)
+    values = np.zeros(basis.cum_dims[-1])
+    assert ngg.fit_resolution(values, basis, MAX_RESOLUTION).r == MAX_RESOLUTION
+    with pytest.raises(DomainError, match="largest supported"):
+        ngg.fit_resolution(values, basis, MAX_RESOLUTION + 1)
+    with pytest.raises(DomainError, match="largest supported"):
+        ngg.AdaptConfig(n=10**6, r_max=MAX_RESOLUTION + 1)
+
+
+@pytest.mark.parametrize("big", [1e154, 1e200, 1.7e308])
+def test_overflowing_spectrum_is_refused(basis3, big):
+    v = np.array([big, -big, big, 0.5, 0.1, 0.0, 1e-3, 2.0])
+    with pytest.raises(DomainError, match="overflows"):
+        ngg.fit_resolution(v, basis3, 1)
+    with pytest.raises(DomainError, match="overflows"):
+        ngg.score_ordering(v, (ZERO_BLOCK, 0, 1), basis3.dims)
 
 
 def test_fit_high_resolution_is_fast_and_monotone(basis3):

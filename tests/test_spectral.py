@@ -126,6 +126,18 @@ def test_delta2_symmetry(x, y):
     assert ngg.delta2(x, y) == pytest.approx(ngg.delta2(y, x), abs=1e-12)
 
 
+@given(st.lists(_vals, max_size=6), st.lists(_vals, max_size=6))
+def test_delta2_of_presplit_runs_is_bit_identical(x, y):
+    from ngg.spectral import signed_runs
+
+    runs_x, runs_y = signed_runs(x), signed_runs(y)
+    assert signed_runs(runs_x) is runs_x
+    want = ngg.delta2(x, y)
+    assert ngg.delta2(runs_x, runs_y) == want
+    assert ngg.delta2(runs_x, y) == want
+    assert ngg.delta2(x, runs_y) == want
+
+
 @given(st.lists(_vals, max_size=4), st.lists(_vals, max_size=4), st.lists(_vals, max_size=4))
 def test_delta2_triangle_inequality(x, y, z):
     assert ngg.delta2(x, z) <= ngg.delta2(x, y) + ngg.delta2(y, z) + 1e-9
