@@ -35,7 +35,6 @@ from .harness import (
 )
 from .model import (
     Envelope,
-    GraphSample,
     LatentSample,
     builtin_envelope,
     constant_envelope,

@@ -23,6 +23,7 @@ from .spectral import SignedRuns, delta2, signed_runs
 
 __all__ = [
     "AdaptConfig",
+    "check_settings",
     "ResolutionRow",
     "AdaptResult",
     "resolution_grid",
@@ -52,14 +53,21 @@ class AdaptConfig:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("n must be positive")
-        if not (math.isfinite(self.kappa) and self.kappa > 0):
-            raise DomainError(f"kappa must be a finite positive number, got {self.kappa}")
-        if self.r_max < (0 if self.include_r0 else 1):
-            raise DomainError("r_max too small for the candidate grid")
-        if self.r_max > MAX_RESOLUTION:
-            raise DomainError(
-                f"r_max = {self.r_max} exceeds the largest supported resolution {MAX_RESOLUTION}"
-            )
+        check_settings(self.r_max, self.kappa, self.include_r0)
+
+
+def check_settings(r_max: int, kappa: float, include_r0: bool) -> None:
+    """The ``AdaptConfig`` checks that do not need ``n``: a finite ``kappa > 0``
+    and a non-empty candidate grid topped by ``r_max <= MAX_RESOLUTION``.
+    ``estimate`` runs them before it reads its input."""
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise DomainError(f"kappa must be a finite positive number, got {kappa}")
+    if r_max < (0 if include_r0 else 1):
+        raise DomainError("r_max too small for the candidate grid")
+    if r_max > MAX_RESOLUTION:
+        raise DomainError(
+            f"r_max = {r_max} exceeds the largest supported resolution {MAX_RESOLUTION}"
+        )
 
 
 def resolution_grid(config: AdaptConfig) -> range:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapt import AdaptConfig
+from .adapt import AdaptConfig, check_settings
 from .edgelist import _MAGIC, read_adjacency, read_edge_list, write_adjacency
 from .errors import NggError
 from .estimator import MAX_RESOLUTION
@@ -230,19 +230,20 @@ def _cmd_simulate(args) -> int:
     if args.dump_adjacency:
         n = n_values[0]
         for rep in range(args.replicates):
-            _, graph = replicate_graph(space, envelope, n, args.seed + rep)
+            _, adjacency = replicate_graph(space, envelope, n, args.seed + rep)
             path = (
                 args.dump_adjacency
                 if args.replicates == 1
                 else f"{args.dump_adjacency}.rep{rep}"
             )
-            write_adjacency(path, graph.adjacency_bool(), fmt=args.dump_format)
+            write_adjacency(path, adjacency, fmt=args.dump_format)
     print(f"report written to {args.out}")
     return 0
 
 
 def _cmd_estimate(args) -> int:
     space = _sphere(args.dim)
+    check_settings(args.r_max, args.kappa, args.include_r0)  # before the input is read
     path = Path(args.input)
     if not path.exists():
         print(f"error: input file {args.input!r} not found", file=sys.stderr)

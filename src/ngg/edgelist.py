@@ -85,10 +85,11 @@ def read_edge_list(path) -> EdgeListData:
 _MAGIC = "ngg-adjacency"
 
 
-def _upper_bits(adj: np.ndarray) -> np.ndarray:
-    n = adj.shape[0]
-    iu = np.triu_indices(n, k=1)
-    return adj[iu].astype(np.uint8)
+def _upper(n: int) -> np.ndarray:
+    """Mask of the pairs i < j.  Indexing with it visits them in row-major
+    order, as ``np.triu_indices(n, 1)`` does, from n^2 bytes rather than two
+    int64 arrays of n(n-1)/2 indices each."""
+    return np.arange(n) > np.arange(n)[:, None]
 
 
 def write_adjacency(path, adj: np.ndarray, fmt: str = "rle"):
@@ -98,7 +99,7 @@ def write_adjacency(path, adj: np.ndarray, fmt: str = "rle"):
         lines = [f"{_MAGIC} 1 dense", f"n {n}"]
         lines.extend("".join("1" if x else "0" for x in row) for row in adj.astype(bool))
     elif fmt == "rle":
-        bits = _upper_bits(adj)
+        bits = adj[_upper(n)].astype(np.uint8)
         lines = [f"{_MAGIC} 1 rle", f"n {n}", f"start {int(bits[0]) if bits.size else 0}"]
         if bits.size:
             change = np.flatnonzero(np.diff(bits)) + 1
@@ -157,7 +158,6 @@ def read_adjacency(path) -> np.ndarray:
     # runs alternate between the start bit and its complement
     bits = np.repeat(((start + np.arange(len(runs))) % 2).astype(np.uint8), runs)
     adj = np.zeros((n, n), dtype=np.float64)
-    iu = np.triu_indices(n, k=1)
-    adj[iu] = bits
+    adj[_upper(n)] = bits
     adj += adj.T
     return adj

@@ -26,7 +26,6 @@ __all__ = [
     "sample_latent",
     "cosines",
     "probability_matrix",
-    "GraphSample",
     "generate_graph",
 ]
 
@@ -212,47 +211,16 @@ def probability_matrix(latent: LatentSample, p: Envelope) -> np.ndarray:
     return theta
 
 
-@dataclass(frozen=True)
-class GraphSample:
-    """An undirected simple graph, adjacency kept bit-packed by row."""
-
-    n: int
-    packed: np.ndarray  # uint8, shape (n, ceil(n / 8))
-    seed: int
-
-    @classmethod
-    def from_dense(cls, adj: np.ndarray, seed: int = 0) -> "GraphSample":
-        adj = np.asarray(adj)
-        n = adj.shape[0]
-        if adj.shape != (n, n):
-            raise DomainError("adjacency must be square")
-        b = adj.astype(bool)
-        if np.any(b != b.T) or np.any(np.diagonal(b)):
-            raise DomainError("adjacency must be symmetric with zero diagonal")
-        return cls(n=n, packed=np.packbits(b, axis=1), seed=int(seed))
-
-    def adjacency_bool(self) -> np.ndarray:
-        return np.unpackbits(self.packed, axis=1, count=self.n).astype(bool)
-
-    def adjacency(self, dtype=np.float64) -> np.ndarray:
-        return self.adjacency_bool().astype(dtype)
-
-    def edge_count(self) -> int:
-        return int(self.adjacency_bool().sum()) // 2
-
-    def edge_density(self) -> float:
-        return self.edge_count() / (self.n * (self.n - 1) / 2.0)
-
-
-def generate_graph(latent: LatentSample, p: Envelope, seed: int) -> GraphSample:
+def generate_graph(latent: LatentSample, p: Envelope, seed: int) -> np.ndarray:
     """Draw one Bernoulli graph: independent edges for i < j with probability
-    p applied to the pairwise cosine, symmetric, zero diagonal.
+    p applied to the pairwise cosine, returned as its symmetric 0/1 float64
+    adjacency matrix with zero diagonal, the form ``fit_graph`` solves.
 
     Generation walks blocks of consecutive rows, each holding at most
-    ``_BLOCK_COSINES`` cosines (at least one row), so only the boolean
-    adjacency, packed on return, stays resident.  A block draws its uniforms
-    in one call over its pairs in row-major order, so the RNG stream is
-    consumed pair by pair exactly as a row-by-row loop consumes it.
+    ``_BLOCK_COSINES`` cosines (at least one row), into a boolean matrix that
+    is converted once at the end.  A block draws its uniforms in one call
+    over its pairs in row-major order, so the RNG stream is consumed pair by
+    pair exactly as a row-by-row loop consumes it.
     Identical (latent, p, seed) reproduce the adjacency bit for bit.
     """
     rng = np.random.default_rng(seed)
@@ -268,4 +236,4 @@ def generate_graph(latent: LatentSample, p: Envelope, seed: int) -> GraphSample:
         adj[lo:hi, lo + 1 :][upper] = rng.random(t.size) < _checked_probabilities(p, t)
         lo = hi
     adj |= adj.T
-    return GraphSample(n=n, packed=np.packbits(adj, axis=1), seed=int(seed))
+    return adj.astype(np.float64)

@@ -24,7 +24,6 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-10
-_RESIDUAL_FACTOR = 1e-9
 _BLOCK = 256  # tile side of the symmetry check
 _LAPACK_LOCK = threading.Lock()
 _LAPACK_COL_MAJOR = 102  # LAPACKE matrix_layout
@@ -38,8 +37,6 @@ class Spectrum:
     """All eigenvalues of one symmetric matrix, sorted descending."""
 
     values: np.ndarray
-    source_dim: int
-    residual_bound: float
 
 
 def _scale_and_asymmetry(m: np.ndarray) -> tuple[float, float]:
@@ -143,8 +140,6 @@ def eigenvalues_symmetric(matrix, *, overwrite: bool = False) -> Spectrum:
     thread per replicate instead would change the results with the thread
     count: OpenBLAS rounding depends on it (1 against 2 threads moves
     eigenvalues by up to about 1e-15), so every solve keeps the default pool.
-    The residual bound recorded is the backward-stability contract
-    ``1e-9 * n * max|M_ij|``.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -157,11 +152,7 @@ def eigenvalues_symmetric(matrix, *, overwrite: bool = False) -> Spectrum:
             vals = _solve(m, overwrite)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError(f"eigenvalue computation failed: {exc}") from exc
-    return Spectrum(
-        values=vals[::-1].copy(),
-        source_dim=m.shape[0],
-        residual_bound=_RESIDUAL_FACTOR * m.shape[0] * scale,
-    )
+    return Spectrum(values=vals[::-1].copy())
 
 
 def operator_norm(matrix) -> float:

@@ -70,6 +70,33 @@ def test_adjacency_dump_roundtrip(tmp_path, fmt):
     assert np.array_equal(read_adjacency(path), a)
 
 
+def _rle_dump_reference(a) -> str:
+    """The RLE dump as first written, reading the upper triangle through
+    ``np.triu_indices``."""
+    n = a.shape[0]
+    bits = a[np.triu_indices(n, k=1)].astype(np.uint8)
+    lines = ["ngg-adjacency 1 rle", f"n {n}", f"start {int(bits[0]) if bits.size else 0}"]
+    if bits.size:
+        runs = np.diff(np.concatenate(([0], np.flatnonzero(np.diff(bits)) + 1, [bits.size])))
+        lines.extend(" ".join(str(int(r)) for r in runs[i : i + 64])
+                     for i in range(0, runs.size, 64))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 150])
+def test_rle_dump_matches_triu_indices_reference(tmp_path, n):
+    rng = np.random.default_rng(n)
+    a = np.triu((rng.random((n, n)) < 0.3).astype(float), 1)
+    a += a.T
+    path = tmp_path / "adj.txt"
+    write_adjacency(path, a, fmt="rle")
+    assert path.read_text() == _rle_dump_reference(a)
+    back = read_adjacency(path)
+    iu = np.triu_indices(n, k=1)
+    assert np.array_equal(back[iu], a[iu])
+    assert np.array_equal(back, a)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -282,12 +309,11 @@ def test_cli_estimate_small_real_graph(tmp_path):
     # a 27-node interaction network; defaults (r_max 4, kappa 0.25) must run
     space = ngg.sphere(3)
     lat = ngg.sample_latent(space, 27, 14)
-    graph = ngg.generate_graph(lat, ngg.builtin_envelope(4), 15)
+    adj = ngg.generate_graph(lat, ngg.builtin_envelope(4), 15)
     lines = ["% generated test network"]
-    bool_adj = graph.adjacency_bool()
     for i in range(27):
         for j in range(i + 1, 27):
-            if bool_adj[i, j]:
+            if adj[i, j]:
                 lines.append(f"{i + 1} {j + 1}")
     path = tmp_path / "zebra_like.txt"
     path.write_text("\n".join(lines) + "\n")
@@ -376,6 +402,27 @@ def test_cli_resolution_above_the_cap_is_refused_at_once(tmp_path, capsys, monke
     assert time.perf_counter() - t0 < 5.0
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"largest supported resolution {MAX_RESOLUTION}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--r-max", str(MAX_RESOLUTION + 1)], f"largest supported resolution {MAX_RESOLUTION}"),
+    (["--r-max", "0"], "r_max too small"),
+    (["--kappa", "nan"], "kappa must be a finite positive number"),
+])
+def test_cli_estimate_checks_settings_before_reading_input(tmp_path, capsys, monkeypatch,
+                                                           flags, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("read the input")
+
+    monkeypatch.setattr(ngg.cli, "read_edge_list", unreachable)
+    monkeypatch.setattr(ngg.cli, "read_adjacency", unreachable)
+    edges = tmp_path / "g.txt"
+    edges.write_text("1 2\n2 3\n")
+    out = tmp_path / "o.json"
+    assert main(["estimate", "--input", str(edges), "--out", str(out)] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
     assert not out.exists()
 
 

@@ -145,12 +145,12 @@ def test_fit_graph_is_the_four_call_chain(name, data):
     config = ngg.AdaptConfig(n=n, r_max=data.draw(st.integers(1, top), label="r_max"),
                              include_r0=data.draw(st.booleans(), label="include_r0"))
     envelope = ngg.builtin_envelope(data.draw(st.integers(1, 6), label="envelope"))
-    _, graph = replicate_graph(space, envelope, n, data.draw(st.integers(0, 2**31), label="seed"))
+    _, a = replicate_graph(space, envelope, n, data.draw(st.integers(0, 2**31), label="seed"))
 
-    spectrum = ngg.eigenvalues_symmetric(graph.adjacency() / n)
+    spectrum = ngg.eigenvalues_symmetric(a / n)
     fits = ngg.fit_all_resolutions(spectrum, basis, config)
     result = ngg.select_resolution(fits, config, basis)
-    got_spectrum, got_fits, got_result, seconds = ngg.fit_graph(graph.adjacency(), basis, config)
+    got_spectrum, got_fits, got_result, seconds = ngg.fit_graph(a, basis, config)
 
     assert np.array_equal(got_spectrum.values, spectrum.values)
     assert got_fits.keys() == fits.keys()
@@ -164,11 +164,20 @@ def test_fit_graph_is_the_four_call_chain(name, data):
 
 
 def test_fit_graph_consumes_its_input():
-    _, graph = replicate_graph(ngg.sphere(3), ngg.builtin_envelope(4), 200, 3)
-    a = graph.adjacency()
+    _, a = replicate_graph(ngg.sphere(3), ngg.builtin_envelope(4), 200, 3)
     before = a.copy()
     ngg.fit_graph(a, ngg.harmonic_basis(ngg.sphere(3), 2), ngg.AdaptConfig(n=200, r_max=2))
     assert not np.array_equal(a, before)
+
+
+def test_record_edge_count_is_the_graphs():
+    # counted before fit_graph scales the matrix and the solver overwrites it
+    config = _config(n_values=(150, 200), replicates=2, envelope=ngg.builtin_envelope(4))
+    report = ngg.run_experiment(config)
+    assert len(report.records) == 4
+    for rec in report.records:
+        _, a = replicate_graph(config.space, config.envelope, rec["n"], rec["seed"])
+        assert rec["edge_count"] == np.count_nonzero(a) // 2 > 0
 
 
 def test_rate_slope_reported():
