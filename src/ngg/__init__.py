@@ -61,6 +61,6 @@ from .spaces import (
     real_projective,
     sphere,
 )
-from .spectral import Spectrum, delta2, eigenvalues_symmetric, operator_norm
+from .spectral import Spectrum, as_spectrum, delta2, eigenvalues_symmetric, operator_norm
 
 __version__ = "0.1.0"

@@ -10,16 +10,10 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError
-from .estimator import (
-    MAX_RESOLUTION,
-    SpectrumEstimate,
-    estimate_vector,
-    fit_resolution,
-    sorted_spectrum,
-)
+from .estimator import MAX_RESOLUTION, SpectrumEstimate, estimate_vector, fit_resolution
 from .model import Envelope
 from .spaces import HarmonicBasis
-from .spectral import SignedRuns, delta2, signed_runs
+from .spectral import Spectrum, as_spectrum, delta2
 
 __all__ = [
     "AdaptConfig",
@@ -83,36 +77,38 @@ def fit_all_resolutions(
     spectrum, basis: HarmonicBasis, config: AdaptConfig
 ) -> dict[int, SpectrumEstimate]:
     """Staircase fits for every resolution on the candidate grid, all from
-    one sort of the spectrum and one set of its prefix sums."""
+    one sort of the spectrum and one set of its prefix sums.  The spectrum
+    must hold ``config.n`` values, the size the penalty is priced at."""
     if basis.cum_dims[config.r_max] > config.n:
         raise DomainError(
             f"n = {config.n} is below the model dimension "
             f"{basis.cum_dims[config.r_max]} at r_max = {config.r_max}"
         )
-    spectrum = sorted_spectrum(spectrum)
+    spectrum = as_spectrum(spectrum)
+    if spectrum.values.size != config.n:
+        raise DomainError(f"spectrum has {spectrum.values.size} values, config.n = {config.n}")
     return {r: fit_resolution(spectrum, basis, r) for r in resolution_grid(config)}
 
 
 def _expansions(
     estimates: Mapping[int, SpectrumEstimate], config: AdaptConfig, basis: HarmonicBasis
-) -> dict[int, SignedRuns]:
-    """Model spectrum vector of each fit on the candidate grid, split and
-    sorted once into the runs ``delta2`` aligns; a missing fit or a
-    non-finite stage value is refused."""
+) -> dict[int, Spectrum]:
+    """Model spectrum vector of each fit on the candidate grid, sorted once
+    for ``delta2``; a missing fit or a non-finite stage value is refused."""
     runs = {}
     for r in resolution_grid(config):
         if r not in estimates:
             raise DomainError(f"missing estimate for resolution {r}")
-        vec = estimate_vector(estimates[r], basis.dims)
-        if not np.all(np.isfinite(vec)):
-            raise DomainError(f"the fit at resolution {r} has a non-finite stage value")
-        runs[r] = signed_runs(vec)
+        try:
+            runs[r] = as_spectrum(estimate_vector(estimates[r], basis.dims))
+        except DomainError as exc:  # the only refusal is a non-finite value
+            raise DomainError(f"the fit at resolution {r} has a non-finite stage value") from exc
     return runs
 
 
-def _gl_bias(runs: Mapping[int, SignedRuns], pens: Mapping[int, float], r: int) -> float:
+def _gl_bias(runs: Mapping[int, Spectrum], pens: Mapping[int, float], r: int) -> float:
     """max over r' of [ delta2(vec r', vec min(r', r)) - pen(r') ], where
-    ``runs`` and ``pens`` hold each resolution's split expansion and penalty.
+    ``runs`` and ``pens`` hold each resolution's sorted expansion and penalty.
 
     A term with r' <= r compares an expansion with itself, and ``delta2(v, v)``
     is exactly 0.0 for finite ``v``, so only the pairs r < r' call ``delta2``.
@@ -166,9 +162,9 @@ def select_resolution(
     and reconstruct the clamped envelope at the winner.
 
     All rows come from one pass: each resolution's expansion and penalty are
-    built once, each expansion is split into sorted signed runs once, and
-    ``delta2`` runs once per pair r < r' on those runs, so the rows cost
-    |grid| expansions, 2|grid| sorts and |grid|(|grid| - 1)/2 distances.  The
+    built once, each expansion is sorted once, and ``delta2`` runs once per
+    pair r < r' on the sorted expansions, so the rows cost |grid|
+    expansions, |grid| sorts and |grid|(|grid| - 1)/2 distances.  The
     terms with r' <= r are exactly -penalty(r'), because ``delta2(v, v)`` is
     exactly 0.0 for the finite expansions accepted, so the rows equal
     ``bias_proxy``'s bit for bit.

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapt import AdaptConfig, check_settings
-from .edgelist import _MAGIC, read_adjacency, read_edge_list, write_adjacency
+from .edgelist import is_adjacency_dump, read_adjacency, read_edge_list, write_adjacency
 from .errors import NggError
 from .estimator import MAX_RESOLUTION
 from .harness import (
@@ -127,6 +127,8 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
         raise UsageError(f"cannot parse --n {text!r}") from exc
     if not values:
         raise UsageError("--n must list at least one size")
+    if len(set(values)) != len(values):
+        raise UsageError(f"--n lists a size twice: {text!r}")
     return values
 
 
@@ -250,9 +252,7 @@ def _cmd_estimate(args) -> int:
         return 1
     grid = _grid(args.grid)
     warnings: list[str] = []
-    with path.open("rb") as fh:
-        is_dump = fh.read(len(_MAGIC)) == _MAGIC.encode()
-    if is_dump:
+    if is_adjacency_dump(path):
         adjacency = read_adjacency(path)
     else:
         data = read_edge_list(path)

@@ -23,7 +23,8 @@ import numpy as np
 from .errors import DomainError
 from .spectral import check_dense_size
 
-__all__ = ["EdgeListData", "read_edge_list", "write_adjacency", "read_adjacency"]
+__all__ = ["EdgeListData", "read_edge_list", "is_adjacency_dump", "write_adjacency",
+           "read_adjacency"]
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,12 @@ def _upper(n: int) -> np.ndarray:
     order, as ``np.triu_indices(n, 1)`` does, from n^2 bytes rather than two
     int64 arrays of n(n-1)/2 indices each."""
     return np.arange(n) > np.arange(n)[:, None]
+
+
+def is_adjacency_dump(path) -> bool:
+    """Whether the file at ``path`` starts with the adjacency dump header."""
+    with open(path, "rb") as fh:
+        return fh.read(len(_MAGIC)) == _MAGIC.encode()
 
 
 def write_adjacency(path, adj: np.ndarray, fmt: str = "rle"):

@@ -12,31 +12,29 @@ scoring all ``(R + 2)!`` orderings.  The DP runs in numpy one popcount level
 at a time, over a per-block-count table of subset transitions built once per
 process, so ``R`` is capped at ``MAX_RESOLUTION``.
 
-Every run cost reads prefix sums of the sorted values and of their squares.
-``sorted_spectrum`` sorts a spectrum and takes those sums once; every fit and
-``score_ordering`` accept its result in place of a raw spectrum, so
-``fit_all_resolutions`` prepares the spectrum once for all resolutions.  One
-helper holds the run-mean and run-cost formula for the DP and for
-``score_ordering``, which scores one ordering; the exhaustive search over all
-orderings is kept in the tests as the oracle.
+Every run cost reads prefix sums of the sorted values and of their squares,
+which a ``Spectrum`` carries; every fit and ``score_ordering`` accept one in
+place of a raw spectrum, so ``fit_all_resolutions`` prepares the spectrum
+once for all resolutions.  One helper holds the run-mean and run-cost
+formula for the DP and for ``score_ordering``, which scores one ordering;
+the exhaustive search over all orderings is kept in the tests as the oracle.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .spaces import HarmonicBasis
-from .spectral import Spectrum
+from .spectral import Spectrum, as_spectrum
 
 __all__ = [
     "MAX_RESOLUTION",
     "ZERO_BLOCK",
-    "SortedSpectrum",
-    "sorted_spectrum",
     "score_ordering",
     "SpectrumEstimate",
     "fit_resolution",
@@ -54,44 +52,15 @@ MAX_RESOLUTION = 16
 _COST_CHUNK = 1 << 16  # transitions costed per numpy pass, to bound temporaries
 
 
-@dataclass(frozen=True)
-class SortedSpectrum:
-    """A spectrum sorted descending, with ``s1[k]`` and ``s2[k]`` the sums of
-    its ``k`` largest values and of their squares (``s1[0] = s2[0] = 0``)."""
-
-    values: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
-
-
-def sorted_spectrum(spectrum) -> SortedSpectrum:
-    """Sort a spectrum once and take its prefix sums once.  A
-    ``SortedSpectrum`` is returned as it is, and a ``Spectrum``'s values are
-    already sorted; any other input is flattened and sorted descending."""
-    if isinstance(spectrum, SortedSpectrum):
-        return spectrum
-    if isinstance(spectrum, Spectrum):
-        v = spectrum.values
-    else:
-        v = np.sort(np.asarray(spectrum, dtype=float).ravel())[::-1]
-    if not np.all(np.isfinite(v)):
-        raise DomainError("spectrum has non-finite values")
-    with np.errstate(over="ignore"):  # an overflow is refused below
-        s1 = np.concatenate(([0.0], np.cumsum(v)))
-        s2 = np.concatenate(([0.0], np.cumsum(v * v)))
-        # a run's squared sum is at most n times the total sum of squares, so
-        # a finite bound keeps every run cost finite
-        bound = v.size * s2[-1]
-    if not np.isfinite(bound):
-        raise DomainError("spectrum values are too large: their sum of squares overflows")
-    return SortedSpectrum(v, s1, s2)
-
-
-def _run_costs(spec: SortedSpectrum, starts, ends, zero):
+def _run_costs(spec: Spectrum, starts, ends, zero):
     """Mean and cost of the runs ``[starts, ends)`` of the sorted values,
     elementwise over arrays.  A degree-block run costs its squared deviation
     from its mean (the fitted stage); a zero-block run (``zero`` true) costs
-    its raw sum of squares, may be empty, and its mean is unused."""
+    its raw sum of squares, may be empty, and its mean is unused.  A run's
+    squared sum is at most ``n`` times the total sum of squares, so a finite
+    bound keeps every cost finite; a spectrum without one is refused."""
+    if not math.isfinite(spec.values.size * float(spec.s2[-1])):
+        raise DomainError("spectrum values are too large: their sum of squares overflows")
     run_sum = spec.s1[ends] - spec.s1[starts]
     run_sq = spec.s2[ends] - spec.s2[starts]
     div = np.where(zero, 1, ends - starts)
@@ -106,7 +75,7 @@ def score_ordering(spectrum, ordering, dims):
     its mean (the fitted stage), the zero block contributes the run's raw sum
     of squares.
     """
-    spec = sorted_spectrum(spectrum)
+    spec = as_spectrum(spectrum)
     n = spec.values.size
     r = len(ordering) - 2
     dims = tuple(int(d) for d in dims[: r + 1])
@@ -179,8 +148,8 @@ class SpectrumEstimate:
 
 def fit_resolution(spectrum, basis: HarmonicBasis, r: int) -> SpectrumEstimate:
     """Least-squares staircase fit at resolution ``r``, at most
-    ``MAX_RESOLUTION``.  ``spectrum`` may be a ``SortedSpectrum``, which is
-    used without sorting again.
+    ``MAX_RESOLUTION``.  ``spectrum`` may be a ``Spectrum``, which is used
+    without sorting again.
 
     ``G(T)``, the least cost of packing the block set ``T`` into the last
     ``|T|`` positions of the sorted spectrum, satisfies
@@ -201,7 +170,7 @@ def fit_resolution(spectrum, basis: HarmonicBasis, r: int) -> SpectrumEstimate:
         raise DomainError(f"resolution {r} exceeds the largest supported {MAX_RESOLUTION}")
     if r > basis.max_degree:
         raise DomainError(f"resolution {r} exceeds basis max_degree {basis.max_degree}")
-    spec = sorted_spectrum(spectrum)
+    spec = as_spectrum(spectrum)
     n = spec.values.size
     if n < basis.cum_dims[r]:
         raise DomainError(

@@ -32,7 +32,7 @@ from .spaces import (
     envelope_coefficients,
     harmonic_basis,
 )
-from .spectral import check_dense_size, delta2, eigenvalues_symmetric, operator_norm
+from .spectral import as_spectrum, check_dense_size, delta2, eigenvalues_symmetric, operator_norm
 
 __all__ = [
     "ExperimentConfig",
@@ -98,6 +98,19 @@ def _map_replicates(fn, tasks: list) -> list:
         return list(pool.map(fn, tasks))
 
 
+def _check_run(n_values, replicates: int, seed: int) -> None:
+    """Checks shared by every seeded run: at least one graph size and none
+    twice, at least one replicate, and a nonnegative base seed."""
+    if replicates < 1:
+        raise DomainError(f"replicates must be >= 1, got {replicates}")
+    if not n_values:
+        raise DomainError("at least one graph size is required")
+    if len(set(n_values)) != len(n_values):
+        raise DomainError(f"graph sizes must be distinct, got {list(n_values)}")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
+
+
 def true_coefficients(basis: HarmonicBasis, envelope: Envelope) -> np.ndarray:
     """Reference expansion of the envelope up to ``TRUTH_DEGREE``, cut short as
     soon as a whole chunk of degrees carries weighted mass below the tail tolerance."""
@@ -126,10 +139,7 @@ class ExperimentConfig:
     include_r0: bool = False
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise DomainError("replicates must be >= 1")
-        if not self.n_values:
-            raise DomainError("at least one graph size is required")
+        _check_run(self.n_values, self.replicates, self.base_seed)
         for n in self.n_values:
             self.adapt_config(n)  # kappa, and a candidate grid that is not empty
             need = 2 * cumulative_dim(self.space, self.r_max)
@@ -261,11 +271,11 @@ def _one_replicate(config: ExperimentConfig, basis: HarmonicBasis, truth: np.nda
     _, estimates, result, (t_eig, t_fit, t_adapt) = fit_graph(a, basis, config.adapt_config(n))
     timing = {"n": n, "replicate": rep, "t_sample": t1 - t0, "t_generate": t2 - t1,
               "t_eig": t_eig, "t_fit": t_fit, "t_adapt": t_adapt}
-    truth_full = spectrum_vector(truth, basis.dims)
+    truth_full = as_spectrum(spectrum_vector(truth, basis.dims))
     fits = []
     for r in sorted(estimates):
         est = estimates[r]
-        vec = estimate_vector(est, basis.dims)
+        vec = as_spectrum(estimate_vector(est, basis.dims))
         fits.append(
             {
                 "r": r,
@@ -274,7 +284,6 @@ def _one_replicate(config: ExperimentConfig, basis: HarmonicBasis, truth: np.nda
                 "delta2_vs_truth": delta2(vec, truth_full),
             }
         )
-    sel_vec = estimate_vector(estimates[result.selected_r], basis.dims)
     record = {
         "n": n,
         "replicate": rep,
@@ -284,7 +293,8 @@ def _one_replicate(config: ExperimentConfig, basis: HarmonicBasis, truth: np.nda
         "selected_r": result.selected_r,
         "gl_rows": [[row.r, row.bias, row.penalty, row.objective] for row in result.rows],
         "fits": fits,
-        "delta2_selected_vs_truth": delta2(sel_vec, truth_full),
+        "delta2_selected_vs_truth": next(
+            f["delta2_vs_truth"] for f in fits if f["r"] == result.selected_r),
     }
     return record, timing
 
@@ -402,9 +412,11 @@ def concentration_check(
 ) -> ConcentrationTable:
     """Empirical operator-norm error of A/n around theta/n and spectrum error
     of theta/n against the reference expansion, with log-log slope fits."""
+    n_values = tuple(int(n) for n in n_values)
+    _check_run(n_values, replicates, seed)
     basis = harmonic_basis(space, TRUTH_DEGREE)
-    truth = spectrum_vector(true_coefficients(basis, envelope), basis.dims)
-    tasks = [(int(n), rep) for n in n_values for rep in range(replicates)]
+    truth = as_spectrum(spectrum_vector(true_coefficients(basis, envelope), basis.dims))
+    tasks = [(n, rep) for n in n_values for rep in range(replicates)]
 
     def run(task):
         n, rep = task
@@ -414,7 +426,7 @@ def concentration_check(
         diff /= n
         o = operator_norm(diff)
         theta /= n
-        return o, delta2(eigenvalues_symmetric(theta, overwrite=True).values, truth)
+        return o, delta2(eigenvalues_symmetric(theta, overwrite=True), truth)
 
     results = dict(zip(tasks, _map_replicates(run, tasks)))
     op = {task: o for task, (o, _) in results.items()}
@@ -422,7 +434,6 @@ def concentration_check(
 
     rows = []
     for n in n_values:
-        n = int(n)
         rows.append(
             {
                 "n": n,

@@ -15,11 +15,10 @@ from .errors import DomainError, SolverError
 
 __all__ = [
     "Spectrum",
-    "SignedRuns",
+    "as_spectrum",
     "check_dense_size",
     "eigenvalues_symmetric",
     "operator_norm",
-    "signed_runs",
     "delta2",
 ]
 
@@ -34,9 +33,42 @@ _SYEVD_2STAGE = ("scipy_LAPACKE_dsyevd_2stage64_", "LAPACKE_dsyevd_2stage64_")
 
 @dataclass(frozen=True)
 class Spectrum:
-    """All eigenvalues of one symmetric matrix, sorted descending."""
+    """A finite real multiset sorted descending, such as the eigenvalues of a
+    symmetric matrix: its first ``nonneg`` values are the nonnegative ones
+    (exact zeros of either sign included), and ``s1[k]`` and ``s2[k]`` are the
+    sums of its ``k`` largest values and of their squares (``s1[0] = s2[0] =
+    0``), taken on first use: ``delta2`` never reads them.  A prefix sum that
+    overflows reads inf, which the fit refuses.  Built by ``as_spectrum`` and
+    ``eigenvalues_symmetric``."""
 
     values: np.ndarray
+    nonneg: int
+
+    @functools.cached_property
+    def s1(self) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return np.concatenate(([0.0], np.cumsum(self.values)))
+
+    @functools.cached_property
+    def s2(self) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return np.concatenate(([0.0], np.cumsum(self.values * self.values)))
+
+
+def _descending(v: np.ndarray) -> Spectrum:
+    """The ``Spectrum`` of values already sorted descending, checked finite."""
+    if not np.isfinite(v).all():
+        raise DomainError("spectrum has non-finite values")
+    return Spectrum(v, int(np.count_nonzero(v >= 0)))
+
+
+def as_spectrum(x) -> Spectrum:
+    """``x`` as a ``Spectrum``: one is returned as it is, anything else is
+    flattened and sorted descending once, so a multiset that is fitted or
+    compared many times is prepared once."""
+    if isinstance(x, Spectrum):
+        return x
+    return _descending(np.sort(np.asarray(x, dtype=float).ravel())[::-1])
 
 
 def _scale_and_asymmetry(m: np.ndarray) -> tuple[float, float]:
@@ -152,7 +184,7 @@ def eigenvalues_symmetric(matrix, *, overwrite: bool = False) -> Spectrum:
             vals = _solve(m, overwrite)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError(f"eigenvalue computation failed: {exc}") from exc
-    return Spectrum(values=vals[::-1].copy())
+    return _descending(vals[::-1].copy())  # LAPACK's order is ascending
 
 
 def operator_norm(matrix) -> float:
@@ -163,24 +195,6 @@ def operator_norm(matrix) -> float:
     return float(max(abs(vals[0]), abs(vals[-1])))
 
 
-@dataclass(frozen=True)
-class SignedRuns:
-    """A real multiset split the way ``delta2`` aligns it: its nonnegative
-    entries sorted descending, and its negative entries sorted ascending (most
-    negative first).  Exact zeros count as nonnegative."""
-
-    nonneg: np.ndarray
-    neg: np.ndarray
-
-
-def signed_runs(x) -> SignedRuns:
-    """Split ``x`` for ``delta2``; a ``SignedRuns`` is returned as it is."""
-    if isinstance(x, SignedRuns):
-        return x
-    x = np.asarray(x, dtype=float).ravel()
-    return SignedRuns(np.sort(x[x >= 0])[::-1], np.sort(x[x < 0]))
-
-
 def delta2(x, y) -> float:
     """l2 rearrangement distance between two real multisets.
 
@@ -188,17 +202,17 @@ def delta2(x, y) -> float:
     rearrangement inequality the optimal matching aligns the nonnegative
     entries downward from the largest and the negative entries upward from
     the smallest, surplus entries on either side matching zero.  Exact zeros
-    count as nonnegative (either convention gives the same distance).  Either
-    input may be a ``SignedRuns``, so a multiset compared with many others is
-    split and sorted once.
+    count as nonnegative (either convention gives the same distance).  Both
+    inputs go through ``as_spectrum``, so a non-finite entry is refused and a
+    multiset compared with many others can be sorted once beforehand.
     """
-    x, y = signed_runs(x), signed_runs(y)
-    kp = max(x.nonneg.size, y.nonneg.size)
-    kn = max(x.neg.size, y.neg.size)
-    pad = np.zeros((2, kp + kn))  # x then y: nonnegative run, then negative run
-    pad[0, : x.nonneg.size] = x.nonneg
-    pad[1, : y.nonneg.size] = y.nonneg
-    pad[0, kp : kp + x.neg.size] = x.neg
-    pad[1, kp : kp + y.neg.size] = y.neg
+    x, y = as_spectrum(x), as_spectrum(y)
+    xn, yn = x.values.size - x.nonneg, y.values.size - y.nonneg
+    kp = max(x.nonneg, y.nonneg)
+    pad = np.zeros((2, kp + max(xn, yn)))  # x then y: nonnegative run, then negative run
+    pad[0, : x.nonneg] = x.values[: x.nonneg]
+    pad[1, : y.nonneg] = y.values[: y.nonneg]
+    pad[0, kp : kp + xn] = x.values[::-1][:xn]  # most negative first
+    pad[1, kp : kp + yn] = y.values[::-1][:yn]
     sq = (pad[0] - pad[1]) ** 2
     return math.sqrt(sq[:kp].sum() + sq[kp:].sum())

@@ -246,6 +246,14 @@ def test_reconstruct_clamps(basis3):
     assert np.allclose(below(t), 0.0)
 
 
+def test_fit_all_resolutions_refuses_a_spectrum_of_another_size(basis3):
+    values = np.random.default_rng(4).normal(size=1000) / 10
+    with pytest.raises(DomainError, match="1000 values, config.n = 50"):
+        ngg.fit_all_resolutions(values, basis3, ngg.AdaptConfig(n=50, r_max=4))
+    fits = ngg.fit_all_resolutions(values, basis3, ngg.AdaptConfig(n=1000, r_max=4))
+    assert all(est.n == 1000 for est in fits.values())
+
+
 def test_fit_all_resolutions_requires_room(basis3):
     cfg = ngg.AdaptConfig(n=10, r_max=4)
     with pytest.raises(DomainError):

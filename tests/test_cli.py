@@ -496,6 +496,38 @@ def test_cli_dump_adjacency_needs_single_n_before_running(tmp_path, capsys):
     assert not out.exists() and not out.with_suffix(".csv").exists()
 
 
+@pytest.mark.parametrize("dump", [False, True])
+def test_cli_negative_seed_is_error_before_running(tmp_path, capsys, monkeypatch, dump):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached the pipeline")
+
+    monkeypatch.setattr(ngg.cli, "run_experiment", unreachable)
+    out = tmp_path / "x.json"
+    argv = ["simulate", "--envelope", "p5", "--n", "100", "--r-max", "2", "--seed", "-1",
+            "--out", str(out)]
+    if dump:
+        argv += ["--dump-adjacency", str(tmp_path / "d.txt")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err
+    assert not out.exists() and not out.with_suffix(".csv").exists()
+    assert not (tmp_path / "d.txt").exists()
+
+
+def test_cli_repeated_size_is_usage_error_before_running(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached the pipeline")
+
+    monkeypatch.setattr(ngg.cli, "run_experiment", unreachable)
+    out = tmp_path / "x.json"
+    rc = main(["simulate", "--envelope", "p5", "--n", "100,100", "--r-max", "2",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "--n" in err
+    assert not out.exists() and not out.with_suffix(".csv").exists()
+
+
 @pytest.mark.parametrize("degree", ["100000", "-1"])
 def test_cli_coefs_degree_out_of_range_is_usage_error(capsys, degree):
     assert main(["coefs", "--envelope", "p5", "--degree", degree]) == 2

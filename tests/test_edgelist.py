@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ngg.edgelist import read_edge_list
+from ngg.edgelist import is_adjacency_dump, read_edge_list, write_adjacency
 from ngg.errors import DomainError
 
 
@@ -158,3 +158,14 @@ def test_edges_are_read_only(tmp_path):
     path.write_text("0 1\n")
     with pytest.raises(ValueError):
         read_edge_list(path).edges[0, 0] = 5
+
+
+@pytest.mark.parametrize("fmt", ["rle", "dense"])
+def test_is_adjacency_dump(tmp_path, fmt):
+    dump = tmp_path / "adj.txt"
+    write_adjacency(dump, np.ones((3, 3)) - np.eye(3), fmt=fmt)
+    assert is_adjacency_dump(dump)
+    for text in ("1 2\n2 3\n", "ngg-adjac", "", "% ngg-adjacency 1 rle\n"):
+        other = tmp_path / "g.txt"
+        other.write_text(text)
+        assert not is_adjacency_dump(other), text

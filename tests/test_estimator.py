@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 import ngg
 from ngg.errors import DomainError
-from ngg.estimator import MAX_RESOLUTION, ZERO_BLOCK, sorted_spectrum
+from ngg.estimator import MAX_RESOLUTION, ZERO_BLOCK
 
 
 def brute_force_min(values, dims):
@@ -266,7 +266,7 @@ def test_fit_all_resolutions_equals_independent_fits(name, r_max, include_r0, ex
     assert sorted(fits) == list(range(0 if include_r0 else 1, r_max + 1))
     for r, est in fits.items():
         assert _same_fit(est, ngg.fit_resolution(values, basis, r))
-        assert _same_fit(est, ngg.fit_resolution(sorted_spectrum(values), basis, r))
+        assert _same_fit(est, ngg.fit_resolution(ngg.as_spectrum(values), basis, r))
 
 
 def test_resolution_above_the_cap_is_refused():

@@ -32,6 +32,20 @@ def test_config_validation():
         _config(n_values=(10,), r_max=4)  # needs n >= 2 * 25
 
 
+@pytest.mark.parametrize(
+    "kw, match",
+    [
+        (dict(replicates=0), "replicates"),
+        (dict(base_seed=-1), "seed"),
+        (dict(n_values=(400, 300, 400)), "distinct"),
+        (dict(n_values=()), "graph size"),
+    ],
+)
+def test_config_refuses_bad_run_arguments(kw, match):
+    with pytest.raises(DomainError, match=match):
+        _config(**kw)
+
+
 def test_config_rejects_an_empty_candidate_grid():
     # r_max = 0 leaves no candidate unless R = 0 is admitted
     with pytest.raises(DomainError, match="r_max too small"):
@@ -267,6 +281,22 @@ def test_concentration_rows_and_pairing():
     assert set(table.op_norm) == {(n, r) for n in (100, 200) for r in range(3)}
     assert all(v > 0 for v in table.op_norm.values())
     assert "mean_op_norm_error" in table.slopes
+
+
+@pytest.mark.parametrize(
+    "kw, match",
+    [
+        (dict(replicates=0), "replicates"),
+        (dict(seed=-1), "seed"),
+        (dict(n_values=(100, 100)), "distinct"),
+        (dict(n_values=[]), "graph size"),
+    ],
+)
+def test_concentration_refuses_bad_run_arguments(kw, match):
+    args = dict(n_values=(100, 200), replicates=2, seed=0)
+    args.update(kw)
+    with pytest.raises(DomainError, match=match):
+        ngg.concentration_check(ngg.builtin_envelope(4), ngg.sphere(3), **args)
 
 
 def test_concentration_independent_of_thread_count(monkeypatch):

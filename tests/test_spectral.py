@@ -129,10 +129,9 @@ def test_delta2_symmetry(x, y):
 
 @given(st.lists(_vals, max_size=6), st.lists(_vals, max_size=6))
 def test_delta2_of_presplit_runs_is_bit_identical(x, y):
-    from ngg.spectral import signed_runs
-
-    runs_x, runs_y = signed_runs(x), signed_runs(y)
-    assert signed_runs(runs_x) is runs_x
+    # inputs converted by as_spectrum beforehand give the raw inputs' distance
+    runs_x, runs_y = ngg.as_spectrum(x), ngg.as_spectrum(y)
+    assert ngg.as_spectrum(runs_x) is runs_x
     want = ngg.delta2(x, y)
     assert ngg.delta2(runs_x, runs_y) == want
     assert ngg.delta2(runs_x, y) == want
@@ -194,6 +193,44 @@ def test_delta2_equals_padded_reference_edge_cases():
     for x, y in cases:
         assert ngg.delta2(x, y) == delta2_padded(x, y), (x, y)
         assert ngg.delta2(y, x) == delta2_padded(y, x), (x, y)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        ([np.nan], [0.0]),  # x >= 0 and x < 0 are both false for NaN
+        ([np.nan, 1.0], [1.0]),
+        ([np.inf], [1.0]),
+        ([0.5], [-np.inf, 0.2]),
+    ],
+)
+def test_delta2_refuses_non_finite_entries(x, y):
+    with pytest.raises(DomainError, match="non-finite"):
+        ngg.delta2(x, y)
+    with pytest.raises(DomainError, match="non-finite"):
+        ngg.delta2(y, x)
+
+
+def test_as_spectrum_fields():
+    s = ngg.as_spectrum([[0.5, -1.0], [0.0, 2.0]])
+    assert s.values.tolist() == [2.0, 0.5, 0.0, -1.0]
+    assert s.s1.tolist() == [0.0, 2.0, 2.5, 2.5, 1.5]
+    assert s.s2.tolist() == [0.0, 4.0, 4.25, 4.25, 5.25]
+    assert s.nonneg == 3
+    assert ngg.as_spectrum(s) is s
+    assert ngg.as_spectrum([-0.0, -2.0]).nonneg == 1  # -0.0 counts as nonnegative
+    empty = ngg.as_spectrum([])
+    assert empty.values.size == 0 and empty.s1.tolist() == [0.0] and empty.nonneg == 0
+
+
+def test_eigenvalues_symmetric_spectrum_equals_converted_values():
+    rng = np.random.default_rng(11)
+    m = rng.normal(size=(60, 60))
+    spec = ngg.eigenvalues_symmetric(m + m.T)
+    again = ngg.as_spectrum(spec.values.copy())
+    for field in ("values", "s1", "s2"):
+        assert getattr(spec, field).tobytes() == getattr(again, field).tobytes()
+    assert spec.nonneg == again.nonneg == int(np.count_nonzero(spec.values >= 0))
 
 
 # --- the two-stage routine against numpy's eigvalsh ---------------------------------
