@@ -3,28 +3,32 @@
 and spectrum error of theta/n, across graph sizes, with log-log slope fits."""
 
 import argparse
+import sys
+from pathlib import Path
 
 import ngg
 from ngg.reports import write_csv, write_json
 
 
+def _sizes(text):
+    return tuple(int(v) for v in text.split(","))
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--envelope", default="p5", help="p1..p6")
-    ap.add_argument("--n", default="250,500,1000,2000", help="comma-separated sizes")
+    ap.add_argument("--envelope", default="p5", choices=[f"p{i}" for i in range(1, 7)])
+    ap.add_argument("--n", type=_sizes, default="250,500,1000,2000",
+                    help="comma-separated sizes")
     ap.add_argument("--replicates", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="rate_check.json")
     args = ap.parse_args()
 
-    envelope = ngg.builtin_envelope(int(args.envelope.lstrip("p")))
-    n_values = tuple(int(v) for v in args.n.split(","))
-    table = ngg.concentration_check(
-        envelope, ngg.sphere(3), n_values, args.replicates, args.seed
-    )
+    envelope = ngg.builtin_envelope(int(args.envelope[1:]))
+    table = ngg.concentration_check(envelope, ngg.sphere(3), args.n, args.replicates, args.seed)
     write_json(args.out, table.to_json_dict())
     write_csv(
-        args.out.replace(".json", ".csv"),
+        Path(args.out).with_suffix(".csv"),
         ["n", "mean_op_norm_error", "mean_delta2_theta_spectrum"],
         [[r["n"], r["mean_op_norm_error"], r["mean_delta2_theta_spectrum"]] for r in table.rows],
     )
@@ -34,4 +38,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ngg.NggError as exc:
+        sys.exit(f"error: {exc}")

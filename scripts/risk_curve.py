@@ -3,6 +3,7 @@
 the empirical bias/variance picture behind the adaptive selection rule."""
 
 import argparse
+import sys
 
 import ngg
 from ngg.reports import write_csv
@@ -10,7 +11,7 @@ from ngg.reports import write_csv
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--envelope", default="p5", help="p1..p6")
+    ap.add_argument("--envelope", default="p5", choices=[f"p{i}" for i in range(1, 7)])
     ap.add_argument("--n", type=int, default=1000)
     ap.add_argument("--replicates", type=int, default=5)
     ap.add_argument("--r-max", type=int, default=4)
@@ -20,7 +21,7 @@ def main():
 
     config = ngg.ExperimentConfig(
         space=ngg.sphere(3),
-        envelope=ngg.builtin_envelope(int(args.envelope.lstrip("p"))),
+        envelope=ngg.builtin_envelope(int(args.envelope[1:])),
         n_values=(args.n,),
         replicates=args.replicates,
         r_max=args.r_max,
@@ -34,4 +35,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ngg.NggError as exc:
+        sys.exit(f"error: {exc}")

@@ -7,6 +7,7 @@ n = 5000; the default here is smaller so the suite finishes quickly, pass
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 import ngg
@@ -46,4 +47,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ngg.NggError as exc:
+        sys.exit(f"error: {exc}")

@@ -79,6 +79,10 @@ def fit_all_resolutions(
     """Staircase fits for every resolution on the candidate grid, all from
     one sort of the spectrum and one set of its prefix sums.  The spectrum
     must hold ``config.n`` values, the size the penalty is priced at."""
+    if config.r_max > basis.max_degree:
+        raise DomainError(
+            f"r_max = {config.r_max} exceeds basis max_degree {basis.max_degree}"
+        )
     if basis.cum_dims[config.r_max] > config.n:
         raise DomainError(
             f"n = {config.n} is below the model dimension "

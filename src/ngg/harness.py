@@ -2,18 +2,16 @@
 replicate run, and the seeded Monte Carlo drivers: full estimation runs,
 concentration rate checks, and fixed-resolution risk curves.
 
-Replicates are embarrassingly parallel; each derives its seed as
-``base_seed + replicate_index`` so reruns and cross-``n`` comparisons pair up
-exactly.  Reports split into a deterministic JSON part (config, records,
+Replicates run one after another in the calling thread; each derives its
+seed as ``base_seed + replicate_index`` so reruns and cross-``n`` comparisons
+pair up exactly.  Reports split into a deterministic JSON part (config, records,
 aggregates) and a CSV part that additionally carries wall-clock timings.
 """
 
 from __future__ import annotations
 
-import os
 import subprocess
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import metadata
 from pathlib import Path
@@ -73,29 +71,6 @@ def build_identifier() -> str:
     except OSError:
         pass
     return f"ngg-{version}+{rev}"
-
-
-def _worker_count(n_tasks: int) -> int:
-    env = os.environ.get("NGG_THREADS")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            cap = 0
-        if cap < 1:
-            raise DomainError(f"NGG_THREADS must be a positive integer, got {env!r}")
-    else:
-        cap = min(4, os.cpu_count() or 1)
-    return max(1, min(n_tasks, cap))
-
-
-def _map_replicates(fn, tasks: list) -> list:
-    """``[fn(task) for task in tasks]``, on up to ``_worker_count`` threads."""
-    workers = _worker_count(len(tasks))
-    if workers == 1:
-        return [fn(task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
 
 
 def _check_run(n_values, replicates: int, seed: int) -> None:
@@ -311,20 +286,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     # one record per (n, replicate), in sorted order whatever the order of n_values
     tasks = sorted({(n, rep) for n in config.n_values for rep in range(config.replicates)})
 
-    def run(task):
-        n, rep = task
+    records, timings = [], []
+    for n, rep in tasks:
         try:
-            return _one_replicate(config, basis, truth, n, rep)
+            record, timing = _one_replicate(config, basis, truth, n, rep)
         except Exception as exc:  # recorded, not swallowed
-            return (
-                {"n": n, "replicate": rep, "seed": config.base_seed + rep,
-                 "error": f"{type(exc).__name__}: {exc}"},
-                {"n": n, "replicate": rep},
-            )
-
-    results = _map_replicates(run, tasks)
-    records = [record for record, _ in results]
-    timings = [timing for _, timing in results]
+            record = {"n": n, "replicate": rep, "seed": config.base_seed + rep,
+                      "error": f"{type(exc).__name__}: {exc}"}
+            timing = {"n": n, "replicate": rep}
+        records.append(record)
+        timings.append(timing)
     aggregates = _aggregate(config, basis, truth, records)
     return ExperimentReport(
         config=config.to_dict(),
@@ -416,10 +387,8 @@ def concentration_check(
     _check_run(n_values, replicates, seed)
     basis = harmonic_basis(space, TRUTH_DEGREE)
     truth = as_spectrum(spectrum_vector(true_coefficients(basis, envelope), basis.dims))
-    tasks = [(n, rep) for n in n_values for rep in range(replicates)]
 
-    def run(task):
-        n, rep = task
+    def run(n, rep):  # a function, so one replicate's n x n matrices are freed before the next
         latent, diff = replicate_graph(space, envelope, n, seed + rep)
         theta = probability_matrix(latent, envelope)
         diff -= theta
@@ -428,7 +397,7 @@ def concentration_check(
         theta /= n
         return o, delta2(eigenvalues_symmetric(theta, overwrite=True), truth)
 
-    results = dict(zip(tasks, _map_replicates(run, tasks)))
+    results = {(n, rep): run(n, rep) for n in n_values for rep in range(replicates)}
     op = {task: o for task, (o, _) in results.items()}
     sperr = {task: s for task, (_, s) in results.items()}
 

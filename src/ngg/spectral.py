@@ -166,12 +166,11 @@ def eigenvalues_symmetric(matrix, *, overwrite: bool = False) -> Spectrum:
     on an input symmetric only to the tolerance the two can differ by up to
     that asymmetry.
 
-    A module-wide lock runs one dense solve at a time: replicate threads
-    that called LAPACK together would each share a BLAS pool that already
-    uses every core, and run slower than one after the other.  One BLAS
-    thread per replicate instead would change the results with the thread
-    count: OpenBLAS rounding depends on it (1 against 2 threads moves
-    eigenvalues by up to about 1e-15), so every solve keeps the default pool.
+    A module-wide lock runs one dense solve at a time, so callers that solve
+    from several threads at once get the same spectra as serial calls: every
+    solve keeps the default BLAS pool, whereas fewer BLAS threads per solve
+    would change the rounding (1 against 2 OpenBLAS threads moves
+    eigenvalues by up to about 1e-15).
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -204,7 +203,8 @@ def delta2(x, y) -> float:
     the smallest, surplus entries on either side matching zero.  Exact zeros
     count as nonnegative (either convention gives the same distance).  Both
     inputs go through ``as_spectrum``, so a non-finite entry is refused and a
-    multiset compared with many others can be sorted once beforehand.
+    multiset compared with many others can be sorted once beforehand.  A
+    distance too large for a float64 is refused.
     """
     x, y = as_spectrum(x), as_spectrum(y)
     xn, yn = x.values.size - x.nonneg, y.values.size - y.nonneg
@@ -214,5 +214,9 @@ def delta2(x, y) -> float:
     pad[1, : y.nonneg] = y.values[: y.nonneg]
     pad[0, kp : kp + xn] = x.values[::-1][:xn]  # most negative first
     pad[1, kp : kp + yn] = y.values[::-1][:yn]
-    sq = (pad[0] - pad[1]) ** 2
-    return math.sqrt(sq[:kp].sum() + sq[kp:].sum())
+    with np.errstate(over="ignore"):
+        sq = (pad[0] - pad[1]) ** 2
+        dist = math.sqrt(sq[:kp].sum() + sq[kp:].sum())
+    if not math.isfinite(dist):
+        raise DomainError("delta2 overflows float64")
+    return dist

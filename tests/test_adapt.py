@@ -258,3 +258,9 @@ def test_fit_all_resolutions_requires_room(basis3):
     cfg = ngg.AdaptConfig(n=10, r_max=4)
     with pytest.raises(DomainError):
         ngg.fit_all_resolutions(np.zeros(10), basis3, cfg)
+
+
+def test_fit_all_resolutions_refuses_r_max_above_the_basis():
+    basis = ngg.harmonic_basis(ngg.sphere(3), 2)
+    with pytest.raises(DomainError, match="r_max = 4 exceeds basis max_degree 2"):
+        ngg.fit_all_resolutions(np.zeros(100), basis, ngg.AdaptConfig(n=100, r_max=4))

@@ -1,5 +1,7 @@
 import json
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -81,15 +83,20 @@ def test_report_deterministic():
     assert json_dumps(a.to_json_dict()) == json_dumps(b.to_json_dict())
 
 
-def test_report_independent_of_thread_count(monkeypatch):
-    # replicate threads take turns in the eigensolver; the results must not
-    # depend on how many threads there are
-    cfg = _config(replicates=4, n_values=(300,))
-    docs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("NGG_THREADS", threads)
-        docs.append(json_dumps(ngg.run_experiment(cfg).to_json_dict()))
-    assert docs[0] == docs[1]
+def test_replicates_run_in_the_calling_thread(monkeypatch):
+    import ngg.harness
+
+    threads = []
+
+    def generate(*args, _generate=ngg.harness.generate_graph):
+        threads.append(threading.get_ident())
+        return _generate(*args)
+
+    monkeypatch.setattr(ngg.harness, "generate_graph", generate)
+    ngg.run_experiment(_config(n_values=(300, 200), replicates=3))
+    ngg.concentration_check(ngg.builtin_envelope(4), ngg.sphere(3), (100, 200),
+                            replicates=3, seed=9)
+    assert threads == [threading.get_ident()] * 12
 
 
 def test_report_embeds_config_and_build():
@@ -220,27 +227,6 @@ def test_projective_spaces_run_end_to_end(space):
     assert all(1 <= r["selected_r"] <= 2 for r in ok)
 
 
-def test_worker_count_respects_env(monkeypatch):
-    from ngg.harness import _worker_count
-
-    monkeypatch.setenv("NGG_THREADS", "1")
-    assert _worker_count(8) == 1
-    monkeypatch.setenv("NGG_THREADS", "3")
-    assert _worker_count(8) == 3
-    assert _worker_count(2) == 2
-    monkeypatch.delenv("NGG_THREADS")
-    assert 1 <= _worker_count(8) <= 4
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-def test_worker_count_rejects_bad_env(monkeypatch, value):
-    from ngg.harness import _worker_count
-
-    monkeypatch.setenv("NGG_THREADS", value)
-    with pytest.raises(DomainError, match="NGG_THREADS"):
-        _worker_count(8)
-
-
 def test_rate_skipped_when_an_error_is_zero():
     from ngg.harness import _aggregate
 
@@ -299,15 +285,18 @@ def test_concentration_refuses_bad_run_arguments(kw, match):
         ngg.concentration_check(ngg.builtin_envelope(4), ngg.sphere(3), **args)
 
 
-def test_concentration_independent_of_thread_count(monkeypatch):
-    tables = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("NGG_THREADS", threads)
-        table = ngg.concentration_check(
+def test_concentration_independent_of_thread_count():
+    # callers that run checks from threads of their own take turns in the
+    # eigensolver, so they get the serial results bit for bit
+    def table(_=None):
+        t = ngg.concentration_check(
             ngg.builtin_envelope(4), ngg.sphere(3), (100, 200), replicates=3, seed=9
         )
-        tables.append((json_dumps(table.to_json_dict()), table.op_norm, table.spectrum_error))
-    assert tables[0] == tables[1]
+        return json_dumps(t.to_json_dict()), t.op_norm, t.spectrum_error
+
+    serial = table()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        assert list(pool.map(table, range(2))) == [serial, serial]
 
 
 @pytest.mark.parametrize("include_r0", [False, True])

@@ -211,6 +211,21 @@ def test_delta2_refuses_non_finite_entries(x, y):
         ngg.delta2(y, x)
 
 
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        ([1e200], [-1e200]),  # a square overflows
+        ([1.5e308], [-1.5e308]),  # each matched with zero, and 1.5e308 squared overflows
+        ([1e154, 1e154], [0.0]),  # each square is finite, their sum overflows
+    ],
+)
+def test_delta2_refuses_overflow(x, y):
+    with pytest.raises(DomainError, match="overflows"):
+        ngg.delta2(x, y)
+    with pytest.raises(DomainError, match="overflows"):
+        ngg.delta2(y, x)
+
+
 def test_as_spectrum_fields():
     s = ngg.as_spectrum([[0.5, -1.0], [0.0, 2.0]])
     assert s.values.tolist() == [2.0, 0.5, 0.0, -1.0]
