@@ -4,10 +4,9 @@ and spectrum error of theta/n, across graph sizes, with log-log slope fits."""
 
 import argparse
 import sys
-from pathlib import Path
 
 import ngg
-from ngg.reports import write_csv, write_json
+from ngg.reports import csv_beside, write_csv, write_json
 
 
 def _sizes(text):
@@ -24,11 +23,12 @@ def main():
     ap.add_argument("--out", default="rate_check.json")
     args = ap.parse_args()
 
+    csv_path = csv_beside(args.out)  # refused before any graph is drawn
     envelope = ngg.builtin_envelope(int(args.envelope[1:]))
     table = ngg.concentration_check(envelope, ngg.sphere(3), args.n, args.replicates, args.seed)
     write_json(args.out, table.to_json_dict())
     write_csv(
-        Path(args.out).with_suffix(".csv"),
+        csv_path,
         ["n", "mean_op_norm_error", "mean_delta2_theta_spectrum"],
         [[r["n"], r["mean_op_norm_error"], r["mean_delta2_theta_spectrum"]] for r in table.rows],
     )

@@ -33,7 +33,7 @@ from .harness import (
     run_experiment,
 )
 from .model import builtin_envelope, envelope_from_coefficients
-from .reports import write_csv, write_json
+from .reports import csv_beside, write_csv, write_json
 from .spaces import (
     QUAD_NODE_CAP,
     LatentSpace,
@@ -57,10 +57,9 @@ class UsageError(Exception):
     pass
 
 
-# Largest sphere dimension of --dim and of a report's config.dim.  coefs at
-# degree 64 stays warning-free up to d = 55000 (scipy's Gauss-Jacobi rule
-# overflows by d = 60000); 10000 keeps a wide margin, and a model on a larger
-# sphere needs over 10000 nodes even at r_max = 1 (cum_dim(1) = d + 1).
+# Largest sphere dimension of --dim and of a report's config.dim.  The
+# quadrature at degree 64 stays warning-free up to d = 10^6, but a model on a
+# sphere above 10000 needs over 10000 nodes even at r_max = 1 (cum_dim(1) = d + 1).
 _MAX_DIM = 10_000
 
 # Most points of a --grid.  eval-envelope's work grows with (stages x points),
@@ -212,6 +211,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
+    try:
+        csv_beside(args.out)  # refused before any replicate runs
+    except NggError as exc:
+        raise UsageError(f"--out: {exc}") from exc
     space = _parse_space(args.space)
     envelope = _resolve_envelope(args.envelope, space)
     n_values = _parse_n_list(args.n)

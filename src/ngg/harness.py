@@ -22,7 +22,7 @@ from .adapt import AdaptConfig, fit_all_resolutions, resolution_grid, select_res
 from .errors import DomainError, NggError
 from .estimator import SpectrumEstimate, estimate_vector, spectrum_vector
 from .model import Envelope, generate_graph, probability_matrix, sample_latent
-from .reports import write_csv, write_json
+from .reports import csv_beside, write_csv, write_json
 from .spaces import (
     HarmonicBasis,
     LatentSpace,
@@ -179,9 +179,9 @@ class ExperimentReport:
         }
 
     def write(self, json_path, csv_path=None):
-        write_json(json_path, self.to_json_dict())
         if csv_path is None:
-            csv_path = Path(json_path).with_suffix(".csv")
+            csv_path = csv_beside(json_path)
+        write_json(json_path, self.to_json_dict())
         r_max = self.config["r_max"]
         header = ["n", "replicate", "seed", "selected_r", "delta2_selected_vs_truth"]
         header += [f"stage_{ell}_at_rmax" for ell in range(r_max + 1)]

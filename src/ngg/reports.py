@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["format_float", "json_dumps", "write_json", "write_csv"]
+__all__ = ["format_float", "json_dumps", "write_json", "write_csv", "csv_beside"]
 
 
 def format_float(x: float) -> str:
@@ -63,6 +63,19 @@ def json_dumps(obj) -> str:
 
 def write_json(path, obj):
     Path(path).write_text(json_dumps(obj) + "\n", encoding="utf-8")
+
+
+def csv_beside(json_path) -> Path:
+    """Path of the CSV table written beside the JSON report at ``json_path``:
+    the same path with the suffix ``.csv``.  A report path that already ends
+    in ``.csv`` is refused, since the table would overwrite the report."""
+    path = Path(json_path)
+    if path.suffix == ".csv":
+        raise DomainError(
+            f"report path {str(json_path)!r} ends in .csv, the suffix of the CSV table "
+            "written beside it; give the JSON report another suffix"
+        )
+    return path.with_suffix(".csv")
 
 
 def _cell(v) -> str:

@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, QuadratureError
+from .spectral import eigenvalues_tridiagonal
 
 __all__ = [
     "SpaceKind",
@@ -188,15 +189,20 @@ def beta_shape(space: LatentSpace) -> tuple[float, float]:
     raise DomainError(f"unsupported space {space!r}")
 
 
+def _log_mass(a: float, b: float) -> float:
+    """Log of the mass of (1-t)^a (1+t)^b on [-1, 1], 2^(a+b+1) B(a+1, b+1)."""
+    return (
+        (a + b + 1.0) * math.log(2.0)
+        + math.lgamma(a + 1.0)
+        + math.lgamma(b + 1.0)
+        - math.lgamma(a + b + 2.0)
+    )
+
+
 def beta_density_const(alpha: float, beta: float) -> float:
     """Normalizer of the Beta density on [-1, 1]:
     Gamma(a+b) / (2^(a+b-1) Gamma(a) Gamma(b))."""
-    return math.exp(
-        math.lgamma(alpha + beta)
-        - (alpha + beta - 1) * math.log(2.0)
-        - math.lgamma(alpha)
-        - math.lgamma(beta)
-    )
+    return math.exp(-_log_mass(alpha - 1.0, beta - 1.0))
 
 
 def beta_density(alpha: float, beta: float, t):
@@ -247,21 +253,20 @@ def _jacobi_all(a: float, b: float, max_degree: int, t: np.ndarray) -> np.ndarra
 def _jacobi_density_norms(alpha: float, beta: float, max_degree: int) -> np.ndarray:
     """L2 norms of Jacobi P^(alpha-1, beta-1) under the Beta(alpha, beta)
     density, via log-gamma (norm of degree 0 is exactly 1)."""
-    from scipy.special import gammaln  # lazily: most of `import ngg`'s time
-
     a, b = alpha - 1.0, beta - 1.0
-    ells = np.arange(max_degree + 1, dtype=float)
-    log_sq = (
-        math.lgamma(a + b + 2.0)
-        - np.log(2.0 * ells + a + b + 1.0)
-        - math.lgamma(a + 1.0)
-        - math.lgamma(b + 1.0)
-        + gammaln(ells + a + 1.0)
-        + gammaln(ells + b + 1.0)
-        - gammaln(ells + a + b + 1.0)
-        - gammaln(ells + 1.0)
-    )
-    return np.exp(0.5 * log_sq)
+    lg = math.lgamma
+    log_sq = [
+        lg(a + b + 2.0)
+        - math.log(2.0 * ell + a + b + 1.0)
+        - lg(a + 1.0)
+        - lg(b + 1.0)
+        + lg(ell + a + 1.0)
+        + lg(ell + b + 1.0)
+        - lg(ell + a + b + 1.0)
+        - lg(ell + 1.0)
+        for ell in range(max_degree + 1)
+    ]
+    return np.exp(0.5 * np.asarray(log_sq))
 
 
 @dataclass(frozen=True)
@@ -400,38 +405,87 @@ def harmonic_basis(space: LatentSpace, max_degree: int) -> HarmonicBasis:
 # quadrature against the cosine law
 
 
+_RESCALE_BITS = 300  # a node's values shrink by 2^-300 once its sum passes 2^600
+
+
 @lru_cache(maxsize=256)
 def _jacobi_rule(m: int, a: float, b: float):
-    from scipy.special import roots_jacobi  # lazily, as in _jacobi_density_norms
+    """The ``m``-node Gauss rule of the probability law proportional to
+    (1-t)^a (1+t)^b on [-1, 1], as ascending nodes and the logs of their weights.
 
-    x, w = roots_jacobi(m, a, b)
-    return np.asarray(x), np.asarray(w)
+    Golub & Welsch (1969): the nodes are the eigenvalues of the symmetric
+    tridiagonal Jacobi matrix of the orthonormal Jacobi polynomials p_k
+    (p_0 = 1), and the weight of node t is the Christoffel function
+    1 / sum_{k<m} p_k(t)^2.  One sweep of the three-term recurrence over all
+    nodes at once gives p_m, its derivative, that sum and the sum's derivative;
+    each node then takes one Newton step on p_m, and its sum follows the step
+    to first order.  The step matters near the ends, where the weights vary on
+    a scale of 1/m^2 and an eigenvalue a few ulps off costs them digits.
+    Whenever a node's sum passes 2^600, its values are scaled down by an exact
+    power of two and the scaling is added back in the log, so nothing
+    overflows however far a node lies in the tail of a steep law.
+    """
+    k = np.arange(1.0, m + 1.0)
+    s = 2.0 * k + a + b
+    off = 2.0 / s * np.sqrt(k * (k + a) * (k + b) * (k + a + b) / ((s - 1.0) * (s + 1.0)))
+    s = s[:-1]
+    diag = np.concatenate(([(b - a) / (a + b + 2.0)], (b * b - a * a) / (s * (s + 2.0))))
+    t = eigenvalues_tridiagonal(diag, off[:-1])
+    p_prev, p, dp_prev, dp = np.zeros(m), np.ones(m), np.zeros(m), np.zeros(m)
+    total, dtotal = np.zeros(m), np.zeros(m)  # sum_k p_k^2, sum_k p_k p_k'
+    scalings = np.zeros(m)
+    big_sum, shrink = 2.0 ** (2 * _RESCALE_BITS), 2.0**-_RESCALE_BITS
+    with np.errstate(under="ignore"):  # a value far below its node's sum reads 0
+        for j in range(m):
+            total += p * p
+            dtotal += p * dp
+            big = total > big_sum
+            if big.any():
+                for v in (p, p_prev, dp, dp_prev):
+                    v[big] *= shrink
+                total[big] *= shrink * shrink
+                dtotal[big] *= shrink * shrink
+                scalings[big] += 1
+            shifted = t - diag[j]
+            p_next = shifted * p
+            dp_next = shifted * dp + p
+            if j:
+                p_next -= off[j - 1] * p_prev
+                dp_next -= off[j - 1] * dp_prev
+            p_prev, p = p, p_next / off[j]
+            dp_prev, dp = dp, dp_next / off[j]
+    step = p / dp  # p is p_m now
+    total -= 2.0 * step * dtotal
+    nodes = t - step
+    log_w = -np.log(total) - scalings * (2 * _RESCALE_BITS * math.log(2.0))
+    nodes.flags.writeable = log_w.flags.writeable = False  # cached: shared by every caller
+    return nodes, log_w
 
 
 def _panel_rule(alpha: float, beta: float, lo: float, hi: float, m: int):
     """Nodes/weights integrating f against the full Beta(alpha, beta) density
-    over [lo, hi].  Endpoint panels absorb the possibly-singular density factor
-    into the rule; interior panels fold the (there smooth) density into the
-    weights."""
+    over [lo, hi].  On [-1, 1] the Gauss-Jacobi rule of the density itself is
+    used.  A panel that ends at -1 or 1 absorbs the possibly-singular density
+    factor at that end into its Jacobi rule, and the rest of the density (smooth
+    on the panel) is folded into the weights.  Weights are assembled in logs,
+    so no factor overflows on its own and a weight too small for a float reads 0."""
     a, b = alpha - 1.0, beta - 1.0
-    const = beta_density_const(alpha, beta)
     if lo == -1.0 and hi == 1.0:
-        x, w = _jacobi_rule(m, a, b)
-        return x, const * w
-    if hi == 1.0:
-        y, w = _jacobi_rule(m, a, 0.0)
-        h = (1.0 - lo) / 2.0
-        x = lo + h * (y + 1.0)
-        return x, const * w * h ** (a + 1.0) * (1.0 + x) ** b
-    if lo == -1.0:
-        y, w = _jacobi_rule(m, 0.0, b)
-        h = (hi + 1.0) / 2.0
-        x = -1.0 + h * (y + 1.0)
-        return x, const * w * h ** (b + 1.0) * (1.0 - x) ** a
-    y, w = _jacobi_rule(m, 0.0, 0.0)  # Gauss-Legendre
-    h = (hi - lo) / 2.0
-    x = (hi + lo) / 2.0 + h * y
-    return x, const * w * h * (1.0 - x) ** a * (1.0 + x) ** b
+        x, log_w = _jacobi_rule(m, a, b)
+    else:
+        ra = a if hi == 1.0 else 0.0
+        rb = b if lo == -1.0 else 0.0
+        y, log_w = _jacobi_rule(m, ra, rb)
+        h = (hi - lo) / 2.0
+        x = (hi + lo) / 2.0 + h * y
+        log_w = (
+            log_w
+            + (_log_mass(ra, rb) - _log_mass(a, b) + (ra + rb + 1.0) * math.log(h))
+            + (a - ra) * np.log1p(-x)
+            + (b - rb) * np.log1p(x)
+        )
+    with np.errstate(under="ignore"):
+        return x, np.exp(log_w)
 
 
 def _vectorized(fn: Callable) -> Callable:

@@ -18,6 +18,7 @@ __all__ = [
     "as_spectrum",
     "check_dense_size",
     "eigenvalues_symmetric",
+    "eigenvalues_tridiagonal",
     "operator_norm",
     "delta2",
 ]
@@ -26,9 +27,9 @@ _SYM_TOL = 1e-10
 _BLOCK = 256  # tile side of the symmetry check
 _LAPACK_LOCK = threading.Lock()
 _LAPACK_COL_MAJOR = 102  # LAPACKE matrix_layout
-# LAPACKE's two-stage symmetric eigenvalue routine with 64-bit integers, under
-# the prefixed name of the OpenBLAS that numpy's wheels bundle, then plain
-_SYEVD_2STAGE = ("scipy_LAPACKE_dsyevd_2stage64_", "LAPACKE_dsyevd_2stage64_")
+# LAPACKE routines with 64-bit integers are looked up under the prefixed names
+# of the OpenBLAS that numpy's wheels bundle, then under the plain names
+_LAPACKE_PREFIXES = ("scipy_LAPACKE_", "LAPACKE_")
 
 
 @dataclass(frozen=True)
@@ -107,11 +108,12 @@ def check_dense_size(n: int, label) -> None:
 
 
 @functools.cache
-def _two_stage_routine():
-    """LAPACKE ``dsyevd_2stage`` from the LAPACK numpy already loaded, or
-    ``None`` when that build does not export it.
+def _lapacke(name: str, *argtypes):
+    """LAPACKE routine ``name`` (64-bit integers) from the LAPACK numpy already
+    loaded, with ``argtypes`` and an integer result, or ``None`` when that
+    build does not export it.
 
-    Resolved on the first solve, not at import.  ``dlsym`` on numpy's linalg
+    Resolved on first use, not at import.  ``dlsym`` on numpy's linalg
     extension searches its dependency tree, so the symbol is found wherever
     the wheel put the library.
     """
@@ -119,14 +121,25 @@ def _two_stage_routine():
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except (AttributeError, OSError):  # no such module, or not loadable
         return None
-    for name in _SYEVD_2STAGE:
-        fn = getattr(lib, name, None)
+    for prefix in _LAPACKE_PREFIXES:
+        fn = getattr(lib, f"{prefix}{name}64_", None)
         if fn is not None:
-            fn.argtypes = (ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
-                           ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
+            fn.argtypes = argtypes
             fn.restype = ctypes.c_int64
             return fn
     return None
+
+
+def _two_stage_routine():
+    """LAPACKE ``dsyevd_2stage``, or ``None``."""
+    return _lapacke("dsyevd_2stage", ctypes.c_int, ctypes.c_char, ctypes.c_char,
+                    ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
+
+
+def _tridiagonal_routine():
+    """LAPACKE ``dsterf`` (eigenvalues of a symmetric tridiagonal matrix by
+    the root-free QL/QR iteration), or ``None``."""
+    return _lapacke("dsterf", ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
 
 
 def _solve(m: np.ndarray, overwrite: bool) -> np.ndarray:
@@ -184,6 +197,32 @@ def eigenvalues_symmetric(matrix, *, overwrite: bool = False) -> Spectrum:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError(f"eigenvalue computation failed: {exc}") from exc
     return _descending(vals[::-1].copy())  # LAPACK's order is ascending
+
+
+def eigenvalues_tridiagonal(diag, offdiag) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric tridiagonal matrix with diagonal
+    ``diag`` (length m) and off-diagonal ``offdiag`` (length m - 1).
+
+    The solve is LAPACK's ``dsterf``, O(m^2) and serial, called through
+    ctypes in the LAPACK numpy already loaded; without it, the dense matrix
+    goes to ``np.linalg.eigvalsh``.
+    """
+    d = np.array(diag, dtype=float)  # copies: dsterf overwrites both arrays
+    e = np.array(offdiag, dtype=float)
+    m = d.size
+    if e.size != max(m - 1, 0):
+        raise DomainError("off-diagonal must be one shorter than the diagonal")
+    sterf = _tridiagonal_routine()
+    if sterf is None:
+        dense = np.diag(d)
+        i = np.arange(m - 1)
+        dense[i, i + 1] = dense[i + 1, i] = e
+        return np.linalg.eigvalsh(dense)
+    if m:
+        info = sterf(m, d.ctypes.data, e.ctypes.data)
+        if info != 0:
+            raise SolverError(f"eigenvalue computation failed: dsterf info = {info}")
+    return d
 
 
 def operator_norm(matrix) -> float:

@@ -369,6 +369,17 @@ def test_cli_resolution_above_seven(tmp_path):
     assert len(json.loads(est_json.read_text())["per_r"]) == 8
 
 
+def test_cli_simulate_out_ending_in_csv_is_usage_error(tmp_path, capsys):
+    # the CSV table goes beside the report, at --out with the suffix .csv:
+    # refused before any replicate runs, so nothing is written
+    rc = main(["simulate", "--envelope", "p4", "--n", "100", "--r-max", "2",
+               "--replicates", "1", "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --out:") and "ends in .csv" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_simulate_without_candidates_is_error(tmp_path, capsys):
     # --r-max 0 without --include-r0 leaves an empty grid: refused before any replicate runs
     out = tmp_path / "r0.json"
@@ -647,6 +658,14 @@ def test_cli_coefs_at_dim_bound_is_warning_free():
     assert len(proc.stdout.splitlines()) == 66
 
 
+@pytest.mark.parametrize("envelope", ["p2", "p6"])
+def test_cli_coefs_at_dim_bound_with_split_points_is_warning_free(envelope):
+    # panels that end at -1 or 1 take the steep density into their weights in logs
+    proc = _run_cli("coefs", "--envelope", envelope, "--dim", "10000", "--degree", "64")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert len(proc.stdout.splitlines()) == 66
+
+
 def test_cli_eigenspace_dimension_beyond_floats_is_error():
     proc = _run_cli("coefs", "--envelope", "p5", "--dim", "10000", "--degree", "200")
     assert proc.returncode == 1
@@ -705,3 +724,41 @@ def test_cli_coefs_huge_constant_converges(tmp_path, capsys):
     c = _coefs(["coefs", "--envelope", str(f), "--degree", "4"], capsys)
     assert c[0] == pytest.approx(1e300, rel=1e-12)
     assert np.max(np.abs(c[1:])) <= 1e-12 * 1e300
+
+
+# --- numpy alone ---------------------------------------------------------------
+
+_NO_SCIPY = """
+import runpy, sys
+sys.argv = ["ngg", *sys.argv[1:]]
+try:
+    runpy.run_module("ngg", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code in (0, None), exc.code
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--space", "sphere:3", "--envelope", "p5", "--n", "100", "--replicates", "1",
+         "--r-max", "2", "--out", "{tmp}/s.json"],
+        ["simulate", "--space", "rp:3", "--envelope", "p2", "--n", "100", "--replicates", "1",
+         "--r-max", "2", "--out", "{tmp}/s.json"],
+        ["coefs", "--envelope", "p5", "--dim", "3", "--degree", "8"],
+        ["eval-envelope", "--envelope", "p2"],
+        ["estimate", "--input", "{edges}", "--r-max", "1", "--out", "{tmp}/e.json"],
+    ],
+    ids=["simulate", "simulate-projective", "coefs", "eval-envelope", "estimate"],
+)
+def test_cli_runs_without_scipy(tmp_path, argv):
+    # a fresh process: scipy loaded by the test session would hide a lazy import
+    edges = tmp_path / "edges.txt"
+    edges.write_text("".join(f"{i} {(i + j) % 40}\n" for i in range(40) for j in (1, 2, 5)))
+    argv = [a.format(tmp=tmp_path, edges=edges) for a in argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(ngg.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, *argv], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -138,6 +138,16 @@ def test_report_files(tmp_path):
     assert len(csv) == 3  # header + 2 replicates
 
 
+def test_report_path_ending_in_csv_is_refused(tmp_path):
+    # the table goes to the report's path with the suffix .csv
+    report = ngg.run_experiment(_config(n_values=(60,), replicates=1, r_max=1))
+    with pytest.raises(DomainError, match="ends in .csv"):
+        report.write(tmp_path / "report.csv")
+    assert not list(tmp_path.iterdir())
+    report.write(tmp_path / "report.json", csv_path=tmp_path / "table.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "table.csv"]
+
+
 def test_report_csv_timings_are_finite(tmp_path):
     report = ngg.run_experiment(_config(replicates=2))
     report.write(tmp_path / "report.json")

@@ -55,6 +55,8 @@ def test_script_runs_at_toy_size(tmp_path, script, args, outputs):
         ("risk_curve.py", ["--envelope", "foo"], 2, "invalid choice: 'foo'"),
         ("risk_curve.py", ["--n", "10"], 1, "error: n = 10 violates"),
         ("run_envelope_suite.py", ["--n", "10"], 1, "error: n = 10 violates"),
+        # the CSV table would overwrite the report
+        ("rate_check.py", ["--out", "r.csv"], 1, "error: report path 'r.csv' ends in .csv"),
     ],
 )
 def test_script_refuses_bad_input_without_a_traceback(tmp_path, script, args, code, message):

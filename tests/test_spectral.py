@@ -329,9 +329,10 @@ def _numpy_uses_scipy_openblas() -> bool:
 @pytest.mark.skipif(not _numpy_uses_scipy_openblas(),
                     reason="numpy is not built against scipy-openblas")
 def test_two_stage_routine_resolves_on_scipy_openblas():
-    # the wheels that bundle scipy-openblas export dsyevd_2stage; a silent
-    # fallback to eigvalsh there would cost the benchmark its solve time
+    # the wheels that bundle scipy-openblas export dsyevd_2stage and dsterf; a
+    # silent fallback to eigvalsh there would cost the benchmark its solve time
     assert ngg.spectral._two_stage_routine() is not None
+    assert ngg.spectral._tridiagonal_routine() is not None
 
 
 @settings(max_examples=30)
@@ -351,3 +352,26 @@ def test_lapack_failure_is_a_solver_error(monkeypatch):
     monkeypatch.setattr(ngg.spectral, "_two_stage_routine", lambda: lambda *args: 3)
     with pytest.raises(ngg.SolverError, match="info = 3"):
         ngg.eigenvalues_symmetric(np.eye(3))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 200])
+def test_tridiagonal_eigenvalues_match_eigvalsh(rng, m, monkeypatch):
+    diag, off = rng.standard_normal(m), rng.standard_normal(max(m - 1, 0))
+    before = diag.copy(), off.copy()
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    oracle = np.linalg.eigvalsh(dense)
+    vals = ngg.spectral.eigenvalues_tridiagonal(diag, off)
+    assert np.array_equal(diag, before[0]) and np.array_equal(off, before[1])
+    assert vals.shape == (m,) and np.all(np.diff(vals) >= 0)
+    if m:
+        assert np.max(np.abs(vals - oracle)) <= 8 * np.finfo(float).eps * m * np.max(np.abs(dense))
+    monkeypatch.setattr(ngg.spectral, "_lapacke", lambda *args: None)
+    assert np.array_equal(ngg.spectral.eigenvalues_tridiagonal(diag, off), oracle)
+
+
+def test_tridiagonal_shapes_and_failure_are_errors(monkeypatch):
+    with pytest.raises(ngg.DomainError, match="one shorter"):
+        ngg.spectral.eigenvalues_tridiagonal([1.0, 2.0], [0.5, 0.5])
+    monkeypatch.setattr(ngg.spectral, "_tridiagonal_routine", lambda: lambda *args: 2)
+    with pytest.raises(ngg.SolverError, match="dsterf info = 2"):
+        ngg.spectral.eigenvalues_tridiagonal([1.0, 2.0], [0.5])
