@@ -5,7 +5,6 @@ adjacency spectrum with adaptive resolution selection."""
 from .adapt import (
     AdaptConfig,
     AdaptResult,
-    bias_proxy,
     fit_all_resolutions,
     penalty,
     reconstruct_envelope,
@@ -29,7 +28,6 @@ from .harness import (
     ExperimentReport,
     concentration_check,
     fit_graph,
-    risk_curve,
     run_experiment,
     true_coefficients,
 )
@@ -53,10 +51,8 @@ from .spaces import (
     cumulative_dim,
     dim_of_degree,
     envelope_coefficients,
-    flag_noninteger_dims,
     harmonic_basis,
     octonionic_plane,
-    orthonormality_gram,
     quaternionic_projective,
     real_projective,
     sphere,

@@ -23,7 +23,6 @@ __all__ = [
     "resolution_grid",
     "penalty",
     "fit_all_resolutions",
-    "bias_proxy",
     "select_resolution",
     "reconstruct_envelope",
 ]
@@ -110,38 +109,6 @@ def _expansions(
     return runs
 
 
-def _gl_bias(runs: Mapping[int, Spectrum], pens: Mapping[int, float], r: int) -> float:
-    """max over r' of [ delta2(vec r', vec min(r', r)) - pen(r') ], where
-    ``runs`` and ``pens`` hold each resolution's sorted expansion and penalty.
-
-    A term with r' <= r compares an expansion with itself, and ``delta2(v, v)``
-    is exactly 0.0 for finite ``v``, so only the pairs r < r' call ``delta2``.
-    """
-    return max((delta2(runs[rp], runs[r]) if rp > r else 0.0) - pen for rp, pen in pens.items())
-
-
-def bias_proxy(
-    estimates: Mapping[int, SpectrumEstimate],
-    r: int,
-    config: AdaptConfig,
-    basis: HarmonicBasis,
-) -> float:
-    """max over r' of [ distance(fit r', fit min(r', r)) - penalty(r') ].
-
-    Implemented literally, without flooring at zero: terms with r' <= r
-    contribute exactly -penalty(r') (``delta2(v, v)`` is exactly 0.0 for
-    finite ``v``), which only shifts all objectives by a shared amount, so
-    only the distances from fit ``r`` to the larger fits are computed.  ``r``
-    must lie on the candidate grid.  ``select_resolution`` evaluates this
-    formula for every row in one pass: |grid| expansions, each sorted once,
-    and |grid|(|grid| - 1)/2 distances in all.
-    """
-    runs = _expansions(estimates, config, basis)
-    if r not in runs:
-        raise DomainError(f"resolution {r} is not on the candidate grid {list(runs)}")
-    return _gl_bias(runs, {rr: penalty(config, basis, rr) for rr in runs}, r)
-
-
 @dataclass(frozen=True)
 class ResolutionRow:
     r: int
@@ -165,19 +132,21 @@ def select_resolution(
     """Pick the resolution minimizing bias proxy + penalty (ties: smallest r),
     and reconstruct the clamped envelope at the winner.
 
-    All rows come from one pass: each resolution's expansion and penalty are
-    built once, each expansion is sorted once, and ``delta2`` runs once per
-    pair r < r' on the sorted expansions, so the rows cost |grid|
-    expansions, |grid| sorts and |grid|(|grid| - 1)/2 distances.  The
-    terms with r' <= r are exactly -penalty(r'), because ``delta2(v, v)`` is
-    exactly 0.0 for the finite expansions accepted, so the rows equal
-    ``bias_proxy``'s bit for bit.
+    The bias proxy of r is max over r' of [ delta2(fit r', fit min(r', r))
+    - penalty(r') ], taken literally, without flooring at zero.  All rows come
+    from one pass: each resolution's expansion and penalty are built once,
+    each expansion is sorted once, and ``delta2`` runs once per pair r < r'
+    on the sorted expansions, so the rows cost |grid| expansions, |grid|
+    sorts and |grid|(|grid| - 1)/2 distances.  A term with r' <= r compares
+    a fit with itself, and ``delta2(v, v)`` is exactly 0.0 for the finite
+    expansions accepted, so it is exactly -penalty(r').
     """
     runs = _expansions(estimates, config, basis)
     pens = {r: penalty(config, basis, r) for r in runs}
     rows = []
     for r in runs:
-        b = _gl_bias(runs, pens, r)
+        b = max((delta2(runs[rp], runs[r]) if rp > r else 0.0) - pen
+                for rp, pen in pens.items())
         rows.append(ResolutionRow(r=r, bias=b, penalty=pens[r], objective=b + pens[r]))
     best = min(rows, key=lambda row: (row.objective, row.r))
     selected = best.r
@@ -188,18 +157,16 @@ def select_resolution(
     )
 
 
-def reconstruct_envelope(
-    est: SpectrumEstimate, basis: HarmonicBasis, clamp: bool = True
-) -> Envelope:
+def reconstruct_envelope(est: SpectrumEstimate, basis: HarmonicBasis) -> Envelope:
     """Envelope whose expansion coefficients are the fitted stage values,
-    clamped pointwise into [0, 1] unless ``clamp`` is off."""
+    clamped pointwise into [0, 1]; ``basis.reconstruct`` gives the unclamped
+    expansion."""
     if est.r > basis.max_degree:
         raise DomainError("estimate resolution exceeds the basis")
     coeffs = np.asarray(est.stage_values, dtype=float)
 
-    def fn(t, _coeffs=coeffs, _basis=basis, _clamp=clamp):
-        out = _basis.reconstruct(_coeffs, t)
-        return np.clip(out, 0.0, 1.0) if _clamp else out
+    def fn(t, _coeffs=coeffs, _basis=basis):
+        return np.clip(_basis.reconstruct(_coeffs, t), 0.0, 1.0)
 
-    name = f"fit:r={est.r}" + ("" if clamp else ":raw")
-    return Envelope(fn, name, known_coeffs=tuple((i, float(c)) for i, c in enumerate(coeffs)))
+    return Envelope(fn, f"fit:r={est.r}",
+                    known_coeffs=tuple((i, float(c)) for i, c in enumerate(coeffs)))

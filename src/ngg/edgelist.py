@@ -34,8 +34,8 @@ class EdgeListData:
     one_based: bool
     warnings: tuple[str, ...]
 
-    def adjacency(self, dtype=np.float64) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=dtype)
+    def adjacency(self) -> np.ndarray:
+        a = np.zeros((self.n, self.n))
         i, j = self.edges.T
         a[i, j] = 1
         a[j, i] = 1

@@ -143,7 +143,6 @@ class SpectrumEstimate:
     stage_values: np.ndarray
     ordering: tuple[int, ...]
     score: float
-    n: int
 
 
 def fit_resolution(spectrum, basis: HarmonicBasis, r: int) -> SpectrumEstimate:
@@ -211,7 +210,7 @@ def fit_resolution(spectrum, basis: HarmonicBasis, r: int) -> SpectrumEstimate:
         rest ^= 1 << i
     ordering = tuple(ordering)
     stages, score = score_ordering(spec, ordering, basis.dims)
-    return SpectrumEstimate(r=r, stage_values=stages, ordering=ordering, score=score, n=n)
+    return SpectrumEstimate(r=r, stage_values=stages, ordering=ordering, score=score)
 
 
 def spectrum_vector(values, dims) -> np.ndarray:

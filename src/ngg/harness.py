@@ -1,6 +1,6 @@
 """The estimation chain ``fit_graph``, which ``ngg estimate`` and every
-replicate run, and the seeded Monte Carlo drivers: full estimation runs,
-concentration rate checks, and fixed-resolution risk curves.
+replicate run, and the seeded Monte Carlo drivers: full estimation runs
+and concentration rate checks.
 
 Replicates run one after another in the calling thread; each derives its
 seed as ``base_seed + replicate_index`` so reruns and cross-``n`` comparisons
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapt import AdaptConfig, fit_all_resolutions, resolution_grid, select_resolution
-from .errors import DomainError, NggError
+from .errors import DomainError
 from .estimator import SpectrumEstimate, estimate_vector, spectrum_vector
 from .model import Envelope, generate_graph, probability_matrix, sample_latent
 from .reports import csv_beside, write_csv, write_json
@@ -38,7 +38,6 @@ __all__ = [
     "fit_graph",
     "run_experiment",
     "concentration_check",
-    "risk_curve",
     "replicate_graph",
     "true_coefficients",
     "build_identifier",
@@ -355,7 +354,7 @@ def _log_slope(ns, ys) -> float | None:
 
 
 # ---------------------------------------------------------------------------
-# concentration and risk diagnostics
+# concentration diagnostics
 
 
 @dataclass(frozen=True)
@@ -420,24 +419,3 @@ def concentration_check(
     return ConcentrationTable(
         rows=tuple(rows), op_norm=op, spectrum_error=sperr, slopes=slopes
     )
-
-
-def risk_curve(config: ExperimentConfig):
-    """Mean squared spectrum error of the fixed-resolution fit, per (n, r):
-    the empirical bias/variance trade-off behind the adaptive selection.
-
-    The rows are ``run_experiment(config)``'s ``risk_fixed`` aggregates; a
-    failing replicate raises ``NggError`` instead of being left out.
-    """
-    report = run_experiment(config)
-    for rec in report.records:
-        if "error" in rec:
-            raise NggError(
-                f"replicate {rec['replicate']} at n = {rec['n']} failed: {rec['error']}"
-            )
-    per_n = report.aggregates["per_n"]
-    return [
-        {"n": int(n), "r": int(r), "mean_sq_delta2": risk}
-        for n in config.n_values
-        for r, risk in per_n[str(n)]["risk_fixed"].items()
-    ]

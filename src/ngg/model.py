@@ -128,7 +128,6 @@ class LatentSample:
 
     space: LatentSpace
     points: np.ndarray  # (n, d); complex for the complex projective family
-    seed: int
 
     def __post_init__(self):
         pts = self.points
@@ -158,7 +157,7 @@ def sample_latent(space: LatentSpace, n: int, seed: int) -> LatentSample:
     else:
         raise DomainError(f"sampling is not supported on {space.kind.value}")
     x = x / np.linalg.norm(x, axis=1, keepdims=True)
-    return LatentSample(space=space, points=x, seed=int(seed))
+    return LatentSample(space=space, points=x)
 
 
 def cosines(space: LatentSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -6,8 +6,9 @@ describing the cosine of the distance between a uniform point and a pole, and
 a family of orthogonal polynomials for that law. The degree-``ell`` polynomial
 is the zonal profile of the degree-``ell`` eigenspace of any distance-kernel
 integral operator, and the eigenspace dimension ``d_ell`` is the multiplicity
-of the corresponding eigenvalue.  Everything downstream (graph simulation,
-spectral fitting, envelope reconstruction) consumes these objects.
+of the corresponding eigenvalue.  One formula in the law's Jacobi parameters
+gives ``d_ell`` on every family (see ``_dims``).  Everything downstream (graph
+simulation, spectral fitting, envelope reconstruction) consumes these objects.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,13 +36,10 @@ __all__ = [
     "octonionic_plane",
     "dim_of_degree",
     "cumulative_dim",
-    "flag_noninteger_dims",
     "beta_shape",
-    "beta_density_const",
     "HarmonicBasis",
     "harmonic_basis",
     "envelope_coefficients",
-    "orthonormality_gram",
     "QUAD_NODE_CAP",
 ]
 
@@ -101,77 +99,6 @@ def octonionic_plane() -> LatentSpace:
     return LatentSpace(SpaceKind.OCTONIONIC, 3)
 
 
-def _comb(n: int, k: int) -> int:
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
-def _dim_exact(space: LatentSpace, ell: int) -> Fraction:
-    """Eigenspace dimension as an exact rational; degree 0 is always 1."""
-    d = space.dim
-    if ell < 0:
-        raise DomainError("degree must be nonnegative")
-    if ell == 0:
-        return Fraction(1)
-    if space.kind is SpaceKind.SPHERE:
-        return Fraction(_comb(ell + d - 1, ell) - _comb(ell + d - 3, ell - 2))
-    if space.kind is SpaceKind.REAL_PROJECTIVE:
-        poly = 6 + d * d + 8 * ell * (2 * ell - 3) + d * (8 * ell - 5)
-        # Gamma(d + 2 ell - 3) / (Gamma(d - 1) Gamma(2 ell + 1)), all integer arguments
-        return Fraction(poly) * Fraction(
-            math.factorial(d + 2 * ell - 4),
-            math.factorial(d - 2) * math.factorial(2 * ell),
-        )
-    if space.kind is SpaceKind.COMPLEX_PROJECTIVE:
-        lead = Fraction(2 * ell + d, d) * _comb(ell + d - 1, d - 1) ** 2
-        sub = Fraction(2 * ell + d - 2, d) * _comb(ell + d - 2, d - 1) ** 2
-        return lead - sub
-    if space.kind is SpaceKind.QUATERNIONIC:
-        poly = d * (4 * d * d - 1) + 2 * d * (4 * d - 1) * ell + (4 * d - 1) * ell * ell
-        return Fraction(2 * (ell + 1) * poly) * Fraction(
-            math.factorial(2 * d + ell - 2) * math.factorial(2 * d + ell - 1),
-            math.factorial(2 * d - 1)
-            * math.factorial(2 * d + 1)
-            * math.factorial(ell + 1) ** 2,
-        )
-    if space.kind is SpaceKind.OCTONIONIC:
-        return Fraction((4 + ell) * (5 + ell) ** 2 * (6 + ell), 924)
-    raise DomainError(f"unsupported space {space!r}")
-
-
-def dim_of_degree(space: LatentSpace, ell: int) -> int:
-    """Dimension of the degree-``ell`` eigenspace (rounded when the formula
-    yields a non-integer; see :func:`flag_noninteger_dims`)."""
-    v = _dim_exact(space, ell)
-    n = round(v)
-    return max(int(n), 1)
-
-
-def flag_noninteger_dims(space: LatentSpace, max_degree: int) -> tuple[int, ...]:
-    """Degrees up to ``max_degree`` whose dimension formula is not an integer."""
-    return tuple(
-        ell
-        for ell in range(max_degree + 1)
-        if _dim_exact(space, ell).denominator != 1
-    )
-
-
-def cumulative_dim(space: LatentSpace, max_degree: int) -> int:
-    """Total dimension of eigenspaces of degree <= ``max_degree``."""
-    if max_degree < 0:
-        raise DomainError("degree must be nonnegative")
-    total = sum(dim_of_degree(space, ell) for ell in range(max_degree + 1))
-    if space.kind is SpaceKind.SPHERE:
-        d = space.dim
-        closed = _comb(max_degree + d - 1, max_degree) + _comb(max_degree + d - 2, max_degree - 1)
-        if total != closed:
-            raise AssertionError(
-                f"cumulative dimension {total} disagrees with closed form {closed}"
-            )
-    return total
-
-
 def beta_shape(space: LatentSpace) -> tuple[float, float]:
     """Shape (alpha, beta) of the cosine law: density proportional to
     (1-t)^(alpha-1) (1+t)^(beta-1) on [-1, 1]."""
@@ -189,6 +116,43 @@ def beta_shape(space: LatentSpace) -> tuple[float, float]:
     raise DomainError(f"unsupported space {space!r}")
 
 
+def _dims(space: LatentSpace, max_degree: int) -> tuple[int, ...]:
+    """Eigenspace dimensions d_0..d_max_degree, exact integers.
+
+    With the Jacobi parameters (a, b) = beta_shape - 1 of the cosine law,
+    d_ell = (2 ell + a + b + 1) / (a + b + 1) * prod_{k <= ell} (a+b+k)(a+k) / (k (b+k)),
+    the squared value at t = 1 of the degree-``ell`` orthonormal polynomial
+    (the addition theorem).  a and b are half-integers, so the product runs
+    over the integers 2a and 2b, one factor per degree, kept as a reduced
+    fraction; each d_ell is then an exact integer quotient.
+    """
+    a2, b2 = (round(2.0 * s) - 2 for s in beta_shape(space))
+    out = [1]
+    num = den = 1
+    for ell in range(1, max_degree + 1):
+        num *= (a2 + b2 + 2 * ell) * (a2 + 2 * ell)
+        den *= 2 * ell * (b2 + 2 * ell)
+        g = math.gcd(num, den)
+        num //= g
+        den //= g
+        out.append(num * (4 * ell + a2 + b2 + 2) // (den * (a2 + b2 + 2)))
+    return tuple(out)
+
+
+def dim_of_degree(space: LatentSpace, ell: int) -> int:
+    """Dimension of the degree-``ell`` eigenspace."""
+    if ell < 0:
+        raise DomainError("degree must be nonnegative")
+    return _dims(space, ell)[ell]
+
+
+def cumulative_dim(space: LatentSpace, max_degree: int) -> int:
+    """Total dimension of eigenspaces of degree <= ``max_degree``."""
+    if max_degree < 0:
+        raise DomainError("degree must be nonnegative")
+    return sum(_dims(space, max_degree))
+
+
 def _log_mass(a: float, b: float) -> float:
     """Log of the mass of (1-t)^a (1+t)^b on [-1, 1], 2^(a+b+1) B(a+1, b+1)."""
     return (
@@ -197,17 +161,6 @@ def _log_mass(a: float, b: float) -> float:
         + math.lgamma(b + 1.0)
         - math.lgamma(a + b + 2.0)
     )
-
-
-def beta_density_const(alpha: float, beta: float) -> float:
-    """Normalizer of the Beta density on [-1, 1]:
-    Gamma(a+b) / (2^(a+b-1) Gamma(a) Gamma(b))."""
-    return math.exp(-_log_mass(alpha - 1.0, beta - 1.0))
-
-
-def beta_density(alpha: float, beta: float, t):
-    t = np.asarray(t, dtype=float)
-    return beta_density_const(alpha, beta) * (1.0 - t) ** (alpha - 1.0) * (1.0 + t) ** (beta - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +235,6 @@ class HarmonicBasis:
         ``d_0..d_L`` and their running sums.
     beta_shape:
         shape parameters of the cosine law.
-    normalizers:
-        sphere only: the constants ``c_ell = (2 ell + d - 2) / (d - 2)``
-        relating the orthonormal family to the raw ultraspherical one.
-    weight_const:
-        normalizer of the Beta density (the sphere's ``b_d``).
-    flagged_degrees:
-        degrees at which the dimension formula was not an integer (the value
-        was rounded); empty for spheres.
     """
 
     space: LatentSpace
@@ -297,9 +242,6 @@ class HarmonicBasis:
     dims: tuple[int, ...]
     cum_dims: tuple[int, ...]
     beta_shape: tuple[float, float]
-    normalizers: tuple[float, ...] | None
-    weight_const: float
-    flagged_degrees: tuple[int, ...]
     _ortho_norms: tuple[float, ...]
 
     # -- evaluation ---------------------------------------------------
@@ -311,28 +253,10 @@ class HarmonicBasis:
             return _gegenbauer_all(lam, max_degree, t)
         return _jacobi_all(alpha - 1.0, beta - 1.0, max_degree, t)
 
-    def basis_poly(self, ell: int, t):
-        """Raw basis polynomial of degree ``ell``: the ultraspherical
-        polynomial for spheres (value d_ell / c_ell at t = 1), the classical
-        Jacobi polynomial otherwise."""
-        self._check_degree(ell)
-        t = _check_t(t)
-        scalar = t.ndim == 0
-        v = self._raw_all(ell, np.atleast_1d(t))[ell]
-        return float(v[0]) if scalar else v
-
-    def orthonormal(self, ell: int, t):
-        """Degree-``ell`` member of the orthonormal family for the cosine law
-        (positive at t = 1; for spheres its value there squares to d_ell)."""
-        self._check_degree(ell)
-        t = _check_t(t)
-        scalar = t.ndim == 0
-        v = self._raw_all(ell, np.atleast_1d(t))[ell] / self._ortho_norms[ell]
-        return float(v[0]) if scalar else v
-
     def orthonormal_all(self, max_degree: int, t) -> np.ndarray:
-        """All orthonormal polynomials up to ``max_degree`` at once,
-        shape (max_degree + 1, len(t))."""
+        """All orthonormal polynomials up to ``max_degree`` at once, shape
+        (max_degree + 1, len(t)); each is positive at t = 1, where its value
+        squares to d_ell."""
         self._check_degree(max_degree)
         t = np.atleast_1d(_check_t(t))
         raw = self._raw_all(max_degree, t)
@@ -341,7 +265,7 @@ class HarmonicBasis:
 
     def reconstruct(self, coefficients: Sequence[float], t):
         """Evaluate sum_ell sqrt(d_ell) u_ell Z_ell(t); for spheres this equals
-        sum_ell u_ell c_ell G_ell(t)."""
+        sum_ell u_ell c_ell G_ell(t) with c_ell = (2 ell + d - 2) / (d - 2)."""
         coefficients = np.asarray(coefficients, dtype=float)
         top = coefficients.size - 1
         self._check_degree(top)
@@ -361,42 +285,30 @@ class HarmonicBasis:
 def harmonic_basis(space: LatentSpace, max_degree: int) -> HarmonicBasis:
     if max_degree < 0:
         raise DomainError("max_degree must be nonnegative")
-    dims = tuple(dim_of_degree(space, ell) for ell in range(max_degree + 1))
+    dims = _dims(space, max_degree)
     for ell, v in enumerate(dims):  # sqrt(d_ell) scales every evaluation
         if v > sys.float_info.max:
             raise DomainError(
                 f"the degree-{ell} eigenspace dimension of {space.kind.value}:{space.dim} "
                 "exceeds the float range"
             )
-    cum = []
-    total = 0
-    for v in dims:
-        total += v
-        cum.append(total)
-    cumulative_dim(space, max_degree)  # sphere closed-form cross-check
     alpha, beta = beta_shape(space)
-    wconst = beta_density_const(alpha, beta)
     if space.kind is SpaceKind.SPHERE:
         d = space.dim
-        normalizers = tuple((2.0 * ell + d - 2.0) / (d - 2.0) for ell in range(max_degree + 1))
-        # |G_ell| under the density is sqrt(d_ell) / c_ell, hence Z = (c/sqrt(d)) G
+        # the ultraspherical G_ell has norm sqrt(d_ell) / c_ell under the
+        # density, with c_ell = (2 ell + d - 2) / (d - 2); hence Z = (c/sqrt(d)) G
         ortho = tuple(
-            math.sqrt(dims[ell]) / normalizers[ell] for ell in range(max_degree + 1)
+            math.sqrt(dims[ell]) / ((2.0 * ell + d - 2.0) / (d - 2.0))
+            for ell in range(max_degree + 1)
         )
-        flagged: tuple[int, ...] = ()
     else:
-        normalizers = None
         ortho = tuple(_jacobi_density_norms(alpha, beta, max_degree))
-        flagged = flag_noninteger_dims(space, max_degree)
     return HarmonicBasis(
         space=space,
         max_degree=max_degree,
         dims=dims,
-        cum_dims=tuple(cum),
+        cum_dims=tuple(accumulate(dims)),
         beta_shape=(alpha, beta),
-        normalizers=normalizers,
-        weight_const=wconst,
-        flagged_degrees=flagged,
         _ortho_norms=ortho,
     )
 
@@ -572,14 +484,3 @@ def envelope_coefficients(basis: HarmonicBasis, envelope, max_degree: int) -> np
             last_estimate=raw,
         )
     return raw
-
-
-def orthonormality_gram(basis: HarmonicBasis, max_degree: int) -> np.ndarray:
-    """Gram matrix of the orthonormal family under the cosine law, by exact
-    Gauss-Jacobi quadrature (identity up to round-off for a correct basis)."""
-    if max_degree > basis.max_degree:
-        raise DomainError("max_degree exceeds the basis")
-    alpha, beta = basis.beta_shape
-    x, w = _panel_rule(alpha, beta, -1.0, 1.0, max_degree + 1)
-    z = basis.orthonormal_all(max_degree, x)
-    return (z * w) @ z.T

@@ -27,3 +27,18 @@ def basis3():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture(scope="session")
+def orthonormality_gram():
+    """Gram matrix of a basis's orthonormal family under its cosine law, by
+    exact Gauss-Jacobi quadrature (identity up to round-off for a correct
+    basis), as a function of the basis and the top degree."""
+
+    def gram(basis, max_degree):
+        alpha, beta = basis.beta_shape
+        x, w = ngg.spaces._panel_rule(alpha, beta, -1.0, 1.0, max_degree + 1)
+        z = basis.orthonormal_all(max_degree, x)
+        return (z * w) @ z.T
+
+    return gram

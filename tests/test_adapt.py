@@ -20,19 +20,32 @@ _BASES = {
 }
 
 
-def _estimate(r, stages, n=100):
+def _estimate(r, stages):
     stages = np.asarray(stages, float)
     return ngg.SpectrumEstimate(
         r=r,
         stage_values=stages,
         ordering=tuple(range(r + 1)) + (ZERO_BLOCK,),
         score=0.0,
-        n=n,
     )
 
 
-def _estimates_from_stages(stage_map, n=100):
-    return {r: _estimate(r, stages, n) for r, stages in stage_map.items()}
+def _estimates_from_stages(stage_map):
+    return {r: _estimate(r, stages) for r, stages in stage_map.items()}
+
+
+def _biases(estimates, config, basis):
+    """The bias proxy of each resolution, as ``select_resolution`` reports it."""
+    return {row.r: row.bias for row in ngg.select_resolution(estimates, config, basis).rows}
+
+
+def _bias_proxy_oracle(estimates, r, config, basis):
+    """Every expansion rebuilt and every term's distance computed, once per r."""
+    grid = list(resolution_grid(config))
+    vecs = {rr: estimate_vector(est, basis.dims) for rr, est in estimates.items()}
+    return max(
+        ngg.delta2(vecs[rp], vecs[min(rp, r)]) - penalty(config, basis, rp) for rp in grid
+    )
 
 
 @pytest.mark.parametrize("kappa", [float("nan"), float("inf"), float("-inf")])
@@ -60,18 +73,20 @@ def test_penalty_formula(basis3):
 def test_bias_proxy_singleton(basis3):
     cfg = ngg.AdaptConfig(n=100, r_max=1)
     ests = _estimates_from_stages({1: [0.5, 0.1]})
-    assert ngg.bias_proxy(ests, 1, cfg, basis3) == pytest.approx(-penalty(cfg, basis3, 1))
     res = ngg.select_resolution(ests, cfg, basis3)
+    assert res.rows[0].bias == pytest.approx(-penalty(cfg, basis3, 1))
+    assert res.rows[0].bias == _bias_proxy_oracle(ests, 1, cfg, basis3)
     assert res.selected_r == 1
 
 
 def test_bias_proxy_at_r_max_sees_only_penalties(basis3):
     cfg = ngg.AdaptConfig(n=200, r_max=3)
     ests = _estimates_from_stages(
-        {1: [0.5, 0.2], 2: [0.5, 0.2, 0.1], 3: [0.5, 0.2, 0.1, 0.05]}, n=200
+        {1: [0.5, 0.2], 2: [0.5, 0.2, 0.1], 3: [0.5, 0.2, 0.1, 0.05]}
     )
     expected = max(-penalty(cfg, basis3, r) for r in (1, 2, 3))
-    assert ngg.bias_proxy(ests, 3, cfg, basis3) == pytest.approx(expected)
+    assert _biases(ests, cfg, basis3)[3] == pytest.approx(expected)
+    assert _bias_proxy_oracle(ests, 3, cfg, basis3) == pytest.approx(expected)
     assert expected == pytest.approx(-penalty(cfg, basis3, 1))
 
 
@@ -79,17 +94,20 @@ def test_bias_proxy_two_resolution_toy(basis3):
     # hand-evaluated distance between (a) and (a, b, b, b)
     a, b, n = 0.6, 0.2, 50
     cfg = ngg.AdaptConfig(n=n, r_max=1, include_r0=True)
-    ests = _estimates_from_stages({0: [a], 1: [a, b]}, n=n)
+    ests = _estimates_from_stages({0: [a], 1: [a, b]})
     d01 = b * math.sqrt(3)  # the three b entries match zeros
     expect_b0 = max(-penalty(cfg, basis3, 0), d01 - penalty(cfg, basis3, 1))
-    assert ngg.bias_proxy(ests, 0, cfg, basis3) == pytest.approx(expect_b0)
-    assert ngg.bias_proxy(ests, 1, cfg, basis3) == pytest.approx(-penalty(cfg, basis3, 0))
+    biases = _biases(ests, cfg, basis3)
+    assert biases[0] == pytest.approx(expect_b0)
+    assert biases[1] == pytest.approx(-penalty(cfg, basis3, 0))
+    for r in (0, 1):
+        assert _bias_proxy_oracle(ests, r, cfg, basis3) == pytest.approx(biases[r])
 
 
 def test_bias_proxy_missing_estimate(basis3):
     cfg = ngg.AdaptConfig(n=100, r_max=2)
-    with pytest.raises(DomainError):
-        ngg.bias_proxy(_estimates_from_stages({1: [0.5, 0.1]}), 1, cfg, basis3)
+    with pytest.raises(DomainError, match="missing estimate for resolution 2"):
+        ngg.select_resolution(_estimates_from_stages({1: [0.5, 0.1]}), cfg, basis3)
 
 
 def test_select_resolution_tie_goes_to_smallest(basis3):
@@ -119,22 +137,14 @@ def test_select_resolution_order_invariant(basis3):
 def test_bias_proxy_largest_resolution_is_minimal(basis3, seed):
     rng = np.random.default_rng(seed)
     cfg = ngg.AdaptConfig(n=150, r_max=4)
-    ests = {r: _estimate(r, rng.normal(0, 0.3, r + 1), n=150) for r in range(1, 5)}
-    b_max = ngg.bias_proxy(ests, 4, cfg, basis3)
+    ests = {r: _estimate(r, rng.normal(0, 0.3, r + 1)) for r in range(1, 5)}
+    biases = _biases(ests, cfg, basis3)
     for r in range(1, 5):
-        assert b_max <= ngg.bias_proxy(ests, r, cfg, basis3) + 1e-12
+        assert biases[4] <= biases[r] + 1e-12
+        assert biases[r] == _bias_proxy_oracle(ests, r, cfg, basis3)
 
 
 # --- one-pass selection against the per-resolution loop --------------------------
-
-
-def _bias_proxy_oracle(estimates, r, config, basis):
-    """Every expansion rebuilt and every term's distance computed, once per r."""
-    grid = list(resolution_grid(config))
-    vecs = {rr: estimate_vector(est, basis.dims) for rr, est in estimates.items()}
-    return max(
-        ngg.delta2(vecs[rp], vecs[min(rp, r)]) - penalty(config, basis, rp) for rp in grid
-    )
 
 
 def _selection_oracle(estimates, config, basis):
@@ -173,8 +183,6 @@ def test_select_resolution_matches_per_resolution_loop(
     selected, rows = _selection_oracle(fits, cfg, basis)
     assert [(x.r, x.bias, x.penalty, x.objective) for x in res.rows] == rows
     assert res.selected_r == selected
-    for r, b, _, _ in rows:
-        assert ngg.bias_proxy(fits, r, cfg, basis) == b
 
 
 @pytest.mark.parametrize("r_max, include_r0", [(1, False), (1, True), (4, True), (6, False)])
@@ -195,18 +203,22 @@ def test_select_resolution_expands_once_and_measures_each_pair_once(
     monkeypatch.setattr(ngg.adapt, "delta2", counted("delta2", ngg.delta2))
     rng = np.random.default_rng(r_max)
     cfg = ngg.AdaptConfig(n=200, r_max=r_max, include_r0=include_r0)
-    ests = {r: _estimate(r, rng.normal(0, 0.3, r + 1), n=200) for r in resolution_grid(cfg)}
+    ests = {r: _estimate(r, rng.normal(0, 0.3, r + 1)) for r in resolution_grid(cfg)}
     ngg.select_resolution(ests, cfg, basis)
     g = len(resolution_grid(cfg))
     assert calls == {"estimate_vector": g, "delta2": g * (g - 1) // 2}
 
 
 def test_bias_proxy_resolution_off_the_grid(basis3):
+    # a proxy is computed for every resolution on the candidate grid and for
+    # none off it, whatever else the estimates hold
     cfg = ngg.AdaptConfig(n=100, r_max=2)
-    ests = _estimates_from_stages({0: [0.5], 1: [0.5, 0.1], 2: [0.5, 0.1, 0.0]})
-    for r in (0, 3):
-        with pytest.raises(DomainError, match="candidate grid"):
-            ngg.bias_proxy(ests, r, cfg, basis3)
+    ests = _estimates_from_stages(
+        {0: [0.5], 1: [0.5, 0.1], 2: [0.5, 0.1, 0.0], 3: [0.5, 0.1, 0.0, 0.2]}
+    )
+    assert list(_biases(ests, cfg, basis3)) == [1, 2]
+    narrowed = {r: ests[r] for r in (1, 2)}
+    assert _biases(ests, cfg, basis3) == _biases(narrowed, cfg, basis3)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -215,8 +227,6 @@ def test_selection_refuses_non_finite_stage_values(basis3, bad):
     ests = _estimates_from_stages({1: [0.5, 0.1], 2: [0.5, bad, 0.0]})
     with pytest.raises(DomainError, match="resolution 2 has a non-finite"):
         ngg.select_resolution(ests, cfg, basis3)
-    with pytest.raises(DomainError, match="resolution 2 has a non-finite"):
-        ngg.bias_proxy(ests, 1, cfg, basis3)
 
 
 # --- envelope reconstruction -----------------------------------------------------
@@ -231,11 +241,11 @@ def test_reconstruct_constant(basis3):
 def test_reconstruct_quartic_exactly(basis3):
     stages = [1 / 3, 0.0, 0.0, 0.0, 2 / 27]
     env = ngg.reconstruct_envelope(_estimate(4, stages), basis3)
-    raw = ngg.reconstruct_envelope(_estimate(4, stages), basis3, clamp=False)
     t = np.linspace(-1, 1, 1001)
     target = ngg.builtin_envelope(5)(t)
     assert np.max(np.abs(env(t) - target)) < 1e-10
-    assert np.max(np.abs(raw(t) - target)) < 1e-10  # never clamped: p5 stays in [0, 1]
+    # the unclamped expansion: p5 stays in [0, 1], so no clamp was needed
+    assert np.max(np.abs(basis3.reconstruct(stages, t) - target)) < 1e-10
 
 
 def test_reconstruct_clamps(basis3):
@@ -251,7 +261,8 @@ def test_fit_all_resolutions_refuses_a_spectrum_of_another_size(basis3):
     with pytest.raises(DomainError, match="1000 values, config.n = 50"):
         ngg.fit_all_resolutions(values, basis3, ngg.AdaptConfig(n=50, r_max=4))
     fits = ngg.fit_all_resolutions(values, basis3, ngg.AdaptConfig(n=1000, r_max=4))
-    assert all(est.n == 1000 for est in fits.values())
+    for r, est in fits.items():  # each fit is over all 1000 values
+        assert est.score == ngg.fit_resolution(values, basis3, r).score
 
 
 def test_fit_all_resolutions_requires_room(basis3):

@@ -170,11 +170,11 @@ def test_score_recomputable(rng, basis3):
 
 def test_estimate_vector_expansion(basis3):
     est = ngg.SpectrumEstimate(
-        r=1, stage_values=np.array([0.9, 0.3]), ordering=(0, 1, ZERO_BLOCK), score=0.0, n=20
+        r=1, stage_values=np.array([0.9, 0.3]), ordering=(0, 1, ZERO_BLOCK), score=0.0
     )
     assert np.array_equal(ngg.estimate_vector(est, basis3.dims), [0.9, 0.3, 0.3, 0.3])
     zero = ngg.SpectrumEstimate(
-        r=2, stage_values=np.zeros(3), ordering=(0, 1, 2, ZERO_BLOCK), score=0.0, n=20
+        r=2, stage_values=np.zeros(3), ordering=(0, 1, 2, ZERO_BLOCK), score=0.0
     )
     assert np.array_equal(ngg.estimate_vector(zero, basis3.dims), np.zeros(9))
 
@@ -242,8 +242,8 @@ def test_fit_with_empty_zero_block_matches_exhaustive_search(name, r):
 
 
 def _same_fit(a, b):
-    return (a.r, a.ordering, a.stage_values.tobytes(), a.score, a.n) == (
-        b.r, b.ordering, b.stage_values.tobytes(), b.score, b.n)
+    return (a.r, a.ordering, a.stage_values.tobytes(), a.score) == (
+        b.r, b.ordering, b.stage_values.tobytes(), b.score)
 
 
 @given(

@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,6 +311,29 @@ def test_concentration_independent_of_thread_count():
         assert list(pool.map(table, range(2))) == [serial, serial]
 
 
+@pytest.mark.parametrize("space", [ngg.real_projective(3), ngg.complex_projective(2)],
+                         ids=lambda s: f"{s.kind.value}:{s.dim}")
+def test_theta_spectrum_concentrates_on_projective_spaces(space):
+    # the spectrum of theta/n nears the reference expansion at about n^(-1/2)
+    # only when the multiplicities d_ell are right: with a wrong d_ell the
+    # truth vector holds the wrong number of copies of each eigenvalue, and the
+    # error stalls (slope about -0.1 on rp:3)
+    table = ngg.concentration_check(ngg.builtin_envelope(1), space, (200, 400, 800),
+                                    replicates=2, seed=0)
+    assert table.slopes["mean_delta2_theta_spectrum"] < -0.3
+
+
+# --- scripts/risk_curve.py: a view of run_experiment's risk_fixed aggregate ------
+
+
+def _risk_curve(config):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "risk_curve.py"
+    spec = importlib.util.spec_from_file_location("risk_curve", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.risk_curve(config)
+
+
 @pytest.mark.parametrize("include_r0", [False, True])
 def test_risk_curve_is_run_experiment_risk_fixed(include_r0):
     cfg = _config(envelope=ngg.builtin_envelope(4), n_values=(300, 200), replicates=2,
@@ -316,17 +341,17 @@ def test_risk_curve_is_run_experiment_risk_fixed(include_r0):
     per_n = ngg.run_experiment(cfg).aggregates["per_n"]
     expected = [{"n": n, "r": int(r), "mean_sq_delta2": risk}
                 for n in (300, 200) for r, risk in per_n[str(n)]["risk_fixed"].items()]
-    assert ngg.risk_curve(cfg) == expected
+    assert _risk_curve(cfg) == expected
     assert {row["r"] for row in expected} == set(range(0 if include_r0 else 1, 4))
 
 
 def test_risk_curve_raises_on_failing_replicate():
     with pytest.raises(NggError, match="replicate 0 at n = 400 failed: ModelError"):
-        ngg.risk_curve(_config(envelope=ngg.constant_envelope(1.5), replicates=2))
+        _risk_curve(_config(envelope=ngg.constant_envelope(1.5), replicates=2))
 
 
 def test_risk_curve_shapes():
-    rows = ngg.risk_curve(_config(envelope=ngg.constant_envelope(0.0), replicates=2, r_max=3))
+    rows = _risk_curve(_config(envelope=ngg.constant_envelope(0.0), replicates=2, r_max=3))
     assert all(row["mean_sq_delta2"] == 0.0 for row in rows)
     assert [row["r"] for row in rows] == [1, 2, 3]
 
@@ -335,14 +360,14 @@ def test_risk_curve_bias_variance():
     # degree-2 envelope: risk collapses once the resolution reaches 2
     basis = ngg.harmonic_basis(ngg.sphere(3), 8)
     env = ngg.envelope_from_coefficients(basis, [(0, 0.4), (2, 0.08)], name="deg2")
-    rows = ngg.risk_curve(
+    rows = _risk_curve(
         _config(envelope=env, n_values=(500,), replicates=3, r_max=3, base_seed=5)
     )
     risk = {row["r"]: row["mean_sq_delta2"] for row in rows}
     assert risk[2] < risk[1] / 2
     assert risk[3] < risk[1]
     # constant envelope: pure variance, risk grows with resolution
-    rows_const = ngg.risk_curve(
+    rows_const = _risk_curve(
         _config(envelope=ngg.constant_envelope(0.4), n_values=(500,), replicates=3, r_max=3)
     )
     risk_const = {row["r"]: row["mean_sq_delta2"] for row in rows_const}

@@ -80,7 +80,7 @@ def test_pairwise_cosine_basics(sphere3):
     z = np.array([1.0 + 0j, 0.0])
     assert ngg.cosines(cp, z, np.exp(0.7j) * z) == pytest.approx(1.0)
     with pytest.raises(DomainError):
-        ngg.LatentSample(sphere3, np.stack([2 * e1, e2]), seed=0)
+        ngg.LatentSample(sphere3, np.stack([2 * e1, e2]))
 
 
 _S = 1 / math.sqrt(2)
@@ -114,12 +114,12 @@ def test_cosines_per_space_formula(space, x, y, expected):
 
 def test_latent_sample_rejects_non_unit_rows(sphere3):
     pts = ngg.sample_latent(sphere3, 5, 0).points
-    assert ngg.LatentSample(sphere3, pts, seed=0).n == 5
+    assert ngg.LatentSample(sphere3, pts).n == 5
     for bad in (pts * np.array([[1.0], [1.0], [1.001], [1.0], [1.0]]),
                 np.vstack([pts, np.full(3, np.nan)]),
                 pts[0]):
         with pytest.raises(DomainError):
-            ngg.LatentSample(sphere3, bad, seed=0)
+            ngg.LatentSample(sphere3, bad)
 
 
 @pytest.mark.parametrize(
@@ -162,7 +162,7 @@ def test_probability_matrix_trivial(sphere3):
 
 def test_probability_matrix_identical_points(sphere3):
     e = np.array([0.0, 0.0, 1.0])
-    lat = ngg.LatentSample(sphere3, np.stack([e, e]), seed=0)
+    lat = ngg.LatentSample(sphere3, np.stack([e, e]))
     m = ngg.probability_matrix(lat, ngg.builtin_envelope(1))
     assert m[0, 1] == 1.0 and m[1, 0] == 1.0 and m[0, 0] == 0.0
 
@@ -301,7 +301,7 @@ def test_generate_graph_range_check_in_last_block(monkeypatch, budget):
     space = ngg.sphere(3)
     pts = ngg.sample_latent(space, n, 2).points
     pts[-1] = pts[-2]
-    lat = ngg.LatentSample(space, pts, seed=2)
+    lat = ngg.LatentSample(space, pts)
     bump = ngg.Envelope(lambda t: np.where(t > 1.0 - 1e-9, 1.5, 0.5), "bump")
     with pytest.raises(ModelError, match="bump"):
         ngg.generate_graph(lat, bump, 0)
@@ -324,7 +324,7 @@ def test_nan_at_the_last_pair_is_refused(monkeypatch, budget):
     space = ngg.sphere(3)
     pts = ngg.sample_latent(space, n, 2).points
     pts[-1] = pts[-2]
-    lat = ngg.LatentSample(space, pts, seed=2)
+    lat = ngg.LatentSample(space, pts)
     hole = ngg.Envelope(lambda t: np.where(t > 1.0 - 1e-9, np.nan, 0.5), "hole")
     with pytest.raises(ModelError, match="'hole' has a non-finite value"):
         ngg.generate_graph(lat, hole, 0)

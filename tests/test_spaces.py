@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -11,10 +12,58 @@ from hypothesis import given, strategies as st
 
 import ngg
 from ngg.errors import DomainError, QuadratureError
-from ngg.spaces import beta_density_const
 
 
 # --- dimensions -------------------------------------------------------------
+
+
+def _sphere_dim(d, ell):
+    """Closed form for the sphere in R^d: C(ell+d-1, ell) - C(ell+d-3, ell-2)."""
+    return math.comb(ell + d - 1, ell) - (math.comb(ell + d - 3, ell - 2) if ell >= 2 else 0)
+
+
+_DIM_SPACES = [
+    ngg.sphere(3), ngg.sphere(4), ngg.sphere(5),
+    ngg.real_projective(3), ngg.real_projective(4), ngg.real_projective(5),
+    ngg.complex_projective(2), ngg.complex_projective(3),
+    ngg.quaternionic_projective(2), ngg.quaternionic_projective(3),
+    ngg.octonionic_plane(),
+]
+
+
+@pytest.mark.parametrize("space", _DIM_SPACES, ids=lambda s: f"{s.kind.value}:{s.dim}")
+def test_dims_obey_the_addition_theorem(space):
+    # Z_ell(1)^2 = d_ell for the orthonormal zonal polynomial of every family
+    b = ngg.harmonic_basis(space, 12)
+    at_one = b.orthonormal_all(12, 1.0)[:, 0] ** 2
+    for ell, d in enumerate(b.dims):
+        assert type(d) is int
+        assert abs(at_one[ell] - d) <= 1e-10 * d, ell
+    assert b.cum_dims == tuple(itertools.accumulate(b.dims))
+    assert ngg.cumulative_dim(space, 12) == b.cum_dims[12]
+    assert [ngg.dim_of_degree(space, ell) for ell in range(13)] == list(b.dims)
+
+
+def test_dims_of_coinciding_families():
+    # CP^1 is the 2-sphere and HP^1 the 4-sphere; RP^(d-1) keeps the even
+    # harmonics of S^(d-1); the octonionic plane's multiplicities are known
+    dims = lambda sp, top: ngg.harmonic_basis(sp, top).dims
+    assert dims(ngg.complex_projective(2), 12) == dims(ngg.sphere(3), 12)
+    assert dims(ngg.quaternionic_projective(2), 12) == dims(ngg.sphere(5), 12)
+    for d in (3, 4, 5, 8):
+        assert dims(ngg.real_projective(d), 12) == dims(ngg.sphere(d), 24)[::2]
+    assert dims(ngg.octonionic_plane(), 3) == (1, 26, 324, 2652)
+
+
+@pytest.mark.parametrize("space", [ngg.real_projective(3), ngg.complex_projective(2)],
+                         ids=lambda s: f"{s.kind.value}:{s.dim}")
+def test_kernel_rank_is_the_model_dimension(space):
+    # p1 is a quartic in t, so the full kernel matrix has exactly cum_dims[4]
+    # nonzero eigenvalues, the multiplicities of degrees 0..4
+    latent = ngg.sample_latent(space, 300, 3)
+    theta = ngg.builtin_envelope(1)(ngg.cosines(space, latent.points, latent.points))
+    rank = np.linalg.matrix_rank(theta, hermitian=True)
+    assert rank == ngg.harmonic_basis(space, 4).cum_dims[4]
 
 
 def test_sphere_dims_examples():
@@ -25,6 +74,16 @@ def test_sphere_dims_examples():
     # independent count for S^3: dimension of degree-l harmonics is (l+1)^2
     for ell in range(8):
         assert ngg.dim_of_degree(ngg.sphere(4), ell) == (ell + 1) ** 2
+
+
+def test_sphere_dims_match_the_closed_form():
+    for d in (*range(3, 13), 101, 10000):
+        dims = ngg.harmonic_basis(ngg.sphere(d), 64).dims
+        assert dims == tuple(_sphere_dim(d, ell) for ell in range(65)), d
+        # cumulative: C(L+d-1, L) + C(L+d-2, L-1)
+        assert ngg.cumulative_dim(ngg.sphere(d), 64) == math.comb(64 + d - 1, 64) + math.comb(
+            64 + d - 2, 63
+        )
 
 
 def test_cumulative_dims():
@@ -51,26 +110,12 @@ def test_sphere_dims_growth_order():
 
 
 def test_table_dims_validation():
-    # all families: positive and 1 at degree zero
-    spaces = [
-        ngg.sphere(3),
-        ngg.real_projective(3),
-        ngg.real_projective(5),
-        ngg.complex_projective(2),
-        ngg.complex_projective(3),
-        ngg.quaternionic_projective(2),
-        ngg.octonionic_plane(),
-    ]
-    for sp in spaces:
-        assert ngg.dim_of_degree(sp, 0) == 1
-        assert all(ngg.dim_of_degree(sp, ell) >= 1 for ell in range(12))
-    # the projective formulas are integral except on the octonionic plane,
-    # whose printed formula is non-integer from degree 1 on; flagged, not hidden
-    assert ngg.flag_noninteger_dims(ngg.real_projective(3), 12) == ()
-    assert ngg.flag_noninteger_dims(ngg.complex_projective(3), 12) == ()
-    assert ngg.flag_noninteger_dims(ngg.quaternionic_projective(2), 12) == ()
-    assert 1 in ngg.flag_noninteger_dims(ngg.octonionic_plane(), 12)
-    assert ngg.harmonic_basis(ngg.octonionic_plane(), 6).flagged_degrees != ()
+    # every family: exact integers, 1 at degree zero, increasing after it
+    for sp in _DIM_SPACES:
+        dims = ngg.harmonic_basis(sp, 12).dims
+        assert all(type(d) is int for d in dims)
+        assert dims[0] == 1
+        assert all(dims[ell] < dims[ell + 1] for ell in range(12))
 
 
 def test_space_domain_errors():
@@ -85,42 +130,39 @@ def test_space_domain_errors():
 # --- polynomial evaluation ---------------------------------------------------
 
 
-def test_basis_poly_degree_zero_and_legendre(basis3):
-    for t in (-1.0, -0.3, 0.0, 0.8, 1.0):
-        assert basis3.basis_poly(0, t) == 1.0
-    # d = 3 polynomials are the Legendre family: oracle = explicit formulas
+def test_orthonormal_all_is_the_scaled_legendre_family(basis3):
+    # d = 3 polynomials are the Legendre family, scaled to unit norm under
+    # the uniform law on [-1, 1]: Z_ell = sqrt(2 ell + 1) P_ell
     t = np.linspace(-1, 1, 41)
-    assert np.allclose(basis3.basis_poly(2, t), (3 * t**2 - 1) / 2, atol=1e-14)
-    assert basis3.basis_poly(2, 0.5) == pytest.approx(-0.125, abs=1e-15)
-    assert np.allclose(basis3.basis_poly(3, t), (5 * t**3 - 3 * t) / 2, atol=1e-14)
-
-
-def test_basis_poly_value_at_one_is_dim_over_normalizer():
-    for d in (3, 4, 5, 6):
-        b = ngg.harmonic_basis(ngg.sphere(d), 10)
-        for ell in range(11):
-            expected = b.dims[ell] / b.normalizers[ell]
-            assert b.basis_poly(ell, 1.0) == pytest.approx(expected, rel=1e-12)
+    z = basis3.orthonormal_all(3, t)
+    assert np.all(z[0] == 1.0)
+    assert np.allclose(z[2], math.sqrt(5) * (3 * t**2 - 1) / 2, atol=1e-14)
+    assert basis3.orthonormal_all(2, 0.5)[2, 0] == pytest.approx(-0.125 * math.sqrt(5), abs=1e-15)
+    assert np.allclose(z[3], math.sqrt(7) * (5 * t**3 - 3 * t) / 2, atol=1e-14)
 
 
 def test_orthonormal_value_at_one_squares_to_dim():
-    for d in (3, 4, 5):
+    for d in (3, 4, 5, 6):
         b = ngg.harmonic_basis(ngg.sphere(d), 10)
+        at_one = b.orthonormal_all(10, 1.0)[:, 0]
         for ell in range(11):
-            assert b.orthonormal(ell, 1.0) ** 2 == pytest.approx(b.dims[ell], rel=1e-10)
+            assert at_one[ell] > 0
+            assert at_one[ell] ** 2 == pytest.approx(b.dims[ell], rel=1e-10)
 
 
-def test_basis_poly_domain_error(basis3):
+def test_orthonormal_all_domain_error(basis3):
     with pytest.raises(DomainError):
-        basis3.basis_poly(2, 1.5)
+        basis3.orthonormal_all(2, 1.5)
     with pytest.raises(DomainError):
-        basis3.orthonormal(2, np.array([0.0, -1.01]))
+        basis3.orthonormal_all(2, np.array([0.0, -1.01]))
+    with pytest.raises(DomainError):
+        basis3.orthonormal_all(17, 0.5)
 
 
-def test_orthonormality_gram_small():
+def test_orthonormality_gram_small(orthonormality_gram):
     for d in (3, 4, 5):
         b = ngg.harmonic_basis(ngg.sphere(d), 12)
-        g = ngg.orthonormality_gram(b, 12)
+        g = orthonormality_gram(b, 12)
         assert np.max(np.abs(g - np.eye(13))) < 1e-8
 
 
@@ -132,6 +174,17 @@ def test_beta_density_normalization():
         alpha, beta = ngg.beta_shape(sp)
         _, w = _panel_rule(alpha, beta, -1.0, 1.0, 40)
         assert abs(w.sum() - 1.0) < 1e-10
+
+
+def beta_density_const(alpha, beta):
+    """Normalizer of the Beta density on [-1, 1]:
+    Gamma(a+b) / (2^(a+b-1) Gamma(a) Gamma(b))."""
+    return math.exp(-ngg.spaces._log_mass(alpha - 1.0, beta - 1.0))
+
+
+def beta_density(alpha, beta, t):
+    t = np.asarray(t, dtype=float)
+    return beta_density_const(alpha, beta) * (1.0 - t) ** (alpha - 1.0) * (1.0 + t) ** (beta - 1.0)
 
 
 def test_sphere_weight_const_matches_beta():
@@ -307,8 +360,6 @@ def _fixed_node_coefficients(basis, fn, R, nodes=10_000):
     """Independent oracle: plain Gauss-Legendre at a fixed node count with the
     weight folded in explicitly."""
     import scipy.special
-
-    from ngg.spaces import beta_density
 
     x, w = scipy.special.roots_legendre(nodes)
     alpha, beta = basis.beta_shape
