@@ -141,6 +141,18 @@ def test_orthonormal_all_is_the_scaled_legendre_family(basis3):
     assert np.allclose(z[3], math.sqrt(7) * (5 * t**3 - 3 * t) / 2, atol=1e-14)
 
 
+def test_basis_poly_value_at_one_is_dim_over_normalizer():
+    # the sphere's unnormalized basis polynomial, the ultraspherical G_ell
+    # with lambda = (d - 2) / 2, takes the value d_ell / c_ell at t = 1,
+    # where c_ell = (2 ell + d - 2) / (d - 2)
+    for d in (3, 4, 5, 6):
+        b = ngg.harmonic_basis(ngg.sphere(d), 10)
+        g_at_one = b._raw_all(10, np.ones(1))[:, 0]
+        for ell in range(11):
+            c = (2.0 * ell + d - 2.0) / (d - 2.0)
+            assert g_at_one[ell] == pytest.approx(b.dims[ell] / c, rel=1e-12)
+
+
 def test_orthonormal_value_at_one_squares_to_dim():
     for d in (3, 4, 5, 6):
         b = ngg.harmonic_basis(ngg.sphere(d), 10)
