@@ -78,13 +78,15 @@ def score_ordering(spectrum, ordering, dims):
     spec = as_spectrum(spectrum)
     n = spec.values.size
     r = len(ordering) - 2
+    if sorted(ordering) != [ZERO_BLOCK, *range(r + 1)]:
+        raise DomainError(f"ordering {tuple(ordering)} is not a permutation of -1, 0..r")
+    if len(dims) <= r:
+        raise DomainError(f"need {r + 1} dimensions for the ordering, got {len(dims)}")
     dims = tuple(int(d) for d in dims[: r + 1])
     total = sum(dims)
     if total > n:
         raise DomainError(f"need n >= {total} eigenvalues, got {n}")
     lengths = {sym: (dims[sym] if sym != ZERO_BLOCK else n - total) for sym in ordering}
-    if sum(lengths.values()) != n:
-        raise AssertionError("block lengths do not partition the spectrum")
     ends = np.cumsum([lengths[sym] for sym in ordering])
     starts = np.concatenate(([0], ends[:-1]))
     means, costs = _run_costs(spec, starts, ends, np.equal(ordering, ZERO_BLOCK))

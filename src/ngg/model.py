@@ -103,13 +103,13 @@ def envelope_from_coefficients(
     pairs = tuple((int(ell), float(v)) for ell, v in pairs)
     if not pairs:
         raise DomainError("at least one coefficient is required")
+    if any(ell < 0 for ell, _ in pairs):
+        raise DomainError("degrees must be nonnegative")
     top = max(ell for ell, _ in pairs)
     if top > basis.max_degree:
         raise DomainError(f"degree {top} exceeds basis max_degree {basis.max_degree}")
     coeffs = np.zeros(top + 1)
     for ell, v in pairs:
-        if ell < 0:
-            raise DomainError("degrees must be nonnegative")
         coeffs[ell] += v
     return Envelope(
         lambda t: basis.reconstruct(coeffs, t),

@@ -68,7 +68,7 @@ class LatentSpace:
 
     def __post_init__(self):
         if self.kind in (SpaceKind.SPHERE, SpaceKind.REAL_PROJECTIVE):
-            # the sphere normalizer (2*ell + d - 2) / (d - 2) degenerates at d = 2
+            # at d = 2, a + b = -1 and _dims divides by a + b + 1 = 0
             if self.dim < 3:
                 raise DomainError(f"{self.kind.value} requires ambient dimension >= 3")
         elif self.kind in (SpaceKind.COMPLEX_PROJECTIVE, SpaceKind.QUATERNIONIC):
@@ -174,20 +174,6 @@ def _check_t(t) -> np.ndarray:
     return np.clip(t, -1.0, 1.0)
 
 
-def _gegenbauer_all(lam: float, max_degree: int, t: np.ndarray) -> np.ndarray:
-    """Ultraspherical C^lam_0..L stacked along axis 0 (standard normalization,
-    C^lam_ell(1) = binom(ell + 2 lam - 1, ell))."""
-    out = np.empty((max_degree + 1,) + t.shape, dtype=float)
-    out[0] = 1.0
-    if max_degree >= 1:
-        out[1] = 2.0 * lam * t
-    for ell in range(2, max_degree + 1):
-        out[ell] = (
-            2.0 * t * (ell + lam - 1.0) * out[ell - 1] - (ell + 2.0 * lam - 2.0) * out[ell - 2]
-        ) / ell
-    return out
-
-
 def _jacobi_all(a: float, b: float, max_degree: int, t: np.ndarray) -> np.ndarray:
     """Jacobi P^(a,b)_0..L stacked along axis 0 (P(1) = binom(ell + a, ell))."""
     out = np.empty((max_degree + 1,) + t.shape, dtype=float)
@@ -199,27 +185,10 @@ def _jacobi_all(a: float, b: float, max_degree: int, t: np.ndarray) -> np.ndarra
         c2 = (2.0 * ell + a + b - 1.0) * (a * a - b * b)
         c3 = (2.0 * ell + a + b - 1.0) * (2.0 * ell + a + b) * (2.0 * ell + a + b - 2.0)
         c4 = 2.0 * (ell + a - 1.0) * (ell + b - 1.0) * (2.0 * ell + a + b)
-        out[ell] = ((c2 + c3 * t) * out[ell - 1] - c4 * out[ell - 2]) / c1
+        # dividing by c1 first keeps every product near P_ell(1) <= d_ell, so
+        # no basis that harmonic_basis accepts overflows here
+        out[ell] = (c2 / c1 + c3 / c1 * t) * out[ell - 1] - c4 / c1 * out[ell - 2]
     return out
-
-
-def _jacobi_density_norms(alpha: float, beta: float, max_degree: int) -> np.ndarray:
-    """L2 norms of Jacobi P^(alpha-1, beta-1) under the Beta(alpha, beta)
-    density, via log-gamma (norm of degree 0 is exactly 1)."""
-    a, b = alpha - 1.0, beta - 1.0
-    lg = math.lgamma
-    log_sq = [
-        lg(a + b + 2.0)
-        - math.log(2.0 * ell + a + b + 1.0)
-        - lg(a + 1.0)
-        - lg(b + 1.0)
-        + lg(ell + a + 1.0)
-        + lg(ell + b + 1.0)
-        - lg(ell + a + b + 1.0)
-        - lg(ell + 1.0)
-        for ell in range(max_degree + 1)
-    ]
-    return np.exp(0.5 * np.asarray(log_sq))
 
 
 @dataclass(frozen=True)
@@ -246,26 +215,19 @@ class HarmonicBasis:
 
     # -- evaluation ---------------------------------------------------
 
-    def _raw_all(self, max_degree: int, t: np.ndarray) -> np.ndarray:
-        alpha, beta = self.beta_shape
-        if self.space.kind is SpaceKind.SPHERE:
-            lam = (self.space.dim - 2) / 2.0
-            return _gegenbauer_all(lam, max_degree, t)
-        return _jacobi_all(alpha - 1.0, beta - 1.0, max_degree, t)
-
     def orthonormal_all(self, max_degree: int, t) -> np.ndarray:
         """All orthonormal polynomials up to ``max_degree`` at once, shape
         (max_degree + 1, len(t)); each is positive at t = 1, where its value
         squares to d_ell."""
         self._check_degree(max_degree)
         t = np.atleast_1d(_check_t(t))
-        raw = self._raw_all(max_degree, t)
+        alpha, beta = self.beta_shape
+        raw = _jacobi_all(alpha - 1.0, beta - 1.0, max_degree, t)
         norms = np.asarray(self._ortho_norms[: max_degree + 1])
         return raw / norms[:, None]
 
     def reconstruct(self, coefficients: Sequence[float], t):
-        """Evaluate sum_ell sqrt(d_ell) u_ell Z_ell(t); for spheres this equals
-        sum_ell u_ell c_ell G_ell(t) with c_ell = (2 ell + d - 2) / (d - 2)."""
+        """Evaluate sum_ell sqrt(d_ell) u_ell Z_ell(t)."""
         coefficients = np.asarray(coefficients, dtype=float)
         top = coefficients.size - 1
         self._check_degree(top)
@@ -293,16 +255,10 @@ def harmonic_basis(space: LatentSpace, max_degree: int) -> HarmonicBasis:
                 "exceeds the float range"
             )
     alpha, beta = beta_shape(space)
-    if space.kind is SpaceKind.SPHERE:
-        d = space.dim
-        # the ultraspherical G_ell has norm sqrt(d_ell) / c_ell under the
-        # density, with c_ell = (2 ell + d - 2) / (d - 2); hence Z = (c/sqrt(d)) G
-        ortho = tuple(
-            math.sqrt(dims[ell]) / ((2.0 * ell + d - 2.0) / (d - 2.0))
-            for ell in range(max_degree + 1)
-        )
-    else:
-        ortho = tuple(_jacobi_density_norms(alpha, beta, max_degree))
+    # the addition theorem Z_ell(1)^2 = d_ell fixes the norm of P_ell under
+    # the cosine law at P_ell(1) / sqrt(d_ell)
+    at_one = _jacobi_all(alpha - 1.0, beta - 1.0, max_degree, np.ones(1))[:, 0]
+    ortho = tuple(p / math.sqrt(d) for p, d in zip(at_one, dims))
     return HarmonicBasis(
         space=space,
         max_degree=max_degree,

@@ -356,6 +356,15 @@ def test_cli_coefficients_file_bad_number_is_usage_error(tmp_path, capsys):
     assert f"{coeffs}:2:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["-1 0.5\n", "-2 0.5\n", "0 0.4\n-3 0.1\n"])
+def test_cli_negative_degree_in_coefficients_file_is_an_error(tmp_path, capsys, text):
+    coeffs = tmp_path / "env.txt"
+    coeffs.write_text(text)
+    assert main(["coefs", "--envelope", str(coeffs)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nonnegative" in err and err.count("\n") == 1
+
+
 def test_cli_resolution_above_seven(tmp_path):
     # r_max 8 is past the old (R+2)! enumeration cap
     sim_json, adj = tmp_path / "sim.json", tmp_path / "adj.txt"

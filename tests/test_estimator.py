@@ -71,6 +71,21 @@ def test_score_ordering_example(basis3):
     assert score == pytest.approx(5e-4, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "ordering",
+    [(0, 0, ZERO_BLOCK), (0, 5, ZERO_BLOCK), (0, 1), (1, 2, ZERO_BLOCK), (),
+     (0, ZERO_BLOCK, ZERO_BLOCK, 1)],
+)
+def test_score_ordering_refuses_a_malformed_ordering(basis3, ordering):
+    with pytest.raises(DomainError, match="permutation"):
+        ngg.score_ordering(np.zeros(10), ordering, basis3.dims)
+
+
+def test_score_ordering_refuses_too_few_dims():
+    with pytest.raises(DomainError, match="dimensions"):
+        ngg.score_ordering(np.zeros(10), (0, 1, 2, ZERO_BLOCK), (1, 3))
+
+
 def test_score_ordering_zero_spectrum(basis3):
     stages, score = ngg.score_ordering(np.zeros(10), (ZERO_BLOCK, 0, 1), basis3.dims)
     assert np.array_equal(stages, [0.0, 0.0])

@@ -167,6 +167,12 @@ def test_probability_matrix_identical_points(sphere3):
     assert m[0, 1] == 1.0 and m[1, 0] == 1.0 and m[0, 0] == 0.0
 
 
+@pytest.mark.parametrize("pairs", [[(-1, 0.5)], [(-2, 0.5)], [(0, 0.4), (-3, 0.1)]])
+def test_envelope_from_coefficients_refuses_negative_degrees(pairs):
+    with pytest.raises(DomainError, match="nonnegative"):
+        ngg.envelope_from_coefficients(ngg.harmonic_basis(ngg.sphere(3), 4), pairs)
+
+
 def test_envelope_out_of_range_is_error(sphere3):
     lat = ngg.sample_latent(sphere3, 5, 1)
     with pytest.raises(ModelError):

@@ -34,14 +34,14 @@ _DIM_SPACES = [
 @pytest.mark.parametrize("space", _DIM_SPACES, ids=lambda s: f"{s.kind.value}:{s.dim}")
 def test_dims_obey_the_addition_theorem(space):
     # Z_ell(1)^2 = d_ell for the orthonormal zonal polynomial of every family
-    b = ngg.harmonic_basis(space, 12)
-    at_one = b.orthonormal_all(12, 1.0)[:, 0] ** 2
+    b = ngg.harmonic_basis(space, 64)
+    at_one = b.orthonormal_all(64, 1.0)[:, 0] ** 2
     for ell, d in enumerate(b.dims):
         assert type(d) is int
-        assert abs(at_one[ell] - d) <= 1e-10 * d, ell
+        assert abs(at_one[ell] - d) <= 1e-15 * d, ell
     assert b.cum_dims == tuple(itertools.accumulate(b.dims))
-    assert ngg.cumulative_dim(space, 12) == b.cum_dims[12]
-    assert [ngg.dim_of_degree(space, ell) for ell in range(13)] == list(b.dims)
+    assert ngg.cumulative_dim(space, 64) == b.cum_dims[64]
+    assert [ngg.dim_of_degree(space, ell) for ell in range(65)] == list(b.dims)
 
 
 def test_dims_of_coinciding_families():
@@ -141,16 +141,45 @@ def test_orthonormal_all_is_the_scaled_legendre_family(basis3):
     assert np.allclose(z[3], math.sqrt(7) * (5 * t**3 - 3 * t) / 2, atol=1e-14)
 
 
-def test_basis_poly_value_at_one_is_dim_over_normalizer():
-    # the sphere's unnormalized basis polynomial, the ultraspherical G_ell
-    # with lambda = (d - 2) / 2, takes the value d_ell / c_ell at t = 1,
-    # where c_ell = (2 ell + d - 2) / (d - 2)
-    for d in (3, 4, 5, 6):
-        b = ngg.harmonic_basis(ngg.sphere(d), 10)
-        g_at_one = b._raw_all(10, np.ones(1))[:, 0]
-        for ell in range(11):
-            c = (2.0 * ell + d - 2.0) / (d - 2.0)
-            assert g_at_one[ell] == pytest.approx(b.dims[ell] / c, rel=1e-12)
+def _jacobi_ratios_exact(a, b, max_degree, ts):
+    """P^(a,b)_ell(t) / P^(a,b)_ell(1) for ell = 0..max_degree, in exact rationals."""
+    rows = [[Fraction(1)] * len(ts), [(a + 1) + (a + b + 2) * (t - 1) / 2 for t in ts]]
+    at_one = [Fraction(1), a + 1]
+    for ell in range(2, max_degree + 1):
+        c1 = 2 * ell * (ell + a + b) * (2 * ell + a + b - 2)
+        c2 = (2 * ell + a + b - 1) * (a * a - b * b)
+        c3 = (2 * ell + a + b - 1) * (2 * ell + a + b) * (2 * ell + a + b - 2)
+        c4 = 2 * (ell + a - 1) * (ell + b - 1) * (2 * ell + a + b)
+        rows.append([((c2 + c3 * t) * p - c4 * q) / c1
+                     for t, p, q in zip(ts, rows[-1], rows[-2])])
+        at_one.append(at_one[-1] * (ell + a) / ell)
+    return [[p / one for p in row] for row, one in zip(rows, at_one)]
+
+
+@pytest.mark.parametrize("space", _DIM_SPACES, ids=lambda s: f"{s.kind.value}:{s.dim}")
+def test_orthonormal_all_matches_an_exact_jacobi_oracle(space):
+    # Z_ell = sqrt(d_ell) P_ell(t) / P_ell(1) with P the Jacobi polynomial of
+    # the cosine law, checked at the dyadic points t = k/64 - 1
+    alpha, beta = ngg.beta_shape(space)
+    a, b = Fraction(round(2 * alpha) - 2, 2), Fraction(round(2 * beta) - 2, 2)
+    ts = [Fraction(k, 64) - 1 for k in range(129)]
+    basis = ngg.harmonic_basis(space, 64)
+    z = basis.orthonormal_all(64, np.array([float(t) for t in ts]))
+    ratios = _jacobi_ratios_exact(a, b, 64, ts)
+    for ell, (row, d) in enumerate(zip(ratios, basis.dims)):
+        root = math.sqrt(d)
+        want = np.array([float(r) for r in row]) * root
+        assert np.max(np.abs(z[ell] - want)) <= 1e-14 * root, ell
+
+
+@pytest.mark.parametrize("dim, top", [(1000, 307), (10000, 134)])
+def test_orthonormal_all_is_finite_at_the_largest_accepted_degree(dim, top):
+    with pytest.raises(DomainError):
+        ngg.harmonic_basis(ngg.sphere(dim), top + 1)
+    basis = ngg.harmonic_basis(ngg.sphere(dim), top)
+    with np.errstate(all="raise"):
+        z = basis.orthonormal_all(top, [-1.0, 1.0])
+    assert np.all(np.isfinite(z))
 
 
 def test_orthonormal_value_at_one_squares_to_dim():
