@@ -6,8 +6,10 @@ Subcommands:
   coefs          print reference expansion coefficients of an envelope
   eval-envelope  sample an envelope (builtin, coefficient file, or fitted) on a grid
 
-All outputs are deterministic given --seed; JSON files embed the resolved
-configuration and render floats with 17 significant digits.
+All outputs are deterministic given --seed on one machine with one BLAS
+thread count (the thread count moves eigenvalues at round-off level); JSON
+files embed the resolved configuration and render floats with 17
+significant digits.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapt import AdaptConfig, check_settings
-from .edgelist import is_adjacency_dump, read_adjacency, read_edge_list, write_adjacency
+from .edgelist import read_edge_list, write_edge_list
 from .errors import NggError
 from .estimator import MAX_RESOLUTION
 from .harness import (
@@ -86,8 +88,12 @@ def _parse_space(text: str) -> LatentSpace:
 
 
 def _parse_coeffs_file(path: str):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not a UTF-8 text file ({exc})") from exc
     pairs = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#") or line.startswith("%"):
             continue
@@ -181,12 +187,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", required=True, help="report JSON path (CSV written alongside)")
     sim.add_argument("--dump-adjacency", default=None,
-                     help="also dump sampled adjacency matrices to this path")
-    sim.add_argument("--dump-format", choices=("rle", "dense"), default="rle")
+                     help="also write the sampled graphs to this path as edge lists")
     _add_common(sim)
 
     est = sub.add_parser("estimate", help="estimate an envelope from an edge list")
-    est.add_argument("--input", required=True, help="edge list or adjacency dump")
+    est.add_argument("--input", required=True, help="edge list")
     est.add_argument("--dim", type=int, default=3, help="sphere ambient dimension")
     est.add_argument("--grid", type=int, default=201,
                      help=f"envelope sample points (at most {_MAX_GRID})")
@@ -241,7 +246,7 @@ def _cmd_simulate(args) -> int:
                 if args.replicates == 1
                 else f"{args.dump_adjacency}.rep{rep}"
             )
-            write_adjacency(path, adjacency, fmt=args.dump_format)
+            write_edge_list(path, adjacency)
     print(f"report written to {args.out}")
     return 0
 
@@ -254,14 +259,10 @@ def _cmd_estimate(args) -> int:
         print(f"error: input file {args.input!r} not found", file=sys.stderr)
         return 1
     grid = _grid(args.grid)
-    warnings: list[str] = []
-    if is_adjacency_dump(path):
-        adjacency = read_adjacency(path)
-    else:
-        data = read_edge_list(path)
-        warnings.extend(data.warnings)
-        adjacency = data.adjacency()
-    n = adjacency.shape[0]
+    data = read_edge_list(path)
+    warnings = list(data.warnings)
+    adjacency = data.adjacency()
+    n = data.n
     adapt_cfg = AdaptConfig(n=n, r_max=args.r_max, kappa=args.kappa,
                             include_r0=args.include_r0)
     basis = harmonic_basis(space, args.r_max)

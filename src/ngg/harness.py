@@ -280,7 +280,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     A failing replicate is recorded with its error message; it never aborts
     the rest of the run.
     """
-    basis = harmonic_basis(config.space, max(TRUTH_DEGREE, config.r_max))
+    basis = harmonic_basis(config.space, TRUTH_DEGREE)
     truth = true_coefficients(basis, config.envelope)
     # one record per (n, replicate), in sorted order whatever the order of n_values
     tasks = sorted({(n, rep) for n in config.n_values for rep in range(config.replicates)})

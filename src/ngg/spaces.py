@@ -19,12 +19,15 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import DomainError, QuadratureError
 from .spectral import eigenvalues_tridiagonal
+
+if TYPE_CHECKING:  # model imports this module
+    from .model import Envelope
 
 __all__ = [
     "SpaceKind",
@@ -356,17 +359,6 @@ def _panel_rule(alpha: float, beta: float, lo: float, hi: float, m: int):
         return x, np.exp(log_w)
 
 
-def _vectorized(fn: Callable) -> Callable:
-    probe = np.array([-0.5, 0.25])
-    try:
-        out = np.asarray(fn(probe), dtype=float)
-        if out.shape == probe.shape:
-            return fn
-    except Exception:
-        pass
-    return np.vectorize(fn, otypes=[float])
-
-
 _QUAD_START = 24
 QUAD_NODE_CAP = 3072  # most Gauss nodes per panel before bisection
 _QUAD_MAX_DEPTH = 10
@@ -402,16 +394,18 @@ def _integrate_panel(basis, fn, max_degree, lo, hi, tol, depth, failures):
     return prev
 
 
-def envelope_coefficients(basis: HarmonicBasis, envelope, max_degree: int) -> np.ndarray:
-    """Coefficients (one per degree 0..max_degree) of a function of the cosine
-    in the eigenbasis of its kernel operator.
+def envelope_coefficients(basis: HarmonicBasis, envelope: Envelope,
+                          max_degree: int) -> np.ndarray:
+    """Coefficients (one per degree 0..max_degree) of an envelope, a function
+    of the cosine, in the eigenbasis of its kernel operator.
 
     The degree-``ell`` output is <f, Z_ell> / sqrt(d_ell) under the cosine law;
     it is exactly the degree-``ell`` operator eigenvalue, carrying multiplicity
     ``d_ell``.  Integrals use adaptive Gauss rules: node doubling until two
     successive estimates agree to ``_QUAD_TOL`` times ``max(1, max|f|)`` over the
     rule's nodes, the domain pre-split at any jump
-    the envelope declares, and recursive bisection as a fallback.
+    the envelope declares, and recursive bisection as a fallback.  The
+    envelope's ``fn`` must map an array of cosines to an array of values.
 
     Raises
     ------
@@ -424,15 +418,14 @@ def envelope_coefficients(basis: HarmonicBasis, envelope, max_degree: int) -> np
     """
     if max_degree < 0 or max_degree > basis.max_degree:
         raise DomainError(f"max_degree {max_degree} outside 0..{basis.max_degree}")
-    fn = _vectorized(getattr(envelope, "fn", envelope))
-    jumps = getattr(envelope, "jump_points", None) or ()
-    cuts = sorted({float(j) for j in jumps if -1.0 < float(j) < 1.0})
+    cuts = sorted({float(j) for j in envelope.jump_points or () if -1.0 < float(j) < 1.0})
     edges = [-1.0, *cuts, 1.0]
     failures: list[tuple[float, float]] = []
     total = np.zeros(max_degree + 1)
     for lo, hi in zip(edges[:-1], edges[1:]):
         share = _QUAD_TOL * max((hi - lo) / 2.0, 1e-3)
-        total = total + _integrate_panel(basis, fn, max_degree, lo, hi, share, 0, failures)
+        total = total + _integrate_panel(basis, envelope.fn, max_degree, lo, hi, share, 0,
+                                         failures)
     raw = total / np.sqrt(np.asarray(basis.dims[: max_degree + 1], dtype=float))
     if failures:
         raise QuadratureError(

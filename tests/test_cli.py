@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ngg
 from ngg.cli import _MAX_GRID, main
-from ngg.edgelist import read_adjacency, read_edge_list, write_adjacency
+from ngg.edgelist import read_edge_list
 from ngg.errors import DomainError
 from ngg.estimator import MAX_RESOLUTION
 
@@ -32,7 +32,6 @@ def test_read_edge_list_konect_style(tmp_path):
         "2 4\n"
     )
     data = read_edge_list(path)
-    assert data.one_based
     assert data.n == 4
     assert data.edges.tolist() == [[0, 1], [1, 3]]
     assert any("self-loop" in w for w in data.warnings)
@@ -44,8 +43,8 @@ def test_read_edge_list_zero_based(tmp_path):
     path = tmp_path / "graph.txt"
     path.write_text("0 1\n1 2\n")
     data = read_edge_list(path)
-    assert not data.one_based
     assert data.n == 3
+    assert data.edges.tolist() == [[0, 1], [1, 2]]
 
 
 def test_read_edge_list_errors(tmp_path):
@@ -59,61 +58,39 @@ def test_read_edge_list_errors(tmp_path):
         read_edge_list(empty)
 
 
-@pytest.mark.parametrize("fmt", ["rle", "dense"])
-def test_adjacency_dump_roundtrip(tmp_path, fmt):
-    rng = np.random.default_rng(0)
-    a = (rng.random((17, 17)) < 0.3).astype(float)
-    a = np.triu(a, 1)
-    a = a + a.T
-    path = tmp_path / "adj.txt"
-    write_adjacency(path, a, fmt=fmt)
-    assert np.array_equal(read_adjacency(path), a)
-
-
-def _rle_dump_reference(a) -> str:
-    """The RLE dump as first written, reading the upper triangle through
-    ``np.triu_indices``."""
-    n = a.shape[0]
-    bits = a[np.triu_indices(n, k=1)].astype(np.uint8)
-    lines = ["ngg-adjacency 1 rle", f"n {n}", f"start {int(bits[0]) if bits.size else 0}"]
-    if bits.size:
-        runs = np.diff(np.concatenate(([0], np.flatnonzero(np.diff(bits)) + 1, [bits.size])))
-        lines.extend(" ".join(str(int(r)) for r in runs[i : i + 64])
-                     for i in range(0, runs.size, 64))
-    return "\n".join(lines) + "\n"
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 150])
-def test_rle_dump_matches_triu_indices_reference(tmp_path, n):
-    rng = np.random.default_rng(n)
-    a = np.triu((rng.random((n, n)) < 0.3).astype(float), 1)
-    a += a.T
-    path = tmp_path / "adj.txt"
-    write_adjacency(path, a, fmt="rle")
-    assert path.read_text() == _rle_dump_reference(a)
-    back = read_adjacency(path)
-    iu = np.triu_indices(n, k=1)
-    assert np.array_equal(back[iu], a[iu])
-    assert np.array_equal(back, a)
-
-
 @pytest.mark.parametrize(
     "text",
     [
-        "ngg-adjacency 1 dense\nn 3\n010\n1x1\n010\n",  # bad character in a row
-        "ngg-adjacency 1 rle\nn 10\nstart 0\n",  # no run lines
-        "ngg-adjacency 1 rle\nn\nstart 0\n3\n",  # n without a value
-        "ngg-adjacency 1 dense\nn 3.5\n010\n101\n010\n",  # non-integer n
-        "ngg-adjacency 1 rle\nn 3000000\nstart 0\n",  # larger than memory
+        "% ngg n 3\n0 1\n1 x\n",  # bad id after the header
+        "% ngg n\n0 1\n",  # n without a value
+        "% ngg n 3.5\n0 1\n",  # non-integer n
+        "% ngg n -3\n0 1\n",  # negative n
+        "% ngg n 3\n0 1\n1 3\n",  # an id not below n
+        "% ngg n 1\n",  # fewer than 2 nodes
+        "ngg-adjacency 1 rle\nn 3\nstart 0\n1 1 1\n",  # the retired adjacency dump
     ],
+    ids=["bad-id", "no-n", "non-integer-n", "negative-n", "id-not-below-n", "one-node",
+         "retired-dump"],
 )
-def test_cli_estimate_malformed_adjacency_dump(tmp_path, capsys, text):
+def test_cli_estimate_malformed_dump(tmp_path, capsys, text):
     path = tmp_path / "adj.txt"
     path.write_text(text)
     rc = main(["estimate", "--input", str(path), "--r-max", "1",
                "--out", str(tmp_path / "o.json")])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_cli_estimate_declared_graph_larger_than_memory(tmp_path, capsys):
+    # the declared n is refused before the data lines, which would not parse, are read
+    path = tmp_path / "huge.txt"
+    path.write_text("% ngg n 3000000\nnot an edge\n")
+    rc = main(["estimate", "--input", str(path), "--out", str(tmp_path / "o.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n = 3000000 nodes" in err and "GiB" in err
 
 
 def test_cli_estimate_graph_larger_than_memory(tmp_path, capsys):
@@ -296,6 +273,49 @@ def test_cli_simulate_estimate_round_trip(tmp_path):
     assert stages == est["stages"]  # bit-exact
 
 
+def _simulate_and_estimate(tmp_path, envelope, n, seed, r_max):
+    """One ``simulate`` replicate with ``--dump-adjacency``, then ``estimate`` on
+    the dump: the simulated record, the estimate report and the dump's path."""
+    sim_json, adj, est_json = tmp_path / "sim.json", tmp_path / "adj.txt", tmp_path / "est.json"
+    assert main(["simulate", "--envelope", envelope, "--n", str(n), "--seed", str(seed),
+                 "--r-max", str(r_max), "--out", str(sim_json),
+                 "--dump-adjacency", str(adj)]) == 0
+    assert main(["estimate", "--input", str(adj), "--r-max", str(r_max),
+                 "--out", str(est_json)]) == 0
+    record = json.loads(sim_json.read_text())["records"][0]
+    est = json.loads(est_json.read_text())
+    assert est["n"] == n and est["selected_r"] == record["selected_r"]
+    assert [f["stages"] for f in record["fits"]] == [row["stages"] for row in est["per_r"]]
+    return record, est, adj
+
+
+def test_cli_round_trip_keeps_isolated_end_nodes(tmp_path):
+    # seed 17 leaves nodes 0 and 39 isolated: without its "% ngg n" line the
+    # dump would read back as 36 nodes, renumbered
+    _, _, adj = _simulate_and_estimate(tmp_path, "p6", 40, 17, 2)
+    assert adj.read_text().startswith("% ngg n 40\n")
+    edges = read_edge_list(adj).edges
+    assert edges.min() > 0 and edges.max() < 39
+
+
+def test_cli_round_trip_of_an_edgeless_graph(tmp_path):
+    zero = tmp_path / "zero.txt"
+    zero.write_text("0 0\n")
+    record, est, adj = _simulate_and_estimate(tmp_path, str(zero), 20, 0, 1)
+    assert adj.read_text() == "% ngg n 20\n"
+    assert record["edge_count"] == 0 and est["spectrum"] == [0.0] * 20
+
+
+def test_cli_dump_format_is_gone(tmp_path, capsys):
+    # the edge list is the one dump format
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--envelope", "p4", "--n", "60", "--out", str(tmp_path / "x.json"),
+              "--dump-adjacency", str(tmp_path / "d.txt"), "--dump-format", "dense"])
+    assert exc.value.code == 2
+    assert "--dump-format" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_simulate_deterministic(tmp_path):
     args = ["simulate", "--envelope", "p5", "--n", "120", "--replicates", "2",
             "--seed", "3", "--r-max", "2"]
@@ -436,7 +456,6 @@ def test_cli_estimate_checks_settings_before_reading_input(tmp_path, capsys, mon
         raise AssertionError("read the input")
 
     monkeypatch.setattr(ngg.cli, "read_edge_list", unreachable)
-    monkeypatch.setattr(ngg.cli, "read_adjacency", unreachable)
     edges = tmp_path / "g.txt"
     edges.write_text("1 2\n2 3\n")
     out = tmp_path / "o.json"
@@ -624,6 +643,26 @@ def test_cli_non_finite_coefficient_is_usage_error(tmp_path, capsys, argv, value
     argv = [a.format(tmp=tmp_path) for a in argv] + ["--envelope", str(coeffs)]
     assert main(argv) == 2
     assert f"{coeffs}:2: coefficient {value!r} is not finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x.*"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "60", "--r-max", "2", "--out", "{tmp}/x.json"],
+        ["coefs", "--degree", "4"],
+        ["eval-envelope", "--grid", "3"],
+    ],
+    ids=["simulate", "coefs", "eval-envelope"],
+)
+def test_cli_coefficient_file_not_utf8_is_usage_error(tmp_path, capsys, argv):
+    coeffs = tmp_path / "env.txt"
+    coeffs.write_bytes(b"\xff\xfe0 0.4\n")
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--envelope", str(coeffs)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {coeffs}: not a UTF-8 text file")
+    assert len(err.splitlines()) == 1
     assert not list(tmp_path.glob("x.*"))
 
 

@@ -1,4 +1,5 @@
-"""Edge-list reader against the line-by-line reference it replaced."""
+"""Edge-list reader against the line-by-line reference it replaced, and the
+writer's round trip."""
 
 from pathlib import Path
 
@@ -6,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ngg.edgelist import is_adjacency_dump, read_edge_list, write_adjacency
+from ngg.edgelist import read_edge_list, write_edge_list
 from ngg.errors import DomainError
 
 
 def reference_read_edge_list(path):
-    """The line-by-line reader: ``(n, edges, one_based, warnings)`` with edges
+    """The line-by-line reader: ``(n, edges, warnings)`` with edges
     a sorted tuple of 0-based ``(i, j)``, ``i < j``."""
     raw_pairs = []
     warnings = []
@@ -47,7 +48,7 @@ def reference_read_edge_list(path):
     n = 1 + max(max(e) for e in edges) if edges else 0
     if n < 2:
         raise DomainError(f"{path}: graph has fewer than 2 nodes")
-    return n, tuple(sorted(edges)), one_based, tuple(warnings)
+    return n, tuple(sorted(edges)), tuple(warnings)
 
 
 def _reference_adjacency(n, edges):
@@ -94,7 +95,7 @@ def test_read_edge_list_matches_reference(tmp_path_factory, drawn):
     path = tmp_path_factory.mktemp("fuzz") / "graph.txt"
     path.write_bytes(_render(drawn).encode())
     try:
-        n, edges, one_based, warnings = reference_read_edge_list(path)
+        n, edges, warnings = reference_read_edge_list(path)
     except DomainError:
         with pytest.raises(DomainError):
             read_edge_list(path)
@@ -103,7 +104,6 @@ def test_read_edge_list_matches_reference(tmp_path_factory, drawn):
     assert data.n == n
     assert data.edges.dtype == np.int64 and data.edges.shape == (len(edges), 2)
     assert data.edges.tolist() == [list(e) for e in edges]
-    assert data.one_based == one_based
     assert data.warnings == warnings
     assert np.array_equal(data.adjacency(), _reference_adjacency(n, edges))
 
@@ -115,9 +115,9 @@ def test_read_edge_list_matches_reference_large(tmp_path):
     lines = [f"{u} {v}" if k % 50 else f"% {k}\n{u}\t{v} 1" for k, (u, v) in enumerate(pairs)]
     path = tmp_path / "graph.txt"
     path.write_text("\n".join(lines) + "\n")
-    n, edges, one_based, warnings = reference_read_edge_list(path)
+    n, edges, warnings = reference_read_edge_list(path)
     data = read_edge_list(path)
-    assert (data.n, data.one_based, data.warnings) == (n, one_based, warnings)
+    assert (data.n, data.warnings) == (n, warnings)
     assert data.edges.tolist() == [list(e) for e in edges]
     assert np.array_equal(data.adjacency(), _reference_adjacency(n, edges))
 
@@ -137,6 +137,17 @@ def test_read_edge_list_matches_reference_large(tmp_path):
         b"3 3\n4 4\n",  # self-loops only
         b"99999999999999999999 1\n",  # past int64
         b"1 2\n\xff\xfe 3\n",  # not UTF-8
+        b"% ngg n\n0 1\n",  # header without n
+        b"% ngg n x\n0 1\n",
+        b"% ngg n 3 4\n0 1\n",
+        b"% ngg n -3\n0 1\n",
+        b"% ngg n 1000000000000000000\n",  # 19 digits: past int64 ids
+        b"% ngg n 1" + b"0" * 5000 + b"\n",  # past int()'s digit limit
+        b"% ngg n 3\n0 3\n",  # id not below the declared n
+        b"% ngg n 3\n1 2\n5 5\n",  # even as a self-loop
+        b"% ngg n 3\n-1 2\n",
+        b"% ngg n 1\n",  # fewer than 2 nodes
+        b"% ngg n 3\n0 x\n",
     ],
 )
 def test_read_edge_list_malformed(tmp_path, text):
@@ -153,6 +164,17 @@ def test_read_edge_list_refuses_matrix_larger_than_memory(tmp_path):
         read_edge_list(path)
 
 
+def test_declared_size_is_checked_before_the_data_is_read(tmp_path, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("read the data")
+
+    monkeypatch.setattr(np, "loadtxt", unreachable)
+    path = tmp_path / "huge.txt"
+    path.write_text("% ngg n 3000000\n1 2\n")
+    with pytest.raises(DomainError, match=r"n = 3000000 nodes needs 67055\.2 GiB"):
+        read_edge_list(path)
+
+
 def test_edges_are_read_only(tmp_path):
     path = tmp_path / "graph.txt"
     path.write_text("0 1\n")
@@ -160,12 +182,38 @@ def test_edges_are_read_only(tmp_path):
         read_edge_list(path).edges[0, 0] = 5
 
 
-@pytest.mark.parametrize("fmt", ["rle", "dense"])
-def test_is_adjacency_dump(tmp_path, fmt):
-    dump = tmp_path / "adj.txt"
-    write_adjacency(dump, np.ones((3, 3)) - np.eye(3), fmt=fmt)
-    assert is_adjacency_dump(dump)
-    for text in ("1 2\n2 3\n", "ngg-adjac", "", "% ngg-adjacency 1 rle\n"):
-        other = tmp_path / "g.txt"
-        other.write_text(text)
-        assert not is_adjacency_dump(other), text
+def test_header_declares_n_and_zero_based_ids(tmp_path):
+    # nodes 0 and 5 isolated: without the header this reads as n = 4, shifted
+    path = tmp_path / "graph.txt"
+    path.write_text("% ngg n 6\n1 2\n2 4\n4 2\n3 3\n")
+    data = read_edge_list(path)
+    assert data.n == 6
+    assert data.edges.tolist() == [[1, 2], [2, 4]]
+    assert data.warnings == ("dropped 1 self-loop(s)",)
+    path.write_text("1 2\n2 4\n")
+    assert read_edge_list(path).n == 4
+
+
+@pytest.mark.parametrize("text", ["% benchmark graph: 0-based node pairs\n1 2\n",
+                                  "%ngg n 9\n1 2\n", "% ngg nodes 9\n1 2\n",
+                                  "1 2\n% ngg n 9\n"])
+def test_other_first_lines_are_comments(tmp_path, text):
+    # only a first line of the tokens "%", "ngg", "n" declares the node count
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    data = read_edge_list(path)
+    assert data.n == 2 and data.edges.tolist() == [[0, 1]]
+
+
+@settings(max_examples=200)
+@given(st.integers(2, 12), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_write_edge_list_round_trip(tmp_path_factory, n, density, seed):
+    # isolated nodes anywhere, and the edgeless graph, read back as written
+    a = np.triu(np.random.default_rng(seed).random((n, n)) < density, 1).astype(float)
+    a += a.T
+    path = tmp_path_factory.mktemp("dump") / "graph.txt"
+    write_edge_list(path, a)
+    data = read_edge_list(path)
+    assert data.n == n and data.warnings == ()
+    assert data.edges.tolist() == np.argwhere(np.triu(a, 1)).tolist()
+    assert np.array_equal(data.adjacency(), a)
