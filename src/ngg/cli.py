@@ -6,10 +6,13 @@ Subcommands:
   coefs          print reference expansion coefficients of an envelope
   eval-envelope  sample an envelope (builtin, coefficient file, or fitted) on a grid
 
-All outputs are deterministic given --seed on one machine with one BLAS
-thread count (the thread count moves eigenvalues at round-off level); JSON
-files embed the resolved configuration and render floats with 17
-significant digits.
+All outputs are deterministic given --seed.  Reports on graphs of at most
+2048 nodes do not depend on the BLAS thread count either: the part of their
+eigensolve whose rounding depends on it runs on one OpenBLAS thread.  A
+larger graph keeps the default BLAS pool, and its report holds on one
+machine with one BLAS thread count (the thread count moves eigenvalues at
+round-off level).  JSON files embed the resolved configuration and render
+floats with 17 significant digits.
 """
 
 from __future__ import annotations

@@ -2,9 +2,11 @@
 replicate run, and the seeded Monte Carlo drivers: full estimation runs
 and concentration rate checks.
 
-Replicates run one after another in the calling thread; each derives its
-seed as ``base_seed + replicate_index`` so reruns and cross-``n`` comparisons
-pair up exactly.  Reports split into a deterministic JSON part (config, records,
+Replicates are drawn, fitted and recorded in order in the calling thread;
+only stage 1 of each eigensolve runs on a worker thread, beside the rest of
+the previous replicate.  Each replicate derives its seed as
+``base_seed + replicate_index`` so reruns and cross-``n`` comparisons pair up
+exactly.  Reports split into a deterministic JSON part (config, records,
 aggregates) and a CSV part that additionally carries wall-clock timings.
 """
 
@@ -12,9 +14,11 @@ from __future__ import annotations
 
 import subprocess
 import time
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from importlib import metadata
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +34,16 @@ from .spaces import (
     envelope_coefficients,
     harmonic_basis,
 )
-from .spectral import as_spectrum, check_dense_size, delta2, eigenvalues_symmetric, operator_norm
+from .spectral import (
+    Band,
+    as_spectrum,
+    band_spectrum,
+    check_dense_size,
+    delta2,
+    eigenvalues_symmetric,
+    operator_norm,
+    reduce_to_band,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -202,27 +215,50 @@ class ExperimentReport:
         write_csv(csv_path, header, rows)
 
 
-def fit_graph(adjacency: np.ndarray, basis: HarmonicBasis, config: AdaptConfig) -> tuple:
-    """Spectrum of ``adjacency / n``, the staircase fit at every candidate
-    resolution and the Goldenshluger-Lepski selection, as ``(spectrum,
-    estimates, result, seconds)``; ``seconds`` times the scaling and solve,
-    the fits, and the selection.  ``adjacency`` is consumed: it is divided by
-    ``n`` in place (bit for bit ``adjacency / n``) and the solver overwrites it.
-
-    The chain lives in this module because ``perfbench/tracing.py`` times its
-    steps by wrapping the names this module looks them up by
-    (``ngg.harness.eigenvalues_symmetric``, ``fit_all_resolutions``,
-    ``select_resolution``).
-    """
+def _reduce_graph(graph: list) -> tuple[Band, float]:
+    """First half of ``fit_graph``: the adjacency matrix popped from the
+    one-element list ``graph``, divided by ``n`` in place (bit for bit
+    ``adjacency / n``) and reduced to band form by ``reduce_to_band``, which
+    overwrites it; returns the band and the seconds taken.  Popping the matrix
+    leaves no reference to it once the band is returned, even in a worker
+    thread's task."""
     t0 = time.perf_counter()
+    adjacency = graph.pop()
     adjacency /= adjacency.shape[0]
-    spectrum = eigenvalues_symmetric(adjacency, overwrite=True)
+    band = reduce_to_band(adjacency, overwrite=True)
+    return band, time.perf_counter() - t0
+
+
+def _fit_band(band: Band, reduce_seconds: float, basis: HarmonicBasis,
+              config: AdaptConfig) -> tuple:
+    """Second half of ``fit_graph``: the spectrum of the band, the fits and
+    the selection, with ``reduce_seconds`` added to the solve's time."""
+    t0 = time.perf_counter()
+    spectrum = band_spectrum(band)
     t1 = time.perf_counter()
     estimates = fit_all_resolutions(spectrum, basis, config)
     t2 = time.perf_counter()
     result = select_resolution(estimates, config, basis)
     t3 = time.perf_counter()
-    return spectrum, estimates, result, (t1 - t0, t2 - t1, t3 - t2)
+    return spectrum, estimates, result, (reduce_seconds + t1 - t0, t2 - t1, t3 - t2)
+
+
+def fit_graph(adjacency: np.ndarray, basis: HarmonicBasis, config: AdaptConfig) -> tuple:
+    """Spectrum of ``adjacency / n``, the staircase fit at every candidate
+    resolution and the Goldenshluger-Lepski selection, as ``(spectrum,
+    estimates, result, seconds)``; ``seconds`` times the scaling and solve
+    (the sum of its two stages), the fits, and the selection.  ``adjacency``
+    is consumed: it is divided by ``n`` in place (bit for bit
+    ``adjacency / n``) and the solver overwrites it.
+
+    The chain is two halves: stage 1 of the solve (``reduce_to_band``), then
+    stage 2 (``band_spectrum``), the fits and the selection.  ``run_experiment``
+    runs the same halves, overlapping one replicate's first half with the
+    previous replicate's second.  They live in this module because
+    ``perfbench/tracing.py`` times steps by wrapping the names this module
+    looks them up by (``fit_all_resolutions``, ``select_resolution``).
+    """
+    return _fit_band(*_reduce_graph([adjacency]), basis, config)
 
 
 def _fit_fields(est: SpectrumEstimate) -> dict:
@@ -232,19 +268,43 @@ def _fit_fields(est: SpectrumEstimate) -> dict:
             "ordering": list(est.ordering)}
 
 
-def _one_replicate(config: ExperimentConfig, basis: HarmonicBasis, truth: np.ndarray,
-                   n: int, rep: int):
+class _Drawn(NamedTuple):
+    """A replicate's graph once drawn: the future of ``_reduce_graph`` on it,
+    its edge count and the draw's timings."""
+
+    stage1: Future
+    edge_count: int | None
+    timing: dict | None
+
+
+def _draw(config: ExperimentConfig, n: int, rep: int, lane: ThreadPoolExecutor) -> _Drawn:
+    """Replicate (n, rep)'s graph, drawn in the calling thread, with stage 1
+    of its solve handed to ``lane``; if the graph cannot be drawn, the future
+    raises the error."""
     rep_seed = config.base_seed + rep
-    gseed = _graph_seed(rep_seed)
-    t0 = time.perf_counter()
-    latent = sample_latent(config.space, n, rep_seed)
-    t1 = time.perf_counter()
-    a = generate_graph(latent, config.envelope, gseed)
-    t2 = time.perf_counter()
-    edge_count = int(np.count_nonzero(a)) // 2  # before fit_graph consumes a
-    _, estimates, result, (t_eig, t_fit, t_adapt) = fit_graph(a, basis, config.adapt_config(n))
-    timing = {"n": n, "replicate": rep, "t_sample": t1 - t0, "t_generate": t2 - t1,
-              "t_eig": t_eig, "t_fit": t_fit, "t_adapt": t_adapt}
+    try:
+        t0 = time.perf_counter()
+        latent = sample_latent(config.space, n, rep_seed)
+        t1 = time.perf_counter()
+        a = generate_graph(latent, config.envelope, _graph_seed(rep_seed))
+        t2 = time.perf_counter()
+    except Exception as exc:  # recorded when the replicate is settled
+        failed = Future()
+        failed.set_exception(exc)
+        return _Drawn(failed, None, None)
+    edge_count = int(np.count_nonzero(a)) // 2  # before stage 1 consumes a
+    timing = {"n": n, "replicate": rep, "t_sample": t1 - t0, "t_generate": t2 - t1}
+    return _Drawn(lane.submit(_reduce_graph, [a]), edge_count, timing)
+
+
+def _one_replicate(config: ExperimentConfig, basis: HarmonicBasis, truth: np.ndarray,
+                   n: int, rep: int, drawn: _Drawn):
+    """Record and timings of replicate (n, rep) from ``_draw``'s result:
+    its band solved, fitted, selected and compared with the truth."""
+    band, reduce_seconds = drawn.stage1.result()
+    _, estimates, result, (t_eig, t_fit, t_adapt) = _fit_band(
+        band, reduce_seconds, basis, config.adapt_config(n))
+    timing = {**drawn.timing, "t_eig": t_eig, "t_fit": t_fit, "t_adapt": t_adapt}
     truth_full = as_spectrum(spectrum_vector(truth, basis.dims))
     fits = []
     for r in sorted(estimates):
@@ -258,12 +318,13 @@ def _one_replicate(config: ExperimentConfig, basis: HarmonicBasis, truth: np.nda
                 "delta2_vs_truth": delta2(vec, truth_full),
             }
         )
+    rep_seed = config.base_seed + rep
     record = {
         "n": n,
         "replicate": rep,
         "seed": rep_seed,
-        "graph_seed": gseed,
-        "edge_count": edge_count,
+        "graph_seed": _graph_seed(rep_seed),
+        "edge_count": drawn.edge_count,
         "selected_r": result.selected_r,
         "gl_rows": [[row.r, row.bias, row.penalty, row.objective] for row in result.rows],
         "fits": fits,
@@ -277,6 +338,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Sample, generate, eigendecompose, fit every candidate resolution,
     select, and record -- for every (n, replicate) pair.
 
+    The calling thread draws each graph and hands stage 1 of its solve
+    (``reduce_to_band``, the O(n^3) part) to one worker thread, the lane.
+    While the lane reduces graph k, the calling thread finishes replicate
+    k - 1: stage 2 of its solve, the fits, the selection and the record.
+    Graph k + 1 is drawn only once graph k is reduced, so at most one
+    ``n x n`` matrix is alive at a time.  A stage 1 of at most
+    ``ONE_THREAD_MAX_N`` rows runs on one OpenBLAS thread, so the two
+    threads share two cores; the records are those of a serial loop.
+
     A failing replicate is recorded with its error message; it never aborts
     the rest of the run.
     """
@@ -286,15 +356,27 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     tasks = sorted({(n, rep) for n in config.n_values for rep in range(config.replicates)})
 
     records, timings = [], []
-    for n, rep in tasks:
+
+    def settle(n, rep, drawn):
         try:
-            record, timing = _one_replicate(config, basis, truth, n, rep)
+            record, timing = _one_replicate(config, basis, truth, n, rep, drawn)
         except Exception as exc:  # recorded, not swallowed
             record = {"n": n, "replicate": rep, "seed": config.base_seed + rep,
                       "error": f"{type(exc).__name__}: {exc}"}
             timing = {"n": n, "replicate": rep}
         records.append(record)
         timings.append(timing)
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="ngg-stage1") as lane:
+        ahead = None  # (n, rep, drawn) of the replicate whose stage 1 is on the lane
+        for n, rep in tasks:
+            if ahead is not None:
+                wait([ahead[2].stage1])  # its matrix is freed: room for the next graph
+            drawn = _draw(config, n, rep, lane)
+            if ahead is not None:
+                settle(*ahead)
+            ahead = (n, rep, drawn)
+        settle(*ahead)
     aggregates = _aggregate(config, basis, truth, records)
     return ExperimentReport(
         config=config.to_dict(),

@@ -2,34 +2,52 @@
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
 import os
 import threading
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
 from .errors import DomainError, SolverError
 
 __all__ = [
+    "ONE_THREAD_MAX_N",
+    "Band",
     "Spectrum",
     "as_spectrum",
+    "band_spectrum",
     "check_dense_size",
     "eigenvalues_symmetric",
     "eigenvalues_tridiagonal",
     "operator_norm",
     "delta2",
+    "reduce_to_band",
 ]
 
 _SYM_TOL = 1e-10
 _BLOCK = 256  # tile side of the symmetry check
 _LAPACK_LOCK = threading.Lock()
-_LAPACK_COL_MAJOR = 102  # LAPACKE matrix_layout
-# LAPACKE routines with 64-bit integers are looked up under the prefixed names
-# of the OpenBLAS that numpy's wheels bundle, then under the plain names
-_LAPACKE_PREFIXES = ("scipy_LAPACKE_", "LAPACKE_")
+# Symbols of the OpenBLAS that numpy's wheels bundle carry 64-bit integers, a
+# "scipy_" prefix and a "64_" suffix; other builds may lack the prefix
+_SYMBOL_PREFIXES = ("scipy_", "")
+# Stage 1 of a matrix with at most this many rows runs on one OpenBLAS thread,
+# larger ones on the default pool.  On a 2-vCPU Xeon (OpenBLAS 0.3.31) a lone
+# stage 1 on the pool of 2 threads ran 1.1-1.2x as fast as on one thread at
+# n = 1000, 1.3-1.6x at 2000 to 2500 and 1.6x at 4000, and at n = 100 the
+# pool's wake-ups made a whole solve 20x slower (32 ms against 1.4 ms).  Up to
+# n = 2048 one pinned thread beside the rest of the previous replicate beats
+# the pool: simulate at n = 2000 ran 17% more replicates per second, while the
+# same overlap on the pool measured no gain.
+ONE_THREAD_MAX_N = 2048
+# dsyevd_2stage scales a matrix whose largest entry lies outside [RMIN, RMAX]
+# (the square roots of LAPACK's smlnum = 2^-970 and bignum = 2^970) before
+# reducing it, and scales the eigenvalues back
+_RMIN, _RMAX = 2.0**-485, 2.0**485
 
 
 @dataclass(frozen=True)
@@ -101,17 +119,18 @@ def check_dense_size(n: int, label) -> None:
         return
     need = 8 * n * n
     if need > phys:
+        gib = Decimal(need) / 2**30  # an n of any size: a float would overflow
         raise DomainError(
-            f"{label}: n = {n} nodes needs {need / 2**30:.1f} GiB for the dense "
+            f"{label}: n = {n} nodes needs {gib:.1f} GiB for the dense "
             f"adjacency matrix, more than the {phys / 2**30:.1f} GiB of physical memory"
         )
 
 
 @functools.cache
-def _lapacke(name: str, *argtypes):
-    """LAPACKE routine ``name`` (64-bit integers) from the LAPACK numpy already
-    loaded, with ``argtypes`` and an integer result, or ``None`` when that
-    build does not export it.
+def _symbol(name: str, restype, *argtypes):
+    """Function ``name`` of the OpenBLAS numpy already loaded, with
+    ``restype`` and ``argtypes``, or ``None`` when that build does not export
+    it.  A Fortran routine's ``name`` ends in ``_``.
 
     Resolved on first use, not at import.  ``dlsym`` on numpy's linalg
     extension searches its dependency tree, so the symbol is found wherever
@@ -121,69 +140,117 @@ def _lapacke(name: str, *argtypes):
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except (AttributeError, OSError):  # no such module, or not loadable
         return None
-    for prefix in _LAPACKE_PREFIXES:
+    for prefix in _SYMBOL_PREFIXES:
         fn = getattr(lib, f"{prefix}{name}64_", None)
         if fn is not None:
             fn.argtypes = argtypes
-            fn.restype = ctypes.c_int64
+            fn.restype = restype
             return fn
     return None
 
 
-def _two_stage_routine():
-    """LAPACKE ``dsyevd_2stage``, or ``None``."""
-    return _lapacke("dsyevd_2stage", ctypes.c_int, ctypes.c_char, ctypes.c_char,
-                    ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
+_FORTRAN_TYPES = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int64), "a": ctypes.c_void_p}
+
+
+def _fortran_routine(name: str, restype, signature: str):
+    """Fortran routine ``name`` (``_symbol``) typed by ``signature``, one
+    letter per argument: ``c`` a character string, ``i`` an integer, ``a``
+    an array; gfortran appends one hidden length per character argument."""
+    types = [_FORTRAN_TYPES[k] for k in signature] + [ctypes.c_size_t] * signature.count("c")
+    return _symbol(name, restype, *types)
+
+
+def _fortran(fn, *args):
+    """Call a ``_fortran_routine``: an int goes by reference as a 64-bit
+    integer, an array as its data pointer, and ``bytes`` as a character
+    string whose hidden length follows all the other arguments."""
+    refs, lengths = [], []
+    for a in args:
+        if isinstance(a, bytes):
+            refs.append(ctypes.c_char_p(a))
+            lengths.append(ctypes.c_size_t(len(a)))
+        elif isinstance(a, np.ndarray):
+            refs.append(ctypes.c_void_p(a.ctypes.data))
+        else:
+            refs.append(ctypes.byref(ctypes.c_int64(a)))
+    return fn(*refs, *lengths)
+
+
+def _band_routines():
+    """LAPACK's ``ilaenv2stage``, ``dsytrd_sy2sb`` (stage 1) and
+    ``dsytrd_sb2st`` (stage 2), or ``None`` unless these three and ``dsterf``
+    are all exported."""
+    found = (_fortran_routine("ilaenv2stage_", ctypes.c_int64, "icciiii"),
+             _fortran_routine("dsytrd_sy2sb_", None, "ciiaiaiaaia"),
+             _fortran_routine("dsytrd_sb2st_", None, "ccciiaiaaaiaia"))
+    return None if None in found or _tridiagonal_routine() is None else found
 
 
 def _tridiagonal_routine():
     """LAPACKE ``dsterf`` (eigenvalues of a symmetric tridiagonal matrix by
     the root-free QL/QR iteration), or ``None``."""
-    return _lapacke("dsterf", ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
+    return _symbol("LAPACKE_dsterf", ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+                   ctypes.c_void_p)
 
 
-def _solve(m: np.ndarray, overwrite: bool) -> np.ndarray:
-    """Ascending eigenvalues of the checked symmetric matrix ``m``; the caller
-    holds ``_LAPACK_LOCK``."""
-    syevd = _two_stage_routine()
-    if syevd is None:
-        return np.linalg.eigvalsh(m)
-    n = m.shape[0]
-    if not (overwrite and m.flags.c_contiguous and m.flags.writeable):
-        m = np.array(m, order="C")  # float64 already: eigenvalues_symmetric converted it
-    w = np.empty(n)
-    if n:
-        # a C-ordered symmetric matrix is its own column-major transpose, so
-        # LAPACK works on the buffer as it is; its 'L' triangle is the upper
-        # triangle of the C-ordered rows
-        info = syevd(_LAPACK_COL_MAJOR, b"N", b"L", n, m.ctypes.data, n, w.ctypes.data)
-        if info != 0:
-            raise SolverError(f"eigenvalue computation failed: dsyevd_2stage info = {info}")
-    return w
+@contextlib.contextmanager
+def _blas_threads(count):
+    """OpenBLAS runs on ``count`` threads inside the block, then on as many
+    as before.  The setting is process-wide, so the caller holds
+    ``_LAPACK_LOCK``; nothing changes when ``count`` is ``None`` or numpy's
+    BLAS is not OpenBLAS."""
+    get = _symbol("openblas_get_num_threads", ctypes.c_int)
+    put = _symbol("openblas_set_num_threads", None, ctypes.c_int)
+    if count is None or get is None or put is None:
+        yield
+        return
+    before = get()
+    put(count)
+    try:
+        yield
+    finally:
+        put(before)
 
 
-def eigenvalues_symmetric(matrix, *, overwrite: bool = False) -> Spectrum:
-    """Full spectrum of a symmetric matrix, eigenvalues only.
+@dataclass(frozen=True)
+class Band:
+    """A symmetric matrix after stage 1 of the eigensolve, from
+    ``reduce_to_band``: its lower band, ``kd`` subdiagonals wide, in LAPACK's
+    band storage (column-major ``(kd + 1) x n``, so C-ordered ``(n, kd + 1)``),
+    of the matrix multiplied by ``sigma``.  Without LAPACK's band routines,
+    and for ``n <= 1``, the solve is already done: ``ab`` is ``None`` and
+    ``eigenvalues`` holds the spectrum, ascending."""
+
+    ab: np.ndarray | None
+    kd: int = 0
+    sigma: float = 1.0
+    eigenvalues: np.ndarray | None = None
+
+
+def reduce_to_band(matrix, *, overwrite: bool = False) -> Band:
+    """Stage 1 of ``eigenvalues_symmetric``: the matrix checked and reduced
+    to band form by LAPACK's ``dsytrd_sy2sb``.  This is the O(n^3) part of the
+    solve, in BLAS-3 calls, and the only one that reads the ``n x n`` matrix:
+    once it returns, the matrix may be freed.
 
     The input is checked for finite entries and for symmetry to
     ``1e-10 * max|M_ij|`` in tiles, so the check allocates no ``n x n``
-    temporary.  The solve is LAPACK's two-stage routine ``dsyevd_2stage``
-    (full -> band -> tridiagonal, most of the reduction in BLAS-3 calls),
-    called through ctypes in the LAPACK numpy already loaded.  By default the
-    caller's array is left untouched and LAPACK works in one C-ordered copy;
-    with ``overwrite=True`` a C-contiguous, writable float64 array is solved
-    in place and its contents are destroyed (any other array is copied
-    anyway).  If that LAPACK does not export the routine, the solve falls back
-    to ``np.linalg.eigvalsh`` (one-stage ``dsyevd``, which always copies).
-    The routine reads the upper triangle of the rows, ``eigvalsh`` the lower:
-    on an input symmetric only to the tolerance the two can differ by up to
-    that asymmetry.
+    temporary.  By default the caller's array is left untouched and LAPACK
+    works in one C-ordered copy; with ``overwrite=True`` a C-contiguous,
+    writable float64 array is reduced in place and its contents are
+    destroyed (any other array is copied anyway).  LAPACK reads the upper
+    triangle of the rows.  A matrix whose largest entry is below 2^-485 or
+    above 2^485 is scaled first, as ``dsyevd_2stage`` does.
 
-    A module-wide lock runs one dense solve at a time, so callers that solve
-    from several threads at once get the same spectra as serial calls: every
-    solve keeps the default BLAS pool, whereas fewer BLAS threads per solve
-    would change the rounding (1 against 2 OpenBLAS threads moves
-    eigenvalues by up to about 1e-15).
+    A matrix of at most ``ONE_THREAD_MAX_N`` rows is reduced on one OpenBLAS
+    thread, a larger one on the default pool, so the band depends on ``n``
+    alone for small matrices and on the machine's thread count for large
+    ones.  The reduction runs under a module-wide lock that also guards that
+    process-wide pin: one stage 1 at a time, so callers that solve from
+    several threads at once get the same bands as serial calls, while
+    ``band_spectrum`` needs no lock.  If numpy's LAPACK lacks the band
+    routines, the whole spectrum is taken here by ``np.linalg.eigvalsh``
+    (one-stage ``dsyevd``, which always copies and reads the lower triangle).
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -191,12 +258,91 @@ def eigenvalues_symmetric(matrix, *, overwrite: bool = False) -> Spectrum:
     scale, asym = _scale_and_asymmetry(m)
     if asym > _SYM_TOL * max(scale, 1e-300):
         raise DomainError("matrix is not symmetric")
-    try:
-        with _LAPACK_LOCK:
-            vals = _solve(m, overwrite)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise SolverError(f"eigenvalue computation failed: {exc}") from exc
+    n = m.shape[0]
+    if n <= 1:  # dsyevd_2stage's own shortcut
+        return Band(None, eigenvalues=m.diagonal().copy())
+    routines = _band_routines()
+    if routines is None:
+        try:
+            with _LAPACK_LOCK:
+                return Band(None, eigenvalues=np.linalg.eigvalsh(m))
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise SolverError(f"eigenvalue computation failed: {exc}") from exc
+    ilaenv2stage, sy2sb, _ = routines
+    if not (overwrite and m.flags.c_contiguous and m.flags.writeable):
+        m = np.array(m, order="C")  # float64 already
+    sigma = 1.0
+    if 0.0 < scale < _RMIN or scale > _RMAX:
+        sigma = (_RMIN if scale < _RMIN else _RMAX) / scale
+        m *= sigma
+    # dsytrd_2stage's band width; a C-ordered symmetric matrix is its own
+    # column-major transpose, so LAPACK's 'L' triangle is the rows' upper one
+    kd = int(_fortran(ilaenv2stage, 1, b"DSYTRD_2STAGE", b"N", n, -1, -1, -1))
+    ab = np.zeros((n, kd + 1))
+    tau = np.empty(n - 1)
+    info = np.zeros(1, dtype=np.int64)
+    size = np.zeros(1)
+    with _LAPACK_LOCK, _blas_threads(1 if n <= ONE_THREAD_MAX_N else None):
+        _fortran(sy2sb, b"L", n, kd, m, n, ab, kd + 1, tau, size, -1, info)  # workspace query
+        work = np.empty(max(int(size[0]), 1))
+        _fortran(sy2sb, b"L", n, kd, m, n, ab, kd + 1, tau, work, work.size, info)
+    if info[0] != 0:
+        raise SolverError(f"eigenvalue computation failed: dsytrd_sy2sb info = {info[0]}")
+    return Band(ab, kd, sigma)
+
+
+def band_spectrum(band: Band) -> Spectrum:
+    """Stage 2 of ``eigenvalues_symmetric``: the spectrum of a matrix that
+    ``reduce_to_band`` reduced.  LAPACK's ``dsytrd_sb2st`` reduces a copy of
+    the band to tridiagonal form, reading only the band, and
+    ``eigenvalues_tridiagonal`` (``dsterf``) solves that.  Neither calls
+    threaded BLAS, so this half gives the same bits on any number of OpenBLAS
+    threads and takes no lock: it can run beside another matrix's stage 1."""
+    vals = band.eigenvalues
+    if vals is None:
+        _, _, sb2st = _band_routines()
+        n, kd = band.ab.shape[0], band.kd
+        ab = band.ab.copy()  # sb2st overwrites it
+        d, e = np.empty(n), np.empty(n - 1)
+        info = np.zeros(1, dtype=np.int64)
+        hsize, wsize = np.zeros(1), np.zeros(1)
+
+        def sb2st_call(hous, work, lhous, lwork):
+            _fortran(sb2st, b"Y", b"N", b"L", n, kd, ab, kd + 1, d, e, hous, lhous, work,
+                     lwork, info)
+
+        sb2st_call(hsize, wsize, -1, -1)  # workspace query
+        hous, work = np.empty(max(int(hsize[0]), 1)), np.empty(max(int(wsize[0]), 1))
+        sb2st_call(hous, work, hous.size, work.size)
+        if info[0] != 0:
+            raise SolverError(f"eigenvalue computation failed: dsytrd_sb2st info = {info[0]}")
+        vals = eigenvalues_tridiagonal(d, e)
+        if band.sigma != 1.0:
+            vals *= 1.0 / band.sigma  # as dsyevd_2stage scales back
     return _descending(vals[::-1].copy())  # LAPACK's order is ascending
+
+
+def eigenvalues_symmetric(matrix, *, overwrite: bool = False) -> Spectrum:
+    """Full spectrum of a symmetric matrix, eigenvalues only: stage 1,
+    ``reduce_to_band``, then stage 2, ``band_spectrum``.
+
+    Together the two stages are LAPACK's two-stage routine
+    ``dsyevd_2stage`` (full -> band -> tridiagonal -> ``dsterf``), called
+    step by step through ctypes in the LAPACK numpy already loaded, and give
+    its bits at the same BLAS thread count.  ``overwrite`` is
+    ``reduce_to_band``'s: with ``overwrite=True`` a C-contiguous, writable
+    float64 array is solved in place and its contents are destroyed.
+
+    Stage 1 runs under a module-wide lock, which also guards the
+    process-wide pin of OpenBLAS to one thread while a matrix of at most
+    ``ONE_THREAD_MAX_N`` rows is reduced.  So the spectrum of such a matrix
+    does not depend on the machine's thread count, and callers that solve
+    from several threads at once get the same spectra as serial calls.  A
+    larger matrix keeps the default BLAS pool, whose thread count moves its
+    eigenvalues at round-off level (1 against 2 OpenBLAS threads, by up to
+    about 1e-15).
+    """
+    return band_spectrum(reduce_to_band(matrix, overwrite=overwrite))
 
 
 def eigenvalues_tridiagonal(diag, offdiag) -> np.ndarray:

@@ -469,7 +469,7 @@ def test_cli_estimate_and_simulate_run_each_step_once_per_graph(tmp_path, monkey
     # the benchmark traces these steps where ngg.harness looks them up
     import ngg.harness
 
-    steps = ("eigenvalues_symmetric", "fit_all_resolutions", "select_resolution")
+    steps = ("reduce_to_band", "band_spectrum", "fit_all_resolutions", "select_resolution")
     calls = []
     for name in steps:
         def counted(*args, _name=name, _step=getattr(ngg.harness, name), **kwargs):
@@ -674,6 +674,33 @@ def _run_cli(*argv):
     env = {**os.environ, "PYTHONPATH": str(Path(ngg.__file__).parents[1])}
     return subprocess.run([sys.executable, "-m", "ngg", *argv], capture_output=True,
                           text=True, env=env)
+
+
+def test_cli_simulate_astronomical_n_is_an_error(tmp_path):
+    # 8 n^2 bytes is past the float range: the message still formats
+    proc = _run_cli("simulate", "--envelope", "p5", "--n", "1" + "0" * 400,
+                    "--out", str(tmp_path / "x.json"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+    assert "GiB" in proc.stderr and "Traceback" not in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_simulate_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # a graph of at most ONE_THREAD_MAX_N nodes is reduced on one OpenBLAS
+    # thread whatever the pool, and the rest of the solve is thread-invariant
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"sim{threads}.json"
+        env = {**os.environ, "PYTHONPATH": str(Path(ngg.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-m", "ngg", "simulate", "--envelope", "p5",
+                               "--n", "300", "--replicates", "2", "--seed", "3",
+                               "--out", str(out)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert f"at most\n{ngg.spectral.ONE_THREAD_MAX_N} nodes" in ngg.cli.__doc__
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import given, strategies as st
 
 import ngg
 from ngg.errors import DomainError, NggError
-from ngg.harness import replicate_graph
+from ngg.harness import TRUTH_DEGREE, replicate_graph
 from ngg.reports import json_dumps
 
 
@@ -99,6 +100,66 @@ def test_replicates_run_in_the_calling_thread(monkeypatch):
     ngg.concentration_check(ngg.builtin_envelope(4), ngg.sphere(3), (100, 200),
                             replicates=3, seed=9)
     assert threads == [threading.get_ident()] * 12
+
+
+def test_pipelined_records_are_a_serial_fit_graph_loop():
+    # stage 1 of one replicate overlaps the rest of the previous one; the
+    # records are still those of fitting each graph in turn
+    config = _config(n_values=(300, 150), replicates=3, r_max=2,
+                     envelope=ngg.builtin_envelope(4))
+    report = ngg.run_experiment(config)
+    basis = ngg.harmonic_basis(config.space, TRUTH_DEGREE)
+    assert [(r["n"], r["replicate"]) for r in report.records] == \
+        [(n, rep) for n in (150, 300) for rep in range(3)]
+    for rec in report.records:
+        _, a = replicate_graph(config.space, config.envelope, rec["n"], rec["seed"])
+        _, estimates, result, _ = ngg.fit_graph(a, basis, config.adapt_config(rec["n"]))
+        assert rec["selected_r"] == result.selected_r
+        assert rec["gl_rows"] == [[row.r, row.bias, row.penalty, row.objective]
+                                  for row in result.rows]
+        assert [f["r"] for f in rec["fits"]] == sorted(estimates)
+        for fit in rec["fits"]:
+            est = estimates[fit["r"]]
+            assert fit["stages"] == [float(v) for v in est.stage_values]
+            assert fit["ordering"] == list(est.ordering) and fit["score"] == est.score
+
+
+@pytest.mark.parametrize("step", ["reduce_to_band", "fit_all_resolutions"])
+def test_replicate_failing_in_stage_1_or_the_fit_is_recorded(monkeypatch, step):
+    import ngg.harness
+
+    config = _config(n_values=(200,), replicates=4, envelope=ngg.builtin_envelope(4))
+    clean = ngg.run_experiment(config).records
+    calls = []
+
+    def second_call_fails(*args, _step=getattr(ngg.harness, step), **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise ngg.SolverError("injected")
+        return _step(*args, **kwargs)
+
+    monkeypatch.setattr(ngg.harness, step, second_call_fails)
+    records = ngg.run_experiment(config).records
+    assert len(calls) == 4
+    assert records[1] == {"n": 200, "replicate": 1, "seed": 101,
+                          "error": "SolverError: injected"}
+    assert [records[i] for i in (0, 2, 3)] == [clean[i] for i in (0, 2, 3)]
+
+
+def test_run_experiment_holds_one_graph_matrix_at_a_time():
+    # the next graph is drawn only once the lane has reduced the previous
+    # one, so the traced peak stays below 1.5 matrices (generation's
+    # temporaries included) where two matrices alive would pass 2
+    n = 1000
+    config = _config(n_values=(n,), replicates=3, envelope=ngg.builtin_envelope(5))
+    tracemalloc.start()
+    try:
+        report = ngg.run_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all("error" not in rec for rec in report.records)
+    assert peak < 1.5 * 8 * n * n
 
 
 def test_report_embeds_config_and_build():

@@ -1,5 +1,8 @@
+import ctypes
 import itertools
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -275,6 +278,122 @@ def test_two_stage_matches_eigvalsh(m):
         assert np.max(np.abs(vals - oracle)) <= tol
 
 
+def _threads():
+    """OpenBLAS's get- and set-thread-count functions, or ``None``."""
+    get = ngg.spectral._symbol("openblas_get_num_threads", ctypes.c_int)
+    put = ngg.spectral._symbol("openblas_set_num_threads", None, ctypes.c_int)
+    return None if get is None or put is None else (get, put)
+
+
+def _dsyevd_2stage(m):
+    """Ascending eigenvalues of ``m`` by LAPACKE ``dsyevd_2stage`` on the
+    upper triangle of the C-ordered rows, in one call: the routine that the
+    solver's two stages and ``dsterf`` spell out."""
+    syevd = ngg.spectral._symbol("LAPACKE_dsyevd_2stage", ctypes.c_int64, ctypes.c_int,
+                                 ctypes.c_char, ctypes.c_char, ctypes.c_int64,
+                                 ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
+    if syevd is None:
+        pytest.skip("numpy's LAPACK lacks dsyevd_2stage")
+    a = np.array(m, dtype=float, order="C")
+    n = a.shape[0]
+    w = np.empty(n)
+    assert syevd(102, b"N", b"L", n, a.ctypes.data, n, w.ctypes.data) == 0  # column-major
+    return w
+
+
+def _at_solver_threads(n, fn, *args):
+    """``fn(*args)`` on as many OpenBLAS threads as stage 1 of an ``n``-row
+    matrix uses: one up to ``ONE_THREAD_MAX_N`` rows, else the default."""
+    with ngg.spectral._LAPACK_LOCK, ngg.spectral._blas_threads(
+            1 if n <= ngg.spectral.ONE_THREAD_MAX_N else None):
+        return fn(*args)
+
+
+@pytest.mark.parametrize("n, scale", [
+    (2, 1.0), (33, 1.0), (34, 1.0), (300, 1.0),
+    (65, 2.0**-600), (65, 1e-320), (65, 3.0**500),  # scaled first, as dsyevd_2stage does
+    (ngg.spectral.ONE_THREAD_MAX_N, 1.0), (ngg.spectral.ONE_THREAD_MAX_N + 1, 1.0),
+])
+def test_two_stages_are_dsyevd_2stage_bit_for_bit(n, scale):
+    rng = np.random.default_rng(n)
+    if scale == 1.0:  # a graph's A / n, as fit_graph solves it
+        upper = np.triu(rng.random((n, n)) < 0.3, 1)
+        m = (upper | upper.T).astype(float) / n
+    else:
+        a = rng.standard_normal((n, n))
+        m = (a + a.T) * (scale / 2)
+    oracle = _at_solver_threads(n, _dsyevd_2stage, m)[::-1]
+    band = ngg.spectral.reduce_to_band(m)
+    assert band.ab.shape == (n, band.kd + 1) and (band.sigma != 1.0) == (scale != 1.0)
+    assert ngg.spectral.band_spectrum(band).values.tobytes() == oracle.tobytes()
+    assert ngg.eigenvalues_symmetric(m).values.tobytes() == oracle.tobytes()
+
+
+def test_band_spectrum_is_the_same_on_one_and_two_threads():
+    # stage 2 and dsterf call no threaded BLAS, so they may run beside a
+    # stage 1 that has pinned OpenBLAS to one thread, or not
+    if _threads() is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    get, _ = _threads()
+    n = 1000
+    rng = np.random.default_rng(5)
+    upper = np.triu(rng.random((n, n)) < 0.3, 1)
+    band = ngg.spectral.reduce_to_band((upper | upper.T).astype(float) / n)
+    spectra = []
+    for count in (1, 2):
+        with ngg.spectral._LAPACK_LOCK, ngg.spectral._blas_threads(count):
+            assert get() == count
+            spectra.append(ngg.spectral.band_spectrum(band).values.tobytes())
+    assert spectra[0] == spectra[1]
+    assert ngg.spectral.band_spectrum(band).values.tobytes() == spectra[0]  # band reusable
+
+
+def test_small_solve_pins_one_thread_and_restores_the_count(monkeypatch):
+    if _threads() is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    get, _ = _threads()
+    before = get()
+    seen = []
+    call = ngg.spectral._fortran
+
+    def spying(fn, *args):
+        seen.append(get())
+        return call(fn, *args)
+
+    monkeypatch.setattr(ngg.spectral, "_fortran", spying)
+    ngg.spectral.reduce_to_band(np.eye(ngg.spectral.ONE_THREAD_MAX_N // 8))
+    assert seen[1:] == [1, 1]  # the band width, then the query and stage 1 on one thread
+    assert get() == before
+
+
+def test_concurrent_solves_restore_the_thread_count_and_match_serial_ones():
+    # the pin is process-wide state: stage 1 sets and restores it under the
+    # lock, so four threads on two cores, switching often, lose no restore
+    # and get the serial spectra, while their stage 2s run unlocked
+    if _threads() is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    get, put = _threads()
+    rng = np.random.default_rng(8)
+    mats = []
+    for n in (40, 120, 300):
+        a = rng.standard_normal((n, n))
+        mats.append((a + a.T) / 2)
+    before, interval = get(), sys.getswitchinterval()
+    put(2)
+    try:
+        serial = [ngg.eigenvalues_symmetric(m).values.tobytes() for m in mats]
+        sys.setswitchinterval(1e-6)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(lambda m: ngg.eigenvalues_symmetric(m).values.tobytes(), m)
+                       for _ in range(8) for m in mats]
+            got = [f.result(timeout=120) for f in futures]
+        assert got == serial * 8
+        assert get() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        put(before)
+
+
 def test_overwrite_keeps_or_consumes_the_input(rng):
     a = rng.standard_normal((65, 65))
     m = (a + a.T) / 2
@@ -314,9 +433,16 @@ def test_repeated_solves_are_bitwise_equal(rng):
 
 
 def test_fallback_is_eigvalsh(rng, monkeypatch):
-    monkeypatch.setattr(ngg.spectral, "_two_stage_routine", lambda: None)
+    # a LAPACK without the band routines: the whole solve is numpy's eigvalsh
+    symbol = ngg.spectral._symbol
+    monkeypatch.setattr(ngg.spectral, "_symbol",
+                        lambda name, *a: None if "sytrd" in name else symbol(name, *a))
+    assert ngg.spectral._band_routines() is None
     a = rng.standard_normal((64, 64))
     m = (a + a.T) / 2
+    band = ngg.spectral.reduce_to_band(m)
+    assert band.ab is None
+    assert np.array_equal(ngg.spectral.band_spectrum(band).values, np.linalg.eigvalsh(m)[::-1])
     vals = ngg.eigenvalues_symmetric(m, overwrite=True).values
     assert np.array_equal(vals, np.linalg.eigvalsh(m)[::-1])
 
@@ -329,10 +455,12 @@ def _numpy_uses_scipy_openblas() -> bool:
 @pytest.mark.skipif(not _numpy_uses_scipy_openblas(),
                     reason="numpy is not built against scipy-openblas")
 def test_two_stage_routine_resolves_on_scipy_openblas():
-    # the wheels that bundle scipy-openblas export dsyevd_2stage and dsterf; a
-    # silent fallback to eigvalsh there would cost the benchmark its solve time
-    assert ngg.spectral._two_stage_routine() is not None
+    # the wheels that bundle scipy-openblas export both stages, dsterf and the
+    # thread setting; a silent fallback to eigvalsh there would cost the
+    # benchmark its solve time, and a missing pin the thread-count invariance
+    assert ngg.spectral._band_routines() is not None
     assert ngg.spectral._tridiagonal_routine() is not None
+    assert _threads() is not None
 
 
 @settings(max_examples=30)
@@ -349,9 +477,23 @@ def test_tiled_symmetry_check_matches_whole_matrix(n, seed):
 
 
 def test_lapack_failure_is_a_solver_error(monkeypatch):
-    monkeypatch.setattr(ngg.spectral, "_two_stage_routine", lambda: lambda *args: 3)
-    with pytest.raises(ngg.SolverError, match="info = 3"):
-        ngg.eigenvalues_symmetric(np.eye(3))
+    if ngg.spectral._band_routines() is None:
+        pytest.skip("numpy's LAPACK lacks the band routines")
+    _, sy2sb, sb2st = ngg.spectral._band_routines()
+    call = ngg.spectral._fortran
+    m = np.eye(40)
+    for routine, name in ((sy2sb, "dsytrd_sy2sb"), (sb2st, "dsytrd_sb2st")):
+        def failing(fn, *args, _routine=routine):
+            out = call(fn, *args)
+            if fn is _routine:
+                args[-1][0] = 3  # INFO, the last argument of both stages
+            return out
+
+        monkeypatch.setattr(ngg.spectral, "_fortran", failing)
+        with pytest.raises(ngg.SolverError, match=f"{name} info = 3"):
+            ngg.eigenvalues_symmetric(m)
+    monkeypatch.undo()
+    assert np.array_equal(ngg.eigenvalues_symmetric(m).values, np.ones(40))
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 200])
@@ -365,7 +507,7 @@ def test_tridiagonal_eigenvalues_match_eigvalsh(rng, m, monkeypatch):
     assert vals.shape == (m,) and np.all(np.diff(vals) >= 0)
     if m:
         assert np.max(np.abs(vals - oracle)) <= 8 * np.finfo(float).eps * m * np.max(np.abs(dense))
-    monkeypatch.setattr(ngg.spectral, "_lapacke", lambda *args: None)
+    monkeypatch.setattr(ngg.spectral, "_symbol", lambda *args: None)
     assert np.array_equal(ngg.spectral.eigenvalues_tridiagonal(diag, off), oracle)
 
 
