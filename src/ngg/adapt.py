@@ -168,5 +168,4 @@ def reconstruct_envelope(est: SpectrumEstimate, basis: HarmonicBasis) -> Envelop
     def fn(t, _coeffs=coeffs, _basis=basis):
         return np.clip(_basis.reconstruct(_coeffs, t), 0.0, 1.0)
 
-    return Envelope(fn, f"fit:r={est.r}",
-                    known_coeffs=tuple((i, float(c)) for i, c in enumerate(coeffs)))
+    return Envelope(fn, f"fit:r={est.r}")

@@ -34,7 +34,6 @@ from .harness import (
     _fit_fields,
     build_identifier,
     fit_graph,
-    replicate_graph,
     run_experiment,
 )
 from .model import builtin_envelope, envelope_from_coefficients
@@ -223,33 +222,29 @@ def _cmd_simulate(args) -> int:
         csv_beside(args.out)  # refused before any replicate runs
     except NggError as exc:
         raise UsageError(f"--out: {exc}") from exc
+    if args.dump_adjacency and not Path(args.dump_adjacency).parent.is_dir():
+        raise UsageError(f"--dump-adjacency: the directory of {args.dump_adjacency!r} is missing")
     space = _parse_space(args.space)
     envelope = _resolve_envelope(args.envelope, space)
     n_values = _parse_n_list(args.n)
     if args.dump_adjacency and len(n_values) != 1:
         raise UsageError("--dump-adjacency requires a single --n value")
-    config = ExperimentConfig(
-        space=space,
-        envelope=envelope,
-        n_values=n_values,
-        replicates=args.replicates,
-        r_max=args.r_max,
-        kappa=args.kappa,
-        base_seed=args.seed,
-        include_r0=args.include_r0,
-    )
-    report = run_experiment(config)
+    config = ExperimentConfig(space=space, envelope=envelope, n_values=n_values,
+                              replicates=args.replicates, r_max=args.r_max, kappa=args.kappa,
+                              base_seed=args.seed, include_r0=args.include_r0)
+    dumped = set()
+
+    def dump(n, rep, adjacency):
+        write_edge_list(f"{args.dump_adjacency}.rep{rep}" if args.replicates > 1
+                        else args.dump_adjacency, adjacency)
+        dumped.add(rep)
+
+    report = run_experiment(config, dump=dump if args.dump_adjacency else None)
     report.write(args.out)
-    if args.dump_adjacency:
-        n = n_values[0]
-        for rep in range(args.replicates):
-            _, adjacency = replicate_graph(space, envelope, n, args.seed + rep)
-            path = (
-                args.dump_adjacency
-                if args.replicates == 1
-                else f"{args.dump_adjacency}.rep{rep}"
-            )
-            write_edge_list(path, adjacency)
+    for rec in report.records:
+        if args.dump_adjacency and rec["replicate"] not in dumped:
+            # a graph that could not be drawn has no dump: its error ends the run
+            raise NggError(rec["error"].partition(": ")[2])
     print(f"report written to {args.out}")
     return 0
 

@@ -30,6 +30,7 @@ from .spectral import check_dense_size
 __all__ = ["EdgeListData", "read_edge_list", "write_edge_list"]
 
 _HEADER = "% ngg n"
+_WRITE_ROWS = 64  # rows of the matrix searched for edges at a time
 
 
 @dataclass(frozen=True)
@@ -49,12 +50,15 @@ class EdgeListData:
 def write_edge_list(path, adjacency: np.ndarray) -> None:
     """Write the graph of a symmetric 0/1 matrix as an edge list: the
     ``% ngg n <N>`` line, then one ``i j`` line per edge ``i < j`` in
-    row-major order."""
-    edges = np.argwhere(np.triu(adjacency, 1))
+    row-major order.  The edges are found ``_WRITE_ROWS`` rows at a time, so
+    nothing the size of the matrix is allocated."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{_HEADER} {adjacency.shape[0]}\n")
-        # one format of all the lines: twice as fast as a format per line
-        fh.write(("%d %d\n" * len(edges)) % tuple(edges.ravel().tolist()))
+        for lo in range(0, adjacency.shape[0], _WRITE_ROWS):
+            i, j = np.nonzero(adjacency[lo : lo + _WRITE_ROWS])
+            edges = np.column_stack((i + lo, j))[j > i + lo]
+            # one format of all the lines: twice as fast as a format per line
+            fh.write(("%d %d\n" * len(edges)) % tuple(edges.ravel().tolist()))
 
 
 def _declared_n(path) -> int | None:

@@ -2,18 +2,20 @@
 replicate run, and the seeded Monte Carlo drivers: full estimation runs
 and concentration rate checks.
 
-Replicates are drawn, fitted and recorded in order in the calling thread;
-only stage 1 of each eigensolve runs on a worker thread, beside the rest of
-the previous replicate.  Each replicate derives its seed as
-``base_seed + replicate_index`` so reruns and cross-``n`` comparisons pair up
-exactly.  Reports split into a deterministic JSON part (config, records,
-aggregates) and a CSV part that additionally carries wall-clock timings.
+Both drivers run one replicate loop.  It draws each graph in the calling
+thread, seeded ``base_seed + replicate_index`` so reruns and cross-``n``
+comparisons pair up exactly, and hands stage 1 of the eigensolve of that
+replicate's matrices to one worker thread while the calling thread finishes
+the previous replicate.  Reports split into a deterministic JSON part
+(config, records, aggregates) and a CSV part that additionally carries
+wall-clock timings.
 """
 
 from __future__ import annotations
 
 import subprocess
 import time
+from collections import Counter
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from importlib import metadata
@@ -40,8 +42,6 @@ from .spectral import (
     band_spectrum,
     check_dense_size,
     delta2,
-    eigenvalues_symmetric,
-    operator_norm,
     reduce_to_band,
 )
 
@@ -51,7 +51,6 @@ __all__ = [
     "fit_graph",
     "run_experiment",
     "concentration_check",
-    "replicate_graph",
     "true_coefficients",
     "build_identifier",
     "TRUTH_DEGREE",
@@ -163,13 +162,6 @@ def _graph_seed(rep_seed: int) -> int:
     return int(np.random.SeedSequence([rep_seed, 0x9E3779B9]).generate_state(1, np.uint64)[0])
 
 
-def replicate_graph(space: LatentSpace, envelope: Envelope, n: int, rep_seed: int):
-    """The latent sample and the adjacency matrix of the replicate seeded
-    ``rep_seed``, drawn exactly as ``run_experiment`` draws them."""
-    latent = sample_latent(space, n, rep_seed)
-    return latent, generate_graph(latent, envelope, _graph_seed(rep_seed))
-
-
 @dataclass
 class ExperimentReport:
     config: dict
@@ -215,18 +207,19 @@ class ExperimentReport:
         write_csv(csv_path, header, rows)
 
 
-def _reduce_graph(graph: list) -> tuple[Band, float]:
-    """First half of ``fit_graph``: the adjacency matrix popped from the
-    one-element list ``graph``, divided by ``n`` in place (bit for bit
-    ``adjacency / n``) and reduced to band form by ``reduce_to_band``, which
-    overwrites it; returns the band and the seconds taken.  Popping the matrix
-    leaves no reference to it once the band is returned, even in a worker
-    thread's task."""
+def _reduce(matrices: list) -> tuple[list[Band], float]:
+    """Stage 1 of a replicate: each matrix popped in turn from the list
+    ``matrices``, divided by its ``n`` in place (bit for bit ``matrix / n``)
+    and reduced to band form by ``reduce_to_band``, which overwrites it;
+    returns the bands and the seconds taken.  Popping a matrix leaves no
+    reference to it once its band is taken, even in a worker thread's task."""
     t0 = time.perf_counter()
-    adjacency = graph.pop()
-    adjacency /= adjacency.shape[0]
-    band = reduce_to_band(adjacency, overwrite=True)
-    return band, time.perf_counter() - t0
+    bands = []
+    while matrices:
+        m = matrices.pop(0)
+        m /= m.shape[0]
+        bands.append(reduce_to_band(m, overwrite=True))
+    return bands, time.perf_counter() - t0
 
 
 def _fit_band(band: Band, reduce_seconds: float, basis: HarmonicBasis,
@@ -253,12 +246,14 @@ def fit_graph(adjacency: np.ndarray, basis: HarmonicBasis, config: AdaptConfig) 
 
     The chain is two halves: stage 1 of the solve (``reduce_to_band``), then
     stage 2 (``band_spectrum``), the fits and the selection.  ``run_experiment``
-    runs the same halves, overlapping one replicate's first half with the
-    previous replicate's second.  They live in this module because
-    ``perfbench/tracing.py`` times steps by wrapping the names this module
-    looks them up by (``fit_all_resolutions``, ``select_resolution``).
+    runs the same halves in the replicate loop, overlapping one replicate's
+    first half with the previous replicate's second.  They live in this
+    module because ``perfbench/tracing.py`` times steps by wrapping the names
+    this module looks them up by (``fit_all_resolutions``,
+    ``select_resolution``).
     """
-    return _fit_band(*_reduce_graph([adjacency]), basis, config)
+    (band,), reduce_seconds = _reduce([adjacency])
+    return _fit_band(band, reduce_seconds, basis, config)
 
 
 def _fit_fields(est: SpectrumEstimate) -> dict:
@@ -269,39 +264,59 @@ def _fit_fields(est: SpectrumEstimate) -> dict:
 
 
 class _Drawn(NamedTuple):
-    """A replicate's graph once drawn: the future of ``_reduce_graph`` on it,
-    its edge count and the draw's timings."""
+    """A replicate's graph once drawn: its seed, the future of ``_reduce`` on
+    its matrices, its edge count and the draw's timings."""
 
+    seed: int
     stage1: Future
-    edge_count: int | None
-    timing: dict | None
+    edge_count: int | None = None
+    timing: dict | None = None
 
 
-def _draw(config: ExperimentConfig, n: int, rep: int, lane: ThreadPoolExecutor) -> _Drawn:
-    """Replicate (n, rep)'s graph, drawn in the calling thread, with stage 1
-    of its solve handed to ``lane``; if the graph cannot be drawn, the future
-    raises the error."""
-    rep_seed = config.base_seed + rep
+def _draw(space: LatentSpace, envelope: Envelope, n: int, rep: int, seed: int,
+          matrices, lane: ThreadPoolExecutor) -> _Drawn:
+    """Replicate (n, rep)'s graph, drawn in the calling thread from ``seed``,
+    with stage 1 of ``matrices(n, rep, latent, adjacency)`` handed to
+    ``lane``; if the graph cannot be drawn, the future raises the error."""
     try:
         t0 = time.perf_counter()
-        latent = sample_latent(config.space, n, rep_seed)
+        latent = sample_latent(space, n, seed)
         t1 = time.perf_counter()
-        a = generate_graph(latent, config.envelope, _graph_seed(rep_seed))
+        a = generate_graph(latent, envelope, _graph_seed(seed))
         t2 = time.perf_counter()
-    except Exception as exc:  # recorded when the replicate is settled
+    except Exception as exc:  # raised when the replicate is settled
         failed = Future()
         failed.set_exception(exc)
-        return _Drawn(failed, None, None)
+        return _Drawn(seed, failed)
     edge_count = int(np.count_nonzero(a)) // 2  # before stage 1 consumes a
     timing = {"n": n, "replicate": rep, "t_sample": t1 - t0, "t_generate": t2 - t1}
-    return _Drawn(lane.submit(_reduce_graph, [a]), edge_count, timing)
+    # outside the try: an error of ``matrices``, such as a failed dump write,
+    # ends the run instead of becoming the replicate's
+    return _Drawn(seed, lane.submit(_reduce, matrices(n, rep, latent, a)), edge_count, timing)
+
+
+def _replicates(space: LatentSpace, envelope: Envelope, base_seed: int, tasks, matrices):
+    """The seeded replicate loop of both drivers: ``(n, rep, drawn)`` from
+    ``_draw`` for each ``(n, rep)`` of ``tasks`` in turn, the graph seeded
+    ``base_seed + rep`` and stage 1 of its matrices on one worker thread, the
+    lane.  While the caller settles replicate k, the lane reduces k + 1, and
+    k + 2 is drawn only once k + 1 is reduced: one replicate's matrices are
+    alive at a time."""
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="ngg-stage1") as lane:
+        ahead = []  # (n, rep, drawn) of the replicate whose stage 1 is on the lane
+        for n, rep in tasks:
+            wait([d.stage1 for _, _, d in ahead])  # its matrices freed: room for the next
+            drawn = _draw(space, envelope, n, rep, base_seed + rep, matrices, lane)
+            yield from ahead
+            ahead = [(n, rep, drawn)]
+        yield from ahead
 
 
 def _one_replicate(config: ExperimentConfig, basis: HarmonicBasis, truth: np.ndarray,
                    n: int, rep: int, drawn: _Drawn):
     """Record and timings of replicate (n, rep) from ``_draw``'s result:
     its band solved, fitted, selected and compared with the truth."""
-    band, reduce_seconds = drawn.stage1.result()
+    (band,), reduce_seconds = drawn.stage1.result()
     _, estimates, result, (t_eig, t_fit, t_adapt) = _fit_band(
         band, reduce_seconds, basis, config.adapt_config(n))
     timing = {**drawn.timing, "t_eig": t_eig, "t_fit": t_fit, "t_adapt": t_adapt}
@@ -318,12 +333,11 @@ def _one_replicate(config: ExperimentConfig, basis: HarmonicBasis, truth: np.nda
                 "delta2_vs_truth": delta2(vec, truth_full),
             }
         )
-    rep_seed = config.base_seed + rep
     record = {
         "n": n,
         "replicate": rep,
-        "seed": rep_seed,
-        "graph_seed": _graph_seed(rep_seed),
+        "seed": drawn.seed,
+        "graph_seed": _graph_seed(drawn.seed),
         "edge_count": drawn.edge_count,
         "selected_r": result.selected_r,
         "gl_rows": [[row.r, row.bias, row.penalty, row.objective] for row in result.rows],
@@ -334,49 +348,41 @@ def _one_replicate(config: ExperimentConfig, basis: HarmonicBasis, truth: np.nda
     return record, timing
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig, dump=None) -> ExperimentReport:
     """Sample, generate, eigendecompose, fit every candidate resolution,
     select, and record -- for every (n, replicate) pair.
 
-    The calling thread draws each graph and hands stage 1 of its solve
-    (``reduce_to_band``, the O(n^3) part) to one worker thread, the lane.
-    While the lane reduces graph k, the calling thread finishes replicate
-    k - 1: stage 2 of its solve, the fits, the selection and the record.
-    Graph k + 1 is drawn only once graph k is reduced, so at most one
-    ``n x n`` matrix is alive at a time.  A stage 1 of at most
-    ``ONE_THREAD_MAX_N`` rows runs on one OpenBLAS thread, so the two
-    threads share two cores; the records are those of a serial loop.
-
-    A failing replicate is recorded with its error message; it never aborts
-    the rest of the run.
+    In the replicate loop (``_replicates``) stage 1 of graph k's solve
+    (``reduce_to_band``, the O(n^3) part) runs on the lane while the calling
+    thread finishes replicate k - 1: stage 2, the fits, the selection and the
+    record.  A stage 1 of at most ``ONE_THREAD_MAX_N`` rows runs on one
+    OpenBLAS thread, so the two threads share two cores; the records are
+    those of a serial loop.  ``dump(n, rep, adjacency)``, if given, is called
+    in the calling thread with each graph drawn, before stage 1 consumes it;
+    an error it raises ends the run.  A failing replicate is recorded with
+    its error message and never aborts the rest of the run.
     """
     basis = harmonic_basis(config.space, TRUTH_DEGREE)
     truth = true_coefficients(basis, config.envelope)
     # one record per (n, replicate), in sorted order whatever the order of n_values
     tasks = sorted({(n, rep) for n in config.n_values for rep in range(config.replicates)})
 
-    records, timings = [], []
+    def matrices(n, rep, latent, adjacency):
+        if dump is not None:
+            dump(n, rep, adjacency)
+        return [adjacency]
 
-    def settle(n, rep, drawn):
+    records, timings = [], []
+    for n, rep, drawn in _replicates(config.space, config.envelope, config.base_seed, tasks,
+                                     matrices):
         try:
             record, timing = _one_replicate(config, basis, truth, n, rep, drawn)
         except Exception as exc:  # recorded, not swallowed
-            record = {"n": n, "replicate": rep, "seed": config.base_seed + rep,
+            record = {"n": n, "replicate": rep, "seed": drawn.seed,
                       "error": f"{type(exc).__name__}: {exc}"}
             timing = {"n": n, "replicate": rep}
         records.append(record)
         timings.append(timing)
-
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="ngg-stage1") as lane:
-        ahead = None  # (n, rep, drawn) of the replicate whose stage 1 is on the lane
-        for n, rep in tasks:
-            if ahead is not None:
-                wait([ahead[2].stage1])  # its matrix is freed: room for the next graph
-            drawn = _draw(config, n, rep, lane)
-            if ahead is not None:
-                settle(*ahead)
-            ahead = (n, rep, drawn)
-        settle(*ahead)
     aggregates = _aggregate(config, basis, truth, records)
     return ExperimentReport(
         config=config.to_dict(),
@@ -400,9 +406,7 @@ def _aggregate(config: ExperimentConfig, basis: HarmonicBasis, truth: np.ndarray
             per_n[str(n)] = {"replicates_ok": 0}
             continue
         d2 = np.asarray([r["delta2_selected_vs_truth"] for r in recs])
-        hist = {}
-        for r in recs:
-            hist[str(r["selected_r"])] = hist.get(str(r["selected_r"]), 0) + 1
+        hist = dict(Counter(str(r["selected_r"]) for r in recs))  # in order of first sight
         risk_fixed = {}
         for rr in resolution_grid(config.adapt_config(n)):
             vals = [f["delta2_vs_truth_r"] for rec in recs for f in rec["fits"] if f["r"] == rr]
@@ -455,44 +459,37 @@ class ConcentrationTable:
         }
 
 
-def concentration_check(
-    envelope: Envelope,
-    space: LatentSpace,
-    n_values,
-    replicates: int,
-    seed: int,
-) -> ConcentrationTable:
+def concentration_check(envelope: Envelope, space: LatentSpace, n_values, replicates: int,
+                        seed: int) -> ConcentrationTable:
     """Empirical operator-norm error of A/n around theta/n and spectrum error
-    of theta/n against the reference expansion, with log-log slope fits."""
+    of theta/n against the reference expansion, with log-log slope fits.
+
+    The graphs are drawn by ``run_experiment``'s replicate loop, in the
+    calling thread.  Stage 1 of (A - theta)/n and of theta/n runs on the
+    lane; their spectra are taken in the calling thread, and the operator
+    norm is the larger of |lambda_max| and |lambda_min|."""
     n_values = tuple(int(n) for n in n_values)
     _check_run(n_values, replicates, seed)
     basis = harmonic_basis(space, TRUTH_DEGREE)
     truth = as_spectrum(spectrum_vector(true_coefficients(basis, envelope), basis.dims))
 
-    def run(n, rep):  # a function, so one replicate's n x n matrices are freed before the next
-        latent, diff = replicate_graph(space, envelope, n, seed + rep)
+    def matrices(n, rep, latent, adjacency):  # divided by n on the lane
         theta = probability_matrix(latent, envelope)
-        diff -= theta
-        diff /= n
-        o = operator_norm(diff)
-        theta /= n
-        return o, delta2(eigenvalues_symmetric(theta, overwrite=True), truth)
+        adjacency -= theta
+        return [adjacency, theta]
 
-    results = {(n, rep): run(n, rep) for n in n_values for rep in range(replicates)}
-    op = {task: o for task, (o, _) in results.items()}
-    sperr = {task: s for task, (_, s) in results.items()}
-
-    rows = []
-    for n in n_values:
-        rows.append(
-            {
-                "n": n,
-                "mean_op_norm_error": float(np.mean([op[(n, r)] for r in range(replicates)])),
-                "mean_delta2_theta_spectrum": float(
-                    np.mean([sperr[(n, r)] for r in range(replicates)])
-                ),
-            }
-        )
+    op, sperr = {}, {}
+    tasks = [(n, rep) for n in n_values for rep in range(replicates)]
+    for n, rep, drawn in _replicates(space, envelope, seed, tasks, matrices):
+        (diff, theta), _ = drawn.stage1.result()
+        vals = band_spectrum(diff).values
+        op[(n, rep)] = float(max(abs(vals[0]), abs(vals[-1])))
+        sperr[(n, rep)] = delta2(band_spectrum(theta), truth)
+    rows = [{"n": n,
+             "mean_op_norm_error": float(np.mean([op[(n, r)] for r in range(replicates)])),
+             "mean_delta2_theta_spectrum": float(np.mean([sperr[(n, r)]
+                                                          for r in range(replicates)]))}
+            for n in n_values]
     slopes = {}
     for key in ("mean_op_norm_error", "mean_delta2_theta_spectrum"):
         slope = _log_slope([row["n"] for row in rows], [row[key] for row in rows])

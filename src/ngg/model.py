@@ -36,9 +36,10 @@ _UNIT_TOL = 1e-9
 class Envelope:
     """A function of the pairwise cosine, plus optional metadata.
 
-    ``fn`` must accept numpy arrays.  ``known_coeffs`` records analytically
-    known expansion coefficients (degree, value); ``jump_points`` lists
-    interior discontinuities so quadrature can split there.
+    ``fn`` must accept numpy arrays.  ``known_coeffs`` records the expansion
+    coefficients (degree, value) a constant or coefficient-file envelope is
+    defined by; ``jump_points`` lists interior discontinuities so quadrature
+    can split there.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -74,7 +75,6 @@ def builtin_envelope(index: int) -> Envelope:
             + (35.0 * np.abs(np.asarray(t, float)) ** 4 - 30.0 * np.asarray(t, float) ** 2 + 3.0)
             / 12.0,
             "p5",
-            known_coeffs=((0, 1.0 / 3.0), (4, 2.0 / 27.0)),
         )
     if index == 6:
         return Envelope(
@@ -202,10 +202,14 @@ def _checked_probabilities(p: Envelope, t: np.ndarray) -> np.ndarray:
 
 
 def probability_matrix(latent: LatentSample, p: Envelope) -> np.ndarray:
-    """Matrix of edge probabilities p(cosine), zero diagonal."""
-    t = cosines(latent.space, latent.points, latent.points)
-    np.fill_diagonal(t, 1.0)
-    theta = _checked_probabilities(p, t)
+    """Matrix of edge probabilities p(cosine), zero diagonal.  The envelope
+    sees the cosines in row-major blocks of ``_BLOCK_COSINES`` values and
+    overwrites them, so its temporaries are the size of a block."""
+    theta = cosines(latent.space, latent.points, latent.points)
+    np.fill_diagonal(theta, 1.0)
+    flat = theta.reshape(-1)  # a view: cosines returns a new C-ordered matrix
+    for lo in range(0, flat.size, _BLOCK_COSINES):
+        flat[lo : lo + _BLOCK_COSINES] = _checked_probabilities(p, flat[lo : lo + _BLOCK_COSINES])
     np.fill_diagonal(theta, 0.0)
     return theta
 

@@ -526,6 +526,51 @@ def test_cli_dump_adjacency_needs_single_n_before_running(tmp_path, capsys):
     assert not out.exists() and not out.with_suffix(".csv").exists()
 
 
+def test_cli_dump_directory_missing_is_usage_error_before_running(tmp_path, capsys,
+                                                                 monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached the pipeline")
+
+    monkeypatch.setattr(ngg.cli, "run_experiment", unreachable)
+    out = tmp_path / "x.json"
+    rc = main(["simulate", "--envelope", "p5", "--n", "100", "--r-max", "2", "--replicates",
+               "2", "--out", str(out), "--dump-adjacency", str(tmp_path / "missing" / "d.txt")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --dump-adjacency: the directory of") and "missing" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_failed_dump_write_ends_the_run(tmp_path, capsys):
+    # the second dump path is a directory: its write fails during the run
+    (tmp_path / "d.txt.rep1").mkdir()
+    out = tmp_path / "x.json"
+    rc = main(["simulate", "--envelope", "p5", "--n", "100", "--r-max", "2", "--replicates",
+               "2", "--out", str(out), "--dump-adjacency", str(tmp_path / "d.txt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "d.txt.rep1" in err and err.count("\n") == 1
+    assert not out.exists() and not out.with_suffix(".csv").exists()
+    assert (tmp_path / "d.txt.rep0").read_text().startswith("% ngg n 100\n")
+
+
+def test_cli_undrawable_replicate_under_dump_is_recorded_then_an_error(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0 0.5\n2 3\n")
+    out = tmp_path / "x.json"
+    rc = main(["simulate", "--envelope", str(bad), "--n", "100", "--r-max", "2",
+               "--replicates", "2", "--out", str(out),
+               "--dump-adjacency", str(tmp_path / "d.txt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: envelope 'bad' leaves [0, 1]: range [")
+    assert err.count("\n") == 1
+    records = json.loads(out.read_text())["records"]
+    assert [rec["error"] for rec in records] == [f"ModelError: {err[len('error: '):-1]}"] * 2
+    assert out.with_suffix(".csv").read_text().count("\n") == 1  # the header alone
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "x.csv", "x.json"]
+
+
 @pytest.mark.parametrize("dump", [False, True])
 def test_cli_negative_seed_is_error_before_running(tmp_path, capsys, monkeypatch, dump):
     def unreachable(*args, **kwargs):
@@ -570,6 +615,15 @@ def test_cli_coefs_high_degree_is_one_quadrature(capsys):
     assert time.perf_counter() - start < 5.0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2050 and lines[-1].startswith("2048,")
+
+
+def test_cli_p5_report_carries_no_envelope_coefficients(tmp_path):
+    # p5's expansion (1/3, 2/27 at degrees 0 and 4) holds on sphere:3 alone
+    out = tmp_path / "sim.json"
+    assert main(["simulate", "--space", "sphere:5", "--envelope", "p5", "--n", "60",
+                 "--r-max", "2", "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert config["envelope"] == "p5" and "envelope_coeffs" not in config
 
 
 def test_cli_coefficient_file_above_degree_eight(tmp_path, capsys):

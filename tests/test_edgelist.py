@@ -1,6 +1,7 @@
 """Edge-list reader against the line-by-line reference it replaced, and the
-writer's round trip."""
+writer's round trip, bytes and memory."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -217,3 +218,34 @@ def test_write_edge_list_round_trip(tmp_path_factory, n, density, seed):
     assert data.n == n and data.warnings == ()
     assert data.edges.tolist() == np.argwhere(np.triu(a, 1)).tolist()
     assert np.array_equal(data.adjacency(), a)
+
+
+def _edge_list_text(a) -> str:
+    """The edge-list file of matrix ``a``, written pair by pair."""
+    n = len(a)
+    return f"% ngg n {n}\n" + "".join(
+        f"{i} {j}\n" for i in range(n) for j in range(i + 1, n) if a[i][j])
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
+@pytest.mark.parametrize("density", [0.0, 0.1, 1.0])
+def test_write_edge_list_bytes(tmp_path, n, density):
+    # blocks of rows cover every edge once, the edgeless graph and n = 1 included
+    a = np.triu(np.random.default_rng(n).random((n, n)) < density, 1).astype(float)
+    a += a.T
+    path = tmp_path / "graph.txt"
+    write_edge_list(path, a)
+    assert path.read_bytes() == _edge_list_text(a.tolist()).encode()
+
+
+def test_write_edge_list_allocates_nothing_the_size_of_the_matrix(tmp_path):
+    n = 1000
+    a = np.triu(np.random.default_rng(0).random((n, n)) < 0.3, 1).astype(float)
+    a += a.T
+    tracemalloc.start()
+    try:
+        write_edge_list(tmp_path / "graph.txt", a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * n * n

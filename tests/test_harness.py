@@ -11,9 +11,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ngg
+from ngg.edgelist import write_edge_list
 from ngg.errors import DomainError, NggError
-from ngg.harness import TRUTH_DEGREE, replicate_graph
+from ngg.estimator import spectrum_vector
+from ngg.harness import TRUTH_DEGREE, _graph_seed
 from ngg.reports import json_dumps
+
+
+def _graph(space, envelope, n, seed):
+    """Adjacency matrix of the replicate seeded ``seed``, drawn from the
+    model's functions alone, apart from the replicate loop."""
+    return ngg.generate_graph(ngg.sample_latent(space, n, seed), envelope, _graph_seed(seed))
 
 
 def _config(**kw):
@@ -112,7 +120,7 @@ def test_pipelined_records_are_a_serial_fit_graph_loop():
     assert [(r["n"], r["replicate"]) for r in report.records] == \
         [(n, rep) for n in (150, 300) for rep in range(3)]
     for rec in report.records:
-        _, a = replicate_graph(config.space, config.envelope, rec["n"], rec["seed"])
+        a = _graph(config.space, config.envelope, rec["n"], rec["seed"])
         _, estimates, result, _ = ngg.fit_graph(a, basis, config.adapt_config(rec["n"]))
         assert rec["selected_r"] == result.selected_r
         assert rec["gl_rows"] == [[row.r, row.bias, row.penalty, row.objective]
@@ -160,6 +168,80 @@ def test_run_experiment_holds_one_graph_matrix_at_a_time():
         tracemalloc.stop()
     assert all("error" not in rec for rec in report.records)
     assert peak < 1.5 * 8 * n * n
+
+
+def test_dump_holds_one_graph_matrix_at_a_time(tmp_path):
+    # the dump writes each graph before stage 1 consumes it, with no n x n
+    # temporary of its own
+    n = 1000
+    config = _config(n_values=(n,), replicates=3, envelope=ngg.builtin_envelope(5))
+
+    def dump(n, rep, adjacency):
+        write_edge_list(tmp_path / f"d{rep}.txt", adjacency)
+
+    tracemalloc.start()
+    try:
+        report = ngg.run_experiment(config, dump=dump)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all("error" not in rec for rec in report.records)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d0.txt", "d1.txt", "d2.txt"]
+    assert peak < 1.5 * 8 * n * n
+
+
+def test_dump_gets_each_drawn_graph_once_in_the_calling_thread():
+    config = _config(n_values=(150, 100), replicates=2, envelope=ngg.builtin_envelope(4))
+    dumped = []
+
+    def dump(n, rep, adjacency):
+        dumped.append((n, rep, threading.get_ident(), adjacency.copy()))
+
+    report = ngg.run_experiment(config, dump=dump)
+    assert [(n, rep) for n, rep, _, _ in dumped] == [(n, rep) for n in (100, 150)
+                                                     for rep in range(2)]
+    for (n, rep, thread, a), rec in zip(dumped, report.records):
+        assert thread == threading.get_ident()
+        assert np.array_equal(a, _graph(config.space, config.envelope, n, 100 + rep))
+        assert rec["edge_count"] == np.count_nonzero(a) // 2
+
+
+def test_dump_error_ends_the_run_and_is_no_record():
+    def dump(n, rep, adjacency):
+        if rep == 1:
+            raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        ngg.run_experiment(_config(n_values=(100,), r_max=1), dump=dump)
+
+
+def test_concentration_is_a_full_solve_of_each_replicate():
+    # the bands reduced on the lane give the bits of whole solves of
+    # (A - theta)/n and theta/n, with the graphs drawn apart from the loop
+    space, envelope = ngg.sphere(3), ngg.builtin_envelope(4)
+    table = ngg.concentration_check(envelope, space, (100, 200), replicates=2, seed=9)
+    basis = ngg.harmonic_basis(space, TRUTH_DEGREE)
+    truth = spectrum_vector(ngg.true_coefficients(basis, envelope), basis.dims)
+    assert list(table.op_norm) == [(n, rep) for n in (100, 200) for rep in range(2)]
+    for (n, rep), op in table.op_norm.items():
+        theta = ngg.probability_matrix(ngg.sample_latent(space, n, 9 + rep), envelope)
+        assert op == ngg.operator_norm((_graph(space, envelope, n, 9 + rep) - theta) / n)
+        expect = ngg.delta2(ngg.eigenvalues_symmetric(theta / n), truth)
+        assert table.spectrum_error[(n, rep)] == expect
+
+
+def test_concentration_holds_one_replicate_at_a_time():
+    # (A - theta)/n and theta/n are reduced in place on the lane, theta is
+    # evaluated in blocks, and the next graph waits for both reductions
+    n = 1000
+    tracemalloc.start()
+    try:
+        ngg.concentration_check(ngg.builtin_envelope(5), ngg.sphere(3), (n,),
+                                replicates=2, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0 * 8 * n * n
 
 
 def test_report_embeds_config_and_build():
@@ -239,7 +321,7 @@ def test_fit_graph_is_the_four_call_chain(name, data):
     config = ngg.AdaptConfig(n=n, r_max=data.draw(st.integers(1, top), label="r_max"),
                              include_r0=data.draw(st.booleans(), label="include_r0"))
     envelope = ngg.builtin_envelope(data.draw(st.integers(1, 6), label="envelope"))
-    _, a = replicate_graph(space, envelope, n, data.draw(st.integers(0, 2**31), label="seed"))
+    a = _graph(space, envelope, n, data.draw(st.integers(0, 2**31), label="seed"))
 
     spectrum = ngg.eigenvalues_symmetric(a / n)
     fits = ngg.fit_all_resolutions(spectrum, basis, config)
@@ -258,7 +340,7 @@ def test_fit_graph_is_the_four_call_chain(name, data):
 
 
 def test_fit_graph_consumes_its_input():
-    _, a = replicate_graph(ngg.sphere(3), ngg.builtin_envelope(4), 200, 3)
+    a = _graph(ngg.sphere(3), ngg.builtin_envelope(4), 200, 3)
     before = a.copy()
     ngg.fit_graph(a, ngg.harmonic_basis(ngg.sphere(3), 2), ngg.AdaptConfig(n=200, r_max=2))
     assert not np.array_equal(a, before)
@@ -270,7 +352,7 @@ def test_record_edge_count_is_the_graphs():
     report = ngg.run_experiment(config)
     assert len(report.records) == 4
     for rec in report.records:
-        _, a = replicate_graph(config.space, config.envelope, rec["n"], rec["seed"])
+        a = _graph(config.space, config.envelope, rec["n"], rec["seed"])
         assert rec["edge_count"] == np.count_nonzero(a) // 2 > 0
 
 
