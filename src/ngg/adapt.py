@@ -77,7 +77,8 @@ def fit_all_resolutions(
 ) -> dict[int, SpectrumEstimate]:
     """Staircase fits for every resolution on the candidate grid, all from
     one sort of the spectrum and one set of its prefix sums.  The spectrum
-    must hold ``config.n`` values, the size the penalty is priced at."""
+    must hold ``config.n`` values, the size the penalty is priced at; a
+    partial one needs ``cum_dim(r_max)`` values at each end."""
     if config.r_max > basis.max_degree:
         raise DomainError(
             f"r_max = {config.r_max} exceeds basis max_degree {basis.max_degree}"
@@ -88,8 +89,8 @@ def fit_all_resolutions(
             f"{basis.cum_dims[config.r_max]} at r_max = {config.r_max}"
         )
     spectrum = as_spectrum(spectrum)
-    if spectrum.values.size != config.n:
-        raise DomainError(f"spectrum has {spectrum.values.size} values, config.n = {config.n}")
+    if spectrum.n != config.n:
+        raise DomainError(f"spectrum has {spectrum.n} values, config.n = {config.n}")
     return {r: fit_resolution(spectrum, basis, r) for r in resolution_grid(config)}
 
 

@@ -15,9 +15,14 @@ process, so ``R`` is capped at ``MAX_RESOLUTION``.
 Every run cost reads prefix sums of the sorted values and of their squares,
 which a ``Spectrum`` carries; every fit and ``score_ordering`` accept one in
 place of a raw spectrum, so ``fit_all_resolutions`` prepares the spectrum
-once for all resolutions.  One helper holds the run-mean and run-cost
-formula for the DP and for ``score_ordering``, which scores one ordering;
-the exhaustive search over all orderings is kept in the tests as the oracle.
+once for all resolutions.  Every run lies within the ``cum_dim(R)`` largest
+or smallest values, apart from the zero block's, which spans the middle and
+costs the sum of squares there, so a partial ``Spectrum`` (the ``K``
+extreme values at each end and the moments of the whole) fits every ``R``
+with ``cum_dim(R) <= K`` as the full spectrum does, up to rounding.  One
+helper holds the run-mean and run-cost formula for the DP and for
+``score_ordering``, which scores one ordering; the exhaustive search over
+all orderings is kept in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -59,12 +64,20 @@ def _run_costs(spec: Spectrum, starts, ends, zero):
     its raw sum of squares, may be empty, and its mean is unused.  A run's
     squared sum is at most ``n`` times the total sum of squares, so a finite
     bound keeps every cost finite; a spectrum without one is refused."""
-    if not math.isfinite(spec.values.size * float(spec.s2[-1])):
+    if not math.isfinite(spec.n * float(spec.s2[-1])):
         raise DomainError("spectrum values are too large: their sum of squares overflows")
     run_sum = spec.s1[ends] - spec.s1[starts]
     run_sq = spec.s2[ends] - spec.s2[starts]
     div = np.where(zero, 1, ends - starts)
     return run_sum / div, np.where(zero, run_sq, run_sq - run_sum * run_sum / div)
+
+
+def _check_ends(spec: Spectrum, model_dim: int) -> None:
+    """Refuse a partial spectrum too short at either end for a fit with
+    ``model_dim`` model eigenvalues, whose runs would reach its middle."""
+    if spec.k < model_dim:
+        raise DomainError(f"a partial spectrum of {spec.k} values at each end cannot fit "
+                          f"{model_dim} model eigenvalues")
 
 
 def score_ordering(spectrum, ordering, dims):
@@ -76,7 +89,7 @@ def score_ordering(spectrum, ordering, dims):
     of squares.
     """
     spec = as_spectrum(spectrum)
-    n = spec.values.size
+    n = spec.n
     r = len(ordering) - 2
     if sorted(ordering) != [ZERO_BLOCK, *range(r + 1)]:
         raise DomainError(f"ordering {tuple(ordering)} is not a permutation of -1, 0..r")
@@ -86,6 +99,7 @@ def score_ordering(spectrum, ordering, dims):
     total = sum(dims)
     if total > n:
         raise DomainError(f"need n >= {total} eigenvalues, got {n}")
+    _check_ends(spec, total)
     lengths = {sym: (dims[sym] if sym != ZERO_BLOCK else n - total) for sym in ordering}
     ends = np.cumsum([lengths[sym] for sym in ordering])
     starts = np.concatenate(([0], ends[:-1]))
@@ -172,11 +186,12 @@ def fit_resolution(spectrum, basis: HarmonicBasis, r: int) -> SpectrumEstimate:
     if r > basis.max_degree:
         raise DomainError(f"resolution {r} exceeds basis max_degree {basis.max_degree}")
     spec = as_spectrum(spectrum)
-    n = spec.values.size
+    n = spec.n
     if n < basis.cum_dims[r]:
         raise DomainError(
             f"n = {n} is below the model dimension {basis.cum_dims[r]} at resolution {r}"
         )
+    _check_ends(spec, basis.cum_dims[r])
     symbols = (ZERO_BLOCK, *range(r + 1))  # bit i of a block set is symbols[i]
     lengths = np.array((n - basis.cum_dims[r], *basis.dims[: r + 1]), dtype=np.int64)
     m = len(symbols)

@@ -3,12 +3,20 @@ replicate run, and the seeded Monte Carlo drivers: full estimation runs
 and concentration rate checks.
 
 Both drivers run one replicate loop.  It draws each graph in the calling
-thread, seeded ``base_seed + replicate_index`` so reruns and cross-``n``
-comparisons pair up exactly, and hands stage 1 of the eigensolve of that
-replicate's matrices to one worker thread while the calling thread finishes
-the previous replicate.  Reports split into a deterministic JSON part
-(config, records, aggregates) and a CSV part that additionally carries
-wall-clock timings.
+thread as its boolean matrix, seeded ``base_seed + replicate_index`` so
+reruns and cross-``n`` comparisons pair up exactly, and hands stage 1 of the
+eigensolve of that replicate's float64 matrices to one worker thread, the
+lane.  Per replicate k, in the calling thread: draw graph k + 1 while the
+lane reduces graph k; wait for that stage 1, which frees graph k's matrix;
+build graph k + 1's float64 matrix (``A / n``, one pass from the boolean
+matrix) and hand it to the lane; then finish replicate k (stage 2, the fits,
+the selection and the record) while the lane reduces k + 1.  So one float64
+``n x n`` matrix is alive at a time, and the next graph exists only as its
+boolean matrix during stage 1.  The fits read only the ``cum_dim(r_max)``
+largest and smallest eigenvalues, by bisection, which leaves the calling
+thread room for the next draw: stage 1 alone sets the pace.  Reports split
+into a deterministic JSON part (config, records, aggregates) and a CSV part
+that additionally carries wall-clock timings.
 """
 
 from __future__ import annotations
@@ -207,27 +215,41 @@ class ExperimentReport:
         write_csv(csv_path, header, rows)
 
 
-def _reduce(matrices: list) -> tuple[list[Band], float]:
+def _scaled(adjacency) -> np.ndarray:
+    """``adjacency / n`` as the float64 matrix stage 1 may overwrite: a
+    float64 matrix is divided in place (bit for bit ``adjacency / n``), any
+    other, such as the boolean matrix ``generate_graph`` draws, is converted
+    and divided in one pass, bit for bit ``adjacency.astype(float) / n``."""
+    a = np.asarray(adjacency)
+    if a.dtype == np.float64:
+        a /= a.shape[0]
+        return a
+    return np.divide(a, a.shape[0])
+
+
+def _reduce(matrices: list, seconds: float = 0.0) -> tuple[list[Band], float]:
     """Stage 1 of a replicate: each matrix popped in turn from the list
-    ``matrices``, divided by its ``n`` in place (bit for bit ``matrix / n``)
-    and reduced to band form by ``reduce_to_band``, which overwrites it;
-    returns the bands and the seconds taken.  Popping a matrix leaves no
-    reference to it once its band is taken, even in a worker thread's task."""
+    ``matrices`` and reduced to band form by ``reduce_to_band``, which
+    overwrites it; returns the bands and ``seconds`` plus the seconds taken.
+    Popping a matrix leaves no reference to it once its band is taken, even
+    in a worker thread's task."""
     t0 = time.perf_counter()
     bands = []
     while matrices:
-        m = matrices.pop(0)
-        m /= m.shape[0]
-        bands.append(reduce_to_band(m, overwrite=True))
-    return bands, time.perf_counter() - t0
+        bands.append(reduce_to_band(matrices.pop(0), overwrite=True))
+    return bands, seconds + time.perf_counter() - t0
 
 
 def _fit_band(band: Band, reduce_seconds: float, basis: HarmonicBasis,
               config: AdaptConfig) -> tuple:
-    """Second half of ``fit_graph``: the spectrum of the band, the fits and
-    the selection, with ``reduce_seconds`` added to the solve's time."""
+    """Second half of ``fit_graph``: the partial spectrum of the band (the
+    ``cum_dim(r_max)`` largest and smallest eigenvalues, by bisection), the
+    fits and the selection, with ``reduce_seconds`` added to the solve's
+    time."""
     t0 = time.perf_counter()
-    spectrum = band_spectrum(band)
+    # an r_max beyond the basis is refused by the fit
+    k = basis.cum_dims[config.r_max] if config.r_max <= basis.max_degree else None
+    spectrum = band_spectrum(band, k)
     t1 = time.perf_counter()
     estimates = fit_all_resolutions(spectrum, basis, config)
     t2 = time.perf_counter()
@@ -240,9 +262,15 @@ def fit_graph(adjacency: np.ndarray, basis: HarmonicBasis, config: AdaptConfig) 
     """Spectrum of ``adjacency / n``, the staircase fit at every candidate
     resolution and the Goldenshluger-Lepski selection, as ``(spectrum,
     estimates, result, seconds)``; ``seconds`` times the scaling and solve
-    (the sum of its two stages), the fits, and the selection.  ``adjacency``
-    is consumed: it is divided by ``n`` in place (bit for bit
-    ``adjacency / n``) and the solver overwrites it.
+    (the sum of its two stages), the fits, and the selection.
+    ``adjacency`` is a boolean or a float64 0/1 matrix; a float64 one is
+    consumed: it is divided by ``n`` in place (bit for bit ``adjacency /
+    n``) and the solver overwrites it.
+
+    The fits read only the partial spectrum (``band_spectrum(band, k)``
+    with ``k = cum_dim(r_max)``), as every replicate's do, so ``estimate``
+    on a dumped graph gives its ``simulate`` fit bit for bit; the spectrum
+    returned is the whole one, by ``dsterf`` on the same tridiagonal matrix.
 
     The chain is two halves: stage 1 of the solve (``reduce_to_band``), then
     stage 2 (``band_spectrum``), the fits and the selection.  ``run_experiment``
@@ -252,8 +280,14 @@ def fit_graph(adjacency: np.ndarray, basis: HarmonicBasis, config: AdaptConfig) 
     this module looks them up by (``fit_all_resolutions``,
     ``select_resolution``).
     """
-    (band,), reduce_seconds = _reduce([adjacency])
-    return _fit_band(band, reduce_seconds, basis, config)
+    t0 = time.perf_counter()
+    matrix = [_scaled(adjacency)]
+    (band,), reduce_seconds = _reduce(matrix, time.perf_counter() - t0)
+    spectrum, estimates, result, (t_eig, t_fit, t_adapt) = _fit_band(
+        band, reduce_seconds, basis, config)
+    t1 = time.perf_counter()
+    full = spectrum.full
+    return full, estimates, result, (t_eig + time.perf_counter() - t1, t_fit, t_adapt)
 
 
 def _fit_fields(est: SpectrumEstimate) -> dict:
@@ -273,42 +307,59 @@ class _Drawn(NamedTuple):
     timing: dict | None = None
 
 
-def _draw(space: LatentSpace, envelope: Envelope, n: int, rep: int, seed: int,
-          matrices, lane: ThreadPoolExecutor) -> _Drawn:
-    """Replicate (n, rep)'s graph, drawn in the calling thread from ``seed``,
-    with stage 1 of ``matrices(n, rep, latent, adjacency)`` handed to
-    ``lane``; if the graph cannot be drawn, the future raises the error."""
-    try:
-        t0 = time.perf_counter()
-        latent = sample_latent(space, n, seed)
-        t1 = time.perf_counter()
-        a = generate_graph(latent, envelope, _graph_seed(seed))
-        t2 = time.perf_counter()
-    except Exception as exc:  # raised when the replicate is settled
-        failed = Future()
-        failed.set_exception(exc)
-        return _Drawn(seed, failed)
-    edge_count = int(np.count_nonzero(a)) // 2  # before stage 1 consumes a
-    timing = {"n": n, "replicate": rep, "t_sample": t1 - t0, "t_generate": t2 - t1}
-    # outside the try: an error of ``matrices``, such as a failed dump write,
-    # ends the run instead of becoming the replicate's
-    return _Drawn(seed, lane.submit(_reduce, matrices(n, rep, latent, a)), edge_count, timing)
+def _draw(space: LatentSpace, envelope: Envelope, n: int, rep: int, seed: int) -> tuple:
+    """Replicate (n, rep)'s graph, drawn in the calling thread from ``seed``:
+    its latent sample, its boolean adjacency matrix and the draw's timings."""
+    t0 = time.perf_counter()
+    latent = sample_latent(space, n, seed)
+    t1 = time.perf_counter()
+    a = generate_graph(latent, envelope, _graph_seed(seed))
+    t2 = time.perf_counter()
+    return latent, a, {"n": n, "replicate": rep, "t_sample": t1 - t0, "t_generate": t2 - t1}
 
 
-def _replicates(space: LatentSpace, envelope: Envelope, base_seed: int, tasks, matrices):
-    """The seeded replicate loop of both drivers: ``(n, rep, drawn)`` from
-    ``_draw`` for each ``(n, rep)`` of ``tasks`` in turn, the graph seeded
-    ``base_seed + rep`` and stage 1 of its matrices on one worker thread, the
-    lane.  While the caller settles replicate k, the lane reduces k + 1, and
-    k + 2 is drawn only once k + 1 is reduced: one replicate's matrices are
-    alive at a time."""
+def _replicates(space: LatentSpace, envelope: Envelope, base_seed: int, tasks, matrices,
+                dump=None):
+    """The seeded replicate loop of both drivers: ``(n, rep, drawn)`` for
+    each ``(n, rep)`` of ``tasks`` in turn, the graph seeded ``base_seed +
+    rep`` and drawn in the calling thread as its boolean matrix, which
+    ``dump(n, rep, adjacency)``, if given, receives; ``drawn.stage1`` is the
+    future of stage 1 of the float64 matrices ``matrices(latent,
+    adjacency)`` builds from it, on one worker thread, the lane.
+
+    Graph k + 1 is drawn (and dumped) while the lane reduces graph k; its
+    float64 matrices are built only once that stage 1 has returned and freed
+    graph k's, and the caller settles replicate k while the lane reduces
+    k + 1.  So stage 1 alone sets the pace, and one replicate's float64
+    matrices are alive at a time: the next graph exists only as its boolean
+    matrix meanwhile.  A replicate whose graph cannot be drawn is yielded at
+    once, with a future that raises the error, before the next graph is
+    drawn."""
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="ngg-stage1") as lane:
         ahead = []  # (n, rep, drawn) of the replicate whose stage 1 is on the lane
         for n, rep in tasks:
-            wait([d.stage1 for _, _, d in ahead])  # its matrices freed: room for the next
-            drawn = _draw(space, envelope, n, rep, base_seed + rep, matrices, lane)
+            seed = base_seed + rep
+            try:
+                latent, a, timing = _draw(space, envelope, n, rep, seed)
+            except Exception as exc:  # raised when the replicate is settled
+                failed = Future()
+                failed.set_exception(exc)
+                yield from ahead
+                yield n, rep, _Drawn(seed, failed)
+                ahead = []
+                continue
+            edge_count = int(np.count_nonzero(a)) // 2
+            # outside the try: an error of ``dump`` or ``matrices``, such as a
+            # failed dump write, ends the run instead of becoming the replicate's
+            if dump is not None:
+                dump(n, rep, a)
+            wait([d.stage1 for _, _, d in ahead])  # graph k's matrices freed
+            t0 = time.perf_counter()
+            mats = matrices(latent, a)
+            stage1 = lane.submit(_reduce, mats, time.perf_counter() - t0)
+            del latent, a, mats  # the boolean matrix goes before the next is drawn
             yield from ahead
-            ahead = [(n, rep, drawn)]
+            ahead = [(n, rep, _Drawn(seed, stage1, edge_count, timing))]
         yield from ahead
 
 
@@ -354,27 +405,26 @@ def run_experiment(config: ExperimentConfig, dump=None) -> ExperimentReport:
 
     In the replicate loop (``_replicates``) stage 1 of graph k's solve
     (``reduce_to_band``, the O(n^3) part) runs on the lane while the calling
-    thread finishes replicate k - 1: stage 2, the fits, the selection and the
-    record.  A stage 1 of at most ``ONE_THREAD_MAX_N`` rows runs on one
-    OpenBLAS thread, so the two threads share two cores; the records are
-    those of a serial loop.  ``dump(n, rep, adjacency)``, if given, is called
-    in the calling thread with each graph drawn, before stage 1 consumes it;
-    an error it raises ends the run.  A failing replicate is recorded with
-    its error message and never aborts the rest of the run.
+    thread draws graph k + 1 and finishes replicate k - 1: stage 2 with
+    bisection for the ``cum_dim(r_max)`` extreme eigenvalues, the fits, the
+    selection and the record.  Graph k + 1 stays a boolean matrix until that
+    stage 1 has returned and freed graph k's float64 matrix, so one float64
+    ``n x n`` matrix is alive at a time.  A stage 1 of at most
+    ``ONE_THREAD_MAX_N`` rows runs on one OpenBLAS thread, so the two threads
+    share two cores; the records are those of a serial loop.
+    ``dump(n, rep, adjacency)``, if given, is called in the calling thread
+    with each graph drawn, as its boolean matrix; an error it raises ends
+    the run.  A failing replicate is recorded with its error message and
+    never aborts the rest of the run.
     """
     basis = harmonic_basis(config.space, TRUTH_DEGREE)
     truth = true_coefficients(basis, config.envelope)
     # one record per (n, replicate), in sorted order whatever the order of n_values
     tasks = sorted({(n, rep) for n in config.n_values for rep in range(config.replicates)})
 
-    def matrices(n, rep, latent, adjacency):
-        if dump is not None:
-            dump(n, rep, adjacency)
-        return [adjacency]
-
     records, timings = [], []
     for n, rep, drawn in _replicates(config.space, config.envelope, config.base_seed, tasks,
-                                     matrices):
+                                     lambda latent, a: [_scaled(a)], dump):
         try:
             record, timing = _one_replicate(config, basis, truth, n, rep, drawn)
         except Exception as exc:  # recorded, not swallowed
@@ -466,23 +516,26 @@ def concentration_check(envelope: Envelope, space: LatentSpace, n_values, replic
 
     The graphs are drawn by ``run_experiment``'s replicate loop, in the
     calling thread.  Stage 1 of (A - theta)/n and of theta/n runs on the
-    lane; their spectra are taken in the calling thread, and the operator
-    norm is the larger of |lambda_max| and |lambda_min|."""
+    lane; their spectra are taken in the calling thread.  The operator norm
+    is the larger of |lambda_max| and |lambda_min|, the two alone by
+    bisection; the spectrum of theta/n is whole, as ``delta2`` needs."""
     n_values = tuple(int(n) for n in n_values)
     _check_run(n_values, replicates, seed)
     basis = harmonic_basis(space, TRUTH_DEGREE)
     truth = as_spectrum(spectrum_vector(true_coefficients(basis, envelope), basis.dims))
 
-    def matrices(n, rep, latent, adjacency):  # divided by n on the lane
+    def matrices(latent, adjacency):
         theta = probability_matrix(latent, envelope)
-        adjacency -= theta
-        return [adjacency, theta]
+        diff = np.subtract(adjacency, theta)
+        diff /= latent.n
+        theta /= latent.n
+        return [diff, theta]
 
     op, sperr = {}, {}
     tasks = [(n, rep) for n in n_values for rep in range(replicates)]
     for n, rep, drawn in _replicates(space, envelope, seed, tasks, matrices):
         (diff, theta), _ = drawn.stage1.result()
-        vals = band_spectrum(diff).values
+        vals = band_spectrum(diff, 1).values  # the largest and the smallest
         op[(n, rep)] = float(max(abs(vals[0]), abs(vals[-1])))
         sperr[(n, rep)] = delta2(band_spectrum(theta), truth)
     rows = [{"n": n,

@@ -216,14 +216,16 @@ def probability_matrix(latent: LatentSample, p: Envelope) -> np.ndarray:
 
 def generate_graph(latent: LatentSample, p: Envelope, seed: int) -> np.ndarray:
     """Draw one Bernoulli graph: independent edges for i < j with probability
-    p applied to the pairwise cosine, returned as its symmetric 0/1 float64
-    adjacency matrix with zero diagonal, the form ``fit_graph`` solves.
+    p applied to the pairwise cosine, returned as its symmetric boolean
+    adjacency matrix with a false diagonal (``fit_graph`` solves it as
+    ``A / n``).
 
     Generation walks blocks of consecutive rows, each holding at most
-    ``_BLOCK_COSINES`` cosines (at least one row), into a boolean matrix that
-    is converted once at the end.  A block draws its uniforms in one call
-    over its pairs in row-major order, so the RNG stream is consumed pair by
-    pair exactly as a row-by-row loop consumes it.
+    ``_BLOCK_COSINES`` cosines (at least one row).  A block draws its
+    uniforms in one call over its pairs in row-major order, so the RNG stream
+    is consumed pair by pair exactly as a row-by-row loop consumes it, and
+    is written with its mirror image below the diagonal at once: the only
+    ``n x n`` array is the result.
     Identical (latent, p, seed) reproduce the adjacency bit for bit.
     """
     rng = np.random.default_rng(seed)
@@ -236,7 +238,9 @@ def generate_graph(latent: LatentSample, p: Envelope, seed: int) -> np.ndarray:
         hi = min(n - 1, lo + max(1, _BLOCK_COSINES // width))
         upper = np.arange(width) >= np.arange(hi - lo)[:, None]  # column j > row i
         t = cosines(latent.space, pts[lo:hi], pts[lo + 1 :])[upper]
-        adj[lo:hi, lo + 1 :][upper] = rng.random(t.size) < _checked_probabilities(p, t)
+        block = np.zeros_like(upper)
+        block[upper] = rng.random(t.size) < _checked_probabilities(p, t)
+        adj[lo:hi, lo + 1 :] = block  # below the diagonal here nothing is drawn yet
+        adj[lo + 1 :, lo:hi] |= block.T
         lo = hi
-    adj |= adj.T
-    return adj.astype(np.float64)
+    return adj

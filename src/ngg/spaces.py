@@ -230,17 +230,17 @@ class HarmonicBasis:
         return raw / norms[:, None]
 
     def reconstruct(self, coefficients: Sequence[float], t):
-        """Evaluate sum_ell sqrt(d_ell) u_ell Z_ell(t)."""
+        """Evaluate sum_ell sqrt(d_ell) u_ell Z_ell(t) at ``t`` of any shape,
+        elementwise: on ``t`` flattened, then shaped as ``t``."""
         coefficients = np.asarray(coefficients, dtype=float)
         top = coefficients.size - 1
         self._check_degree(top)
         tt = _check_t(t)
-        scalar = tt.ndim == 0
-        z = self.orthonormal_all(top, np.atleast_1d(tt))
+        z = self.orthonormal_all(top, tt.ravel())
         scale = np.sqrt(np.asarray(self.dims[: top + 1], dtype=float))
         with np.errstate(over="ignore", invalid="ignore"):  # callers refuse inf and nan
             out = (coefficients * scale) @ z
-        return float(out[0]) if scalar else out
+        return float(out[0]) if tt.ndim == 0 else out.reshape(tt.shape)
 
     def _check_degree(self, ell: int):
         if ell < 0 or ell > self.max_degree:

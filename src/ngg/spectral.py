@@ -1,4 +1,15 @@
-"""Dense symmetric eigenvalues and the rearrangement distance between spectra."""
+"""Dense symmetric eigenvalues and the rearrangement distance between spectra.
+
+The dense solve is LAPACK's two-stage reduction, called step by step:
+stage 1 (``reduce_to_band``) reduces the matrix to band form, the O(n^3)
+part; stage 2 (``band_spectrum``) reduces the band to a tridiagonal matrix
+T and takes eigenvalues of T.  All ``n`` of them come from ``dsterf``; the
+``k`` largest and ``k`` smallest alone, which is all a staircase fit with at
+most ``k`` model eigenvalues reads, come from ``dstebz`` bisection (Barth,
+Martin & Wilkinson 1967) together with the sum and the sum of squares of
+the whole spectrum, read off T.  That partial form of a ``Spectrum`` can
+still give the whole spectrum of the same T on demand.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +19,9 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
+from typing import Callable
 
 import numpy as np
 
@@ -52,33 +64,87 @@ _RMIN, _RMAX = 2.0**-485, 2.0**485
 
 @dataclass(frozen=True)
 class Spectrum:
-    """A finite real multiset sorted descending, such as the eigenvalues of a
-    symmetric matrix: its first ``nonneg`` values are the nonnegative ones
-    (exact zeros of either sign included), and ``s1[k]`` and ``s2[k]`` are the
-    sums of its ``k`` largest values and of their squares (``s1[0] = s2[0] =
-    0``), taken on first use: ``delta2`` never reads them.  A prefix sum that
-    overflows reads inf, which the fit refuses.  Built by ``as_spectrum`` and
-    ``eigenvalues_symmetric``."""
+    """A finite real multiset of ``n`` values sorted descending, such as the
+    eigenvalues of a symmetric matrix, in one of two forms.
+
+    The full form holds all ``n`` values; its first ``nonneg`` values are the
+    nonnegative ones (exact zeros of either sign included).  ``s1[k]`` and
+    ``s2[k]`` are the sums of its ``k`` largest values and of their squares
+    (``s1[0] = s2[0] = 0``), taken on first use: ``delta2`` never reads them.
+
+    The partial form, from ``band_spectrum(band, k)``, holds only the ``k``
+    largest values followed by the ``k`` smallest (``2k <= n``), and
+    ``moments``, the sum and the sum of squares of all ``n`` values.  Its
+    ``s1`` and ``s2`` hold the same sums at indices ``<= k`` and ``>= n - k``
+    and NaN between: a staircase fit with at most ``k`` model eigenvalues
+    reads no other index, since its zero block spans the middle.  ``nonneg``
+    counts the nonnegative ones among ``values``.  ``delta2`` refuses the
+    partial form.  ``full`` is the whole spectrum: the full form itself, or
+    the one the partial form was taken from, computed on first use.
+
+    A prefix sum that overflows reads inf, which the fit refuses.  Built by
+    ``as_spectrum``, ``eigenvalues_symmetric`` and ``band_spectrum``."""
 
     values: np.ndarray
     nonneg: int
+    n: int
+    moments: tuple[float, float] | None = None
+    _complete: Callable[[], Spectrum] | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def partial(self) -> bool:
+        return self.moments is not None
+
+    @property
+    def k(self) -> int:
+        """How many of the largest, and of the smallest, values it holds."""
+        return self.values.size // 2 if self.partial else self.n
+
+    @property
+    def full(self) -> Spectrum:
+        return self._complete() if self.partial else self
 
     @functools.cached_property
     def s1(self) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return np.concatenate(([0.0], np.cumsum(self.values)))
+        return self._prefix(0)
 
     @functools.cached_property
     def s2(self) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return np.concatenate(([0.0], np.cumsum(self.values * self.values)))
+        return self._prefix(1)
+
+    def _prefix(self, power: int) -> np.ndarray:
+        """Prefix sums of the values (``power`` 0) or of their squares (1); in
+        the partial form, the bottom end's are the moment less the sum of
+        the values after each index."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = self.values * self.values if power else self.values
+            if not self.partial:
+                return np.concatenate(([0.0], np.cumsum(v)))
+            k, n, total = self.k, self.n, self.moments[power]
+            out = np.full(n + 1, np.nan)
+            out[0], out[n] = 0.0, total
+            out[1 : k + 1] = np.cumsum(v[:k])
+            out[n - k : n] = total - np.cumsum(v[: k - 1 : -1])[::-1]
+            return out
 
 
 def _descending(v: np.ndarray) -> Spectrum:
     """The ``Spectrum`` of values already sorted descending, checked finite."""
     if not np.isfinite(v).all():
         raise DomainError("spectrum has non-finite values")
-    return Spectrum(v, int(np.count_nonzero(v >= 0)))
+    return Spectrum(v, int(np.count_nonzero(v >= 0)), v.size)
+
+
+def _ends(top: np.ndarray, bottom: np.ndarray, n: int, moments, complete) -> Spectrum:
+    """The partial ``Spectrum`` of ``n`` values whose ``k`` largest and ``k``
+    smallest are ``top`` and ``bottom`` (each descending), with the sum and
+    the sum of squares ``moments`` of all ``n``, checked finite;
+    ``complete()`` gives the whole spectrum."""
+    values = np.concatenate((top, bottom))
+    if not (np.isfinite(values).all() and np.isfinite(moments).all()):
+        raise DomainError("spectrum has non-finite values")
+    return Spectrum(values, int(np.count_nonzero(values >= 0)), n,
+                    (float(moments[0]), float(moments[1])), complete)
 
 
 def as_spectrum(x) -> Spectrum:
@@ -291,40 +357,104 @@ def reduce_to_band(matrix, *, overwrite: bool = False) -> Band:
     return Band(ab, kd, sigma)
 
 
-def band_spectrum(band: Band) -> Spectrum:
+def _tridiagonal(band: Band) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the tridiagonal matrix that LAPACK's
+    ``dsytrd_sb2st`` reduces a copy of the band to, reading only the band."""
+    _, _, sb2st = _band_routines()
+    n, kd = band.ab.shape[0], band.kd
+    ab = band.ab.copy()  # sb2st overwrites it
+    d, e = np.empty(n), np.empty(n - 1)
+    info = np.zeros(1, dtype=np.int64)
+    hsize, wsize = np.zeros(1), np.zeros(1)
+
+    def sb2st_call(hous, work, lhous, lwork):
+        _fortran(sb2st, b"Y", b"N", b"L", n, kd, ab, kd + 1, d, e, hous, lhous, work,
+                 lwork, info)
+
+    sb2st_call(hsize, wsize, -1, -1)  # workspace query
+    hous, work = np.empty(max(int(hsize[0]), 1)), np.empty(max(int(wsize[0]), 1))
+    sb2st_call(hous, work, hous.size, work.size)
+    if info[0] != 0:
+        raise SolverError(f"eigenvalue computation failed: dsytrd_sb2st info = {info[0]}")
+    return d, e
+
+
+def _bisection_routine():
+    """LAPACK ``dstebz`` (selected eigenvalues of a symmetric tridiagonal
+    matrix by bisection), or ``None``."""
+    return _fortran_routine("dstebz_", None, "cciaaiiaaaaaaaaaaa")
+
+
+def _extremes(d: np.ndarray, e: np.ndarray, k: int):
+    """The ``k`` largest and the ``k`` smallest eigenvalues of the symmetric
+    tridiagonal matrix ``(d, e)``, each run descending, by ``dstebz``
+    bisection to full accuracy (``ABSTOL`` twice the underflow threshold,
+    as LAPACK advises); ``None`` if the routine is not exported or reports
+    a failure.  ``d`` and ``e`` are only read."""
+    stebz = _bisection_routine()
+    if stebz is None:
+        return None
+    n = d.size
+    w, work = np.empty(n), np.empty(4 * n)
+    iblock, isplit, iwork = (np.empty(size, dtype=np.int64) for size in (n, n, 3 * n))
+    m, nsplit, info = (np.zeros(1, dtype=np.int64) for _ in range(3))
+    unused, abstol = np.zeros(1), np.array([2 * np.finfo(float).tiny])
+    runs = []
+    for il in (n - k + 1, 1):  # RANGE = 'I': the il-th to (il + k - 1)-th smallest
+        _fortran(stebz, b"I", b"E", n, unused, unused, il, il + k - 1, abstol, d, e, m,
+                 nsplit, w, iblock, isplit, work, iwork, info)
+        if info[0] != 0 or m[0] != k:
+            return None
+        runs.append(w[k - 1 :: -1].copy())  # ORDER = 'E': ascending
+    return runs
+
+
+def band_spectrum(band: Band, k: int | None = None) -> Spectrum:
     """Stage 2 of ``eigenvalues_symmetric``: the spectrum of a matrix that
     ``reduce_to_band`` reduced.  LAPACK's ``dsytrd_sb2st`` reduces a copy of
-    the band to tridiagonal form, reading only the band, and
-    ``eigenvalues_tridiagonal`` (``dsterf``) solves that.  Neither calls
-    threaded BLAS, so this half gives the same bits on any number of OpenBLAS
-    threads and takes no lock: it can run beside another matrix's stage 1."""
-    vals = band.eigenvalues
-    if vals is None:
-        _, _, sb2st = _band_routines()
-        n, kd = band.ab.shape[0], band.kd
-        ab = band.ab.copy()  # sb2st overwrites it
-        d, e = np.empty(n), np.empty(n - 1)
-        info = np.zeros(1, dtype=np.int64)
-        hsize, wsize = np.zeros(1), np.zeros(1)
+    the band to a tridiagonal matrix T, reading only the band.
 
-        def sb2st_call(hous, work, lhous, lwork):
-            _fortran(sb2st, b"Y", b"N", b"L", n, kd, ab, kd + 1, d, e, hous, lhous, work,
-                     lwork, info)
+    Without ``k``, or when ``2k > n``, the result is all ``n`` eigenvalues of
+    T by ``eigenvalues_tridiagonal`` (``dsterf``).  With ``k``, it is the
+    partial ``Spectrum``: the ``k`` largest and ``k`` smallest eigenvalues
+    by ``dstebz`` bisection, with the sum and the sum of squares of all of
+    them read off T (its trace, and ``sum d^2 + 2 sum e^2``), and ``full``
+    the ``dsterf`` spectrum of the same T, so T is computed once whatever
+    is asked.  Where numpy's LAPACK lacks ``dstebz`` the ends are cut from
+    the ``dsterf`` spectrum.  None of these calls threaded BLAS, so this
+    half gives the same bits on any number of OpenBLAS threads and takes no
+    lock: it can run beside another matrix's stage 1."""
+    if band.eigenvalues is not None:  # solved in stage 1: cut the ends from it
+        whole = _descending(band.eigenvalues[::-1].copy())  # LAPACK's order is ascending
+        v = whole.values
+        if k is None or 2 * k > v.size:
+            return whole
+        return _ends(v[:k], v[v.size - k :], v.size, (np.sum(v), np.sum(v * v)),
+                     lambda: whole)
+    d, e = _tridiagonal(band)
+    n, inv = d.size, 1.0 / band.sigma
 
-        sb2st_call(hsize, wsize, -1, -1)  # workspace query
-        hous, work = np.empty(max(int(hsize[0]), 1)), np.empty(max(int(wsize[0]), 1))
-        sb2st_call(hous, work, hous.size, work.size)
-        if info[0] != 0:
-            raise SolverError(f"eigenvalue computation failed: dsytrd_sb2st info = {info[0]}")
+    @functools.cache
+    def whole() -> Spectrum:
         vals = eigenvalues_tridiagonal(d, e)
         if band.sigma != 1.0:
-            vals *= 1.0 / band.sigma  # as dsyevd_2stage scales back
-    return _descending(vals[::-1].copy())  # LAPACK's order is ascending
+            vals *= inv  # as dsyevd_2stage scales back
+        return _descending(vals[::-1].copy())
+
+    if k is None or 2 * k > n:
+        return whole()
+    moments = (np.sum(d) * inv, (np.sum(d * d) + 2.0 * np.sum(e * e)) * inv * inv)
+    runs = _extremes(d, e, k)
+    if runs is None:
+        cut = whole()
+        return _ends(cut.values[:k], cut.values[n - k :], n, moments, lambda: cut)
+    return _ends(runs[0] * inv, runs[1] * inv, n, moments, whole)
 
 
-def eigenvalues_symmetric(matrix, *, overwrite: bool = False) -> Spectrum:
-    """Full spectrum of a symmetric matrix, eigenvalues only: stage 1,
-    ``reduce_to_band``, then stage 2, ``band_spectrum``.
+def eigenvalues_symmetric(matrix, k: int | None = None, *, overwrite: bool = False) -> Spectrum:
+    """The spectrum of a symmetric matrix, eigenvalues only: stage 1,
+    ``reduce_to_band``, then stage 2, ``band_spectrum``; with ``k``, the
+    partial ``Spectrum`` of its ``k`` largest and ``k`` smallest eigenvalues.
 
     Together the two stages are LAPACK's two-stage routine
     ``dsyevd_2stage`` (full -> band -> tridiagonal -> ``dsterf``), called
@@ -342,7 +472,7 @@ def eigenvalues_symmetric(matrix, *, overwrite: bool = False) -> Spectrum:
     eigenvalues at round-off level (1 against 2 OpenBLAS threads, by up to
     about 1e-15).
     """
-    return band_spectrum(reduce_to_band(matrix, overwrite=overwrite))
+    return band_spectrum(reduce_to_band(matrix, overwrite=overwrite), k)
 
 
 def eigenvalues_tridiagonal(diag, offdiag) -> np.ndarray:
@@ -372,8 +502,9 @@ def eigenvalues_tridiagonal(diag, offdiag) -> np.ndarray:
 
 
 def operator_norm(matrix) -> float:
-    """Largest absolute eigenvalue (= spectral norm for symmetric input)."""
-    vals = eigenvalues_symmetric(matrix).values
+    """Largest absolute eigenvalue (= spectral norm for symmetric input),
+    from the largest and the smallest eigenvalue alone, by bisection."""
+    vals = eigenvalues_symmetric(matrix, 1).values
     if vals.size == 0:
         return 0.0
     return float(max(abs(vals[0]), abs(vals[-1])))
@@ -392,6 +523,8 @@ def delta2(x, y) -> float:
     distance too large for a float64 is refused.
     """
     x, y = as_spectrum(x), as_spectrum(y)
+    if x.partial or y.partial:
+        raise DomainError("delta2 needs every value: a partial spectrum holds only its ends")
     xn, yn = x.values.size - x.nonneg, y.values.size - y.nonneg
     kp = max(x.nonneg, y.nonneg)
     pad = np.zeros((2, kp + max(xn, yn)))  # x then y: nonnegative run, then negative run

@@ -321,3 +321,69 @@ def test_non_finite_spectrum_is_refused(bad, pos):
         ngg.fit_all_resolutions(v, basis, ngg.AdaptConfig(n=51, r_max=2))
     with pytest.raises(DomainError, match="non-finite"):
         ngg.score_ordering(v, (ZERO_BLOCK, 0), basis.dims)
+
+
+# --- fits from the partial spectrum ----------------------------------------------
+
+
+_GRAPH_SPACES = {"sphere3": ngg.sphere(3), "rp3": ngg.real_projective(3),
+                 "cp2": ngg.complex_projective(2)}
+
+
+@st.composite
+def graph_fit_case(draw):
+    """A graph's ``A / n`` on one of the spaces, with a basis and a selection
+    config whose ``K = cum_dim(r_max)`` satisfies ``2K <= n <= 400``."""
+    space = _GRAPH_SPACES[draw(st.sampled_from(sorted(_GRAPH_SPACES)), label="space")]
+    basis = ngg.harmonic_basis(space, 4)
+    r_max = draw(st.sampled_from([r for r in range(1, 5) if 2 * basis.cum_dims[r] <= 400]),
+                 label="r_max")
+    n = draw(st.integers(2 * basis.cum_dims[r_max], 400), label="n")
+    envelope = ngg.builtin_envelope(draw(st.integers(1, 6), label="envelope"))
+    seed = draw(st.integers(0, 2**31), label="seed")
+    config = ngg.AdaptConfig(n=n, r_max=r_max, include_r0=draw(st.booleans(), label="r0"))
+    a = ngg.generate_graph(ngg.sample_latent(space, n, seed), envelope, seed + 1)
+    return basis, config, a / n
+
+
+def _assert_same_fits(got, want, spectrum, config, basis):
+    """The fits of the partial and of the full spectrum: the same orderings
+    and selection, scores within the tie tolerance and stages at round-off."""
+    values = spectrum.values
+    tol = 1e-12 * float(np.sum(values**2))
+    assert got.keys() == want.keys()
+    for r in want:
+        assert got[r].ordering == want[r].ordering
+        assert abs(got[r].score - want[r].score) <= tol
+        assert np.max(np.abs(got[r].stage_values - want[r].stage_values)) <= \
+            1e-13 * np.max(np.abs(values))
+    assert ngg.select_resolution(got, config, basis).selected_r == \
+        ngg.select_resolution(want, config, basis).selected_r
+
+
+@pytest.mark.parametrize("ends", ["bisection", "cut from dsterf"])
+@given(graph_fit_case())
+def test_fit_from_the_ends_is_the_fit_from_the_full_spectrum(ends, case):
+    basis, config, m = case
+    with pytest.MonkeyPatch.context() as patch:
+        if ends != "bisection":  # numpy's LAPACK without dstebz
+            symbol = ngg.spectral._symbol
+            patch.setattr(ngg.spectral, "_symbol",
+                          lambda name, *a: None if name == "dstebz_" else symbol(name, *a))
+        full = ngg.eigenvalues_symmetric(m)
+        partial = ngg.eigenvalues_symmetric(m, basis.cum_dims[config.r_max])
+    assert partial.partial
+    _assert_same_fits(ngg.fit_all_resolutions(partial, basis, config),
+                      ngg.fit_all_resolutions(full, basis, config), full, config, basis)
+
+
+def test_partial_spectrum_too_short_for_the_resolution_is_refused(basis3):
+    m = np.diag(np.linspace(-1.0, 1.0, 60))
+    ends = ngg.eigenvalues_symmetric(m, 4)  # cum_dim(1) = 4 on sphere:3
+    assert ngg.fit_resolution(ends, basis3, 1).r == 1
+    with pytest.raises(DomainError, match="4 values at each end"):
+        ngg.fit_resolution(ends, basis3, 2)
+    with pytest.raises(DomainError, match="4 values at each end"):
+        ngg.score_ordering(ends, (0, 1, 2, ZERO_BLOCK), basis3.dims)
+    with pytest.raises(DomainError, match="4 values at each end"):
+        ngg.fit_all_resolutions(ends, basis3, ngg.AdaptConfig(n=60, r_max=2))

@@ -154,24 +154,51 @@ def test_replicate_failing_in_stage_1_or_the_fit_is_recorded(monkeypatch, step):
     assert [records[i] for i in (0, 2, 3)] == [clean[i] for i in (0, 2, 3)]
 
 
-def test_run_experiment_holds_one_graph_matrix_at_a_time():
-    # the next graph is drawn only once the lane has reduced the previous
-    # one, so the traced peak stays below 1.5 matrices (generation's
-    # temporaries included) where two matrices alive would pass 2
-    n = 1000
-    config = _config(n_values=(n,), replicates=3, envelope=ngg.builtin_envelope(5))
+def _float_matrices_at_each_draw(monkeypatch, n, run):
+    """``run()`` under ``tracemalloc``: its result, the number of traced
+    blocks of at least ``8 n^2`` bytes (a float64 ``n x n`` matrix) alive
+    when each ``generate_graph`` call returns, and the traced peak, which
+    leaves out the snapshots' own allocations."""
+    import ngg.harness
+
+    counts, peaks = [], []
+
+    def generate(*args, _generate=ngg.harness.generate_graph):
+        a = _generate(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        snapshot = tracemalloc.take_snapshot()
+        counts.append(sum(1 for trace in snapshot.traces if trace.size >= 8 * n * n))
+        del snapshot
+        tracemalloc.reset_peak()
+        return a
+
+    monkeypatch.setattr(ngg.harness, "generate_graph", generate)
     tracemalloc.start()
     try:
-        report = ngg.run_experiment(config)
-        _, peak = tracemalloc.get_traced_memory()
+        result = run()
+        peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
+    return result, counts, max(peaks)
+
+
+def test_run_experiment_holds_one_graph_matrix_at_a_time(monkeypatch):
+    # graph k + 1 is drawn while the lane reduces graph k, as a boolean
+    # matrix: when it is drawn, at most graph k's float64 matrix is alive, and
+    # the traced peak (one matrix, the boolean one and a generation block's
+    # temporaries) stays below the two float64 matrices alive at once would
+    # pass
+    n = 1000
+    config = _config(n_values=(n,), replicates=3, envelope=ngg.builtin_envelope(5))
+    report, counts, peak = _float_matrices_at_each_draw(
+        monkeypatch, n, lambda: ngg.run_experiment(config))
     assert all("error" not in rec for rec in report.records)
-    assert peak < 1.5 * 8 * n * n
+    assert len(counts) == 3 and max(counts) <= 1
+    assert peak < 2 * 8 * n * n
 
 
-def test_dump_holds_one_graph_matrix_at_a_time(tmp_path):
-    # the dump writes each graph before stage 1 consumes it, with no n x n
+def test_dump_holds_one_graph_matrix_at_a_time(monkeypatch, tmp_path):
+    # the dump writes each boolean graph as it is drawn, with no n x n
     # temporary of its own
     n = 1000
     config = _config(n_values=(n,), replicates=3, envelope=ngg.builtin_envelope(5))
@@ -179,15 +206,12 @@ def test_dump_holds_one_graph_matrix_at_a_time(tmp_path):
     def dump(n, rep, adjacency):
         write_edge_list(tmp_path / f"d{rep}.txt", adjacency)
 
-    tracemalloc.start()
-    try:
-        report = ngg.run_experiment(config, dump=dump)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    report, counts, peak = _float_matrices_at_each_draw(
+        monkeypatch, n, lambda: ngg.run_experiment(config, dump=dump))
     assert all("error" not in rec for rec in report.records)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d0.txt", "d1.txt", "d2.txt"]
-    assert peak < 1.5 * 8 * n * n
+    assert len(counts) == 3 and max(counts) <= 1
+    assert peak < 2 * 8 * n * n
 
 
 def test_dump_gets_each_drawn_graph_once_in_the_calling_thread():
@@ -228,6 +252,51 @@ def test_concentration_is_a_full_solve_of_each_replicate():
         assert op == ngg.operator_norm((_graph(space, envelope, n, 9 + rep) - theta) / n)
         expect = ngg.delta2(ngg.eigenvalues_symmetric(theta / n), truth)
         assert table.spectrum_error[(n, rep)] == expect
+
+
+@pytest.mark.parametrize("failing", ["generate_graph", "sample_latent"])
+def test_concentration_draws_no_graph_after_one_that_cannot_be_drawn(monkeypatch, failing):
+    # the replicate whose graph cannot be drawn is settled, and its error
+    # raised, before the next graph is drawn
+    import ngg.harness
+
+    calls = []
+
+    def counted(*args, _step=getattr(ngg.harness, failing)):
+        calls.append(None)
+        return _step(*args)
+
+    monkeypatch.setattr(ngg.harness, failing, counted)
+    if failing == "generate_graph":
+        # leaves [0, 1]: every draw fails
+        envelope, error = ngg.constant_envelope(1.5), ngg.ModelError
+    else:  # count the latent samples of draws that fail
+        envelope, error = ngg.builtin_envelope(4), ZeroDivisionError
+        monkeypatch.setattr(ngg.harness, "generate_graph", lambda *args: 1 / 0)
+    with pytest.raises(error):
+        ngg.concentration_check(envelope, ngg.sphere(3), (100, 200), 2, 0)
+    assert len(calls) == 1
+
+
+def test_failed_draw_is_settled_in_order_and_the_run_goes_on(monkeypatch):
+    import ngg.harness
+
+    config = _config(n_values=(150,), replicates=4, envelope=ngg.builtin_envelope(4))
+    clean = ngg.run_experiment(config).records
+    draws = []
+
+    def second_draw_fails(*args, _generate=ngg.harness.generate_graph):
+        draws.append(None)
+        if len(draws) == 2:
+            raise ngg.ModelError("injected")
+        return _generate(*args)
+
+    monkeypatch.setattr(ngg.harness, "generate_graph", second_draw_fails)
+    records = ngg.run_experiment(config).records
+    assert len(draws) == 4
+    assert records[1] == {"n": 150, "replicate": 1, "seed": 101,
+                          "error": "ModelError: injected"}
+    assert [records[i] for i in (0, 2, 3)] == [clean[i] for i in (0, 2, 3)]
 
 
 def test_concentration_holds_one_replicate_at_a_time():
@@ -323,8 +392,11 @@ def test_fit_graph_is_the_four_call_chain(name, data):
     envelope = ngg.builtin_envelope(data.draw(st.integers(1, 6), label="envelope"))
     a = _graph(space, envelope, n, data.draw(st.integers(0, 2**31), label="seed"))
 
+    # the fits read the cum_dim(r_max) extreme eigenvalues; the spectrum
+    # returned is the whole one
     spectrum = ngg.eigenvalues_symmetric(a / n)
-    fits = ngg.fit_all_resolutions(spectrum, basis, config)
+    ends = ngg.eigenvalues_symmetric(a / n, basis.cum_dims[config.r_max])
+    fits = ngg.fit_all_resolutions(ends, basis, config)
     result = ngg.select_resolution(fits, config, basis)
     got_spectrum, got_fits, got_result, seconds = ngg.fit_graph(a, basis, config)
 
@@ -340,10 +412,19 @@ def test_fit_graph_is_the_four_call_chain(name, data):
 
 
 def test_fit_graph_consumes_its_input():
-    a = _graph(ngg.sphere(3), ngg.builtin_envelope(4), 200, 3)
+    # a float64 matrix is divided and reduced in place; the boolean matrix
+    # generate_graph draws is converted, and gives the same fit
+    graph = _graph(ngg.sphere(3), ngg.builtin_envelope(4), 200, 3)
+    basis, config = ngg.harmonic_basis(ngg.sphere(3), 2), ngg.AdaptConfig(n=200, r_max=2)
+    a = graph.astype(np.float64)
     before = a.copy()
-    ngg.fit_graph(a, ngg.harmonic_basis(ngg.sphere(3), 2), ngg.AdaptConfig(n=200, r_max=2))
+    _, fits, _, _ = ngg.fit_graph(a, basis, config)
     assert not np.array_equal(a, before)
+    kept = graph.copy()
+    _, bool_fits, _, _ = ngg.fit_graph(graph, basis, config)
+    assert np.array_equal(graph, kept)
+    assert [f.stage_values.tobytes() for f in bool_fits.values()] == \
+        [f.stage_values.tobytes() for f in fits.values()]
 
 
 def test_record_edge_count_is_the_graphs():

@@ -194,7 +194,7 @@ def test_envelope_out_of_range_is_error(sphere3):
 def test_generate_graph_extremes(sphere3):
     lat = ngg.sample_latent(sphere3, 12, 3)
     full = ngg.generate_graph(lat, ngg.constant_envelope(1.0), 0)
-    assert full.dtype == np.float64
+    assert full.dtype == np.bool_
     assert np.array_equal(full, np.ones((12, 12)) - np.eye(12))
     empty = ngg.generate_graph(lat, ngg.constant_envelope(0.0), 0)
     assert not empty.any()
@@ -259,7 +259,7 @@ def _row_loop_graph(latent, p, seed):
         probs = np.clip(p(ngg.cosines(latent.space, pts[i + 1 :], pts[i])), 0.0, 1.0)
         adj[i, i + 1 :] = rng.random(n - 1 - i) < probs
     adj |= adj.T
-    return adj.astype(np.float64)
+    return adj
 
 
 def _oracle_envelopes(space):
@@ -283,7 +283,7 @@ def test_generate_graph_matches_row_loop(space):
             for seed in (0, 1, 2):
                 lat = ngg.sample_latent(space, n, seed + 10)
                 got = ngg.generate_graph(lat, p, seed)
-                assert got.dtype == np.float64
+                assert got.dtype == np.bool_
                 assert np.array_equal(got, _row_loop_graph(lat, p, seed)), (p.name, n, seed)
 
 

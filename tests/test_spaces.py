@@ -519,3 +519,21 @@ def test_reconstruct_overflow_is_silent_inf(basis3):
     with np.errstate(all="raise"):
         v = basis3.reconstruct([1e308, 1e308], np.array([-1.0, 1.0]))
     assert np.isneginf(v[0]) and np.isposinf(v[1])
+
+
+@pytest.mark.parametrize("space", [ngg.sphere(3), ngg.real_projective(3),
+                                   ngg.complex_projective(2)], ids=["sphere3", "rp3", "cp2"])
+def test_reconstruct_takes_t_of_any_shape(space):
+    # as builtin envelopes do: a coefficient-file envelope may be handed a
+    # whole matrix of cosines
+    basis = ngg.harmonic_basis(space, 4)
+    coeffs = [0.4, 0.03, -0.02, 0.01, 0.005]
+    t = np.random.default_rng(3).uniform(-1.0, 1.0, (6, 7))
+    flat = basis.reconstruct(coeffs, t.ravel())
+    assert basis.reconstruct(coeffs, t).shape == (6, 7)
+    assert np.array_equal(basis.reconstruct(coeffs, t), flat.reshape(6, 7))
+    assert np.array_equal(basis.reconstruct(coeffs, t[None]), flat.reshape(1, 6, 7))
+    assert basis.reconstruct(coeffs, 0.25) == basis.reconstruct(coeffs, [0.25])[0]
+    envelope = ngg.envelope_from_coefficients(basis, list(enumerate(coeffs)))
+    assert np.array_equal(envelope(t), flat.reshape(6, 7))
+    assert np.array_equal(envelope.fn(t), flat.reshape(6, 7))
