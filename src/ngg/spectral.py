@@ -424,6 +424,8 @@ def band_spectrum(band: Band, k: int | None = None) -> Spectrum:
     the ``dsterf`` spectrum.  None of these calls threaded BLAS, so this
     half gives the same bits on any number of OpenBLAS threads and takes no
     lock: it can run beside another matrix's stage 1."""
+    if k is not None and k < 1:
+        raise DomainError(f"the number of extreme eigenvalues must be positive, got {k}")
     if band.eigenvalues is not None:  # solved in stage 1: cut the ends from it
         whole = _descending(band.eigenvalues[::-1].copy())  # LAPACK's order is ascending
         v = whole.values

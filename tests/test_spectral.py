@@ -641,6 +641,13 @@ def test_operator_norm_is_the_larger_end(rng):
     assert ngg.operator_norm(np.zeros((0, 0))) == 0.0
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_ends_of_no_values_are_refused(capfd, k):
+    with pytest.raises(DomainError, match="must be positive"):
+        ngg.eigenvalues_symmetric(np.diag(np.arange(6.0)), k)
+    assert capfd.readouterr().out == ""  # LAPACK's argument check never ran
+
+
 def test_delta2_refuses_a_partial_spectrum():
     m = np.diag([3.0, -1.0, 0.5, 2.0, -4.0])
     ends = ngg.eigenvalues_symmetric(m, 2)
