@@ -7,9 +7,11 @@ Subcommands:
   eval-envelope  sample an envelope (builtin, coefficient file, or fitted) on a grid
 
 All outputs are deterministic given --seed.  Reports on graphs of at most
-2048 nodes do not depend on the BLAS thread count either: the part of their
+2048 nodes do not depend on the BLAS thread count either, where numpy's
+LAPACK exports the routines of the two-stage eigensolve: the part of their
 eigensolve whose rounding depends on it runs on one OpenBLAS thread.  A
-larger graph keeps the default BLAS pool, and its report holds on one
+larger graph keeps the default BLAS pool, and so does the ``eigvalsh``
+fallback of a LAPACK without those routines: such a report holds on one
 machine with one BLAS thread count (the thread count moves eigenvalues at
 round-off level).  JSON files embed the resolved configuration and render
 floats with 17 significant digits.
@@ -277,7 +279,7 @@ def _cmd_estimate(args) -> int:
         )
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    spectrum, estimates, result, _ = fit_graph(adjacency, basis, adapt_cfg)
+    spectrum, estimates, result = fit_graph(adjacency, basis, adapt_cfg)
     values = result.envelope(grid)
     out = {
         "schema": 1,

@@ -50,6 +50,7 @@ from .spectral import (
     band_spectrum,
     check_dense_size,
     delta2,
+    operator_norm,
     reduce_to_band,
 )
 
@@ -261,11 +262,9 @@ def _fit_band(band: Band, reduce_seconds: float, basis: HarmonicBasis,
 def fit_graph(adjacency: np.ndarray, basis: HarmonicBasis, config: AdaptConfig) -> tuple:
     """Spectrum of ``adjacency / n``, the staircase fit at every candidate
     resolution and the Goldenshluger-Lepski selection, as ``(spectrum,
-    estimates, result, seconds)``; ``seconds`` times the scaling and solve
-    (the sum of its two stages), the fits, and the selection.
-    ``adjacency`` is a boolean or a float64 0/1 matrix; a float64 one is
-    consumed: it is divided by ``n`` in place (bit for bit ``adjacency /
-    n``) and the solver overwrites it.
+    estimates, result)``.  ``adjacency`` is a boolean or a float64 0/1
+    matrix; a float64 one is consumed: it is divided by ``n`` in place (bit
+    for bit ``adjacency / n``) and the solver overwrites it.
 
     The fits read only the partial spectrum (``band_spectrum(band, k)``
     with ``k = cum_dim(r_max)``), as every replicate's do, so ``estimate``
@@ -280,14 +279,9 @@ def fit_graph(adjacency: np.ndarray, basis: HarmonicBasis, config: AdaptConfig) 
     this module looks them up by (``fit_all_resolutions``,
     ``select_resolution``).
     """
-    t0 = time.perf_counter()
-    matrix = [_scaled(adjacency)]
-    (band,), reduce_seconds = _reduce(matrix, time.perf_counter() - t0)
-    spectrum, estimates, result, (t_eig, t_fit, t_adapt) = _fit_band(
-        band, reduce_seconds, basis, config)
-    t1 = time.perf_counter()
-    full = spectrum.full
-    return full, estimates, result, (t_eig + time.perf_counter() - t1, t_fit, t_adapt)
+    (band,), _ = _reduce([_scaled(adjacency)])
+    spectrum, estimates, result, _ = _fit_band(band, 0.0, basis, config)
+    return spectrum.full, estimates, result
 
 
 def _fit_fields(est: SpectrumEstimate) -> dict:
@@ -517,8 +511,9 @@ def concentration_check(envelope: Envelope, space: LatentSpace, n_values, replic
     The graphs are drawn by ``run_experiment``'s replicate loop, in the
     calling thread.  Stage 1 of (A - theta)/n and of theta/n runs on the
     lane; their spectra are taken in the calling thread.  The operator norm
-    is the larger of |lambda_max| and |lambda_min|, the two alone by
-    bisection; the spectrum of theta/n is whole, as ``delta2`` needs."""
+    is ``operator_norm`` of the band of (A - theta)/n, the larger of
+    |lambda_max| and |lambda_min|, the two alone by bisection; the spectrum
+    of theta/n is whole, as ``delta2`` needs."""
     n_values = tuple(int(n) for n in n_values)
     _check_run(n_values, replicates, seed)
     basis = harmonic_basis(space, TRUTH_DEGREE)
@@ -535,8 +530,7 @@ def concentration_check(envelope: Envelope, space: LatentSpace, n_values, replic
     tasks = [(n, rep) for n in n_values for rep in range(replicates)]
     for n, rep, drawn in _replicates(space, envelope, seed, tasks, matrices):
         (diff, theta), _ = drawn.stage1.result()
-        vals = band_spectrum(diff, 1).values  # the largest and the smallest
-        op[(n, rep)] = float(max(abs(vals[0]), abs(vals[-1])))
+        op[(n, rep)] = operator_norm(diff)
         sperr[(n, rep)] = delta2(band_spectrum(theta), truth)
     rows = [{"n": n,
              "mean_op_norm_error": float(np.mean([op[(n, r)] for r in range(replicates)])),

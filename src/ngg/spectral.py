@@ -8,7 +8,9 @@ T and takes eigenvalues of T.  All ``n`` of them come from ``dsterf``; the
 most ``k`` model eigenvalues reads, come from ``dstebz`` bisection (Barth,
 Martin & Wilkinson 1967) together with the sum and the sum of squares of
 the whole spectrum, read off T.  That partial form of a ``Spectrum`` can
-still give the whole spectrum of the same T on demand.
+still give the whole spectrum of the same T on demand.  The five LAPACK
+routines are bound together or not at all (``_lapack``): without any one of
+them every solve is ``np.linalg.eigvalsh``.
 """
 
 from __future__ import annotations
@@ -242,21 +244,26 @@ def _fortran(fn, *args):
     return fn(*refs, *lengths)
 
 
-def _band_routines():
-    """LAPACK's ``ilaenv2stage``, ``dsytrd_sy2sb`` (stage 1) and
-    ``dsytrd_sb2st`` (stage 2), or ``None`` unless these three and ``dsterf``
-    are all exported."""
-    found = (_fortran_routine("ilaenv2stage_", ctypes.c_int64, "icciiii"),
-             _fortran_routine("dsytrd_sy2sb_", None, "ciiaiaiaaia"),
-             _fortran_routine("dsytrd_sb2st_", None, "ccciiaiaaaiaia"))
-    return None if None in found or _tridiagonal_routine() is None else found
+# The LAPACK routines of the dense solve, with their ``_fortran_routine``
+# return types and signatures
+_ROUTINES = {
+    "ilaenv2stage": (ctypes.c_int64, "icciiii"),
+    "dsytrd_sy2sb": (None, "ciiaiaiaaia"),
+    "dsytrd_sb2st": (None, "ccciiaiaaaiaia"),
+    "dsterf": (None, "iaaa"),
+    "dstebz": (None, "cciaaiiaaaaaaaaaaa"),
+}
 
 
-def _tridiagonal_routine():
-    """LAPACKE ``dsterf`` (eigenvalues of a symmetric tridiagonal matrix by
-    the root-free QL/QR iteration), or ``None``."""
-    return _symbol("LAPACKE_dsterf", ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
-                   ctypes.c_void_p)
+def _lapack():
+    """LAPACK's routines of the dense solve by name, or ``None`` unless all
+    five are exported: ``ilaenv2stage`` (the band width), ``dsytrd_sy2sb``
+    (stage 1), ``dsytrd_sb2st`` (band to tridiagonal), ``dsterf`` (every
+    eigenvalue of a symmetric tridiagonal matrix, by the root-free QL/QR
+    iteration) and ``dstebz`` (selected ones, by bisection)."""
+    found = {name: _fortran_routine(f"{name}_", restype, signature)
+             for name, (restype, signature) in _ROUTINES.items()}
+    return None if None in found.values() else found
 
 
 @contextlib.contextmanager
@@ -283,9 +290,9 @@ class Band:
     """A symmetric matrix after stage 1 of the eigensolve, from
     ``reduce_to_band``: its lower band, ``kd`` subdiagonals wide, in LAPACK's
     band storage (column-major ``(kd + 1) x n``, so C-ordered ``(n, kd + 1)``),
-    of the matrix multiplied by ``sigma``.  Without LAPACK's band routines,
-    and for ``n <= 1``, the solve is already done: ``ab`` is ``None`` and
-    ``eigenvalues`` holds the spectrum, ascending."""
+    of the matrix multiplied by ``sigma``.  Without the LAPACK routines of
+    ``_lapack``, and for ``n <= 1``, the solve is already done: ``ab`` is
+    ``None`` and ``eigenvalues`` holds the spectrum, ascending."""
 
     ab: np.ndarray | None
     kd: int = 0
@@ -314,9 +321,10 @@ def reduce_to_band(matrix, *, overwrite: bool = False) -> Band:
     ones.  The reduction runs under a module-wide lock that also guards that
     process-wide pin: one stage 1 at a time, so callers that solve from
     several threads at once get the same bands as serial calls, while
-    ``band_spectrum`` needs no lock.  If numpy's LAPACK lacks the band
-    routines, the whole spectrum is taken here by ``np.linalg.eigvalsh``
-    (one-stage ``dsyevd``, which always copies and reads the lower triangle).
+    ``band_spectrum`` needs no lock.  If numpy's LAPACK lacks any of the
+    five routines of ``_lapack``, the whole spectrum is taken here by
+    ``np.linalg.eigvalsh`` (one-stage ``dsyevd``, which always copies and
+    reads the lower triangle).
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -327,14 +335,14 @@ def reduce_to_band(matrix, *, overwrite: bool = False) -> Band:
     n = m.shape[0]
     if n <= 1:  # dsyevd_2stage's own shortcut
         return Band(None, eigenvalues=m.diagonal().copy())
-    routines = _band_routines()
-    if routines is None:
+    lapack = _lapack()
+    if lapack is None:
         try:
             with _LAPACK_LOCK:
                 return Band(None, eigenvalues=np.linalg.eigvalsh(m))
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             raise SolverError(f"eigenvalue computation failed: {exc}") from exc
-    ilaenv2stage, sy2sb, _ = routines
+    sy2sb = lapack["dsytrd_sy2sb"]
     if not (overwrite and m.flags.c_contiguous and m.flags.writeable):
         m = np.array(m, order="C")  # float64 already
     sigma = 1.0
@@ -343,7 +351,7 @@ def reduce_to_band(matrix, *, overwrite: bool = False) -> Band:
         m *= sigma
     # dsytrd_2stage's band width; a C-ordered symmetric matrix is its own
     # column-major transpose, so LAPACK's 'L' triangle is the rows' upper one
-    kd = int(_fortran(ilaenv2stage, 1, b"DSYTRD_2STAGE", b"N", n, -1, -1, -1))
+    kd = int(_fortran(lapack["ilaenv2stage"], 1, b"DSYTRD_2STAGE", b"N", n, -1, -1, -1))
     ab = np.zeros((n, kd + 1))
     tau = np.empty(n - 1)
     info = np.zeros(1, dtype=np.int64)
@@ -360,7 +368,7 @@ def reduce_to_band(matrix, *, overwrite: bool = False) -> Band:
 def _tridiagonal(band: Band) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the tridiagonal matrix that LAPACK's
     ``dsytrd_sb2st`` reduces a copy of the band to, reading only the band."""
-    _, _, sb2st = _band_routines()
+    sb2st = _lapack()["dsytrd_sb2st"]
     n, kd = band.ab.shape[0], band.kd
     ab = band.ab.copy()  # sb2st overwrites it
     d, e = np.empty(n), np.empty(n - 1)
@@ -379,22 +387,13 @@ def _tridiagonal(band: Band) -> tuple[np.ndarray, np.ndarray]:
     return d, e
 
 
-def _bisection_routine():
-    """LAPACK ``dstebz`` (selected eigenvalues of a symmetric tridiagonal
-    matrix by bisection), or ``None``."""
-    return _fortran_routine("dstebz_", None, "cciaaiiaaaaaaaaaaa")
-
-
 def _extremes(d: np.ndarray, e: np.ndarray, k: int):
     """The ``k`` largest and the ``k`` smallest eigenvalues of the symmetric
     tridiagonal matrix ``(d, e)``, each run descending, by ``dstebz``
     bisection to full accuracy (``ABSTOL`` twice the underflow threshold,
-    as LAPACK advises); ``None`` if the routine is not exported or reports
-    a failure.  ``d`` and ``e`` are only read."""
-    stebz = _bisection_routine()
-    if stebz is None:
-        return None
-    n = d.size
+    as LAPACK advises); ``None`` if the routine reports a failure.  ``d``
+    and ``e`` are only read."""
+    stebz, n = _lapack()["dstebz"], d.size
     w, work = np.empty(n), np.empty(4 * n)
     iblock, isplit, iwork = (np.empty(size, dtype=np.int64) for size in (n, n, 3 * n))
     m, nsplit, info = (np.zeros(1, dtype=np.int64) for _ in range(3))
@@ -420,37 +419,34 @@ def band_spectrum(band: Band, k: int | None = None) -> Spectrum:
     by ``dstebz`` bisection, with the sum and the sum of squares of all of
     them read off T (its trace, and ``sum d^2 + 2 sum e^2``), and ``full``
     the ``dsterf`` spectrum of the same T, so T is computed once whatever
-    is asked.  Where numpy's LAPACK lacks ``dstebz`` the ends are cut from
-    the ``dsterf`` spectrum.  None of these calls threaded BLAS, so this
-    half gives the same bits on any number of OpenBLAS threads and takes no
-    lock: it can run beside another matrix's stage 1."""
+    is asked.  A band solved in stage 1, and a ``dstebz`` call that reports
+    a failure, have their ends cut from the whole spectrum instead, with
+    its sums.  None of these calls threaded BLAS, so this half gives the
+    same bits on any number of OpenBLAS threads and takes no lock: it can
+    run beside another matrix's stage 1."""
     if k is not None and k < 1:
         raise DomainError(f"the number of extreme eigenvalues must be positive, got {k}")
-    if band.eigenvalues is not None:  # solved in stage 1: cut the ends from it
-        whole = _descending(band.eigenvalues[::-1].copy())  # LAPACK's order is ascending
-        v = whole.values
-        if k is None or 2 * k > v.size:
-            return whole
-        return _ends(v[:k], v[v.size - k :], v.size, (np.sum(v), np.sum(v * v)),
-                     lambda: whole)
-    d, e = _tridiagonal(band)
-    n, inv = d.size, 1.0 / band.sigma
+    if band.eigenvalues is None:
+        d, e = _tridiagonal(band)
+        n, inv = d.size, 1.0 / band.sigma
 
-    @functools.cache
-    def whole() -> Spectrum:
-        vals = eigenvalues_tridiagonal(d, e)
-        if band.sigma != 1.0:
-            vals *= inv  # as dsyevd_2stage scales back
-        return _descending(vals[::-1].copy())
-
+        @functools.cache
+        def whole() -> Spectrum:
+            vals = eigenvalues_tridiagonal(d, e)
+            if band.sigma != 1.0:
+                vals *= inv  # as dsyevd_2stage scales back
+            return _descending(vals[::-1].copy())
+    else:  # solved in stage 1
+        done = _descending(band.eigenvalues[::-1].copy())  # LAPACK's order is ascending
+        n, whole = done.n, lambda: done
     if k is None or 2 * k > n:
         return whole()
-    moments = (np.sum(d) * inv, (np.sum(d * d) + 2.0 * np.sum(e * e)) * inv * inv)
-    runs = _extremes(d, e, k)
-    if runs is None:
-        cut = whole()
-        return _ends(cut.values[:k], cut.values[n - k :], n, moments, lambda: cut)
-    return _ends(runs[0] * inv, runs[1] * inv, n, moments, whole)
+    runs = _extremes(d, e, k) if band.eigenvalues is None else None
+    if runs is not None:
+        moments = (np.sum(d) * inv, (np.sum(d * d) + 2.0 * np.sum(e * e)) * inv * inv)
+        return _ends(runs[0] * inv, runs[1] * inv, n, moments, whole)
+    v = whole().values  # no bisection: the ends are cut from the whole spectrum
+    return _ends(v[:k], v[n - k :], n, (np.sum(v), np.sum(v * v)), whole)
 
 
 def eigenvalues_symmetric(matrix, k: int | None = None, *, overwrite: bool = False) -> Spectrum:
@@ -482,31 +478,33 @@ def eigenvalues_tridiagonal(diag, offdiag) -> np.ndarray:
     ``diag`` (length m) and off-diagonal ``offdiag`` (length m - 1).
 
     The solve is LAPACK's ``dsterf``, O(m^2) and serial, called through
-    ctypes in the LAPACK numpy already loaded; without it, the dense matrix
-    goes to ``np.linalg.eigvalsh``.
+    ctypes in the LAPACK numpy already loaded; where ``_lapack`` does not
+    resolve, the dense matrix goes to ``np.linalg.eigvalsh``.
     """
     d = np.array(diag, dtype=float)  # copies: dsterf overwrites both arrays
     e = np.array(offdiag, dtype=float)
     m = d.size
     if e.size != max(m - 1, 0):
         raise DomainError("off-diagonal must be one shorter than the diagonal")
-    sterf = _tridiagonal_routine()
-    if sterf is None:
+    lapack = _lapack()
+    if lapack is None:
         dense = np.diag(d)
         i = np.arange(m - 1)
         dense[i, i + 1] = dense[i + 1, i] = e
         return np.linalg.eigvalsh(dense)
-    if m:
-        info = sterf(m, d.ctypes.data, e.ctypes.data)
-        if info != 0:
-            raise SolverError(f"eigenvalue computation failed: dsterf info = {info}")
+    info = np.zeros(1, dtype=np.int64)
+    _fortran(lapack["dsterf"], m, d, e, info)
+    if info[0] != 0:
+        raise SolverError(f"eigenvalue computation failed: dsterf info = {info[0]}")
     return d
 
 
 def operator_norm(matrix) -> float:
     """Largest absolute eigenvalue (= spectral norm for symmetric input),
-    from the largest and the smallest eigenvalue alone, by bisection."""
-    vals = eigenvalues_symmetric(matrix, 1).values
+    from the largest and the smallest eigenvalue alone, by bisection.
+    ``matrix`` may also be the ``Band`` that ``reduce_to_band`` made of it."""
+    band = matrix if isinstance(matrix, Band) else reduce_to_band(matrix)
+    vals = band_spectrum(band, 1).values
     if vals.size == 0:
         return 0.0
     return float(max(abs(vals[0]), abs(vals[-1])))

@@ -30,6 +30,30 @@ def rng():
 
 
 @pytest.fixture(scope="session")
+def fail_lapack():
+    """``fail(patch, name, info)``: the ``MonkeyPatch`` ``patch`` makes the
+    LAPACK routine ``name`` of ``ngg.spectral._lapack()`` write ``info`` to
+    INFO, its last argument, after it runs.  Skips where the gate does not
+    resolve."""
+
+    def fail(patch, name, info):
+        lapack = ngg.spectral._lapack()
+        if lapack is None:
+            pytest.skip("numpy's LAPACK lacks the routines of the two-stage solve")
+        call, routine = ngg.spectral._fortran, lapack[name]
+
+        def failing(fn, *args):
+            out = call(fn, *args)
+            if fn is routine:
+                args[-1][0] = info
+            return out
+
+        patch.setattr(ngg.spectral, "_fortran", failing)
+
+    return fail
+
+
+@pytest.fixture(scope="session")
 def orthonormality_gram():
     """Gram matrix of a basis's orthonormal family under its cosine law, by
     exact Gauss-Jacobi quadrature (identity up to round-off for a correct

@@ -321,7 +321,7 @@ def test_jacobi_rule_falls_back_to_eigvalsh(monkeypatch):
     rule.cache_clear()
     monkeypatch.setattr(ngg.spectral, "_symbol", lambda *args: None)
     try:
-        assert ngg.spectral._tridiagonal_routine() is None
+        assert ngg.spectral._lapack() is None
         for pair, nodes in expected.items():
             assert np.max(np.abs(rule(384, *pair)[0] - nodes)) <= 1e-14
     finally:

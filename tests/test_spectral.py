@@ -437,7 +437,7 @@ def test_fallback_is_eigvalsh(rng, monkeypatch):
     symbol = ngg.spectral._symbol
     monkeypatch.setattr(ngg.spectral, "_symbol",
                         lambda name, *a: None if "sytrd" in name else symbol(name, *a))
-    assert ngg.spectral._band_routines() is None
+    assert ngg.spectral._lapack() is None
     a = rng.standard_normal((64, 64))
     m = (a + a.T) / 2
     band = ngg.spectral.reduce_to_band(m)
@@ -455,12 +455,11 @@ def _numpy_uses_scipy_openblas() -> bool:
 @pytest.mark.skipif(not _numpy_uses_scipy_openblas(),
                     reason="numpy is not built against scipy-openblas")
 def test_two_stage_routine_resolves_on_scipy_openblas():
-    # the wheels that bundle scipy-openblas export both stages, dsterf and the
-    # thread setting; a silent fallback to eigvalsh there would cost the
-    # benchmark its solve time, and a missing pin the thread-count invariance
-    assert ngg.spectral._band_routines() is not None
-    assert ngg.spectral._tridiagonal_routine() is not None
-    assert ngg.spectral._bisection_routine() is not None  # dstebz, for the fit's ends
+    # the wheels that bundle scipy-openblas export both stages, dsterf, dstebz
+    # and the thread setting; a silent fallback to eigvalsh there would cost
+    # the benchmark its solve time, and a missing pin the thread-count invariance
+    lapack = ngg.spectral._lapack()
+    assert lapack is not None and sorted(lapack) == sorted(ngg.spectral._ROUTINES)
     assert _threads() is not None
 
 
@@ -477,23 +476,13 @@ def test_tiled_symmetry_check_matches_whole_matrix(n, seed):
     assert asym == np.max(np.abs(m - m.T))
 
 
-def test_lapack_failure_is_a_solver_error(monkeypatch):
-    if ngg.spectral._band_routines() is None:
-        pytest.skip("numpy's LAPACK lacks the band routines")
-    _, sy2sb, sb2st = ngg.spectral._band_routines()
-    call = ngg.spectral._fortran
+def test_lapack_failure_is_a_solver_error(monkeypatch, fail_lapack):
     m = np.eye(40)
-    for routine, name in ((sy2sb, "dsytrd_sy2sb"), (sb2st, "dsytrd_sb2st")):
-        def failing(fn, *args, _routine=routine):
-            out = call(fn, *args)
-            if fn is _routine:
-                args[-1][0] = 3  # INFO, the last argument of both stages
-            return out
-
-        monkeypatch.setattr(ngg.spectral, "_fortran", failing)
+    for name in ("dsytrd_sy2sb", "dsytrd_sb2st", "dsterf"):
+        fail_lapack(monkeypatch, name, 3)
         with pytest.raises(ngg.SolverError, match=f"{name} info = 3"):
             ngg.eigenvalues_symmetric(m)
-    monkeypatch.undo()
+        monkeypatch.undo()
     assert np.array_equal(ngg.eigenvalues_symmetric(m).values, np.ones(40))
 
 
@@ -512,10 +501,10 @@ def test_tridiagonal_eigenvalues_match_eigvalsh(rng, m, monkeypatch):
     assert np.array_equal(ngg.spectral.eigenvalues_tridiagonal(diag, off), oracle)
 
 
-def test_tridiagonal_shapes_and_failure_are_errors(monkeypatch):
+def test_tridiagonal_shapes_and_failure_are_errors(monkeypatch, fail_lapack):
     with pytest.raises(ngg.DomainError, match="one shorter"):
         ngg.spectral.eigenvalues_tridiagonal([1.0, 2.0], [0.5, 0.5])
-    monkeypatch.setattr(ngg.spectral, "_tridiagonal_routine", lambda: lambda *args: 2)
+    fail_lapack(monkeypatch, "dsterf", 2)  # the iteration did not converge
     with pytest.raises(ngg.SolverError, match="dsterf info = 2"):
         ngg.spectral.eigenvalues_tridiagonal([1.0, 2.0], [0.5])
 
@@ -594,17 +583,19 @@ def test_ends_wider_than_half_are_the_full_spectrum(n, k):
         assert got.values.tobytes() == full.values.tobytes()
 
 
-@pytest.mark.parametrize("hidden", ["dstebz_", "sytrd"])
+@pytest.mark.parametrize("hidden", [f"{name}_" for name in ngg.spectral._ROUTINES])
 def test_ends_without_bisection_are_cut_from_the_full_spectrum(monkeypatch, hidden):
-    # numpy's LAPACK without dstebz (or without the band routines): the ends
-    # are the full spectrum's, and the moments still come with them
+    # numpy's LAPACK without any one of the five routines: the whole solve
+    # is eigvalsh's, the ends are cut from it, and the moments still come
+    # with them
     rng = np.random.default_rng(4)
     upper = np.triu(rng.random((120, 120)) < 0.3, 1)
     m = (upper | upper.T) / 120
     with_bisection = ngg.eigenvalues_symmetric(m, 10)
     symbol = ngg.spectral._symbol
     monkeypatch.setattr(ngg.spectral, "_symbol",
-                        lambda name, *a: None if hidden in name else symbol(name, *a))
+                        lambda name, *a: None if name == hidden else symbol(name, *a))
+    assert ngg.spectral._lapack() is None
     full = ngg.eigenvalues_symmetric(m)
     cut = ngg.eigenvalues_symmetric(m, 10)
     assert cut.partial and cut.k == 10
@@ -614,18 +605,8 @@ def test_ends_without_bisection_are_cut_from_the_full_spectrum(monkeypatch, hidd
     assert np.allclose(cut.values, with_bisection.values, rtol=0, atol=1e-15)
 
 
-def test_failed_bisection_falls_back_to_the_full_spectrum(monkeypatch):
-    if ngg.spectral._bisection_routine() is None:
-        pytest.skip("numpy's LAPACK lacks dstebz")
-    call, stebz = ngg.spectral._fortran, ngg.spectral._bisection_routine()
-
-    def failing(fn, *args):
-        out = call(fn, *args)
-        if fn is stebz:
-            args[-1][0] = 2  # INFO: not every wanted eigenvalue was found
-        return out
-
-    monkeypatch.setattr(ngg.spectral, "_fortran", failing)
+def test_failed_bisection_falls_back_to_the_full_spectrum(monkeypatch, fail_lapack):
+    fail_lapack(monkeypatch, "dstebz", 2)  # not every wanted eigenvalue was found
     m = np.diag(np.arange(10.0))
     ends = ngg.eigenvalues_symmetric(m, 3)
     assert ends.values.tolist() == [9.0, 8.0, 7.0, 2.0, 1.0, 0.0]
