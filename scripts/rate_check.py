@@ -6,7 +6,7 @@ import argparse
 import sys
 
 import ngg
-from ngg.reports import csv_beside, write_csv, write_json
+from ngg.reports import check_output_path, csv_beside, write_csv, write_json
 
 
 def _sizes(text):
@@ -24,6 +24,8 @@ def main():
     args = ap.parse_args()
 
     csv_path = csv_beside(args.out)  # refused before any graph is drawn
+    check_output_path(args.out)
+    check_output_path(csv_path)
     envelope = ngg.builtin_envelope(int(args.envelope[1:]))
     table = ngg.concentration_check(envelope, ngg.sphere(3), args.n, args.replicates, args.seed)
     write_json(args.out, table.to_json_dict())
@@ -40,5 +42,5 @@ def main():
 if __name__ == "__main__":
     try:
         main()
-    except ngg.NggError as exc:
+    except (ngg.NggError, OSError) as exc:
         sys.exit(f"error: {exc}")

@@ -6,7 +6,7 @@ import argparse
 import sys
 
 import ngg
-from ngg.reports import write_csv
+from ngg.reports import check_output_path, write_csv
 
 
 def risk_curve(config):
@@ -40,6 +40,7 @@ def main():
     ap.add_argument("--out", default="risk_curve.csv")
     args = ap.parse_args()
 
+    check_output_path(args.out)  # refused before any graph is drawn
     config = ngg.ExperimentConfig(
         space=ngg.sphere(3),
         envelope=ngg.builtin_envelope(int(args.envelope[1:])),
@@ -58,5 +59,5 @@ def main():
 if __name__ == "__main__":
     try:
         main()
-    except ngg.NggError as exc:
+    except (ngg.NggError, OSError) as exc:
         sys.exit(f"error: {exc}")

@@ -49,5 +49,5 @@ def main():
 if __name__ == "__main__":
     try:
         main()
-    except ngg.NggError as exc:
+    except (ngg.NggError, OSError) as exc:
         sys.exit(f"error: {exc}")

@@ -77,8 +77,7 @@ def fit_all_resolutions(
 ) -> dict[int, SpectrumEstimate]:
     """Staircase fits for every resolution on the candidate grid, all from
     one sort of the spectrum and one set of its prefix sums.  The spectrum
-    must hold ``config.n`` values, the size the penalty is priced at; a
-    partial one needs ``cum_dim(r_max)`` values at each end."""
+    must hold ``config.n`` values, the size the penalty is priced at."""
     if config.r_max > basis.max_degree:
         raise DomainError(
             f"r_max = {config.r_max} exceeds basis max_degree {basis.max_degree}"

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -39,7 +40,7 @@ from .harness import (
     run_experiment,
 )
 from .model import builtin_envelope, envelope_from_coefficients
-from .reports import csv_beside, write_csv, write_json
+from .reports import check_output_path, csv_beside, write_csv, write_json
 from .spaces import (
     QUAD_NODE_CAP,
     LatentSpace,
@@ -219,13 +220,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dump_path(args, rep: int) -> str:
+    """The file ``--dump-adjacency`` writes replicate ``rep``'s graph to."""
+    return f"{args.dump_adjacency}.rep{rep}" if args.replicates > 1 else args.dump_adjacency
+
+
+def _check_dump(args, reports) -> None:
+    """Refuse a ``--dump-adjacency`` whose directory is missing, or one of
+    whose files would overwrite one of the ``reports``."""
+    if not Path(args.dump_adjacency).parent.is_dir():
+        raise UsageError(f"--dump-adjacency: the directory of {args.dump_adjacency!r} is missing")
+    taken = {os.path.abspath(report): report for report in reports}
+    for rep in range(args.replicates):
+        report = taken.get(os.path.abspath(_dump_path(args, rep)))
+        if report is not None:
+            raise UsageError(f"--dump-adjacency: the graph of replicate {rep} would "
+                             f"overwrite the report {str(report)!r}")
+
+
 def _cmd_simulate(args) -> int:
-    try:
-        csv_beside(args.out)  # refused before any replicate runs
+    try:  # refused before any replicate runs
+        csv_path = csv_beside(args.out)
+        check_output_path(args.out)
+        check_output_path(csv_path)
     except NggError as exc:
         raise UsageError(f"--out: {exc}") from exc
-    if args.dump_adjacency and not Path(args.dump_adjacency).parent.is_dir():
-        raise UsageError(f"--dump-adjacency: the directory of {args.dump_adjacency!r} is missing")
+    if args.dump_adjacency:
+        _check_dump(args, (args.out, csv_path))
     space = _parse_space(args.space)
     envelope = _resolve_envelope(args.envelope, space)
     n_values = _parse_n_list(args.n)
@@ -237,8 +258,7 @@ def _cmd_simulate(args) -> int:
     dumped = set()
 
     def dump(n, rep, adjacency):
-        write_edge_list(f"{args.dump_adjacency}.rep{rep}" if args.replicates > 1
-                        else args.dump_adjacency, adjacency)
+        write_edge_list(_dump_path(args, rep), adjacency)
         dumped.add(rep)
 
     report = run_experiment(config, dump=dump if args.dump_adjacency else None)
@@ -254,6 +274,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     space = _sphere(args.dim)
     check_settings(args.r_max, args.kappa, args.include_r0)  # before the input is read
+    try:
+        check_output_path(args.out)
+    except NggError as exc:
+        raise UsageError(f"--out: {exc}") from exc
     path = Path(args.input)
     if not path.exists():
         print(f"error: input file {args.input!r} not found", file=sys.stderr)

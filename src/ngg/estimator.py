@@ -15,14 +15,9 @@ process, so ``R`` is capped at ``MAX_RESOLUTION``.
 Every run cost reads prefix sums of the sorted values and of their squares,
 which a ``Spectrum`` carries; every fit and ``score_ordering`` accept one in
 place of a raw spectrum, so ``fit_all_resolutions`` prepares the spectrum
-once for all resolutions.  Every run lies within the ``cum_dim(R)`` largest
-or smallest values, apart from the zero block's, which spans the middle and
-costs the sum of squares there, so a partial ``Spectrum`` (the ``K``
-extreme values at each end and the moments of the whole) fits every ``R``
-with ``cum_dim(R) <= K`` as the full spectrum does, up to rounding.  One
-helper holds the run-mean and run-cost formula for the DP and for
-``score_ordering``, which scores one ordering; the exhaustive search over
-all orderings is kept in the tests as the oracle.
+once for all resolutions.  One helper holds the run-mean and run-cost
+formula for the DP and for ``score_ordering``, which scores one ordering;
+the exhaustive search over all orderings is kept in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -72,14 +67,6 @@ def _run_costs(spec: Spectrum, starts, ends, zero):
     return run_sum / div, np.where(zero, run_sq, run_sq - run_sum * run_sum / div)
 
 
-def _check_ends(spec: Spectrum, model_dim: int) -> None:
-    """Refuse a partial spectrum too short at either end for a fit with
-    ``model_dim`` model eigenvalues, whose runs would reach its middle."""
-    if spec.k < model_dim:
-        raise DomainError(f"a partial spectrum of {spec.k} values at each end cannot fit "
-                          f"{model_dim} model eigenvalues")
-
-
 def score_ordering(spectrum, ordering, dims):
     """Stage values and squared-deviation score of one block ordering.
 
@@ -99,7 +86,6 @@ def score_ordering(spectrum, ordering, dims):
     total = sum(dims)
     if total > n:
         raise DomainError(f"need n >= {total} eigenvalues, got {n}")
-    _check_ends(spec, total)
     lengths = {sym: (dims[sym] if sym != ZERO_BLOCK else n - total) for sym in ordering}
     ends = np.cumsum([lengths[sym] for sym in ordering])
     starts = np.concatenate(([0], ends[:-1]))
@@ -191,7 +177,6 @@ def fit_resolution(spectrum, basis: HarmonicBasis, r: int) -> SpectrumEstimate:
         raise DomainError(
             f"n = {n} is below the model dimension {basis.cum_dims[r]} at resolution {r}"
         )
-    _check_ends(spec, basis.cum_dims[r])
     symbols = (ZERO_BLOCK, *range(r + 1))  # bit i of a block set is symbols[i]
     lengths = np.array((n - basis.cum_dims[r], *basis.dims[: r + 1]), dtype=np.int64)
     m = len(symbols)

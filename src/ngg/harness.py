@@ -12,11 +12,9 @@ build graph k + 1's float64 matrix (``A / n``, one pass from the boolean
 matrix) and hand it to the lane; then finish replicate k (stage 2, the fits,
 the selection and the record) while the lane reduces k + 1.  So one float64
 ``n x n`` matrix is alive at a time, and the next graph exists only as its
-boolean matrix during stage 1.  The fits read only the ``cum_dim(r_max)``
-largest and smallest eigenvalues, by bisection, which leaves the calling
-thread room for the next draw: stage 1 alone sets the pace.  Reports split
-into a deterministic JSON part (config, records, aggregates) and a CSV part
-that additionally carries wall-clock timings.
+boolean matrix during stage 1.  Reports split into a deterministic JSON part
+(config, records, aggregates) and a CSV part that additionally carries
+wall-clock timings.
 """
 
 from __future__ import annotations
@@ -243,14 +241,10 @@ def _reduce(matrices: list, seconds: float = 0.0) -> tuple[list[Band], float]:
 
 def _fit_band(band: Band, reduce_seconds: float, basis: HarmonicBasis,
               config: AdaptConfig) -> tuple:
-    """Second half of ``fit_graph``: the partial spectrum of the band (the
-    ``cum_dim(r_max)`` largest and smallest eigenvalues, by bisection), the
-    fits and the selection, with ``reduce_seconds`` added to the solve's
-    time."""
+    """Second half of ``fit_graph``: the spectrum of the band, the fits and
+    the selection, with ``reduce_seconds`` added to the solve's time."""
     t0 = time.perf_counter()
-    # an r_max beyond the basis is refused by the fit
-    k = basis.cum_dims[config.r_max] if config.r_max <= basis.max_degree else None
-    spectrum = band_spectrum(band, k)
+    spectrum = band_spectrum(band)
     t1 = time.perf_counter()
     estimates = fit_all_resolutions(spectrum, basis, config)
     t2 = time.perf_counter()
@@ -266,11 +260,6 @@ def fit_graph(adjacency: np.ndarray, basis: HarmonicBasis, config: AdaptConfig) 
     matrix; a float64 one is consumed: it is divided by ``n`` in place (bit
     for bit ``adjacency / n``) and the solver overwrites it.
 
-    The fits read only the partial spectrum (``band_spectrum(band, k)``
-    with ``k = cum_dim(r_max)``), as every replicate's do, so ``estimate``
-    on a dumped graph gives its ``simulate`` fit bit for bit; the spectrum
-    returned is the whole one, by ``dsterf`` on the same tridiagonal matrix.
-
     The chain is two halves: stage 1 of the solve (``reduce_to_band``), then
     stage 2 (``band_spectrum``), the fits and the selection.  ``run_experiment``
     runs the same halves in the replicate loop, overlapping one replicate's
@@ -281,7 +270,7 @@ def fit_graph(adjacency: np.ndarray, basis: HarmonicBasis, config: AdaptConfig) 
     """
     (band,), _ = _reduce([_scaled(adjacency)])
     spectrum, estimates, result, _ = _fit_band(band, 0.0, basis, config)
-    return spectrum.full, estimates, result
+    return spectrum, estimates, result
 
 
 def _fit_fields(est: SpectrumEstimate) -> dict:
@@ -399,11 +388,10 @@ def run_experiment(config: ExperimentConfig, dump=None) -> ExperimentReport:
 
     In the replicate loop (``_replicates``) stage 1 of graph k's solve
     (``reduce_to_band``, the O(n^3) part) runs on the lane while the calling
-    thread draws graph k + 1 and finishes replicate k - 1: stage 2 with
-    bisection for the ``cum_dim(r_max)`` extreme eigenvalues, the fits, the
-    selection and the record.  Graph k + 1 stays a boolean matrix until that
-    stage 1 has returned and freed graph k's float64 matrix, so one float64
-    ``n x n`` matrix is alive at a time.  A stage 1 of at most
+    thread draws graph k + 1 and finishes replicate k - 1: stage 2, the
+    fits, the selection and the record.  Graph k + 1 stays a boolean matrix
+    until that stage 1 has returned and freed graph k's float64 matrix, so
+    one float64 ``n x n`` matrix is alive at a time.  A stage 1 of at most
     ``ONE_THREAD_MAX_N`` rows runs on one OpenBLAS thread, so the two threads
     share two cores; the records are those of a serial loop.
     ``dump(n, rep, adjacency)``, if given, is called in the calling thread
@@ -512,8 +500,7 @@ def concentration_check(envelope: Envelope, space: LatentSpace, n_values, replic
     calling thread.  Stage 1 of (A - theta)/n and of theta/n runs on the
     lane; their spectra are taken in the calling thread.  The operator norm
     is ``operator_norm`` of the band of (A - theta)/n, the larger of
-    |lambda_max| and |lambda_min|, the two alone by bisection; the spectrum
-    of theta/n is whole, as ``delta2`` needs."""
+    |lambda_max| and |lambda_min|."""
     n_values = tuple(int(n) for n in n_values)
     _check_run(n_values, replicates, seed)
     basis = harmonic_basis(space, TRUTH_DEGREE)

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["format_float", "json_dumps", "write_json", "write_csv", "csv_beside"]
+__all__ = ["format_float", "json_dumps", "write_json", "write_csv", "csv_beside",
+           "check_output_path"]
 
 
 def format_float(x: float) -> str:
@@ -76,6 +77,16 @@ def csv_beside(json_path) -> Path:
             "written beside it; give the JSON report another suffix"
         )
     return path.with_suffix(".csv")
+
+
+def check_output_path(path) -> None:
+    """Refuse an output ``path`` that names a directory or whose directory is
+    missing, so that a run fails before its work and not at the write."""
+    p = Path(path)
+    if p.is_dir():
+        raise DomainError(f"{str(path)!r} is a directory")
+    if not p.parent.is_dir():
+        raise DomainError(f"the directory of {str(path)!r} is missing")
 
 
 def _cell(v) -> str:

@@ -466,16 +466,20 @@ def test_cli_estimate_checks_settings_before_reading_input(tmp_path, capsys, mon
 
 
 def test_cli_estimate_and_simulate_run_each_step_once_per_graph(tmp_path, monkeypatch):
-    # the benchmark traces these steps where ngg.harness looks them up
+    # the benchmark traces these steps where ngg.harness looks them up; the
+    # one eigenvalue step of stage 2 (dsterf) runs once per graph as well
     import ngg.harness
 
-    steps = ("reduce_to_band", "band_spectrum", "fit_all_resolutions", "select_resolution")
+    sites = [(ngg.harness, name) for name in
+             ("reduce_to_band", "band_spectrum", "fit_all_resolutions", "select_resolution")]
+    sites.append((ngg.spectral, "eigenvalues_tridiagonal"))
+    steps = tuple(name for _, name in sites)
     calls = []
-    for name in steps:
-        def counted(*args, _name=name, _step=getattr(ngg.harness, name), **kwargs):
+    for module, name in sites:
+        def counted(*args, _name=name, _step=getattr(module, name), **kwargs):
             calls.append(_name)
             return _step(*args, **kwargs)
-        monkeypatch.setattr(ngg.harness, name, counted)
+        monkeypatch.setattr(module, name, counted)
     adj = tmp_path / "adj.txt"
     assert main(["simulate", "--envelope", "p4", "--n", "150", "--replicates", "3",
                  "--r-max", "2", "--out", str(tmp_path / "sim.json"),
@@ -485,6 +489,54 @@ def test_cli_estimate_and_simulate_run_each_step_once_per_graph(tmp_path, monkey
     assert main(["estimate", "--input", f"{adj}.rep0", "--r-max", "2",
                  "--out", str(tmp_path / "est.json")]) == 0
     assert sorted(calls) == sorted(steps)
+
+
+@pytest.mark.parametrize("out", ["missing/x.json", "adir"])
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+def test_cli_unwritable_out_is_usage_error_before_any_graph(tmp_path, capsys, monkeypatch,
+                                                           command, out):
+    # a missing directory, or a directory: refused before any graph is drawn or read
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached a graph")
+
+    monkeypatch.setattr(ngg.cli, "run_experiment", unreachable)
+    monkeypatch.setattr(ngg.cli, "read_edge_list", unreachable)
+    (tmp_path / "adir").mkdir()
+    edges = tmp_path / "g.txt"
+    edges.write_text("1 2\n2 3\n")
+    argv = (["simulate", "--envelope", "p5", "--n", "100", "--r-max", "2"]
+            if command == "simulate" else ["estimate", "--input", str(edges)])
+    assert main(argv + ["--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --out:") and err.count("\n") == 1
+    assert ("is missing" if "missing" in out else "is a directory") in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "g.txt"]
+
+
+@pytest.mark.parametrize("out, dump, replicates, clash", [
+    ("r.json", "r.csv", 1, True),    # the CSV table would overwrite the graph
+    ("r.json", "r.json", 1, True),   # the report would overwrite the graph
+    ("r.rep1", "r", 2, True),        # the report is replicate 1's dump
+    ("r.rep2", "r", 2, False),       # there is no replicate 2
+])
+def test_cli_dump_may_not_overwrite_the_report(tmp_path, capsys, monkeypatch, out, dump,
+                                               replicates, clash):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached the pipeline")
+
+    monkeypatch.setattr(ngg.cli, "run_experiment", unreachable)
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--envelope", "p5", "--n", "100", "--r-max", "2",
+            "--replicates", str(replicates), "--out", out,
+            "--dump-adjacency", str(tmp_path / dump)]
+    if not clash:
+        with pytest.raises(AssertionError, match="reached the pipeline"):
+            main(argv)
+        return
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --dump-adjacency:") and "overwrite the report" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_from_report_eval(tmp_path, capsys):

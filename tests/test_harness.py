@@ -392,11 +392,9 @@ def test_fit_graph_is_the_four_call_chain(name, data):
     envelope = ngg.builtin_envelope(data.draw(st.integers(1, 6), label="envelope"))
     a = _graph(space, envelope, n, data.draw(st.integers(0, 2**31), label="seed"))
 
-    # the fits read the cum_dim(r_max) extreme eigenvalues; the spectrum
-    # returned is the whole one
-    spectrum = ngg.eigenvalues_symmetric(a / n)
-    ends = ngg.eigenvalues_symmetric(a / n, basis.cum_dims[config.r_max])
-    fits = ngg.fit_all_resolutions(ends, basis, config)
+    # stage 1, stage 2 (the whole dsterf spectrum), the fits, the selection
+    spectrum = ngg.spectral.band_spectrum(ngg.spectral.reduce_to_band(a / n))
+    fits = ngg.fit_all_resolutions(spectrum, basis, config)
     result = ngg.select_resolution(fits, config, basis)
     got_spectrum, got_fits, got_result = ngg.fit_graph(a, basis, config)
 
@@ -412,9 +410,8 @@ def test_fit_graph_is_the_four_call_chain(name, data):
 
 @pytest.mark.parametrize("name", sorted(_CHAIN_SPACES))
 def test_fit_graph_without_lapack_selects_as_with_it(monkeypatch, name):
-    # where the LAPACK gate does not resolve, the whole solve is eigvalsh's
-    # and the fit's ends are cut from it: the same selection and orderings,
-    # stages at round-off
+    # where the LAPACK gate does not resolve, the whole solve is eigvalsh's:
+    # the same selection and orderings, stages at round-off
     space = _CHAIN_SPACES[name]
     basis, config = ngg.harmonic_basis(space, 3), ngg.AdaptConfig(n=300, r_max=3)
     for envelope in range(1, 7):

@@ -57,6 +57,11 @@ def test_script_runs_at_toy_size(tmp_path, script, args, outputs):
         ("run_envelope_suite.py", ["--n", "10"], 1, "error: n = 10 violates"),
         # the CSV table would overwrite the report
         ("rate_check.py", ["--out", "r.csv"], 1, "error: report path 'r.csv' ends in .csv"),
+        # the output directory is checked before any graph is drawn
+        ("rate_check.py", ["--n", "50,100", "--replicates", "1", "--out", "missing/r.json"], 1,
+         "error: the directory of 'missing/r.json' is missing"),
+        ("risk_curve.py", ["--n", "100", "--replicates", "1", "--out", "missing/r.csv"], 1,
+         "error: the directory of 'missing/r.csv' is missing"),
     ],
 )
 def test_script_refuses_bad_input_without_a_traceback(tmp_path, script, args, code, message):
@@ -65,3 +70,12 @@ def test_script_refuses_bad_input_without_a_traceback(tmp_path, script, args, co
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not [p for p in tmp_path.rglob("*") if p.is_file()]  # no report written
+
+
+def test_envelope_suite_out_dir_that_is_a_file_is_an_error(tmp_path):
+    (tmp_path / "suite").write_text("")
+    proc = _run("run_envelope_suite.py", ["--n", "100", "--replicates", "1", "--out-dir", "suite"],
+                tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["suite"]
