@@ -432,12 +432,11 @@ def test_repeated_solves_are_bitwise_equal(rng):
         assert ngg.eigenvalues_symmetric(m).values.tobytes() == first.tobytes()
 
 
-@pytest.mark.parametrize("hidden", [f"{name}_" for name in ngg.spectral._ROUTINES])
-def test_fallback_is_eigvalsh(rng, monkeypatch, hidden):
-    # a LAPACK without any one routine of the gate: every solve is numpy's eigvalsh
+def test_fallback_is_eigvalsh(rng, monkeypatch):
+    # a LAPACK without the band routines: the whole solve is numpy's eigvalsh
     symbol = ngg.spectral._symbol
     monkeypatch.setattr(ngg.spectral, "_symbol",
-                        lambda name, *a: None if name == hidden else symbol(name, *a))
+                        lambda name, *a: None if "sytrd" in name else symbol(name, *a))
     assert ngg.spectral._lapack() is None
     a = rng.standard_normal((64, 64))
     m = (a + a.T) / 2
@@ -446,6 +445,24 @@ def test_fallback_is_eigvalsh(rng, monkeypatch, hidden):
     assert np.array_equal(ngg.spectral.band_spectrum(band).values, np.linalg.eigvalsh(m)[::-1])
     vals = ngg.eigenvalues_symmetric(m, overwrite=True).values
     assert np.array_equal(vals, np.linalg.eigvalsh(m)[::-1])
+
+
+@pytest.mark.parametrize("hidden", [f"{name}_" for name in ngg.spectral._ROUTINES])
+def test_any_missing_gate_routine_falls_back_to_eigvalsh(monkeypatch, hidden):
+    # numpy's LAPACK without any one of the four routines: the whole solve
+    # is eigvalsh's, and it agrees with the spectrum through the gate
+    rng = np.random.default_rng(4)
+    upper = np.triu(rng.random((120, 120)) < 0.3, 1)
+    m = (upper | upper.T) / 120
+    gated = ngg.eigenvalues_symmetric(m).values
+    symbol = ngg.spectral._symbol
+    monkeypatch.setattr(ngg.spectral, "_symbol",
+                        lambda name, *a: None if name == hidden else symbol(name, *a))
+    assert ngg.spectral._lapack() is None
+    assert ngg.spectral.reduce_to_band(m).ab is None
+    vals = ngg.eigenvalues_symmetric(m).values
+    assert vals.tobytes() == np.linalg.eigvalsh(m)[::-1].tobytes()
+    assert np.allclose(vals, gated, rtol=0, atol=1e-15)
 
 
 def _numpy_uses_scipy_openblas() -> bool:
