@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapt import AdaptConfig, check_settings
-from .edgelist import read_edge_list, write_edge_list
+from .edgelist import read_edge_list, read_header, write_edge_list
 from .errors import NggError
 from .estimator import MAX_RESOLUTION
 from .harness import (
@@ -44,27 +44,20 @@ from .reports import check_output_path, csv_beside, write_csv, write_json
 from .spaces import (
     QUAD_NODE_CAP,
     LatentSpace,
-    SpaceKind,
     envelope_coefficients,
     harmonic_basis,
+    parse_space,
     sphere,
 )
 
 _BUILTIN_IDS = {f"p{i}": i for i in range(1, 7)}
-_SPACE_ALIASES = {
-    "sphere": SpaceKind.SPHERE,
-    "rp": SpaceKind.REAL_PROJECTIVE,
-    "real-projective": SpaceKind.REAL_PROJECTIVE,
-    "cp": SpaceKind.COMPLEX_PROJECTIVE,
-    "complex-projective": SpaceKind.COMPLEX_PROJECTIVE,
-}
 
 
 class UsageError(Exception):
     pass
 
 
-# Largest sphere dimension of --dim and of a report's config.dim.  The
+# Largest dimension of estimate's space, of --dim and of a report's space.  The
 # quadrature at degree 64 stays warning-free up to d = 10^6, but a model on a
 # sphere above 10000 needs over 10000 nodes even at r_max = 1 (cum_dim(1) = d + 1).
 _MAX_DIM = 10_000
@@ -82,14 +75,21 @@ def _sphere(dim: int, what: str = "--dim") -> LatentSpace:
 
 
 def _parse_space(text: str) -> LatentSpace:
-    name, _, dim = text.partition(":")
-    kind = _SPACE_ALIASES.get(name.strip().lower())
-    if kind is None or not dim:
-        raise UsageError(f"cannot parse space {text!r}; expected e.g. sphere:3")
     try:
-        return LatentSpace(kind, int(dim))
-    except (ValueError, NggError) as exc:
+        return parse_space(text)
+    except NggError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _bounded_space(text: str, what: str) -> LatentSpace:
+    """The space ``text`` names, with a dimension of at most ``_MAX_DIM``."""
+    try:
+        space = _parse_space(text)
+    except UsageError as exc:
+        raise UsageError(f"{what}: {exc}") from exc
+    if space.dim > _MAX_DIM:
+        raise UsageError(f"{what} dimension must be at most {_MAX_DIM}, got {space.dim}")
+    return space
 
 
 def _parse_coeffs_file(path: str):
@@ -151,12 +151,17 @@ def _grid(count: int) -> np.ndarray:
 
 
 def _read_estimate_report(path: str):
-    """Sphere and stage values of an ``estimate`` report."""
+    """Latent space and stage values of an ``estimate`` report: the space of
+    ``config.space``, or in a report written before that was recorded, the
+    sphere of ``config.dim``."""
     try:
         report = json.loads(Path(path).read_text(encoding="utf-8"))
         if report.get("kind") != "estimate":
             raise UsageError(f"{path}: not an estimate report")
-        dim = int(report["config"]["dim"])
+        name = report["config"].get("space")
+        if name is not None and not isinstance(name, str):
+            raise TypeError(f"config.space {name!r} is not a string")
+        dim = int(report["config"]["dim"]) if name is None else None
         stages = np.asarray(report["stages"], dtype=float)
     except (ValueError, TypeError, AttributeError, KeyError) as exc:
         raise UsageError(f"{path}: not an estimate report ({type(exc).__name__}: {exc})") from exc
@@ -167,7 +172,9 @@ def _read_estimate_report(path: str):
             f"{path}: not an estimate report ({stages.size} stages; a fit has at most "
             f"{MAX_RESOLUTION + 1})"
         )
-    return _sphere(dim, f"{path}: config.dim"), stages
+    if name is None:
+        return _sphere(dim, f"{path}: config.dim"), stages
+    return _bounded_space(name, f"{path}: config.space"), stages
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -197,7 +204,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="estimate an envelope from an edge list")
     est.add_argument("--input", required=True, help="edge list")
-    est.add_argument("--dim", type=int, default=3, help="sphere ambient dimension")
+    est.add_argument("--space", default=None,
+                     help="latent space, e.g. rp:3 (default: the one the input's "
+                     "'%% ngg n' line names, else sphere:3)")
+    est.add_argument("--dim", type=int, default=None,
+                     help="sphere ambient dimension: --dim D is --space sphere:D")
     est.add_argument("--grid", type=int, default=201,
                      help=f"envelope sample points (at most {_MAX_GRID})")
     est.add_argument("--out", required=True, help="output JSON path")
@@ -258,7 +269,7 @@ def _cmd_simulate(args) -> int:
     dumped = set()
 
     def dump(n, rep, adjacency):
-        write_edge_list(_dump_path(args, rep), adjacency)
+        write_edge_list(_dump_path(args, rep), adjacency, space)
         dumped.add(rep)
 
     report = run_experiment(config, dump=dump if args.dump_adjacency else None)
@@ -271,8 +282,17 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _space_option(args) -> LatentSpace | None:
+    """The space of estimate's ``--space`` or ``--dim`` (a sphere), or None."""
+    if args.space is not None and args.dim is not None:
+        raise UsageError("pass at most one of --space / --dim")
+    if args.space is not None:
+        return _bounded_space(args.space, "--space")
+    return None if args.dim is None else _sphere(args.dim)
+
+
 def _cmd_estimate(args) -> int:
-    space = _sphere(args.dim)
+    option = _space_option(args)
     check_settings(args.r_max, args.kappa, args.include_r0)  # before the input is read
     try:
         check_output_path(args.out)
@@ -283,10 +303,15 @@ def _cmd_estimate(args) -> int:
         print(f"error: input file {args.input!r} not found", file=sys.stderr)
         return 1
     grid = _grid(args.grid)
+    declared = read_header(path)[1]  # before the edges are read
+    if option is not None and declared is not None and option != declared:
+        raise UsageError(f"{args.input} holds a graph on {declared.name}, not on {option.name}")
+    space = option or declared or sphere(3)
     data = read_edge_list(path)
     warnings = list(data.warnings)
-    adjacency = data.adjacency()
     n = data.n
+    adjacency = data.adjacency()
+    del data  # the solve holds only the matrix
     adapt_cfg = AdaptConfig(n=n, r_max=args.r_max, kappa=args.kappa,
                             include_r0=args.include_r0)
     basis = harmonic_basis(space, args.r_max)
@@ -311,7 +336,8 @@ def _cmd_estimate(args) -> int:
         "build": build_identifier(),
         "config": {
             "input": str(args.input),
-            "dim": args.dim,
+            "space": space.name,
+            "dim": space.dim,
             "r_max": args.r_max,
             "kappa": args.kappa,
             "include_r0": args.include_r0,

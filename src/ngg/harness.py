@@ -148,7 +148,7 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         d: dict = {
-            "space": f"{self.space.kind.value}:{self.space.dim}",
+            "space": self.space.name,
             "envelope": self.envelope.name,
             "n_values": list(self.n_values),
             "replicates": self.replicates,

@@ -37,6 +37,7 @@ __all__ = [
     "complex_projective",
     "quaternionic_projective",
     "octonionic_plane",
+    "parse_space",
     "dim_of_degree",
     "cumulative_dim",
     "beta_shape",
@@ -81,6 +82,11 @@ class LatentSpace:
             if self.dim != 3:
                 raise DomainError("the octonionic plane has exactly 3 homogeneous coordinates")
 
+    @property
+    def name(self) -> str:
+        """``kind:dim``, e.g. ``sphere:3``, as reports and edge lists record it."""
+        return f"{self.kind.value}:{self.dim}"
+
 
 def sphere(d: int) -> LatentSpace:
     return LatentSpace(SpaceKind.SPHERE, d)
@@ -100,6 +106,28 @@ def quaternionic_projective(d: int) -> LatentSpace:
 
 def octonionic_plane() -> LatentSpace:
     return LatentSpace(SpaceKind.OCTONIONIC, 3)
+
+
+_SPACE_NAMES = {
+    "sphere": SpaceKind.SPHERE,
+    "rp": SpaceKind.REAL_PROJECTIVE,
+    "real-projective": SpaceKind.REAL_PROJECTIVE,
+    "cp": SpaceKind.COMPLEX_PROJECTIVE,
+    "complex-projective": SpaceKind.COMPLEX_PROJECTIVE,
+}
+
+
+def parse_space(text: str) -> LatentSpace:
+    """The space a name such as ``sphere:3``, ``rp:3`` or ``LatentSpace.name``
+    denotes."""
+    name, _, dim = text.partition(":")
+    kind = _SPACE_NAMES.get(name.strip().lower())
+    if kind is None or not dim:
+        raise DomainError(f"cannot parse space {text!r}; expected e.g. sphere:3")
+    try:
+        return LatentSpace(kind, int(dim))
+    except ValueError as exc:
+        raise DomainError(f"cannot parse space {text!r}: {exc}") from exc
 
 
 def beta_shape(space: LatentSpace) -> tuple[float, float]:
@@ -254,7 +282,7 @@ def harmonic_basis(space: LatentSpace, max_degree: int) -> HarmonicBasis:
     for ell, v in enumerate(dims):  # sqrt(d_ell) scales every evaluation
         if v > sys.float_info.max:
             raise DomainError(
-                f"the degree-{ell} eigenspace dimension of {space.kind.value}:{space.dim} "
+                f"the degree-{ell} eigenspace dimension of {space.name} "
                 "exceeds the float range"
             )
     alpha, beta = beta_shape(space)

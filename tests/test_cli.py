@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -293,7 +294,7 @@ def test_cli_round_trip_keeps_isolated_end_nodes(tmp_path):
     # seed 17 leaves nodes 0 and 39 isolated: without its "% ngg n" line the
     # dump would read back as 36 nodes, renumbered
     _, _, adj = _simulate_and_estimate(tmp_path, "p6", 40, 17, 2)
-    assert adj.read_text().startswith("% ngg n 40\n")
+    assert adj.read_text().startswith("% ngg n 40 space sphere:3\n")
     edges = read_edge_list(adj).edges
     assert edges.min() > 0 and edges.max() < 39
 
@@ -302,8 +303,141 @@ def test_cli_round_trip_of_an_edgeless_graph(tmp_path):
     zero = tmp_path / "zero.txt"
     zero.write_text("0 0\n")
     record, est, adj = _simulate_and_estimate(tmp_path, str(zero), 20, 0, 1)
-    assert adj.read_text() == "% ngg n 20\n"
+    assert adj.read_text() == "% ngg n 20 space sphere:3\n"
     assert record["edge_count"] == 0 and est["spectrum"] == [0.0] * 20
+
+
+def _dump_rp3(tmp_path):
+    """The rp:3 graph whose fit a sphere:3 estimate got wrong: its simulated
+    record and the dump's path."""
+    sim_json, adj = tmp_path / "sim.json", tmp_path / "d.txt"
+    assert main(["simulate", "--space", "rp:3", "--envelope", "p1", "--n", "600",
+                 "--replicates", "1", "--r-max", "3", "--seed", "2", "--out", str(sim_json),
+                 "--dump-adjacency", str(adj)]) == 0
+    return json.loads(sim_json.read_text())["records"][0], adj
+
+
+def test_cli_estimate_fits_the_space_the_dump_names(tmp_path):
+    # read as sphere:3, this graph selected R = 3 where simulate selected 2
+    record, adj = _dump_rp3(tmp_path)
+    assert adj.read_text().startswith("% ngg n 600 space real-projective:3\n")
+    est_json = tmp_path / "est.json"
+    assert main(["estimate", "--input", str(adj), "--r-max", "3", "--out", str(est_json)]) == 0
+    est = json.loads(est_json.read_text())
+    assert record["selected_r"] == 2 and est["selected_r"] == record["selected_r"]
+    assert [f["stages"] for f in record["fits"]] == [row["stages"] for row in est["per_r"]]
+    assert est["config"]["space"] == "real-projective:3" and est["config"]["dim"] == 3
+    # an explicit option that names the same space changes nothing
+    for flags in (["--space", "rp:3"], ["--space", "real-projective:3"]):
+        again = tmp_path / "again.json"
+        assert main(["estimate", "--input", str(adj), "--r-max", "3", "--out", str(again)]
+                    + flags) == 0
+        assert json.loads(again.read_text())["per_r"] == est["per_r"]
+
+
+@pytest.mark.parametrize("flags", [["--dim", "4"], ["--dim", "3"], ["--space", "sphere:3"],
+                                   ["--space", "cp:3"], ["--space", "rp:4"]])
+def test_cli_estimate_space_unlike_the_dumps_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                          flags):
+    _, adj = _dump_rp3(tmp_path)
+    capsys.readouterr()
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("read the edges")
+
+    monkeypatch.setattr(ngg.cli, "read_edge_list", unreachable)
+    out = tmp_path / "est.json"
+    assert main(["estimate", "--input", str(adj), "--r-max", "3", "--out", str(out)]
+                + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "real-projective:3" in err
+    assert err.count("\n") == 1 and not out.exists()
+
+
+def test_cli_estimate_space_and_dim_together_is_usage_error(tmp_path, capsys):
+    edges = tmp_path / "g.txt"
+    edges.write_text("1 2\n2 3\n")
+    out = tmp_path / "o.json"
+    assert main(["estimate", "--input", str(edges), "--space", "sphere:3", "--dim", "3",
+                 "--out", str(out)]) == 2
+    assert "pass at most one of --space / --dim" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, space", [([], "sphere:3"), (["--dim", "4"], "sphere:4"),
+                                          (["--space", "rp:3"], "real-projective:3"),
+                                          (["--space", "cp:2"], "complex-projective:2")])
+def test_cli_estimate_space_of_a_file_without_one(tmp_path, flags, space):
+    # a header-less list, or the older "% ngg n <N>" line: the option, else sphere:3
+    for text in ("% ngg n 40\n", ""):
+        edges = tmp_path / "g.txt"
+        edges.write_text(text + "".join(f"{i} {(i + j) % 40}\n" for i in range(40)
+                                        for j in (1, 2, 5)))
+        out = tmp_path / "o.json"
+        assert main(["estimate", "--input", str(edges), "--r-max", "1", "--out", str(out)]
+                    + flags) == 0
+        config = json.loads(out.read_text())["config"]
+        assert config["space"] == space and config["dim"] == int(space.partition(":")[2])
+
+
+@pytest.mark.parametrize("flags", [["--space", "sphere"], ["--space", "torus:3"],
+                                   ["--space", "rp:x"], ["--space", "sphere:2"],
+                                   ["--space", "rp:10001"], ["--dim", "10001"]])
+def test_cli_estimate_bad_space_is_usage_error(tmp_path, capsys, flags):
+    edges = tmp_path / "g.txt"
+    edges.write_text("1 2\n2 3\n")
+    assert main(["estimate", "--input", str(edges), "--out", str(tmp_path / "o.json")]
+                + flags) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_cli_estimate_holds_no_edge_list_during_the_solve(tmp_path, monkeypatch):
+    # only the matrix (and LAPACK's workspace) is alive while fit_graph solves
+    read, solve = ngg.cli.read_edge_list, ngg.cli.fit_graph
+    refs, alive = [], []
+
+    def traced_read(path):
+        data = read(path)
+        refs.append(weakref.ref(data))
+        return data
+
+    def traced_solve(*args, **kwargs):
+        alive.append(refs[0]() is not None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ngg.cli, "read_edge_list", traced_read)
+    monkeypatch.setattr(ngg.cli, "fit_graph", traced_solve)
+    edges = tmp_path / "g.txt"
+    edges.write_text("".join(f"{i} {(i + j) % 60}\n" for i in range(60) for j in (1, 2, 5)))
+    assert main(["estimate", "--input", str(edges), "--r-max", "1",
+                 "--out", str(tmp_path / "o.json")]) == 0
+    assert len(refs) == 1 and alive == [False]
+
+
+def test_cli_from_report_rebuilds_on_the_reports_space(tmp_path):
+    # config.space, not config.dim, names the basis of the fitted envelope
+    stages = [0.4, 0.2, -0.1]
+    report = tmp_path / "report.json"
+    out = tmp_path / "o.csv"
+    for config, space in (({"space": "real-projective:3", "dim": 3}, ngg.real_projective(3)),
+                          ({"space": "cp:2", "dim": 2}, ngg.complex_projective(2)),
+                          ({"dim": 4}, ngg.sphere(4))):  # a report from before config.space
+        report.write_text(json.dumps({"kind": "estimate", "config": config, "stages": stages}))
+        assert main(["eval-envelope", "--from-report", str(report), "--grid", "7",
+                     "--out", str(out)]) == 0
+        t = np.linspace(-1.0, 1.0, 7)
+        want = np.clip(ngg.harmonic_basis(space, 2).reconstruct(stages, t), 0.0, 1.0)
+        got = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.array_equal(got[:, 1], want)
+
+
+@pytest.mark.parametrize("space", ["torus:3", "sphere:2", 3, "rp:10001"])
+def test_cli_from_report_bad_space_is_usage_error(tmp_path, capsys, space):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"kind": "estimate", "config": {"space": space, "dim": 3},
+                                  "stages": [0.5]}))
+    assert main(["eval-envelope", "--from-report", str(report)]) == 2
+    assert capsys.readouterr().err.startswith(f"usage error: {report}")
 
 
 def test_cli_dump_format_is_gone(tmp_path, capsys):
@@ -603,7 +737,7 @@ def test_cli_failed_dump_write_ends_the_run(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "d.txt.rep1" in err and err.count("\n") == 1
     assert not out.exists() and not out.with_suffix(".csv").exists()
-    assert (tmp_path / "d.txt.rep0").read_text().startswith("% ngg n 100\n")
+    assert (tmp_path / "d.txt.rep0").read_text().startswith("% ngg n 100 space sphere:3\n")
 
 
 def test_cli_undrawable_replicate_under_dump_is_recorded_then_an_error(tmp_path, capsys):

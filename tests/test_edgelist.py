@@ -1,5 +1,6 @@
-"""Edge-list reader against the line-by-line reference it replaced, and the
-writer's round trip, bytes and memory."""
+"""Edge-list reader against the line-by-line reference it replaced, the dense
+build against the fancy-index build it replaced, and the writer's round
+trip, bytes and memory."""
 
 import tracemalloc
 from pathlib import Path
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ngg.edgelist import read_edge_list, write_edge_list
+import ngg
+from ngg.edgelist import read_edge_list, read_header, write_edge_list
 from ngg.errors import DomainError
 
 
@@ -149,6 +151,15 @@ def test_read_edge_list_matches_reference_large(tmp_path):
         b"% ngg n 3\n-1 2\n",
         b"% ngg n 1\n",  # fewer than 2 nodes
         b"% ngg n 3\n0 x\n",
+        b"% ngg n 3 space\n0 1\n",  # space without a name
+        b"% ngg n 3 spaces sphere:3\n0 1\n",
+        b"% ngg n 3 space sphere:3 x\n0 1\n",
+        b"% ngg n 3 space torus:3\n0 1\n",
+        b"% ngg n 3 space sphere\n0 1\n",
+        b"% ngg n 3 space sphere:x\n0 1\n",
+        b"% ngg n 3 space sphere:2\n0 1\n",  # not a space
+        b"% ngg n 3 space \xff:3\n0 1\n",
+        b"% ngg n x space sphere:3\n0 1\n",
     ],
 )
 def test_read_edge_list_malformed(tmp_path, text):
@@ -174,6 +185,98 @@ def test_declared_size_is_checked_before_the_data_is_read(tmp_path, monkeypatch)
     path.write_text("% ngg n 3000000\n1 2\n")
     with pytest.raises(DomainError, match=r"n = 3000000 nodes needs 67055\.2 GiB"):
         read_edge_list(path)
+
+
+def _fancy_index_adjacency(n, pairs):
+    """The dense build this reader had before its keys: two fancy-index
+    assignments of the 0-based pairs."""
+    a = np.zeros((n, n))
+    if len(pairs):
+        i, j = np.asarray(pairs).T
+        a[i, j] = 1
+        a[j, i] = 1
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.integers(2, 40), st.sampled_from([255, 256, 257, 511, 512, 513]),
+                 st.integers(2, 700)),
+       st.data())
+def test_adjacency_matches_the_fancy_index_build(tmp_path_factory, n, draw):
+    # duplicate and reversed pairs, self-loops, 0- or 1-based ids, with or
+    # without the "% ngg n" line; tile edges at 256 and 512 included
+    node = st.integers(0, n - 1)
+    pairs = draw.draw(st.lists(st.tuples(node, node), max_size=400))
+    if pairs:  # some pairs again, reversed
+        pairs += [(v, u) for u, v in draw.draw(st.lists(st.sampled_from(pairs), max_size=50))]
+    header = draw.draw(st.sampled_from([None, f"% ngg n {n}", f"% ngg n {n} space rp:3"]))
+    offset = 0 if header is not None else draw.draw(st.integers(0, 1))
+    lines = ([header] if header else []) + [f"{u + offset} {v + offset}" for u, v in pairs]
+    path = tmp_path_factory.mktemp("adj") / "graph.txt"
+    path.write_text("\n".join(lines) + "\n")
+    if header is None:  # the reader's rules: 1-based without node 0, n past the largest id
+        shift = 1 if pairs and min(min(p) for p in pairs) + offset >= 1 else 0
+        pairs = [(u + offset - shift, v + offset - shift) for u, v in pairs]
+    simple = [(u, v) for u, v in pairs if u != v]
+    size = n if header else max((max(p) for p in simple), default=-1) + 1
+    if size < 2:
+        with pytest.raises(DomainError):
+            read_edge_list(path)
+        return
+    data = read_edge_list(path)
+    assert data.n == size
+    a = data.adjacency()
+    assert a.dtype == np.float64 and a.flags.c_contiguous
+    assert np.array_equal(a, _fancy_index_adjacency(size, simple))
+
+
+def test_edges_are_read_only_int64_pairs_of_the_keys(tmp_path):
+    path = tmp_path / "graph.txt"
+    path.write_text("% ngg n 5\n3 1\n0 4\n1 3\n2 2\n4 0\n1 2\n")
+    data = read_edge_list(path)
+    assert data.keys.dtype == np.int64 and not data.keys.flags.writeable
+    assert data.keys.tolist() == [0 * 5 + 4, 1 * 5 + 2, 1 * 5 + 3]
+    edges = data.edges
+    assert edges.dtype == np.int64 and edges.shape == (3, 2) and not edges.flags.writeable
+    assert edges.tolist() == [[0, 4], [1, 2], [1, 3]]
+
+
+def test_read_and_build_stay_near_the_memory_floor(tmp_path):
+    # a dense list, half of all pairs, each in either order: reading holds
+    # about 25 bytes an edge (the pairs, one key each, a mask) and the build
+    # the matrix, the keys and one tile; the fancy-index reader held 73 bytes
+    # an edge while reading and 8 more while building
+    n = 1000
+    rng = np.random.default_rng(0)
+    i, j = np.nonzero(np.triu(rng.random((n, n)) < 0.5, 1))
+    pairs = np.column_stack((i, j))
+    flip = rng.random(len(pairs)) < 0.5
+    pairs[flip] = pairs[flip, ::-1]
+    path = tmp_path / "graph.txt"
+    np.savetxt(path, pairs, fmt="%d")
+    m = len(pairs)
+    tracemalloc.start()
+    try:
+        data = read_edge_list(path)
+        a = data.adjacency()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(40 * m, 8 * n * n + 8 * m) + 2 * 2**20, peak / m
+    assert (data.n, len(data.keys)) == (n, m) and np.count_nonzero(a) == 2 * m
+
+
+def test_read_header(tmp_path):
+    path = tmp_path / "graph.txt"
+    for text, header in (("% ngg n 6 space rp:3\n", (6, ngg.real_projective(3))),
+                         ("% ngg n 6 space complex-projective:2\n",
+                          (6, ngg.complex_projective(2))),
+                         ("% ngg n 6\n0 1\n", (6, None)),
+                         ("% ngg nodes 6 space rp:3\n", (None, None)),
+                         ("0 1\n% ngg n 6 space rp:3\n", (None, None)),
+                         ("", (None, None))):
+        path.write_text(text)
+        assert read_header(path) == header
 
 
 def test_edges_are_read_only(tmp_path):
@@ -218,6 +321,18 @@ def test_write_edge_list_round_trip(tmp_path_factory, n, density, seed):
     assert data.n == n and data.warnings == ()
     assert data.edges.tolist() == np.argwhere(np.triu(a, 1)).tolist()
     assert np.array_equal(data.adjacency(), a)
+
+
+@pytest.mark.parametrize("space", [ngg.sphere(3), ngg.real_projective(4),
+                                   ngg.complex_projective(2)])
+def test_write_edge_list_names_the_space(tmp_path, space):
+    a = np.ones((4, 4)) - np.eye(4)
+    path = tmp_path / "graph.txt"
+    write_edge_list(path, a, space)
+    assert path.read_text().splitlines()[0] == f"% ngg n 4 space {space.name}"
+    assert read_header(path) == (4, space)
+    data = read_edge_list(path)
+    assert data.n == 4 and np.array_equal(data.adjacency(), a)
 
 
 def _edge_list_text(a) -> str:
