@@ -57,9 +57,10 @@ class UsageError(Exception):
     pass
 
 
-# Largest dimension of estimate's space, of --dim and of a report's space.  The
-# quadrature at degree 64 stays warning-free up to d = 10^6, but a model on a
-# sphere above 10000 needs over 10000 nodes even at r_max = 1 (cum_dim(1) = d + 1).
+# Largest dimension of any space the CLI reads: --space, --dim and a report's
+# space.  The quadrature at degree 64 stays warning-free up to d = 10^6, but a
+# model on a sphere above 10000 needs over 10000 nodes even at r_max = 1
+# (cum_dim(1) = d + 1), and a simulation twice that: a 3.2 GB matrix.
 _MAX_DIM = 10_000
 
 # Most points of a --grid.  eval-envelope's work grows with (stages x points),
@@ -68,28 +69,31 @@ _MAX_DIM = 10_000
 _MAX_GRID = 100_000
 
 
-def _sphere(dim: int, what: str = "--dim") -> LatentSpace:
-    if dim > _MAX_DIM:
-        raise UsageError(f"{what} must be at most {_MAX_DIM}, got {dim}")
-    return sphere(dim)
-
-
-def _parse_space(text: str) -> LatentSpace:
+def _space(text: str, what: str) -> LatentSpace:
+    """The space ``text`` names, with a dimension of at most ``_MAX_DIM``;
+    anything else is a usage error naming ``what``."""
     try:
-        return parse_space(text)
+        space = parse_space(text)
     except NggError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _bounded_space(text: str, what: str) -> LatentSpace:
-    """The space ``text`` names, with a dimension of at most ``_MAX_DIM``."""
-    try:
-        space = _parse_space(text)
-    except UsageError as exc:
         raise UsageError(f"{what}: {exc}") from exc
     if space.dim > _MAX_DIM:
-        raise UsageError(f"{what} dimension must be at most {_MAX_DIM}, got {space.dim}")
+        raise UsageError(f"{what}: dimension must be at most {_MAX_DIM}, got {space.dim}")
     return space
+
+
+def _check_out(out, beside: bool = False) -> tuple:
+    """The files ``--out`` names (``out``, and with ``beside`` its CSV table;
+    none for stdout), refused before any work if one names a directory, its
+    directory is missing, or a report path ends in .csv."""
+    if out is None:
+        return ()
+    try:
+        paths = (out, csv_beside(out)) if beside else (out,)
+        for path in paths:
+            check_output_path(path)
+    except NggError as exc:
+        raise UsageError(f"--out: {exc}") from exc
+    return paths
 
 
 def _parse_coeffs_file(path: str):
@@ -153,15 +157,19 @@ def _grid(count: int) -> np.ndarray:
 def _read_estimate_report(path: str):
     """Latent space and stage values of an ``estimate`` report: the space of
     ``config.space``, or in a report written before that was recorded, the
-    sphere of ``config.dim``."""
+    sphere of ``config.dim``, a JSON integer."""
     try:
         report = json.loads(Path(path).read_text(encoding="utf-8"))
         if report.get("kind") != "estimate":
             raise UsageError(f"{path}: not an estimate report")
-        name = report["config"].get("space")
+        name, field = report["config"].get("space"), "config.space"
         if name is not None and not isinstance(name, str):
             raise TypeError(f"config.space {name!r} is not a string")
-        dim = int(report["config"]["dim"]) if name is None else None
+        if name is None:
+            dim, field = report["config"]["dim"], "config.dim"
+            if type(dim) is not int:  # a JSON integer: no bool, float or string
+                raise TypeError(f"config.dim {dim!r} is not an integer")
+            name = f"sphere:{dim}"
         stages = np.asarray(report["stages"], dtype=float)
     except (ValueError, TypeError, AttributeError, KeyError) as exc:
         raise UsageError(f"{path}: not an estimate report ({type(exc).__name__}: {exc})") from exc
@@ -172,9 +180,7 @@ def _read_estimate_report(path: str):
             f"{path}: not an estimate report ({stages.size} stages; a fit has at most "
             f"{MAX_RESOLUTION + 1})"
         )
-    if name is None:
-        return _sphere(dim, f"{path}: config.dim"), stages
-    return _bounded_space(name, f"{path}: config.space"), stages
+    return _space(name, f"{path}: {field}"), stages
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -250,15 +256,10 @@ def _check_dump(args, reports) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    try:  # refused before any replicate runs
-        csv_path = csv_beside(args.out)
-        check_output_path(args.out)
-        check_output_path(csv_path)
-    except NggError as exc:
-        raise UsageError(f"--out: {exc}") from exc
+    outputs = _check_out(args.out, beside=True)  # refused before any replicate runs
     if args.dump_adjacency:
-        _check_dump(args, (args.out, csv_path))
-    space = _parse_space(args.space)
+        _check_dump(args, outputs)
+    space = _space(args.space, "--space")
     envelope = _resolve_envelope(args.envelope, space)
     n_values = _parse_n_list(args.n)
     if args.dump_adjacency and len(n_values) != 1:
@@ -287,17 +288,14 @@ def _space_option(args) -> LatentSpace | None:
     if args.space is not None and args.dim is not None:
         raise UsageError("pass at most one of --space / --dim")
     if args.space is not None:
-        return _bounded_space(args.space, "--space")
-    return None if args.dim is None else _sphere(args.dim)
+        return _space(args.space, "--space")
+    return None if args.dim is None else _space(f"sphere:{args.dim}", "--dim")
 
 
 def _cmd_estimate(args) -> int:
     option = _space_option(args)
     check_settings(args.r_max, args.kappa, args.include_r0)  # before the input is read
-    try:
-        check_output_path(args.out)
-    except NggError as exc:
-        raise UsageError(f"--out: {exc}") from exc
+    _check_out(args.out)
     path = Path(args.input)
     if not path.exists():
         print(f"error: input file {args.input!r} not found", file=sys.stderr)
@@ -372,7 +370,8 @@ def _cmd_coefs(args) -> int:
     # the quadrature holds a (degree + 1) x nodes table, so the node cap bounds both
     if not 0 <= args.degree <= QUAD_NODE_CAP:
         raise UsageError(f"--degree must be in 0..{QUAD_NODE_CAP}, got {args.degree}")
-    basis = harmonic_basis(_sphere(args.dim), args.degree)
+    _check_out(args.out)
+    basis = harmonic_basis(_space(f"sphere:{args.dim}", "--dim"), args.degree)
     envelope = _resolve_envelope(args.envelope, basis.space)
     coeffs = envelope_coefficients(basis, envelope, args.degree)
     rows = [[ell, basis.dims[ell], float(coeffs[ell])] for ell in range(args.degree + 1)]
@@ -384,6 +383,7 @@ def _cmd_eval_envelope(args) -> int:
     if (args.envelope is None) == (args.from_report is None):
         raise UsageError("pass exactly one of --envelope / --from-report")
     grid = _grid(args.grid)
+    _check_out(args.out)
     clamp = args.clamp
     if args.from_report:
         space, stages = _read_estimate_report(args.from_report)
@@ -391,7 +391,7 @@ def _cmd_eval_envelope(args) -> int:
         fn = lambda t: basis.reconstruct(stages, t)
         clamp = True  # fitted envelopes are always clamped
     else:
-        fn = _resolve_envelope(args.envelope, _sphere(args.dim))
+        fn = _resolve_envelope(args.envelope, _space(f"sphere:{args.dim}", "--dim"))
     values = np.asarray(fn(grid), dtype=float)
     if clamp:
         values = np.clip(values, 0.0, 1.0)

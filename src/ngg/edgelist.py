@@ -69,15 +69,14 @@ class EdgeListData:
         return a
 
 
-def write_edge_list(path, adjacency: np.ndarray, space: LatentSpace | None = None) -> None:
-    """Write the graph of a symmetric 0/1 matrix as an edge list: the
-    ``% ngg n <N>`` line, ending in ``space <kind:dim>`` when ``space`` is
-    given, then one ``i j`` line per edge ``i < j`` in row-major order.  The
-    edges are found ``_WRITE_ROWS`` rows at a time, so nothing the size of
-    the matrix is allocated."""
+def write_edge_list(path, adjacency: np.ndarray, space: LatentSpace) -> None:
+    """Write the graph of a symmetric 0/1 matrix, drawn on ``space``, as an
+    edge list: the ``% ngg n <N> space <kind:dim>`` line, then one ``i j``
+    line per edge ``i < j`` in row-major order.  The edges are found
+    ``_WRITE_ROWS`` rows at a time, so nothing the size of the matrix is
+    allocated."""
     with open(path, "w", encoding="utf-8") as fh:
-        header = f"{_HEADER} {adjacency.shape[0]}"
-        fh.write(f"{header} space {space.name}\n" if space is not None else f"{header}\n")
+        fh.write(f"{_HEADER} {adjacency.shape[0]} space {space.name}\n")
         for lo in range(0, adjacency.shape[0], _WRITE_ROWS):
             i, j = np.nonzero(adjacency[lo : lo + _WRITE_ROWS])
             edges = np.column_stack((i + lo, j))[j > i + lo]

@@ -189,9 +189,10 @@ class ExperimentReport:
             "aggregates": self.aggregates,
         }
 
-    def write(self, json_path, csv_path=None):
-        if csv_path is None:
-            csv_path = csv_beside(json_path)
+    def write(self, json_path):
+        """Write the JSON report to ``json_path`` and its per-replicate CSV
+        table to ``csv_beside(json_path)``."""
+        csv_path = csv_beside(json_path)
         write_json(json_path, self.to_json_dict())
         r_max = self.config["r_max"]
         header = ["n", "replicate", "seed", "selected_r", "delta2_selected_vs_truth"]

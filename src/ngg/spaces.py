@@ -363,26 +363,24 @@ def _jacobi_rule(m: int, a: float, b: float):
 
 def _panel_rule(alpha: float, beta: float, lo: float, hi: float, m: int):
     """Nodes/weights integrating f against the full Beta(alpha, beta) density
-    over [lo, hi].  On [-1, 1] the Gauss-Jacobi rule of the density itself is
-    used.  A panel that ends at -1 or 1 absorbs the possibly-singular density
-    factor at that end into its Jacobi rule, and the rest of the density (smooth
-    on the panel) is folded into the weights.  Weights are assembled in logs,
-    so no factor overflows on its own and a weight too small for a float reads 0."""
+    over [lo, hi].  A panel that ends at -1 or 1 absorbs the possibly-singular
+    density factor at that end into its Jacobi rule, and the rest of the
+    density (smooth on the panel) is folded into the weights; on [-1, 1] that
+    is the Gauss-Jacobi rule of the density itself, bit for bit, as every
+    folded term is an exact 0.  Weights are assembled in logs, so no factor
+    overflows on its own and a weight too small for a float reads 0."""
     a, b = alpha - 1.0, beta - 1.0
-    if lo == -1.0 and hi == 1.0:
-        x, log_w = _jacobi_rule(m, a, b)
-    else:
-        ra = a if hi == 1.0 else 0.0
-        rb = b if lo == -1.0 else 0.0
-        y, log_w = _jacobi_rule(m, ra, rb)
-        h = (hi - lo) / 2.0
-        x = (hi + lo) / 2.0 + h * y
-        log_w = (
-            log_w
-            + (_log_mass(ra, rb) - _log_mass(a, b) + (ra + rb + 1.0) * math.log(h))
-            + (a - ra) * np.log1p(-x)
-            + (b - rb) * np.log1p(x)
-        )
+    ra = a if hi == 1.0 else 0.0
+    rb = b if lo == -1.0 else 0.0
+    y, log_w = _jacobi_rule(m, ra, rb)
+    h = (hi - lo) / 2.0
+    x = (hi + lo) / 2.0 + h * y
+    log_w = (
+        log_w
+        + (_log_mass(ra, rb) - _log_mass(a, b) + (ra + rb + 1.0) * math.log(h))
+        + (a - ra) * np.log1p(-x)
+        + (b - rb) * np.log1p(x)
+    )
     with np.errstate(under="ignore"):
         return x, np.exp(log_w)
 

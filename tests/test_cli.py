@@ -382,7 +382,8 @@ def test_cli_estimate_space_of_a_file_without_one(tmp_path, flags, space):
 
 @pytest.mark.parametrize("flags", [["--space", "sphere"], ["--space", "torus:3"],
                                    ["--space", "rp:x"], ["--space", "sphere:2"],
-                                   ["--space", "rp:10001"], ["--dim", "10001"]])
+                                   ["--space", "rp:10001"], ["--dim", "10001"],
+                                   ["--dim", "2"]])
 def test_cli_estimate_bad_space_is_usage_error(tmp_path, capsys, flags):
     edges = tmp_path / "g.txt"
     edges.write_text("1 2\n2 3\n")
@@ -626,20 +627,23 @@ def test_cli_estimate_and_simulate_run_each_step_once_per_graph(tmp_path, monkey
 
 
 @pytest.mark.parametrize("out", ["missing/x.json", "adir"])
-@pytest.mark.parametrize("command", ["simulate", "estimate"])
+@pytest.mark.parametrize("command", ["simulate", "estimate", "coefs", "eval-envelope"])
 def test_cli_unwritable_out_is_usage_error_before_any_graph(tmp_path, capsys, monkeypatch,
                                                            command, out):
-    # a missing directory, or a directory: refused before any graph is drawn or read
+    # a missing directory, or a directory: refused before any graph is drawn
+    # or read, and before any envelope or basis is built
     def unreachable(*args, **kwargs):
-        raise AssertionError("reached a graph")
+        raise AssertionError("reached the work")
 
-    monkeypatch.setattr(ngg.cli, "run_experiment", unreachable)
-    monkeypatch.setattr(ngg.cli, "read_edge_list", unreachable)
+    for name in ("run_experiment", "read_edge_list", "harmonic_basis", "_resolve_envelope"):
+        monkeypatch.setattr(ngg.cli, name, unreachable)
     (tmp_path / "adir").mkdir()
     edges = tmp_path / "g.txt"
     edges.write_text("1 2\n2 3\n")
-    argv = (["simulate", "--envelope", "p5", "--n", "100", "--r-max", "2"]
-            if command == "simulate" else ["estimate", "--input", str(edges)])
+    argv = {"simulate": ["simulate", "--envelope", "p5", "--n", "100", "--r-max", "2"],
+            "estimate": ["estimate", "--input", str(edges)],
+            "coefs": ["coefs", "--envelope", "p5"],
+            "eval-envelope": ["eval-envelope", "--envelope", "p5"]}[command]
     assert main(argv + ["--out", str(tmp_path / out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: --out:") and err.count("\n") == 1
@@ -943,28 +947,47 @@ def test_cli_simulate_report_does_not_depend_on_the_blas_thread_count(tmp_path):
     assert f"at most\n{ngg.spectral.ONE_THREAD_MAX_N} nodes" in ngg.cli.__doc__
 
 
+_REPORT = ["eval-envelope", "--from-report", "{report}"]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, dim, message",
     [
-        ["coefs", "--envelope", "p5", "--degree", "8", "--dim", "100000000"],
-        ["eval-envelope", "--envelope", "p1", "--dim", "100000000"],
-        ["estimate", "--input", "{edges}", "--out", "{tmp}/o.json", "--dim", "100000000"],
-        ["eval-envelope", "--from-report", "{report}"],
+        (["coefs", "--envelope", "p5", "--degree", "8", "--dim", "100000000"], None,
+         "at most 10000"),
+        (["eval-envelope", "--envelope", "p1", "--dim", "100000000"], None, "at most 10000"),
+        (["estimate", "--input", "{edges}", "--out", "{tmp}/o.json", "--dim", "100000000"],
+         None, "at most 10000"),
+        (_REPORT, 100000000, "at most 10000"),
+        # --dim D is --space sphere:D, exit code included, on every command
+        (["coefs", "--envelope", "p5", "--dim", "-5"], None, "--dim: cannot parse space"),
+        (["eval-envelope", "--envelope", "p1", "--dim", "2"], None,
+         "--dim: cannot parse space 'sphere:2'"),
+        (["simulate", "--envelope", "p5", "--space", "sphere:10001", "--n", "100",
+          "--out", "{tmp}/o.json"], None, "--space: dimension must be at most 10000"),
+        # a report's config.dim is a JSON integer naming a sphere
+        (_REPORT, 2, "config.dim: cannot parse space 'sphere:2'"),
+        (_REPORT, True, "config.dim True is not an integer"),
+        (_REPORT, 3.7, "config.dim 3.7 is not an integer"),
+        (_REPORT, "3", "config.dim '3' is not an integer"),
     ],
-    ids=["coefs", "eval-envelope", "estimate", "from-report"],
+    ids=["coefs", "eval-envelope", "estimate", "from-report", "coefs-dim-negative",
+         "eval-envelope-dim-2", "simulate-space", "from-report-dim-2", "from-report-dim-true",
+         "from-report-dim-float", "from-report-dim-string"],
 )
-def test_cli_dim_above_bound_is_usage_error(tmp_path, argv):
+def test_cli_dim_above_bound_is_usage_error(tmp_path, argv, dim, message):
     edges = tmp_path / "edges.txt"
     edges.write_text("0 1\n1 2\n2 0\n")
     report = tmp_path / "report.json"
-    report.write_text(json.dumps({"kind": "estimate", "config": {"dim": 100000000},
+    report.write_text(json.dumps({"kind": "estimate", "config": {"dim": dim},
                                   "stages": [0.5]}))
     argv = [a.format(edges=edges, tmp=tmp_path, report=report) for a in argv]
     proc = _run_cli(*argv)
     assert proc.returncode == 2
-    assert proc.stderr.startswith("usage error:") and "at most 10000" in proc.stderr
+    assert proc.stderr.startswith("usage error:") and message in proc.stderr
     assert "RuntimeWarning" not in proc.stderr and len(proc.stderr.splitlines()) == 1
-    assert not (tmp_path / "o.json").exists()
+    assert proc.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["edges.txt", "report.json"]
 
 
 def test_cli_coefs_at_dim_bound_is_warning_free():

@@ -316,7 +316,7 @@ def test_write_edge_list_round_trip(tmp_path_factory, n, density, seed):
     a = np.triu(np.random.default_rng(seed).random((n, n)) < density, 1).astype(float)
     a += a.T
     path = tmp_path_factory.mktemp("dump") / "graph.txt"
-    write_edge_list(path, a)
+    write_edge_list(path, a, ngg.sphere(3))
     data = read_edge_list(path)
     assert data.n == n and data.warnings == ()
     assert data.edges.tolist() == np.argwhere(np.triu(a, 1)).tolist()
@@ -335,10 +335,10 @@ def test_write_edge_list_names_the_space(tmp_path, space):
     assert data.n == 4 and np.array_equal(data.adjacency(), a)
 
 
-def _edge_list_text(a) -> str:
-    """The edge-list file of matrix ``a``, written pair by pair."""
+def _edge_list_text(a, space) -> str:
+    """The edge-list file of matrix ``a`` drawn on ``space``, written pair by pair."""
     n = len(a)
-    return f"% ngg n {n}\n" + "".join(
+    return f"% ngg n {n} space {space.name}\n" + "".join(
         f"{i} {j}\n" for i in range(n) for j in range(i + 1, n) if a[i][j])
 
 
@@ -349,8 +349,8 @@ def test_write_edge_list_bytes(tmp_path, n, density):
     a = np.triu(np.random.default_rng(n).random((n, n)) < density, 1).astype(float)
     a += a.T
     path = tmp_path / "graph.txt"
-    write_edge_list(path, a)
-    assert path.read_bytes() == _edge_list_text(a.tolist()).encode()
+    write_edge_list(path, a, ngg.real_projective(3))
+    assert path.read_bytes() == _edge_list_text(a.tolist(), ngg.real_projective(3)).encode()
 
 
 def test_write_edge_list_allocates_nothing_the_size_of_the_matrix(tmp_path):
@@ -359,7 +359,7 @@ def test_write_edge_list_allocates_nothing_the_size_of_the_matrix(tmp_path):
     a += a.T
     tracemalloc.start()
     try:
-        write_edge_list(tmp_path / "graph.txt", a)
+        write_edge_list(tmp_path / "graph.txt", a, ngg.sphere(3))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

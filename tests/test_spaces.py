@@ -264,6 +264,18 @@ def _requested_pairs():
 
 
 _PAIRS = _requested_pairs()
+
+
+@pytest.mark.parametrize("m", [3, 24, 96, 3072])
+@pytest.mark.parametrize("space", _RULE_SPACES, ids=lambda space: space.name)
+def test_full_interval_panel_rule_is_the_jacobi_rule(space, m):
+    # on [-1, 1] every term the panel formula folds into the rule is an exact 0
+    alpha, beta = ngg.beta_shape(space)
+    x, w = ngg.spaces._panel_rule(alpha, beta, -1.0, 1.0, m)
+    nodes, log_w = ngg.spaces._jacobi_rule(m, alpha - 1.0, beta - 1.0)
+    with np.errstate(under="ignore"):
+        want = np.exp(log_w)
+    assert x.tobytes() == nodes.tobytes() and w.tobytes() == want.tobytes()
 _STEEP = 1000.0  # exponents of sphere:10000
 
 
