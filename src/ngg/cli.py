@@ -13,8 +13,11 @@ eigensolve whose rounding depends on it runs on one OpenBLAS thread.  A
 larger graph keeps the default BLAS pool, and so does the ``eigvalsh``
 fallback of a LAPACK without those routines: such a report holds on one
 machine with one BLAS thread count (the thread count moves eigenvalues at
-round-off level).  JSON files embed the resolved configuration and render
-floats with 17 significant digits.
+round-off level).  Stage 1 of the eigensolve is LAPACK's ``dsytrd_sy2sb``
+call sequence with its symmetric multiply in tiles of 512 columns: the
+spectrum is ``dsyevd_2stage``'s bit for bit up to one tile (544 nodes) and
+agrees with it at round-off level beyond.  JSON files embed the resolved
+configuration and render floats with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -243,13 +246,16 @@ def _dump_path(args, rep: int) -> str:
 
 
 def _check_dump(args, reports) -> None:
-    """Refuse a ``--dump-adjacency`` whose directory is missing, or one of
-    whose files would overwrite one of the ``reports``."""
-    if not Path(args.dump_adjacency).parent.is_dir():
-        raise UsageError(f"--dump-adjacency: the directory of {args.dump_adjacency!r} is missing")
+    """Refuse a ``--dump-adjacency`` one of whose files names a directory,
+    lies in a missing one, or would overwrite one of the ``reports``."""
     taken = {os.path.abspath(report): report for report in reports}
     for rep in range(args.replicates):
-        report = taken.get(os.path.abspath(_dump_path(args, rep)))
+        path = _dump_path(args, rep)
+        try:
+            check_output_path(path)
+        except NggError as exc:
+            raise UsageError(f"--dump-adjacency: {exc}") from exc
+        report = taken.get(os.path.abspath(path))
         if report is not None:
             raise UsageError(f"--dump-adjacency: the graph of replicate {rep} would "
                              f"overwrite the report {str(report)!r}")

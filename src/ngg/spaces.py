@@ -108,12 +108,10 @@ def octonionic_plane() -> LatentSpace:
     return LatentSpace(SpaceKind.OCTONIONIC, 3)
 
 
-_SPACE_NAMES = {
-    "sphere": SpaceKind.SPHERE,
+# every name ``LatentSpace.name`` writes, and the short aliases
+_SPACE_NAMES = {kind.value: kind for kind in SpaceKind} | {
     "rp": SpaceKind.REAL_PROJECTIVE,
-    "real-projective": SpaceKind.REAL_PROJECTIVE,
     "cp": SpaceKind.COMPLEX_PROJECTIVE,
-    "complex-projective": SpaceKind.COMPLEX_PROJECTIVE,
 }
 
 

@@ -3,9 +3,13 @@
 The dense solve is LAPACK's two-stage reduction, called step by step:
 stage 1 (``reduce_to_band``) reduces the matrix to band form, the O(n^3)
 part; stage 2 (``band_spectrum``) reduces the band to a tridiagonal matrix
-T and takes all ``n`` eigenvalues of T by ``dsterf``.  The four LAPACK
-routines are bound together or not at all (``_lapack``): without any one of
-them every solve is ``np.linalg.eigvalsh``.
+T and takes all ``n`` eigenvalues of T by ``dsterf``.  Stage 1 is
+``dsytrd_sy2sb``'s own sequence of LAPACK and BLAS calls (``_sy2sb``), with
+its one symmetric multiply ``dsymm`` done in column tiles (``_symm``): it
+gives ``dsyevd_2stage``'s bits while the trailing matrix fits one tile, and
+the same eigenvalues to round-off beyond it.  The LAPACK and BLAS routines
+are bound together or not at all (``_lapack``): without any one of them
+every solve is ``np.linalg.eigvalsh``.
 """
 
 from __future__ import annotations
@@ -56,6 +60,12 @@ ONE_THREAD_MAX_N = 2048
 # (the square roots of LAPACK's smlnum = 2^-970 and bignum = 2^970) before
 # reducing it, and scales the eigenvalues back
 _RMIN, _RMAX = 2.0**-485, 2.0**485
+# Column tile of stage 1's symmetric multiply (``_symm``).  On a 2-vCPU Xeon
+# (OpenBLAS 0.3.31) one m = 4000, k = 32 product took 54-66 ms by dsymm and
+# 34-39 ms in tiles of 512 on one thread (15-19 against 26-31 GFLOP/s, about
+# dgemm's rate), and 41-43 ms against 23-25 ms on two; stage 1 of a 4000-node
+# A / n on the pool of two took 1.61 s against 1.94 s (medians of 6).
+_SYMM_TILE = 512
 
 
 @dataclass(frozen=True)
@@ -158,21 +168,24 @@ def _symbol(name: str, restype, *argtypes):
     return None
 
 
-_FORTRAN_TYPES = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int64), "a": ctypes.c_void_p}
+_FORTRAN_TYPES = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int64),
+                  "d": ctypes.POINTER(ctypes.c_double), "a": ctypes.c_void_p}
 
 
 def _fortran_routine(name: str, restype, signature: str):
     """Fortran routine ``name`` (``_symbol``) typed by ``signature``, one
-    letter per argument: ``c`` a character string, ``i`` an integer, ``a``
-    an array; gfortran appends one hidden length per character argument."""
+    letter per argument: ``c`` a character string, ``i`` an integer, ``d`` a
+    double, ``a`` an array; gfortran appends one hidden length per character
+    argument."""
     types = [_FORTRAN_TYPES[k] for k in signature] + [ctypes.c_size_t] * signature.count("c")
     return _symbol(name, restype, *types)
 
 
 def _fortran(fn, *args):
     """Call a ``_fortran_routine``: an int goes by reference as a 64-bit
-    integer, an array as its data pointer, and ``bytes`` as a character
-    string whose hidden length follows all the other arguments."""
+    integer, a float as a double, an array as its data pointer, and
+    ``bytes`` as a character string whose hidden length follows all the
+    other arguments."""
     refs, lengths = [], []
     for a in args:
         if isinstance(a, bytes):
@@ -180,27 +193,34 @@ def _fortran(fn, *args):
             lengths.append(ctypes.c_size_t(len(a)))
         elif isinstance(a, np.ndarray):
             refs.append(ctypes.c_void_p(a.ctypes.data))
+        elif isinstance(a, float):
+            refs.append(ctypes.byref(ctypes.c_double(a)))
         else:
             refs.append(ctypes.byref(ctypes.c_int64(a)))
     return fn(*refs, *lengths)
 
 
-# The LAPACK routines of the dense solve, with their ``_fortran_routine``
-# return types and signatures
+# The LAPACK and BLAS routines of the dense solve, with their
+# ``_fortran_routine`` return types and signatures
 _ROUTINES = {
     "ilaenv2stage": (ctypes.c_int64, "icciiii"),
-    "dsytrd_sy2sb": (None, "ciiaiaiaaia"),
+    "dgeqrf": (None, "iiaiaaia"),
+    "dlaset": (None, "ciiddai"),
+    "dlarft": (None, "cciiaiaai"),
+    "dgemm": (None, "cciiidaiaidai"),
+    "dsymm": (None, "cciidaiaidai"),
+    "dsyr2k": (None, "cciidaiaidai"),
     "dsytrd_sb2st": (None, "ccciiaiaaaiaia"),
     "dsterf": (None, "iaaa"),
 }
 
 
 def _lapack():
-    """LAPACK's routines of the dense solve by name, or ``None`` unless all
-    four are exported: ``ilaenv2stage`` (the band width), ``dsytrd_sy2sb``
-    (stage 1), ``dsytrd_sb2st`` (band to tridiagonal) and ``dsterf`` (every
-    eigenvalue of a symmetric tridiagonal matrix, by the root-free QL/QR
-    iteration)."""
+    """LAPACK's and BLAS's routines of the dense solve by name, or ``None``
+    unless all of them are exported: ``ilaenv2stage`` (the band width), the
+    six of stage 1 (``_sy2sb``), ``dsytrd_sb2st`` (band to tridiagonal) and
+    ``dsterf`` (every eigenvalue of a symmetric tridiagonal matrix, by the
+    root-free QL/QR iteration)."""
     found = {name: _fortran_routine(f"{name}_", restype, signature)
              for name, (restype, signature) in _ROUTINES.items()}
     return None if None in found.values() else found
@@ -240,11 +260,90 @@ class Band:
     eigenvalues: np.ndarray | None = None
 
 
+def _copy_band(ab: np.ndarray, m: np.ndarray, lo: int, hi: int) -> None:
+    """Columns ``lo:hi`` of the lower band of the column-major ``m`` into
+    ``ab``: ``ab[j, :k] = m[j, j:j + k]``, ``k`` = ``kd + 1`` or what is left
+    of row ``j``, the copies ``dsytrd_sy2sb`` makes by ``dcopy``."""
+    n, width = ab.shape
+    for j in range(lo, hi):
+        k = min(width, n - j)
+        ab[j, :k] = m[j, j : j + k]
+
+
+def _symm(lapack, pn: int, pk: int, a22: np.ndarray, n: int, b: np.ndarray,
+          c: np.ndarray) -> None:
+    """``C = A22 B``, the ``dsymm('L', 'L')`` of ``dsytrd_sy2sb``: ``A22`` is
+    ``pn x pn`` symmetric with its lower triangle stored, ``B`` and ``C`` are
+    ``pn x pk``, all column-major with leading dimension ``n``.
+
+    The product is made in column tiles of ``A22``, ``_SYMM_TILE`` wide: a
+    ``dsymm`` on the tile's diagonal block, then the block below it times
+    ``B`` by ``dgemm`` and its transpose times ``B`` by ``dgemm`` again, as
+    OpenBLAS's ``dgemm`` runs much faster than its ``dsymm``.  A ``pn`` of at
+    most one tile is ``dsytrd_sy2sb``'s own single call."""
+    symm, gemm = lapack["dsymm"], lapack["dgemm"]
+    for lo in range(0, pn, _SYMM_TILE):
+        hi = min(lo + _SYMM_TILE, pn)
+        beta = 0.0 if lo == 0 else 1.0  # the first tile writes all of C
+        _fortran(symm, b"L", b"L", hi - lo, pk, 1.0, a22[lo * (n + 1):], n, b[lo:], n, beta,
+                 c[lo:], n)
+        if hi < pn:
+            below = a22[lo * n + hi:]
+            _fortran(gemm, b"N", b"N", pn - hi, pk, hi - lo, 1.0, below, n, b[lo:], n, beta,
+                     c[hi:], n)
+            _fortran(gemm, b"T", b"N", hi - lo, pk, pn - hi, 1.0, below, n, b[hi:], n, 1.0,
+                     c[lo:], n)
+
+
+def _sy2sb(lapack, m: np.ndarray, kd: int) -> np.ndarray:
+    """The lower band, ``kd`` wide, of LAPACK's ``dsytrd_sy2sb('L')`` on the
+    column-major ``n x n`` matrix ``m``, which it destroys: the routine's
+    own calls, panel by panel of ``kd`` columns, but with ``_symm`` for its
+    ``dsymm``.  Each panel below the band is QR-factored (``dgeqrf``), its
+    band columns copied out, its reflectors made unit (``dlaset``) and
+    blocked (``dlarft``), and the trailing matrix updated by
+    ``A := A - V W' - W V'`` (``dgemm``, ``_symm``, two ``dgemm``,
+    ``dsyr2k``)."""
+    n = m.shape[0]
+    a = m.reshape(-1)  # A(r, c) is a[r + c * n]
+    ab = np.zeros((n, kd + 1))
+    # T is zeroed once, as LAPACK does: dlarft writes only its upper
+    # triangle, and the first dgemm reads all of it
+    tau, t, s1 = np.empty(n), np.zeros(kd * kd), np.empty(kd * kd)
+    s2, w = np.empty(n * kd), np.empty(n * kd)  # n x kd, leading dimension n
+    info = np.zeros(1, dtype=np.int64)
+    gemm = lapack["dgemm"]
+    panels = range(0, n - kd, kd) if n > kd + 1 else ()  # none: LAPACK's quick return
+    for i in panels:
+        pn = n - i - kd
+        pk = min(pn, kd)
+        v, a22 = a[i * n + i + kd:], a[(i + kd) * (n + 1):]  # A(i+kd, i), A(i+kd, i+kd)
+        # the whole kd columns, as LAPACK factors them, also where pn < kd
+        _fortran(lapack["dgeqrf"], pn, kd, v, n, tau[i:], s2, s2.size, info)
+        if info[0] != 0:
+            raise SolverError(f"eigenvalue computation failed: dgeqrf info = {info[0]}")
+        _copy_band(ab, m, i, i + pk)
+        _fortran(lapack["dlaset"], b"U", pk, pk, 0.0, 1.0, v, n)
+        _fortran(lapack["dlarft"], b"F", b"C", pn, pk, v, n, tau[i:], t, kd)
+        _fortran(gemm, b"N", b"N", pn, pk, pk, 1.0, v, n, t, kd, 0.0, s2, n)
+        _symm(lapack, pn, pk, a22, n, s2, w)
+        _fortran(gemm, b"T", b"N", pk, pk, pn, 1.0, s2, n, w, n, 0.0, s1, kd)
+        _fortran(gemm, b"N", b"N", pn, pk, pk, -0.5, v, n, s1, kd, 1.0, w, n)
+        _fortran(lapack["dsyr2k"], b"L", b"N", pn, pk, -1.0, v, n, w, n, 1.0, a22, n)
+    _copy_band(ab, m, n - kd if panels else 0, n)
+    return ab
+
+
 def reduce_to_band(matrix, *, overwrite: bool = False) -> Band:
     """Stage 1 of ``eigenvalues_symmetric``: the matrix checked and reduced
-    to band form by LAPACK's ``dsytrd_sy2sb``.  This is the O(n^3) part of the
-    solve, in BLAS-3 calls, and the only one that reads the ``n x n`` matrix:
-    once it returns, the matrix may be freed.
+    to band form by LAPACK's ``dsytrd_sy2sb`` call sequence (``_sy2sb``),
+    whose symmetric multiply runs in column tiles (``_symm``).  Where the
+    trailing matrix of every panel fits one tile (``n - kd <= _SYMM_TILE``,
+    so ``n <= 544`` with OpenBLAS's ``kd = 32``) the band is
+    ``dsytrd_sy2sb``'s bit for bit; beyond it the band differs at round-off
+    level.  This is the O(n^3) part of the solve, in BLAS-3 calls, and the
+    only one that reads the ``n x n`` matrix: once it returns, the matrix may
+    be freed.
 
     The input is checked for finite entries and for symmetry to
     ``1e-10 * max|M_ij|`` in tiles, so the check allocates no ``n x n``
@@ -262,7 +361,7 @@ def reduce_to_band(matrix, *, overwrite: bool = False) -> Band:
     process-wide pin: one stage 1 at a time, so callers that solve from
     several threads at once get the same bands as serial calls, while
     ``band_spectrum`` needs no lock.  If numpy's LAPACK lacks any of the
-    four routines of ``_lapack``, the whole spectrum is taken here by
+    routines of ``_lapack``, the whole spectrum is taken here by
     ``np.linalg.eigvalsh`` (one-stage ``dsyevd``, which always copies and
     reads the lower triangle).
     """
@@ -282,7 +381,6 @@ def reduce_to_band(matrix, *, overwrite: bool = False) -> Band:
                 return Band(None, eigenvalues=np.linalg.eigvalsh(m))
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             raise SolverError(f"eigenvalue computation failed: {exc}") from exc
-    sy2sb = lapack["dsytrd_sy2sb"]
     if not (overwrite and m.flags.c_contiguous and m.flags.writeable):
         m = np.array(m, order="C")  # float64 already
     sigma = 1.0
@@ -292,16 +390,8 @@ def reduce_to_band(matrix, *, overwrite: bool = False) -> Band:
     # dsytrd_2stage's band width; a C-ordered symmetric matrix is its own
     # column-major transpose, so LAPACK's 'L' triangle is the rows' upper one
     kd = int(_fortran(lapack["ilaenv2stage"], 1, b"DSYTRD_2STAGE", b"N", n, -1, -1, -1))
-    ab = np.zeros((n, kd + 1))
-    tau = np.empty(n - 1)
-    info = np.zeros(1, dtype=np.int64)
-    size = np.zeros(1)
     with _LAPACK_LOCK, _blas_threads(1 if n <= ONE_THREAD_MAX_N else None):
-        _fortran(sy2sb, b"L", n, kd, m, n, ab, kd + 1, tau, size, -1, info)  # workspace query
-        work = np.empty(max(int(size[0]), 1))
-        _fortran(sy2sb, b"L", n, kd, m, n, ab, kd + 1, tau, work, work.size, info)
-    if info[0] != 0:
-        raise SolverError(f"eigenvalue computation failed: dsytrd_sy2sb info = {info[0]}")
+        ab = _sy2sb(lapack, m, kd)
     return Band(ab, kd, sigma)
 
 
@@ -343,10 +433,13 @@ def eigenvalues_symmetric(matrix, *, overwrite: bool = False) -> Spectrum:
 
     Together the two stages are LAPACK's two-stage routine
     ``dsyevd_2stage`` (full -> band -> tridiagonal -> ``dsterf``), called
-    step by step through ctypes in the LAPACK numpy already loaded, and give
-    its bits at the same BLAS thread count.  ``overwrite`` is
-    ``reduce_to_band``'s: with ``overwrite=True`` a C-contiguous, writable
-    float64 array is solved in place and its contents are destroyed.
+    step by step through ctypes in the LAPACK numpy already loaded, with the
+    symmetric multiply of stage 1 done in column tiles.  They give
+    ``dsyevd_2stage``'s bits at the same BLAS thread count while the trailing
+    matrix fits one tile (``n - kd <= 512``), and its eigenvalues to
+    round-off beyond it.  ``overwrite`` is ``reduce_to_band``'s: with
+    ``overwrite=True`` a C-contiguous, writable float64 array is solved in
+    place and its contents are destroyed.
 
     Stage 1 runs under a module-wide lock, which also guards the
     process-wide pin of OpenBLAS to one thread while a matrix of at most

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ngg
 from ngg.cli import _MAX_GRID, main
-from ngg.edgelist import read_edge_list
+from ngg.edgelist import read_edge_list, write_edge_list
 from ngg.errors import DomainError
 from ngg.estimator import MAX_RESOLUTION
 
@@ -333,6 +333,23 @@ def test_cli_estimate_fits_the_space_the_dump_names(tmp_path):
         assert main(["estimate", "--input", str(adj), "--r-max", "3", "--out", str(again)]
                     + flags) == 0
         assert json.loads(again.read_text())["per_r"] == est["per_r"]
+
+
+@pytest.mark.parametrize("space", [ngg.quaternionic_projective(2), ngg.octonionic_plane()])
+def test_cli_estimate_fits_a_quaternionic_or_octonionic_graph_file(tmp_path, space):
+    # simulate does not sample these spaces, but a graph file may name them
+    rng = np.random.default_rng(6)
+    upper = np.triu(rng.random((80, 80)) < 0.3, 1)
+    adj = tmp_path / "g.txt"
+    write_edge_list(adj, (upper | upper.T).astype(float), space)
+    reports = []
+    for flags in ([], ["--space", space.name]):
+        out = tmp_path / f"est{len(reports)}.json"
+        assert main(["estimate", "--input", str(adj), "--r-max", "1", "--out", str(out)]
+                    + flags) == 0
+        reports.append(json.loads(out.read_text()))
+    assert reports[0]["config"]["space"] == space.name
+    assert reports[0]["per_r"] == reports[1]["per_r"]
 
 
 @pytest.mark.parametrize("flags", [["--dim", "4"], ["--dim", "3"], ["--space", "sphere:3"],
@@ -732,8 +749,9 @@ def test_cli_dump_directory_missing_is_usage_error_before_running(tmp_path, caps
 
 
 def test_cli_failed_dump_write_ends_the_run(tmp_path, capsys):
-    # the second dump path is a directory: its write fails during the run
-    (tmp_path / "d.txt.rep1").mkdir()
+    # the second dump path links into a missing directory: its write fails
+    # during the run
+    (tmp_path / "d.txt.rep1").symlink_to(tmp_path / "missing" / "g.txt")
     out = tmp_path / "x.json"
     rc = main(["simulate", "--envelope", "p5", "--n", "100", "--r-max", "2", "--replicates",
                "2", "--out", str(out), "--dump-adjacency", str(tmp_path / "d.txt")])
@@ -742,6 +760,27 @@ def test_cli_failed_dump_write_ends_the_run(tmp_path, capsys):
     assert err.startswith("error:") and "d.txt.rep1" in err and err.count("\n") == 1
     assert not out.exists() and not out.with_suffix(".csv").exists()
     assert (tmp_path / "d.txt.rep0").read_text().startswith("% ngg n 100 space sphere:3\n")
+
+
+@pytest.mark.parametrize("replicates, directory", [(1, "d.txt"), (2, "d.txt.rep0"),
+                                                   (3, "d.txt.rep2")])
+def test_cli_dump_naming_a_directory_is_usage_error_before_any_graph(
+        tmp_path, capsys, monkeypatch, replicates, directory):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drew a graph")
+
+    monkeypatch.setattr(ngg.harness, "generate_graph", unreachable)
+    monkeypatch.setattr(ngg.cli, "run_experiment", unreachable)
+    (tmp_path / directory).mkdir()
+    out = tmp_path / "x.json"
+    rc = main(["simulate", "--envelope", "p5", "--n", "100", "--r-max", "2", "--replicates",
+               str(replicates), "--out", str(out), "--dump-adjacency", str(tmp_path / "d.txt")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --dump-adjacency:") and "is a directory" in err
+    assert directory in err and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == [directory]
+    assert not list((tmp_path / directory).iterdir())
 
 
 def test_cli_undrawable_replicate_under_dump_is_recorded_then_an_error(tmp_path, capsys):

@@ -324,7 +324,8 @@ def test_write_edge_list_round_trip(tmp_path_factory, n, density, seed):
 
 
 @pytest.mark.parametrize("space", [ngg.sphere(3), ngg.real_projective(4),
-                                   ngg.complex_projective(2)])
+                                   ngg.complex_projective(2), ngg.quaternionic_projective(2),
+                                   ngg.octonionic_plane()])
 def test_write_edge_list_names_the_space(tmp_path, space):
     a = np.ones((4, 4)) - np.eye(4)
     path = tmp_path / "graph.txt"

@@ -480,6 +480,19 @@ def test_coefficient_round_trip(coeffs):
     assert np.max(np.abs(rec - u)) < 1e-9
 
 
+def test_parse_space_reads_every_name_a_space_writes():
+    spaces = (ngg.sphere(3), ngg.real_projective(4), ngg.complex_projective(2),
+              ngg.quaternionic_projective(3), ngg.octonionic_plane())
+    assert {sp.kind for sp in spaces} == set(ngg.SpaceKind)
+    for sp in spaces:
+        assert ngg.spaces.parse_space(sp.name) == sp
+        assert ngg.spaces.parse_space(sp.name.upper()) == sp
+    assert ngg.spaces.parse_space("rp:4") == ngg.real_projective(4)
+    assert ngg.spaces.parse_space("cp:2") == ngg.complex_projective(2)
+    with pytest.raises(DomainError, match="cannot parse space"):
+        ngg.spaces.parse_space("qp:2")
+
+
 def test_round_trip_other_spaces():
     for sp in (ngg.real_projective(3), ngg.complex_projective(3)):
         basis = ngg.harmonic_basis(sp, 8)

@@ -314,7 +314,10 @@ def _at_solver_threads(n, fn, *args):
     (65, 2.0**-600), (65, 1e-320), (65, 3.0**500),  # scaled first, as dsyevd_2stage does
     (ngg.spectral.ONE_THREAD_MAX_N, 1.0), (ngg.spectral.ONE_THREAD_MAX_N + 1, 1.0),
 ])
-def test_two_stages_are_dsyevd_2stage_bit_for_bit(n, scale):
+def test_two_stages_are_dsyevd_2stage_bit_for_bit(n, scale, monkeypatch):
+    # one tile of the symmetric multiply holds every trailing matrix: the
+    # tiled product is float-level, the single dsymm LAPACK's own
+    monkeypatch.setattr(ngg.spectral, "_SYMM_TILE", max(n, ngg.spectral._SYMM_TILE))
     rng = np.random.default_rng(n)
     if scale == 1.0:  # a graph's A / n, as fit_graph solves it
         upper = np.triu(rng.random((n, n)) < 0.3, 1)
@@ -327,6 +330,69 @@ def test_two_stages_are_dsyevd_2stage_bit_for_bit(n, scale):
     assert band.ab.shape == (n, band.kd + 1) and (band.sigma != 1.0) == (scale != 1.0)
     assert ngg.spectral.band_spectrum(band).values.tobytes() == oracle.tobytes()
     assert ngg.eigenvalues_symmetric(m).values.tobytes() == oracle.tobytes()
+
+
+def _dsytrd_sy2sb(m, kd):
+    """The ``(n, kd + 1)`` band of LAPACK's own ``dsytrd_sy2sb('L')`` on the
+    C-ordered rows of ``m``, which stage 1 spells out call by call."""
+    sy2sb = ngg.spectral._fortran_routine("dsytrd_sy2sb_", None, "ciiaiaiaaia")
+    if sy2sb is None:
+        pytest.skip("numpy's LAPACK lacks dsytrd_sy2sb")
+    a = np.array(m, dtype=float, order="C")
+    n = a.shape[0]
+    ab, tau = np.zeros((n, kd + 1)), np.empty(n - 1)
+    info, size = np.zeros(1, dtype=np.int64), np.zeros(1)
+    call = ngg.spectral._fortran
+    call(sy2sb, b"L", n, kd, a, n, ab, kd + 1, tau, size, -1, info)  # workspace query
+    work = np.empty(max(int(size[0]), 1))
+    call(sy2sb, b"L", n, kd, a, n, ab, kd + 1, tau, work, work.size, info)
+    assert info[0] == 0
+    return ab
+
+
+# ilaenv2stage chooses kd = 32 in OpenBLAS: n = 2 and 32 are at most kd and
+# 33 is kd + 1 (LAPACK's quick return: the band is copied out); kd does not
+# divide n - kd at 100, 130 and 2000, so the last panel is partial; 2049
+# rows run on the default pool
+@pytest.mark.parametrize("n", [2, 32, 33, 34, 100, 130, 2000, 2049])
+def test_untiled_stage_one_is_dsytrd_sy2sb_bit_for_bit(n, monkeypatch):
+    monkeypatch.setattr(ngg.spectral, "_SYMM_TILE", max(n, ngg.spectral._SYMM_TILE))
+    rng = np.random.default_rng(n)
+    upper = np.triu(rng.random((n, n)) < 0.3, 1)
+    m = (upper | upper.T).astype(float) / n
+    band = ngg.spectral.reduce_to_band(m)
+    oracle = _at_solver_threads(n, _dsytrd_sy2sb, m, band.kd)
+    assert band.ab.tobytes() == oracle.tobytes()
+
+
+@st.composite
+def _tiled_graphs(draw):
+    """A tile width of the symmetric multiply and a graph's ``A / n`` of up
+    to about three tiles, with its edge count."""
+    tile = draw(st.sampled_from([8, 64, ngg.spectral._SYMM_TILE]))
+    n = draw(st.integers(2, 3 * tile + 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.random((n, n)) < draw(st.sampled_from([0.05, 0.5])), 1)
+    return tile, (upper | upper.T).astype(float) / n, int(np.count_nonzero(upper))
+
+
+@settings(max_examples=15)
+@given(_tiled_graphs())
+def test_tiled_stage_one_keeps_the_spectrum(graph):
+    # the tiled product sums in another order than dsymm: eigenvalues agree
+    # with dsyevd_2stage's to round-off, and keep trace(A / n) = 0 and
+    # ||A / n||_F^2 = 2E / n^2
+    tile, m, edges = graph
+    n = m.shape[0]
+    oracle = _at_solver_threads(n, _dsyevd_2stage, m)[::-1]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ngg.spectral, "_SYMM_TILE", tile)
+        vals = ngg.eigenvalues_symmetric(m).values
+    scale = np.max(np.abs(oracle))
+    assert np.max(np.abs(vals - oracle)) <= 1e-13 * scale
+    assert abs(math.fsum(vals)) <= 1e-12
+    want = 2 * edges / n**2
+    assert abs(math.fsum(vals * vals) - want) <= 1e-12 * max(want, 1e-300)
 
 
 def test_band_spectrum_is_the_same_on_one_and_two_threads():
@@ -362,7 +428,8 @@ def test_small_solve_pins_one_thread_and_restores_the_count(monkeypatch):
 
     monkeypatch.setattr(ngg.spectral, "_fortran", spying)
     ngg.spectral.reduce_to_band(np.eye(ngg.spectral.ONE_THREAD_MAX_N // 8))
-    assert seen[1:] == [1, 1]  # the band width, then the query and stage 1 on one thread
+    # the band width, then every call of the stage-1 loop on one thread
+    assert len(seen) > 2 and set(seen[1:]) == {1}
     assert get() == before
 
 
@@ -478,7 +545,8 @@ def test_two_stage_routine_resolves_on_scipy_openblas():
     # benchmark its solve time, and a missing pin the thread-count invariance
     lapack = ngg.spectral._lapack()
     assert lapack is not None
-    assert sorted(lapack) == ["dsterf", "dsytrd_sb2st", "dsytrd_sy2sb", "ilaenv2stage"]
+    assert sorted(lapack) == ["dgemm", "dgeqrf", "dlarft", "dlaset", "dsterf", "dsymm",
+                              "dsyr2k", "dsytrd_sb2st", "ilaenv2stage"]
     assert _threads() is not None
 
 
@@ -497,7 +565,7 @@ def test_tiled_symmetry_check_matches_whole_matrix(n, seed):
 
 def test_lapack_failure_is_a_solver_error(monkeypatch, fail_lapack):
     m = np.eye(40)
-    for name in ("dsytrd_sy2sb", "dsytrd_sb2st", "dsterf"):
+    for name in ("dgeqrf", "dsytrd_sb2st", "dsterf"):  # the routines with an INFO
         fail_lapack(monkeypatch, name, 3)
         with pytest.raises(ngg.SolverError, match=f"{name} info = 3"):
             ngg.eigenvalues_symmetric(m)
