@@ -314,7 +314,7 @@ def _cmd_estimate(args) -> int:
     data = read_edge_list(path)
     warnings = list(data.warnings)
     n = data.n
-    adjacency = data.adjacency()
+    graph = data.triangle()
     del data  # the solve holds only the matrix
     adapt_cfg = AdaptConfig(n=n, r_max=args.r_max, kappa=args.kappa,
                             include_r0=args.include_r0)
@@ -332,7 +332,7 @@ def _cmd_estimate(args) -> int:
         )
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    spectrum, estimates, result = fit_graph(adjacency, basis, adapt_cfg)
+    spectrum, estimates, result = fit_graph(graph, basis, adapt_cfg)
     values = result.envelope(grid)
     out = {
         "schema": 1,

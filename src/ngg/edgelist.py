@@ -14,11 +14,14 @@ collapse, self-loops are dropped with a warning.
 
 Parsing is numpy's C reader plus in-place array operations.  A graph is kept
 as one sorted int64 key ``i * n + j`` per edge ``i < j`` (8 bytes an edge);
-``EdgeListData.edges`` derives the ``(m, 2)`` pairs from the keys when read,
-and ``adjacency()`` builds the dense matrix with no index copies, so the
-build holds ``8 n^2`` bytes plus the keys.  The reader refuses, before
-allocating it, a dense ``n x n`` float64 matrix larger than the machine's
-physical memory; a declared ``N`` is checked before the data is read.
+``EdgeListData.edges`` derives the ``(m, 2)`` pairs from the keys when read.
+``triangle()`` writes ``A / n`` as the eigensolve reads it, the keys' entries
+of the upper triangle of the rows, on pages that become resident only where
+written: the build holds about half of the matrix's ``8 n^2`` bytes plus the
+keys.  ``adjacency()`` builds the whole symmetric matrix, ``8 n^2`` bytes,
+with no index copies.  The reader refuses, before allocating it, a dense
+``n x n`` float64 matrix larger than the machine's physical memory; a
+declared ``N`` is checked before the data is read.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError
 from .spaces import LatentSpace, parse_space
-from .spectral import _BLOCK, check_dense_size
+from .spectral import _BLOCK, Triangle, check_dense_size, lazy_zeros
 
 __all__ = ["EdgeListData", "read_edge_list", "read_header", "write_edge_list"]
 
@@ -50,6 +53,16 @@ class EdgeListData:
         edges = np.stack(np.divmod(self.keys, self.n), axis=1)
         edges.flags.writeable = False
         return edges
+
+    def triangle(self) -> Triangle:
+        """``A / n`` as stage 1 of the eigensolve reads it: ``1.0 / n`` (bit
+        for bit ``A / n``'s entries) scattered at the keys, so only the upper
+        triangle of the rows is written, into a ``lazy_zeros`` matrix whose
+        untouched pages never become resident."""
+        value = 1.0 / self.n
+        m = lazy_zeros(self.n)
+        m.reshape(-1)[self.keys] = value
+        return Triangle(m, value if self.keys.size else 0.0)
 
     def adjacency(self) -> np.ndarray:
         """The symmetric 0/1 float64 matrix: the keys scattered into the

@@ -7,14 +7,17 @@ thread as its boolean matrix, seeded ``base_seed + replicate_index`` so
 reruns and cross-``n`` comparisons pair up exactly, and hands stage 1 of the
 eigensolve of that replicate's float64 matrices to one worker thread, the
 lane.  Per replicate k, in the calling thread: draw graph k + 1 while the
-lane reduces graph k; wait for that stage 1, which frees graph k's matrix;
-build graph k + 1's float64 matrix (``A / n``, one pass from the boolean
-matrix) and hand it to the lane; then finish replicate k (stage 2, the fits,
-the selection and the record) while the lane reduces k + 1.  So one float64
-``n x n`` matrix is alive at a time, and the next graph exists only as its
-boolean matrix during stage 1.  Reports split into a deterministic JSON part
-(config, records, aggregates) and a CSV part that additionally carries
-wall-clock timings.
+lane reduces graph k; wait for that stage 1, which is done with graph k's
+matrix; write graph k + 1's float64 matrix (``A / n``, from the boolean
+matrix) over it and hand it to the lane; then finish replicate k (stage 2,
+the fits, the selection and the record) while the lane reduces k + 1.  So
+one float64 ``n x n`` matrix is alive at a time, and the next graph exists
+only as its boolean matrix during stage 1.  That matrix holds only what
+stage 1 reads, the upper triangle of the rows, written in row blocks on
+``lazy_zeros`` pages: the pages of the other triangle never become
+resident, and a graph of the same size as the last reuses its pages.
+Reports split into a deterministic JSON part (config, records, aggregates)
+and a CSV part that additionally carries wall-clock timings.
 """
 
 from __future__ import annotations
@@ -43,11 +46,14 @@ from .spaces import (
     harmonic_basis,
 )
 from .spectral import (
+    _BLOCK,
     Band,
+    Triangle,
     as_spectrum,
     band_spectrum,
     check_dense_size,
     delta2,
+    lazy_zeros,
     operator_norm,
     reduce_to_band,
 )
@@ -227,16 +233,37 @@ def _scaled(adjacency) -> np.ndarray:
     return np.divide(a, a.shape[0])
 
 
-def _reduce(matrices: list, seconds: float = 0.0) -> tuple[list[Band], float]:
-    """Stage 1 of a replicate: each matrix popped in turn from the list
-    ``matrices`` and reduced to band form by ``reduce_to_band``, which
-    overwrites it; returns the bands and ``seconds`` plus the seconds taken.
-    Popping a matrix leaves no reference to it once its band is taken, even
-    in a worker thread's task."""
+def _triangle(n: int, spent: list, fill) -> Triangle:
+    """A ``Triangle`` of ``n`` rows: ``fill(block, out)`` writes
+    ``out = m[block]`` for each ``block`` of ``_BLOCK`` rows from the
+    diagonal on, so the upper triangle of the rows is written and, of the
+    other, only the diagonal blocks.  The matrix is the last of the list
+    ``spent`` (matrices stage 1 is done with) if that has ``n`` rows, else a
+    new ``lazy_zeros`` one, once ``spent`` is emptied."""
+    if spent and spent[-1].shape[0] != n:
+        spent.clear()
+    m = spent.pop() if spent else lazy_zeros(n)
+    scale = 0.0
+    for lo in range(0, n, _BLOCK):
+        block = np.s_[lo : lo + _BLOCK, lo:]
+        out = m[block]
+        fill(block, out)
+        scale = max(scale, float(out.max()), -float(out.min()))
+    return Triangle(m, scale)
+
+
+def _reduce(triangles: list, spent: list, seconds: float = 0.0) -> tuple[list[Band], float]:
+    """Stage 1 of a replicate: each ``Triangle`` popped in turn from the list
+    ``triangles`` and reduced to band form by ``reduce_to_band``, which
+    overwrites it, then its matrix appended to ``spent`` for the next
+    replicate to write over.  Returns the bands and ``seconds`` plus the
+    seconds taken."""
     t0 = time.perf_counter()
     bands = []
-    while matrices:
-        bands.append(reduce_to_band(matrices.pop(0), overwrite=True))
+    while triangles:
+        m = triangles.pop(0)
+        bands.append(reduce_to_band(m))
+        spent.append(m.matrix)
     return bands, seconds + time.perf_counter() - t0
 
 
@@ -254,12 +281,16 @@ def _fit_band(band: Band, reduce_seconds: float, basis: HarmonicBasis,
     return spectrum, estimates, result, (reduce_seconds + t1 - t0, t2 - t1, t3 - t2)
 
 
-def fit_graph(adjacency: np.ndarray, basis: HarmonicBasis, config: AdaptConfig) -> tuple:
-    """Spectrum of ``adjacency / n``, the staircase fit at every candidate
+def fit_graph(graph, basis: HarmonicBasis, config: AdaptConfig) -> tuple:
+    """Spectrum of ``A / n``, the staircase fit at every candidate
     resolution and the Goldenshluger-Lepski selection, as ``(spectrum,
-    estimates, result)``.  ``adjacency`` is a boolean or a float64 0/1
-    matrix; a float64 one is consumed: it is divided by ``n`` in place (bit
-    for bit ``adjacency / n``) and the solver overwrites it.
+    estimates, result)``.  ``graph`` is the adjacency matrix ``A``, boolean
+    or float64 0/1, or the ``Triangle`` of ``A / n``, such as
+    ``EdgeListData.triangle()`` writes: the upper triangle of the rows
+    alone, the only part stage 1 reads, on pages that become resident only
+    where written.  A matrix is checked for finite entries and symmetry
+    (``reduce_to_band``); a float64 one is consumed: it is divided by ``n``
+    in place (bit for bit ``A / n``) and the solver overwrites it.
 
     The chain is two halves: stage 1 of the solve (``reduce_to_band``), then
     stage 2 (``band_spectrum``), the fits and the selection.  ``run_experiment``
@@ -269,7 +300,8 @@ def fit_graph(adjacency: np.ndarray, basis: HarmonicBasis, config: AdaptConfig) 
     this module looks them up by (``fit_all_resolutions``,
     ``select_resolution``).
     """
-    (band,), _ = _reduce([_scaled(adjacency)])
+    band = reduce_to_band(graph if isinstance(graph, Triangle) else _scaled(graph),
+                          overwrite=True)
     spectrum, estimates, result, _ = _fit_band(band, 0.0, basis, config)
     return spectrum, estimates, result
 
@@ -308,17 +340,18 @@ def _replicates(space: LatentSpace, envelope: Envelope, base_seed: int, tasks, m
     each ``(n, rep)`` of ``tasks`` in turn, the graph seeded ``base_seed +
     rep`` and drawn in the calling thread as its boolean matrix, which
     ``dump(n, rep, adjacency)``, if given, receives; ``drawn.stage1`` is the
-    future of stage 1 of the float64 matrices ``matrices(latent,
-    adjacency)`` builds from it, on one worker thread, the lane.
+    future of stage 1 of the ``Triangle`` list ``matrices(latent, adjacency,
+    spent)`` writes from it (``_triangle``), on one worker thread, the lane.
 
     Graph k + 1 is drawn (and dumped) while the lane reduces graph k; its
-    float64 matrices are built only once that stage 1 has returned and freed
-    graph k's, and the caller settles replicate k while the lane reduces
-    k + 1.  So stage 1 alone sets the pace, and one replicate's float64
-    matrices are alive at a time: the next graph exists only as its boolean
-    matrix meanwhile.  A replicate whose graph cannot be drawn is yielded at
-    once, with a future that raises the error, before the next graph is
-    drawn."""
+    float64 matrices are written only once that stage 1 has returned, over
+    graph k's (``spent``) where the size is the same, and the caller settles
+    replicate k while the lane reduces k + 1.  So stage 1 alone sets the
+    pace, and one replicate's float64 matrices are alive at a time: the next
+    graph exists only as its boolean matrix meanwhile.  A replicate whose
+    graph cannot be drawn is yielded at once, with a future that raises the
+    error, before the next graph is drawn."""
+    spent = []  # the matrices of the last stage 1, appended on the lane
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="ngg-stage1") as lane:
         ahead = []  # (n, rep, drawn) of the replicate whose stage 1 is on the lane
         for n, rep in tasks:
@@ -337,10 +370,10 @@ def _replicates(space: LatentSpace, envelope: Envelope, base_seed: int, tasks, m
             # failed dump write, ends the run instead of becoming the replicate's
             if dump is not None:
                 dump(n, rep, a)
-            wait([d.stage1 for _, _, d in ahead])  # graph k's matrices freed
+            wait([d.stage1 for _, _, d in ahead])  # graph k's matrices spent
             t0 = time.perf_counter()
-            mats = matrices(latent, a)
-            stage1 = lane.submit(_reduce, mats, time.perf_counter() - t0)
+            mats = matrices(latent, a, spent)
+            stage1 = lane.submit(_reduce, mats, spent, time.perf_counter() - t0)
             del latent, a, mats  # the boolean matrix goes before the next is drawn
             yield from ahead
             ahead = [(n, rep, _Drawn(seed, stage1, edge_count, timing))]
@@ -391,10 +424,11 @@ def run_experiment(config: ExperimentConfig, dump=None) -> ExperimentReport:
     (``reduce_to_band``, the O(n^3) part) runs on the lane while the calling
     thread draws graph k + 1 and finishes replicate k - 1: stage 2, the
     fits, the selection and the record.  Graph k + 1 stays a boolean matrix
-    until that stage 1 has returned and freed graph k's float64 matrix, so
-    one float64 ``n x n`` matrix is alive at a time.  A stage 1 of at most
-    ``ONE_THREAD_MAX_N`` rows runs on one OpenBLAS thread, so the two threads
-    share two cores; the records are those of a serial loop.
+    until that stage 1 has returned; its ``A / n`` is then written over graph
+    k's float64 matrix, upper triangle only, so one float64 ``n x n`` matrix
+    is alive at a time and about half of its pages are resident.  A stage 1
+    of at most ``ONE_THREAD_MAX_N`` rows runs on one OpenBLAS thread, so the
+    two threads share two cores; the records are those of a serial loop.
     ``dump(n, rep, adjacency)``, if given, is called in the calling thread
     with each graph drawn, as its boolean matrix; an error it raises ends
     the run.  A failing replicate is recorded with its error message and
@@ -405,9 +439,13 @@ def run_experiment(config: ExperimentConfig, dump=None) -> ExperimentReport:
     # one record per (n, replicate), in sorted order whatever the order of n_values
     tasks = sorted({(n, rep) for n in config.n_values for rep in range(config.replicates)})
 
+    def matrices(latent, adjacency, spent):
+        n = latent.n
+        return [_triangle(n, spent, lambda block, out: np.divide(adjacency[block], n, out=out))]
+
     records, timings = [], []
     for n, rep, drawn in _replicates(config.space, config.envelope, config.base_seed, tasks,
-                                     lambda latent, a: [_scaled(a)], dump):
+                                     matrices, dump):
         try:
             record, timing = _one_replicate(config, basis, truth, n, rep, drawn)
         except Exception as exc:  # recorded, not swallowed
@@ -498,21 +536,26 @@ def concentration_check(envelope: Envelope, space: LatentSpace, n_values, replic
     of theta/n against the reference expansion, with log-log slope fits.
 
     The graphs are drawn by ``run_experiment``'s replicate loop, in the
-    calling thread.  Stage 1 of (A - theta)/n and of theta/n runs on the
-    lane; their spectra are taken in the calling thread.  The operator norm
-    is ``operator_norm`` of the band of (A - theta)/n, the larger of
-    |lambda_max| and |lambda_min|."""
+    calling thread.  The upper triangles of (A - theta)/n and of theta/n are
+    written in row blocks (``_triangle``) once theta is evaluated, and theta
+    is then freed; their stage 1 runs on the lane and their spectra are
+    taken in the calling thread.  The operator norm is ``operator_norm`` of
+    the band of (A - theta)/n, the larger of |lambda_max| and |lambda_min|."""
     n_values = tuple(int(n) for n in n_values)
     _check_run(n_values, replicates, seed)
     basis = harmonic_basis(space, TRUTH_DEGREE)
     truth = as_spectrum(spectrum_vector(true_coefficients(basis, envelope), basis.dims))
 
-    def matrices(latent, adjacency):
+    def matrices(latent, adjacency, spent):
+        n = latent.n
         theta = probability_matrix(latent, envelope)
-        diff = np.subtract(adjacency, theta)
-        diff /= latent.n
-        theta /= latent.n
-        return [diff, theta]
+
+        def diff(block, out):
+            np.subtract(adjacency[block], theta[block], out=out)
+            out /= n
+
+        return [_triangle(n, spent, diff),
+                _triangle(n, spent, lambda block, out: np.divide(theta[block], n, out=out))]
 
     op, sperr = {}, {}
     tasks = [(n, rep) for n in n_values for rep in range(replicates)]

@@ -10,6 +10,11 @@ gives ``dsyevd_2stage``'s bits while the trailing matrix fits one tile, and
 the same eigenvalues to round-off beyond it.  The LAPACK and BLAS routines
 are bound together or not at all (``_lapack``): without any one of them
 every solve is ``np.linalg.eigvalsh``.
+
+Stage 1 reads and writes only the upper triangle of the C-ordered rows
+(LAPACK's ``'L'`` triangle of the column-major matrix).  The matrices the
+program builds for it hold only that triangle, on ``lazy_zeros`` pages that
+become resident where they are written: about half of the ``8 n^2`` bytes.
 """
 
 from __future__ import annotations
@@ -18,10 +23,12 @@ import contextlib
 import ctypes
 import functools
 import math
+import mmap
 import os
 import threading
 from dataclasses import dataclass
 from decimal import Decimal
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,11 +38,13 @@ __all__ = [
     "ONE_THREAD_MAX_N",
     "Band",
     "Spectrum",
+    "Triangle",
     "as_spectrum",
     "band_spectrum",
     "check_dense_size",
     "eigenvalues_symmetric",
     "eigenvalues_tridiagonal",
+    "lazy_zeros",
     "operator_norm",
     "delta2",
     "reduce_to_band",
@@ -93,6 +102,17 @@ class Spectrum:
             return np.concatenate(([0.0], np.cumsum(self.values * self.values)))
 
 
+class Triangle(NamedTuple):
+    """A symmetric matrix as stage 1 reads it.  ``matrix`` is a C-ordered
+    float64 ``n x n`` array whose upper triangle of the rows stands for the
+    whole matrix; the rest is never read.  ``scale`` is the largest magnitude
+    of an entry.  The program writes its own matrices this way, on
+    ``lazy_zeros`` pages, for ``reduce_to_band``."""
+
+    matrix: np.ndarray
+    scale: float
+
+
 def _descending(v: np.ndarray) -> Spectrum:
     """The ``Spectrum`` of values already sorted descending, checked finite."""
     if not np.isfinite(v).all():
@@ -143,6 +163,19 @@ def check_dense_size(n: int, label) -> None:
             f"{label}: n = {n} nodes needs {gib:.1f} GiB for the dense "
             f"adjacency matrix, more than the {phys / 2**30:.1f} GiB of physical memory"
         )
+
+
+def lazy_zeros(n: int) -> np.ndarray:
+    """An ``n x n`` float64 zero matrix on an anonymous private ``mmap``,
+    whose pages become resident only where they are written.  numpy asks for
+    huge pages on its own large arrays, so writing one triangle of an
+    ``np.zeros`` matrix makes nearly every 2 MiB page of it resident; these
+    pages are 4 KiB where the platform lets ``madvise`` say so.  The map is
+    freed with the last array that views it."""
+    buf = mmap.mmap(-1, max(8 * n * n, 1), flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=np.float64, count=n * n).reshape(n, n)
 
 
 @functools.cache
@@ -297,7 +330,8 @@ def _symm(lapack, pn: int, pk: int, a22: np.ndarray, n: int, b: np.ndarray,
 
 def _sy2sb(lapack, m: np.ndarray, kd: int) -> np.ndarray:
     """The lower band, ``kd`` wide, of LAPACK's ``dsytrd_sy2sb('L')`` on the
-    column-major ``n x n`` matrix ``m``, which it destroys: the routine's
+    column-major ``n x n`` matrix ``m``, of which it reads and destroys only
+    the lower triangle (the upper one of the C-ordered rows): the routine's
     own calls, panel by panel of ``kd`` columns, but with ``_symm`` for its
     ``dsymm``.  Each panel below the band is QR-factored (``dgeqrf``), its
     band columns copied out, its reflectors made unit (``dlaset``) and
@@ -335,24 +369,49 @@ def _sy2sb(lapack, m: np.ndarray, kd: int) -> np.ndarray:
 
 
 def reduce_to_band(matrix, *, overwrite: bool = False) -> Band:
-    """Stage 1 of ``eigenvalues_symmetric``: the matrix checked and reduced
-    to band form by LAPACK's ``dsytrd_sy2sb`` call sequence (``_sy2sb``),
-    whose symmetric multiply runs in column tiles (``_symm``).  Where the
-    trailing matrix of every panel fits one tile (``n - kd <= _SYMM_TILE``,
-    so ``n <= 544`` with OpenBLAS's ``kd = 32``) the band is
-    ``dsytrd_sy2sb``'s bit for bit; beyond it the band differs at round-off
-    level.  This is the O(n^3) part of the solve, in BLAS-3 calls, and the
-    only one that reads the ``n x n`` matrix: once it returns, the matrix may
-    be freed.
+    """Stage 1 of ``eigenvalues_symmetric``: the matrix checked, then reduced
+    to band form by ``_reduce_triangle``.  A ``Triangle`` is reduced in place
+    unchecked: it holds one triangle, so it cannot be asymmetric.
 
-    The input is checked for finite entries and for symmetry to
+    An array is checked for finite entries and for symmetry to
     ``1e-10 * max|M_ij|`` in tiles, so the check allocates no ``n x n``
-    temporary.  By default the caller's array is left untouched and LAPACK
-    works in one C-ordered copy; with ``overwrite=True`` a C-contiguous,
-    writable float64 array is reduced in place and its contents are
-    destroyed (any other array is copied anyway).  LAPACK reads the upper
-    triangle of the rows.  A matrix whose largest entry is below 2^-485 or
-    above 2^485 is scaled first, as ``dsyevd_2stage`` does.
+    temporary.  Stage 1 reads only the upper triangle of the rows.  By
+    default the caller's array is left untouched and only that triangle is
+    copied, into a ``lazy_zeros`` matrix whose other pages never become
+    resident; with ``overwrite=True`` a C-contiguous, writable float64 array
+    is reduced in place and its contents are destroyed (any other array is
+    copied anyway).
+    """
+    if isinstance(matrix, Triangle):
+        return _reduce_triangle(*matrix)
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DomainError("matrix must be square")
+    scale, asym = _scale_and_asymmetry(m)
+    if asym > _SYM_TOL * max(scale, 1e-300):
+        raise DomainError("matrix is not symmetric")
+    if not (overwrite and m.flags.c_contiguous and m.flags.writeable):
+        n = m.shape[0]
+        upper = lazy_zeros(n)
+        for lo in range(0, n, _BLOCK):
+            upper[lo : lo + _BLOCK, lo:] = m[lo : lo + _BLOCK, lo:]
+        m = upper
+    return _reduce_triangle(m, scale)
+
+
+def _reduce_triangle(m: np.ndarray, scale: float) -> Band:
+    """Stage 1 of the C-ordered float64 ``n x n`` matrix of which only the
+    upper triangle of the rows is read, and destroyed: the symmetric matrix
+    that triangle stands for, reduced to band form by LAPACK's
+    ``dsytrd_sy2sb`` call sequence (``_sy2sb``), whose symmetric multiply
+    runs in column tiles (``_symm``).  ``scale`` is the largest magnitude of
+    an entry.  Where the trailing matrix of every panel fits one tile
+    (``n - kd <= _SYMM_TILE``, so ``n <= 544`` with OpenBLAS's ``kd = 32``)
+    the band is ``dsytrd_sy2sb``'s bit for bit; beyond it the band differs at
+    round-off level.  This is the O(n^3) part of the solve, in BLAS-3 calls,
+    and the only one that reads the ``n x n`` matrix: once it returns, the
+    matrix may be freed or refilled.  A matrix whose largest entry is below
+    2^-485 or above 2^485 is scaled first, as ``dsyevd_2stage`` does.
 
     A matrix of at most ``ONE_THREAD_MAX_N`` rows is reduced on one OpenBLAS
     thread, a larger one on the default pool, so the band depends on ``n``
@@ -362,15 +421,9 @@ def reduce_to_band(matrix, *, overwrite: bool = False) -> Band:
     several threads at once get the same bands as serial calls, while
     ``band_spectrum`` needs no lock.  If numpy's LAPACK lacks any of the
     routines of ``_lapack``, the whole spectrum is taken here by
-    ``np.linalg.eigvalsh`` (one-stage ``dsyevd``, which always copies and
-    reads the lower triangle).
+    ``np.linalg.eigvalsh`` (one-stage ``dsyevd``) of the transpose, whose
+    lower triangle is the rows' upper one.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError("matrix must be square")
-    scale, asym = _scale_and_asymmetry(m)
-    if asym > _SYM_TOL * max(scale, 1e-300):
-        raise DomainError("matrix is not symmetric")
     n = m.shape[0]
     if n <= 1:  # dsyevd_2stage's own shortcut
         return Band(None, eigenvalues=m.diagonal().copy())
@@ -378,15 +431,14 @@ def reduce_to_band(matrix, *, overwrite: bool = False) -> Band:
     if lapack is None:
         try:
             with _LAPACK_LOCK:
-                return Band(None, eigenvalues=np.linalg.eigvalsh(m))
+                return Band(None, eigenvalues=np.linalg.eigvalsh(m.T))
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             raise SolverError(f"eigenvalue computation failed: {exc}") from exc
-    if not (overwrite and m.flags.c_contiguous and m.flags.writeable):
-        m = np.array(m, order="C")  # float64 already
     sigma = 1.0
     if 0.0 < scale < _RMIN or scale > _RMAX:
         sigma = (_RMIN if scale < _RMIN else _RMAX) / scale
-        m *= sigma
+        for lo in range(0, n, _BLOCK):
+            m[lo : lo + _BLOCK, lo:] *= sigma
     # dsytrd_2stage's band width; a C-ordered symmetric matrix is its own
     # column-major transpose, so LAPACK's 'L' triangle is the rows' upper one
     kd = int(_fortran(lapack["ilaenv2stage"], 1, b"DSYTRD_2STAGE", b"N", n, -1, -1, -1))
@@ -439,7 +491,8 @@ def eigenvalues_symmetric(matrix, *, overwrite: bool = False) -> Spectrum:
     matrix fits one tile (``n - kd <= 512``), and its eigenvalues to
     round-off beyond it.  ``overwrite`` is ``reduce_to_band``'s: with
     ``overwrite=True`` a C-contiguous, writable float64 array is solved in
-    place and its contents are destroyed.
+    place and its contents are destroyed; without it only the upper triangle
+    of the rows is copied.
 
     Stage 1 runs under a module-wide lock, which also guards the
     process-wide pin of OpenBLAS to one thread while a matrix of at most

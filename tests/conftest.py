@@ -1,3 +1,7 @@
+import mmap
+import types
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -51,6 +55,26 @@ def fail_lapack():
         patch.setattr(ngg.spectral, "_fortran", failing)
 
     return fail
+
+
+@pytest.fixture
+def mapped(monkeypatch):
+    """``mapped(size)``: how many of the maps ``ngg.spectral.lazy_zeros``
+    made during the test, of at least ``size`` bytes, are still alive.
+    ``tracemalloc`` does not see these buffers, so a memory test counts them
+    here."""
+    maps = []
+
+    def recorded(*args, **kwargs):
+        buf = mmap.mmap(*args, **kwargs)
+        maps.append(weakref.ref(buf))
+        return buf
+
+    shim = types.SimpleNamespace(**{k: getattr(mmap, k) for k in dir(mmap)
+                                    if not k.startswith("__")})
+    shim.mmap = recorded
+    monkeypatch.setattr(ngg.spectral, "mmap", shim)
+    return lambda size: sum(1 for ref in maps if (buf := ref()) is not None and len(buf) >= size)
 
 
 @pytest.fixture(scope="session")

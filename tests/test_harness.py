@@ -154,10 +154,11 @@ def test_replicate_failing_in_stage_1_or_the_fit_is_recorded(monkeypatch, step):
     assert [records[i] for i in (0, 2, 3)] == [clean[i] for i in (0, 2, 3)]
 
 
-def _float_matrices_at_each_draw(monkeypatch, n, run):
-    """``run()`` under ``tracemalloc``: its result, the number of traced
-    blocks of at least ``8 n^2`` bytes (a float64 ``n x n`` matrix) alive
-    when each ``generate_graph`` call returns, and the traced peak, which
+def _float_matrices_at_each_draw(monkeypatch, mapped, n, run):
+    """``run()`` under ``tracemalloc``: its result, the number of float64
+    ``n x n`` matrices alive when each ``generate_graph`` call returns (traced
+    blocks of at least ``8 n^2`` bytes, plus the ``lazy_zeros`` maps of that
+    size, which ``tracemalloc`` does not see), and the traced peak, which
     leaves out the snapshots' own allocations."""
     import ngg.harness
 
@@ -167,7 +168,8 @@ def _float_matrices_at_each_draw(monkeypatch, n, run):
         a = _generate(*args)
         peaks.append(tracemalloc.get_traced_memory()[1])
         snapshot = tracemalloc.take_snapshot()
-        counts.append(sum(1 for trace in snapshot.traces if trace.size >= 8 * n * n))
+        counts.append(sum(1 for trace in snapshot.traces if trace.size >= 8 * n * n)
+                      + mapped(8 * n * n))
         del snapshot
         tracemalloc.reset_peak()
         return a
@@ -182,22 +184,22 @@ def _float_matrices_at_each_draw(monkeypatch, n, run):
     return result, counts, max(peaks)
 
 
-def test_run_experiment_holds_one_graph_matrix_at_a_time(monkeypatch):
+def test_run_experiment_holds_one_graph_matrix_at_a_time(monkeypatch, mapped):
     # graph k + 1 is drawn while the lane reduces graph k, as a boolean
-    # matrix: when it is drawn, at most graph k's float64 matrix is alive, and
-    # the traced peak (one matrix, the boolean one and a generation block's
-    # temporaries) stays below the two float64 matrices alive at once would
-    # pass
+    # matrix: when it is drawn, graph k's float64 matrix, mapped by
+    # lazy_zeros and written over by every later graph, is the only one
+    # alive, and the traced peak (the boolean matrix and a generation
+    # block's temporaries) stays below one float64 matrix
     n = 1000
     config = _config(n_values=(n,), replicates=3, envelope=ngg.builtin_envelope(5))
     report, counts, peak = _float_matrices_at_each_draw(
-        monkeypatch, n, lambda: ngg.run_experiment(config))
+        monkeypatch, mapped, n, lambda: ngg.run_experiment(config))
     assert all("error" not in rec for rec in report.records)
-    assert len(counts) == 3 and max(counts) <= 1
-    assert peak < 2 * 8 * n * n
+    assert counts == [0, 1, 1]
+    assert peak < 8 * n * n
 
 
-def test_dump_holds_one_graph_matrix_at_a_time(monkeypatch, tmp_path):
+def test_dump_holds_one_graph_matrix_at_a_time(monkeypatch, mapped, tmp_path):
     # the dump writes each boolean graph as it is drawn, with no n x n
     # temporary of its own
     n = 1000
@@ -207,11 +209,11 @@ def test_dump_holds_one_graph_matrix_at_a_time(monkeypatch, tmp_path):
         write_edge_list(tmp_path / f"d{rep}.txt", adjacency, config.space)
 
     report, counts, peak = _float_matrices_at_each_draw(
-        monkeypatch, n, lambda: ngg.run_experiment(config, dump=dump))
+        monkeypatch, mapped, n, lambda: ngg.run_experiment(config, dump=dump))
     assert all("error" not in rec for rec in report.records)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d0.txt", "d1.txt", "d2.txt"]
-    assert len(counts) == 3 and max(counts) <= 1
-    assert peak < 2 * 8 * n * n
+    assert counts == [0, 1, 1]
+    assert peak < 8 * n * n
 
 
 def test_dump_gets_each_drawn_graph_once_in_the_calling_thread():
@@ -299,17 +301,29 @@ def test_failed_draw_is_settled_in_order_and_the_run_goes_on(monkeypatch):
     assert [records[i] for i in (0, 2, 3)] == [clean[i] for i in (0, 2, 3)]
 
 
-def test_concentration_holds_one_replicate_at_a_time():
+def test_concentration_holds_one_replicate_at_a_time(monkeypatch, mapped):
     # (A - theta)/n and theta/n are reduced in place on the lane, theta is
-    # evaluated in blocks, and the next graph waits for both reductions
+    # evaluated in blocks, and the next graph waits for both reductions:
+    # when it is drawn, the previous graph's two mapped matrices are the
+    # only ones alive, and the next graph writes over them
+    import ngg.harness
+
     n = 1000
+    alive = []
+
+    def generate(*args, _generate=ngg.harness.generate_graph):
+        alive.append(mapped(8 * n * n))
+        return _generate(*args)
+
+    monkeypatch.setattr(ngg.harness, "generate_graph", generate)
     tracemalloc.start()
     try:
         ngg.concentration_check(ngg.builtin_envelope(5), ngg.sphere(3), (n,),
-                                replicates=2, seed=0)
+                                replicates=3, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert alive == [0, 2, 2]
     assert peak <= 4.0 * 8 * n * n
 
 
@@ -440,6 +454,20 @@ def test_fit_graph_consumes_its_input():
     assert np.array_equal(graph, kept)
     assert [f.stage_values.tobytes() for f in bool_fits.values()] == \
         [f.stage_values.tobytes() for f in fits.values()]
+
+
+def test_fit_graph_of_an_edge_list_triangle_is_the_matrix_fit(tmp_path):
+    # estimate's path: A / n written as the keys' triangle alone
+    graph = _graph(ngg.sphere(3), ngg.builtin_envelope(5), 300, 4)
+    write_edge_list(tmp_path / "g.txt", graph, ngg.sphere(3))
+    basis, config = ngg.harmonic_basis(ngg.sphere(3), 3), ngg.AdaptConfig(n=300, r_max=3)
+    spectrum, fits, result = ngg.fit_graph(graph, basis, config)
+    triangle = ngg.edgelist.read_edge_list(tmp_path / "g.txt").triangle()
+    got_spectrum, got_fits, got_result = ngg.fit_graph(triangle, basis, config)
+    assert got_spectrum.values.tobytes() == spectrum.values.tobytes()
+    assert [f.stage_values.tobytes() for f in got_fits.values()] == \
+        [f.stage_values.tobytes() for f in fits.values()]
+    assert got_result.rows == result.rows
 
 
 def test_record_edge_count_is_the_graphs():

@@ -365,6 +365,49 @@ def test_untiled_stage_one_is_dsytrd_sy2sb_bit_for_bit(n, monkeypatch):
     assert band.ab.tobytes() == oracle.tobytes()
 
 
+# n = 300: every trailing matrix in one dsymm; 1500: tiled, on one thread;
+# 2049: tiled, on the default pool
+@pytest.mark.parametrize("n", [300, 1500, 2049])
+def test_stage_one_reads_only_its_triangle(n):
+    # NaN below the diagonal of the rows: a read of it would reach the band;
+    # band and spectrum are those of the whole symmetric matrix, bit for bit
+    rng = np.random.default_rng(n)
+    upper = np.triu(rng.random((n, n)) < 0.3, 1)
+    m = (upper | upper.T).astype(float) / n
+    whole = ngg.spectral.reduce_to_band(m.copy(), overwrite=True)  # reduced in place
+    half = ngg.spectral.lazy_zeros(n)
+    half[...] = np.where(np.tri(n, k=-1, dtype=bool), np.nan, m)
+    band = ngg.spectral.reduce_to_band(ngg.spectral.Triangle(half, 1.0 / n))
+    assert band.ab.tobytes() == whole.ab.tobytes()
+    spectrum = ngg.spectral.band_spectrum(band).values
+    assert spectrum.tobytes() == ngg.spectral.band_spectrum(whole).values.tobytes()
+    # the checked entry copies only that triangle of the caller's matrix
+    copied = ngg.spectral.reduce_to_band(m)
+    assert copied.ab.tobytes() == whole.ab.tobytes()
+
+
+def test_lazy_zeros_is_a_writable_float64_zero_matrix():
+    for n in (0, 1, 2, 700):
+        m = ngg.spectral.lazy_zeros(n)
+        assert m.shape == (n, n) and m.dtype == np.float64 and m.flags.c_contiguous
+        assert m.flags.writeable and not m.any()
+    m[3, 699] = 2.0
+    assert m.sum() == 2.0
+
+
+def test_triangle_of_a_badly_scaled_matrix_is_scaled_as_dsyevd_2stage_does():
+    # the scaling multiplies the triangle alone; the NaN below it stays unread
+    n = 65
+    a = np.random.default_rng(3).standard_normal((n, n))
+    m = (a + a.T) * (2.0**-600 / 2)
+    whole = ngg.spectral.reduce_to_band(m)
+    half = ngg.spectral.lazy_zeros(n)
+    half[...] = np.where(np.tri(n, k=-1, dtype=bool), np.nan, m)
+    band = ngg.spectral.reduce_to_band(ngg.spectral.Triangle(half, float(np.max(np.abs(m)))))
+    assert band.sigma == whole.sigma != 1.0
+    assert band.ab.tobytes() == whole.ab.tobytes()
+
+
 @st.composite
 def _tiled_graphs(draw):
     """A tile width of the symmetric multiply and a graph's ``A / n`` of up
@@ -512,6 +555,19 @@ def test_fallback_is_eigvalsh(rng, monkeypatch):
     assert np.array_equal(ngg.spectral.band_spectrum(band).values, np.linalg.eigvalsh(m)[::-1])
     vals = ngg.eigenvalues_symmetric(m, overwrite=True).values
     assert np.array_equal(vals, np.linalg.eigvalsh(m)[::-1])
+
+
+def test_fallback_reads_only_the_triangle(monkeypatch):
+    # eigvalsh of the transpose reads the rows' upper triangle: the bits of
+    # eigvalsh on the whole symmetric matrix
+    monkeypatch.setattr(ngg.spectral, "_lapack", lambda: None)
+    n = 100
+    a = np.random.default_rng(6).standard_normal((n, n))
+    m = (a + a.T) / 2
+    half = ngg.spectral.lazy_zeros(n)
+    half[...] = np.where(np.tri(n, k=-1, dtype=bool), np.nan, m)
+    band = ngg.spectral.reduce_to_band(ngg.spectral.Triangle(half, float(np.max(np.abs(m)))))
+    assert band.eigenvalues.tobytes() == np.linalg.eigvalsh(m).tobytes()
 
 
 @pytest.mark.parametrize("hidden", [f"{name}_" for name in ngg.spectral._ROUTINES])
