@@ -10,7 +10,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError
-from .estimator import MAX_RESOLUTION, SpectrumEstimate, estimate_vector, fit_resolution
+from .estimator import MAX_RESOLUTION, SpectrumEstimate, _fit_resolutions, estimate_vector
 from .model import Envelope
 from .spaces import HarmonicBasis
 from .spectral import Spectrum, as_spectrum, delta2
@@ -76,8 +76,9 @@ def fit_all_resolutions(
     spectrum, basis: HarmonicBasis, config: AdaptConfig
 ) -> dict[int, SpectrumEstimate]:
     """Staircase fits for every resolution on the candidate grid, all from
-    one sort of the spectrum and one set of its prefix sums.  The spectrum
-    must hold ``config.n`` values, the size the penalty is priced at."""
+    one sort of the spectrum and one set of its prefix sums, in as few DP
+    passes as the fit's cost chunk allows.  The spectrum must hold
+    ``config.n`` values, the size the penalty is priced at."""
     if config.r_max > basis.max_degree:
         raise DomainError(
             f"r_max = {config.r_max} exceeds basis max_degree {basis.max_degree}"
@@ -90,7 +91,8 @@ def fit_all_resolutions(
     spectrum = as_spectrum(spectrum)
     if spectrum.n != config.n:
         raise DomainError(f"spectrum has {spectrum.n} values, config.n = {config.n}")
-    return {r: fit_resolution(spectrum, basis, r) for r in resolution_grid(config)}
+    grid = tuple(resolution_grid(config))
+    return dict(zip(grid, _fit_resolutions(spectrum, basis, grid)))
 
 
 def _expansions(

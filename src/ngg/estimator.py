@@ -6,18 +6,23 @@ At resolution ``R`` the model spectrum consists of one stage value per degree
 in least squares reduces to choosing an ordering of the ``R + 2`` blocks
 (degree blocks plus the zero block) over contiguous runs of the sorted
 eigenvalues; the optimal stage value of each degree block is the mean of its
-run.  ``fit_resolution`` finds the best ordering with a Bellman/Held-Karp
-dynamic program over subsets of blocks, ``O(2^(R+2) (R+2))`` steps instead of
-scoring all ``(R + 2)!`` orderings.  The DP runs in numpy one popcount level
-at a time, over a per-block-count table of subset transitions built once per
-process, so ``R`` is capped at ``MAX_RESOLUTION``.
+run.  The fit finds the best ordering with a Bellman/Held-Karp dynamic
+program over subsets of blocks, ``O(2^(R+2) (R+2))`` steps instead of scoring
+all ``(R + 2)!`` orderings.
+
+The DP runs in numpy one popcount level at a time, in one private core that
+fits a tuple of resolutions: ``fit_resolution`` runs it on ``(r,)`` and
+``adapt.fit_all_resolutions`` on its grid.  Consecutive resolutions whose
+transitions fit one cost chunk share a pass, whose levels serve all of them,
+so the grid 1..6 runs 8 levels, not the 33 of one DP per resolution.  A pass's
+tables are built once per block dimensions and resolutions, so ``R`` is
+capped at ``MAX_RESOLUTION``.
 
 Every run cost reads prefix sums of the sorted values and of their squares,
 which a ``Spectrum`` carries; every fit and ``score_ordering`` accept one in
-place of a raw spectrum, so ``fit_all_resolutions`` prepares the spectrum
-once for all resolutions.  One helper holds the run-mean and run-cost
-formula for the DP and for ``score_ordering``, which scores one ordering;
-the exhaustive search over all orderings is kept in the tests as the oracle.
+place of a raw spectrum.  One helper holds the run-mean and run-cost formula
+for the DP and for ``score_ordering``, which scores one ordering; with the
+exhaustive search over all orderings in the tests, it is the DP's oracle.
 """
 
 from __future__ import annotations
@@ -45,8 +50,8 @@ __all__ = [
 ZERO_BLOCK = -1  # ordering symbol for the zero block
 
 # Largest resolution fitted.  The DP over R + 2 blocks holds 2^(R+2) states and
-# (R + 2) 2^(R+1) transitions: at R = 16 its cached table takes about 16 MB,
-# and one fit about 0.1 s and 40 MB of temporaries; each step up doubles all.
+# (R + 2) 2^(R+1) transitions: at R = 16 its cached pass takes about 14 MB, and
+# one fit about 0.06 s and 27 MB of temporaries; each step up doubles all.
 MAX_RESOLUTION = 16
 
 _COST_CHUNK = 1 << 16  # transitions costed per numpy pass, to bound temporaries
@@ -65,6 +70,19 @@ def _run_costs(spec: Spectrum, starts, ends, zero):
     run_sq = spec.s2[ends] - spec.s2[starts]
     div = np.where(zero, 1, ends - starts)
     return run_sum / div, np.where(zero, run_sq, run_sq - run_sum * run_sum / div)
+
+
+def _read_runs(ordering, means, costs):
+    """Stage values and score of ``ordering`` from the means and costs of its
+    runs, in ordering order: each degree's stage is its run's mean, and the
+    score is the costs summed from the first run on."""
+    stages = np.zeros(len(ordering) - 1)
+    score = 0.0
+    for sym, mean, cost in zip(ordering, means, costs):
+        if sym != ZERO_BLOCK:
+            stages[sym] = mean
+        score += cost
+    return stages, max(score, 0.0)
 
 
 def score_ordering(spectrum, ordering, dims):
@@ -90,51 +108,72 @@ def score_ordering(spectrum, ordering, dims):
     ends = np.cumsum([lengths[sym] for sym in ordering])
     starts = np.concatenate(([0], ends[:-1]))
     means, costs = _run_costs(spec, starts, ends, np.equal(ordering, ZERO_BLOCK))
-    stages = np.zeros(r + 1)
-    score = 0.0
-    for sym, mean, cost in zip(ordering, means.tolist(), costs.tolist()):
-        if sym != ZERO_BLOCK:
-            stages[sym] = mean
-        score += cost
-    return stages, max(score, 0.0)
+    return _read_runs(ordering, means.tolist(), costs.tolist())
 
 
-@dataclass(frozen=True)
-class _SubsetLevels:
-    """Transitions of the subset DP over ``m`` blocks.  Transition ``j`` takes
-    block ``bit[j]`` out of a set and leaves the set ``pred[j]``; the
-    transitions of each set are stored together, in ascending ``bit``, from
-    ``row_start[set]`` on, and ``levels`` lists, per popcount ``k = 1..m``, the
-    sets of that size and the slice of their ``k``-wide rows."""
+def _passes(rs):
+    """Ascending resolutions in passes: consecutive ones while their
+    transitions fit one cost chunk."""
+    passes, size = [], _COST_CHUNK
+    for r in rs:
+        size += (r + 2) << (r + 1)
+        if size > _COST_CHUNK:
+            passes.append(())
+            size = (r + 2) << (r + 1)
+        passes[-1] += (r,)
+    return passes
 
-    bit: np.ndarray
-    pred: np.ndarray
-    row_start: np.ndarray
-    levels: tuple
 
+# keyed by the block dimensions and the resolutions: enough for every pass of
+# one basis's grid and every single resolution of it
+@functools.lru_cache(maxsize=MAX_RESOLUTION + 2)
+def _pass(dims: tuple, rs: tuple):
+    """Spectrum-independent tables ``(blk, pred, first_c, first_n, levels)``
+    of the subset DP of the ascending resolutions ``rs``.
 
-@functools.lru_cache(maxsize=None)  # at most MAX_RESOLUTION + 2 entries
-def _subset_levels(m: int) -> _SubsetLevels:
-    sets = np.arange(1 << m)
-    member = np.zeros((1 << m, m), dtype=bool)
-    for i in range(m):
-        member[:, i] = sets >> i & 1
-    count = member.sum(axis=1)
-    bits, preds, levels = [], [], []
-    row_start = np.zeros(1 << m, dtype=np.intp)
-    off = 0
-    for k in range(1, m + 1):
-        level = sets[count == k]
-        bit = np.nonzero(member[level])[1]  # row by row, ascending within a row
-        bits.append(bit.astype(np.int8))
-        preds.append((np.repeat(level, k) ^ (1 << bit)).astype(np.int32))
-        row_start[level] = off + k * np.arange(level.size)
-        levels.append((level, slice(off, off + k * level.size), k))
-        off += k * level.size
-    table = _SubsetLevels(np.concatenate(bits), np.concatenate(preds), row_start, tuple(levels))
-    for a in (table.bit, table.pred, table.row_start, *(lv[0] for lv in levels)):
+    Resolution ``r`` has ``r + 2`` blocks: bit 0 of a block set is its zero
+    block, entry ``rs.index(r)`` of the pass's block table, and bit ``i > 0``
+    is degree ``i - 1``, entry ``len(rs) + i - 1``.  The states, every block
+    set of every resolution, are numbered by popcount, then resolution, then
+    set: ``levels[k]`` is the first state, the first transition and the
+    number of states of popcount ``k``, and each state owns ``k`` consecutive
+    transitions, one per member block in ascending bit.  Transition ``j``
+    takes entry ``blk[j]`` out of its state and leaves state ``pred[j]``.  A
+    state's set fills the last positions of the sorted spectrum from
+    ``first_c + n * first_n`` on."""
+    ms = [r + 2 for r in rs]
+    blk = np.empty(sum(m << (m - 1) for m in ms), dtype=np.int8)
+    pred = np.empty(blk.size, dtype=np.int32)
+    first_c = np.empty(sum(1 << m for m in ms), dtype=np.int64)
+    first_n = np.empty(first_c.size, dtype=bool)
+    per = []  # each resolution's table entries, sets, members, popcounts, firsts at n = 0, states
+    for z, (r, m) in enumerate(zip(rs, ms)):
+        sets = np.arange(1 << m)
+        member = np.zeros((1 << m, m), dtype=bool)
+        first = np.zeros(1 << m, dtype=np.int64)
+        for i, ln in enumerate((-sum(dims[: r + 1]), *dims[: r + 1])):  # lengths at n = 0
+            member[:, i] = sets >> i & 1
+            first[1 << i : 2 << i] = first[: 1 << i] - ln
+        per.append((np.array([z, *range(len(rs), len(rs) + r + 1)]), sets, member,
+                    member.sum(axis=1, dtype=np.int8), first, np.empty(1 << m, dtype=np.int32)))
+    levels, s, t = [], 0, 0
+    for k in range(max(ms) + 1):
+        s0, t0 = s, t
+        for entry, sets, member, count, first, state in per:
+            level = sets[count == k]
+            state[level] = np.arange(s, s + level.size)
+            first_c[s : s + level.size] = first[level]
+            first_n[s : s + level.size] = level & 1 == 0  # the zero block is not in the set
+            s += level.size
+            if k:
+                bit = np.nonzero(member[level])[1]  # row by row, ascending within a row
+                blk[t : t + bit.size] = entry[bit]
+                pred[t : t + bit.size] = state[np.repeat(level, k) ^ (1 << bit)]
+                t += bit.size
+        levels.append((s0, t0, s - s0))
+    for a in (blk, pred, first_c, first_n):
         a.setflags(write=False)
-    return table
+    return blk, pred, first_c, first_n, tuple(levels)
 
 
 @dataclass(frozen=True)
@@ -147,72 +186,105 @@ class SpectrumEstimate:
     score: float
 
 
-def fit_resolution(spectrum, basis: HarmonicBasis, r: int) -> SpectrumEstimate:
-    """Least-squares staircase fit at resolution ``r``, at most
-    ``MAX_RESOLUTION``.  ``spectrum`` may be a ``Spectrum``, which is used
-    without sorting again.
+def _fit_pass(spec: Spectrum, dims: tuple, rs: tuple) -> list[SpectrumEstimate]:
+    """The fits of the resolutions ``rs`` of one pass."""
+    blk_of, pred, first_c, first_n, levels = _pass(dims, rs)
+    n = spec.n
+    first = first_c + n * first_n
+    lengths = np.array([n - sum(dims[: r + 1]) for r in rs] + list(dims))  # the block table
+
+    # total[j] = cost of transition j's block on the run just before its
+    # remaining set's positions, plus G(remaining set); ``take`` gathers a
+    # chunk by int8 and int32 indices about three times faster than ``[]``
+    total = np.empty(pred.size)
+    for lo in range(0, total.size, _COST_CHUNK):
+        blk = blk_of[lo : lo + _COST_CHUNK]
+        ends = first.take(pred[lo : lo + _COST_CHUNK])
+        total[lo : lo + _COST_CHUNK] = _run_costs(spec, ends - lengths.take(blk), ends,
+                                                  blk < len(rs))[1]
+    best = np.zeros(first.size)
+    for k, (s, t, count) in enumerate(levels[1:], 1):
+        rows = slice(t, t + k * count)
+        total[rows] += best[pred[rows]]
+        best[s : s + count] = total[rows].reshape(-1, k).min(axis=1)
+
+    # The argmin block at each step has excess exactly 0.0, so some block
+    # always fits the remaining slack.
+    path, orderings = [], []
+    for r in rs:
+        state = levels[r + 2][0]  # the set of all r + 2 blocks
+        ordering, rest, slack = [], (1 << (r + 2)) - 1, 1e-12 * float(spec.s2[n])
+        while rest:
+            k = r + 2 - len(ordering)
+            s, t, _ = levels[k]
+            lo = t + k * (state - s)
+            row = total[lo : lo + k] - best[state]
+            members = (i for i in range(r + 2) if rest >> i & 1)
+            for j, (i, excess) in enumerate(zip(members, row.tolist())):
+                if excess <= slack:
+                    break
+            ordering.append(i - 1)  # bit 0 is the zero block, -1
+            path.append(lo + j)
+            slack -= excess
+            rest ^= 1 << i
+            state = int(pred[lo + j])
+        orderings.append(tuple(ordering))
+
+    # stages and score read off the path's runs, as score_ordering reads them
+    blk = blk_of[path]
+    ends = first[pred[path]]
+    means, costs = (a.tolist() for a in _run_costs(spec, ends - lengths[blk], ends,
+                                                   blk < len(rs)))
+    fits, at = [], 0
+    for r, ordering in zip(rs, orderings):
+        stages, score = _read_runs(ordering, means[at : at + r + 2], costs[at : at + r + 2])
+        fits.append(SpectrumEstimate(r=r, stage_values=stages, ordering=ordering, score=score))
+        at += r + 2
+    return fits
+
+
+def _fit_resolutions(spectrum, basis: HarmonicBasis, rs: tuple) -> list[SpectrumEstimate]:
+    """Least-squares staircase fits at the ascending resolutions ``rs``, each
+    at most ``MAX_RESOLUTION``, in as few DP passes as the cost chunk allows.
+    ``spectrum`` may be a ``Spectrum``, which is used without sorting again.
 
     ``G(T)``, the least cost of packing the block set ``T`` into the last
     ``|T|`` positions of the sorted spectrum, satisfies
     ``G(T) = min over b in T of cost(b, n - |T|) + G(T minus b)`` with
     ``G(empty) = 0``; the optimum is ``G(all blocks)``.  All transition costs
-    are computed in a few numpy passes, then ``G`` one set size at a time.
+    of a pass are computed in one numpy call (chunked above the cost chunk),
+    then ``G`` one set size at a time for every resolution of the pass.
 
     Tie rule: the returned ordering is the lexicographically first one (symbols
     compared as integers, the zero block ``-1`` first) whose score is within
     ``1e-12 * sum(v**2)`` of the minimum.  It is rebuilt from position 0,
     taking at each step the smallest remaining symbol that keeps the
     accumulated excess over the minimum within that tolerance.  Stage values
-    and score are those of ``score_ordering`` for the chosen ordering.
+    and score are read off the chosen ordering's runs, bit for bit those of
+    ``score_ordering``.
     """
-    if r < 0:
+    if rs[0] < 0:
         raise DomainError("resolution must be nonnegative")
-    if r > MAX_RESOLUTION:
-        raise DomainError(f"resolution {r} exceeds the largest supported {MAX_RESOLUTION}")
-    if r > basis.max_degree:
-        raise DomainError(f"resolution {r} exceeds basis max_degree {basis.max_degree}")
+    top = rs[-1]
+    if top > MAX_RESOLUTION:
+        raise DomainError(f"resolution {top} exceeds the largest supported {MAX_RESOLUTION}")
+    if top > basis.max_degree:
+        raise DomainError(f"resolution {top} exceeds basis max_degree {basis.max_degree}")
     spec = as_spectrum(spectrum)
-    n = spec.n
-    if n < basis.cum_dims[r]:
+    if spec.n < basis.cum_dims[top]:
         raise DomainError(
-            f"n = {n} is below the model dimension {basis.cum_dims[r]} at resolution {r}"
+            f"n = {spec.n} is below the model dimension {basis.cum_dims[top]} at resolution {top}"
         )
-    symbols = (ZERO_BLOCK, *range(r + 1))  # bit i of a block set is symbols[i]
-    lengths = np.array((n - basis.cum_dims[r], *basis.dims[: r + 1]), dtype=np.int64)
-    m = len(symbols)
-    table = _subset_levels(m)
-    size = np.zeros(1 << m, dtype=np.int64)  # total length of each block set
-    for i, ln in enumerate(lengths):
-        size[1 << i : 2 << i] = size[: 1 << i] + ln
+    dims = tuple(int(d) for d in basis.dims[: top + 1])
+    return [fit for group in _passes(rs) for fit in _fit_pass(spec, dims[: group[-1] + 1], group)]
 
-    # total[j] = cost of transition j's block on the run just before its
-    # remaining set's positions, plus G(remaining set)
-    total = np.empty(table.bit.size)
-    for lo in range(0, total.size, _COST_CHUNK):
-        bit = table.bit[lo : lo + _COST_CHUNK]
-        ends = n - size[table.pred[lo : lo + _COST_CHUNK]]
-        total[lo : lo + _COST_CHUNK] = _run_costs(spec, ends - lengths[bit], ends, bit == 0)[1]
-    best = np.zeros(1 << m)
-    for level, rows, k in table.levels:
-        total[rows] += best[table.pred[rows]]
-        best[level] = total[rows].reshape(-1, k).min(axis=1)
 
-    # The argmin symbol at each step has excess exactly 0.0, so some symbol
-    # always fits the remaining slack.
-    ordering, rest, slack = [], (1 << m) - 1, 1e-12 * float(spec.s2[n])
-    while rest:
-        lo, k = table.row_start[rest], m - len(ordering)
-        row = total[lo : lo + k] - best[rest]
-        candidates = (i for i in range(m) if rest >> i & 1)
-        for i, excess in zip(candidates, row.tolist()):
-            if excess <= slack:
-                break
-        ordering.append(symbols[i])
-        slack -= excess
-        rest ^= 1 << i
-    ordering = tuple(ordering)
-    stages, score = score_ordering(spec, ordering, basis.dims)
-    return SpectrumEstimate(r=r, stage_values=stages, ordering=ordering, score=score)
+def fit_resolution(spectrum, basis: HarmonicBasis, r: int) -> SpectrumEstimate:
+    """Least-squares staircase fit at resolution ``r``, at most
+    ``MAX_RESOLUTION``: the DP of ``_fit_resolutions`` on ``(r,)``, with its
+    tie rule.  ``spectrum`` may be a ``Spectrum``, which is used without
+    sorting again."""
+    return _fit_resolutions(spectrum, basis, (r,))[0]
 
 
 def spectrum_vector(values, dims) -> np.ndarray:

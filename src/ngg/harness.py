@@ -22,14 +22,11 @@ and a CSV part that additionally carries wall-clock timings.
 
 from __future__ import annotations
 
-import subprocess
 import time
 from collections import Counter
-from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from importlib import metadata
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -58,6 +55,9 @@ from .spectral import (
     reduce_to_band,
 )
 
+if TYPE_CHECKING:
+    from concurrent.futures import Future
+
 __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
@@ -77,10 +77,12 @@ _TRUTH_CHUNK = 8
 
 
 def build_identifier() -> str:
-    try:
-        version = metadata.version("ngg")
-    except metadata.PackageNotFoundError:
-        version = "unpackaged"
+    """``ngg-<__version__>+<git revision>``; ``subprocess`` is imported here,
+    where git runs, so that importing ``ngg`` does not load it."""
+    import subprocess
+
+    from . import __version__
+
     rev = "unknown"
     try:
         out = subprocess.run(
@@ -94,7 +96,7 @@ def build_identifier() -> str:
             rev = out.stdout.strip()
     except OSError:
         pass
-    return f"ngg-{version}+{rev}"
+    return f"ngg-{__version__}+{rev}"
 
 
 def _check_run(n_values, replicates: int, seed: int) -> None:
@@ -351,6 +353,8 @@ def _replicates(space: LatentSpace, envelope: Envelope, base_seed: int, tasks, m
     graph exists only as its boolean matrix meanwhile.  A replicate whose
     graph cannot be drawn is yielded at once, with a future that raises the
     error, before the next graph is drawn."""
+    from concurrent.futures import Future, ThreadPoolExecutor, wait
+
     spent = []  # the matrices of the last stage 1, appended on the lane
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="ngg-stage1") as lane:
         ahead = []  # (n, rep, drawn) of the replicate whose stage 1 is on the lane

@@ -721,6 +721,28 @@ def test_cli_module_entry_point(tmp_path):
     assert proc.stdout.startswith("degree,dim,coefficient")
 
 
+def test_import_leaves_single_path_modules_unloaded():
+    # the version comes from __version__, git runs only for the build string
+    # and a thread starts only for the replicate loop's stage-1 lane, so
+    # importing the CLI loads none of these modules: no command pays for them
+    code = ("import sys, ngg.cli; "
+            "loaded = [m for m in ('importlib.metadata', 'subprocess', 'concurrent.futures') "
+            "if m in sys.modules]; "
+            "assert not loaded, loaded")
+    env = {**os.environ, "PYTHONPATH": str(Path(ngg.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_build_names_the_pyproject_version():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(ngg.__file__).parents[2] / "pyproject.toml"
+    if not pyproject.is_file():
+        pytest.skip("not a source checkout")
+    version = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["version"]
+    assert version == ngg.__version__
+    assert ngg.harness.build_identifier().startswith(f"ngg-{version}+")
+
+
 # --- coefficient files, coefs --degree and CSV output ---------------------------------
 
 

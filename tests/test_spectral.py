@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ngg
+from ngg.edgelist import read_edge_list, write_edge_list
 from ngg.errors import DomainError
 
 _PERMS7 = np.array(list(itertools.permutations(range(7))))
@@ -436,6 +437,57 @@ def test_tiled_stage_one_keeps_the_spectrum(graph):
     assert abs(math.fsum(vals)) <= 1e-12
     want = 2 * edges / n**2
     assert abs(math.fsum(vals * vals) - want) <= 1e-12 * max(want, 1e-300)
+
+
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _triangle_count(a):
+    """Triangles of the 0/1 graph ``a``: the common neighbours of each edge,
+    counted on its two packed bit rows ANDed, summed over the edges and
+    divided by three, the edges of a triangle."""
+    rows = np.packbits(a != 0, axis=1)
+    i, j = np.nonzero(np.triu(a, 1))
+    popcount = getattr(np, "bitwise_count", _BYTE_BITS.__getitem__)  # numpy >= 2.0 has it
+    common = 0
+    for lo in range(0, i.size, 4096):
+        both = rows[i[lo : lo + 4096]] & rows[j[lo : lo + 4096]]
+        common += int(popcount(both).sum(dtype=np.int64))
+    assert common % 3 == 0
+    return common // 3
+
+
+def test_triangle_count_of_a_small_graph():
+    a = np.zeros((5, 5))
+    for i, j in ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (0, 4)):
+        a[i, j] = a[j, i] = 1.0
+    assert _triangle_count(a) == 3  # 012, 234, 024
+
+
+@pytest.mark.parametrize("build", ["matrix", "edge list"])
+@pytest.mark.parametrize("n", [300, 544, 545, 1100])
+def test_spectrum_cubes_count_the_triangles(n, build, tmp_path):
+    # sum(l^3) = trace((A / n)^3) = 6T / n^3, T the triangle count (closed
+    # walks of length 3): an entry written at the wrong place keeps sum(l)
+    # and sum(l^2) but moves this one.  n = 544 runs stage 1's single dsymm,
+    # 545 and up its 512-column tiles
+    a = ngg.generate_graph(ngg.sample_latent(ngg.sphere(3), n, n), ngg.builtin_envelope(5), n)
+    want = 6 * _triangle_count(a) / n**3
+    if build == "matrix":
+        vals = ngg.eigenvalues_symmetric(a / n).values
+    else:
+        write_edge_list(tmp_path / "g.txt", a, ngg.sphere(3))
+        band = ngg.spectral.reduce_to_band(read_edge_list(tmp_path / "g.txt").triangle())
+        vals = ngg.spectral.band_spectrum(band).values
+    # A backward-stable solve returns the exact eigenvalues of A/n + E with
+    # ||E||_2 <= n eps max|l|.  Then sum(l^3) moves by 3 trace((A/n)^2 E) +
+    # O(E^2), at most 3 sum(l^2) ||E||_2 <= 3 n^2 eps max|l|^3; the n cubes
+    # (two roundings each), their correctly rounded fsum and the division of
+    # want add at most (2n + 1) eps max|l|^3
+    big = float(np.max(np.abs(vals)))
+    tol = 3 * (n * n + n) * np.finfo(float).eps * big**3
+    cubes = math.fsum(vals * vals * vals)
+    assert abs(cubes - want) <= tol, (cubes, want, tol)
 
 
 def test_band_spectrum_is_the_same_on_one_and_two_threads():
