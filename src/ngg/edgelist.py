@@ -15,13 +15,13 @@ collapse, self-loops are dropped with a warning.
 Parsing is numpy's C reader plus in-place array operations.  A graph is kept
 as one sorted int64 key ``i * n + j`` per edge ``i < j`` (8 bytes an edge);
 ``EdgeListData.edges`` derives the ``(m, 2)`` pairs from the keys when read.
-``triangle()`` writes ``A / n`` as the eigensolve reads it, the keys' entries
-of the upper triangle of the rows, on pages that become resident only where
-written: the build holds about half of the matrix's ``8 n^2`` bytes plus the
-keys.  ``adjacency()`` builds the whole symmetric matrix, ``8 n^2`` bytes,
-with no index copies.  The reader refuses, before allocating it, a dense
-``n x n`` float64 matrix larger than the machine's physical memory; a
-declared ``N`` is checked before the data is read.
+``triangle()``, the one dense form of a graph read from a file, writes
+``A / n`` as the eigensolve reads it: the keys' entries of the upper
+triangle of the rows, scattered onto pages that become resident only where
+written, so the build holds about half of the matrix's ``8 n^2`` bytes plus
+the keys.  The reader refuses, before allocating it, a dense ``n x n``
+float64 matrix larger than the machine's physical memory; a declared ``N``
+is checked before the data is read.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError
 from .spaces import LatentSpace, parse_space
-from .spectral import _BLOCK, Triangle, check_dense_size, lazy_zeros
+from .spectral import Triangle, check_dense_size, lazy_zeros
 
 __all__ = ["EdgeListData", "read_edge_list", "read_header", "write_edge_list"]
 
@@ -63,23 +63,6 @@ class EdgeListData:
         m = lazy_zeros(self.n)
         m.reshape(-1)[self.keys] = value
         return Triangle(m, value if self.keys.size else 0.0)
-
-    def adjacency(self) -> np.ndarray:
-        """The symmetric 0/1 float64 matrix: the keys scattered into the
-        upper triangle, then mirrored one pair of ``_BLOCK x _BLOCK`` tiles at
-        a time, as ``spectral``'s symmetry check walks them, so the only
-        temporary is one tile."""
-        n = self.n
-        a = np.zeros((n, n))
-        a.reshape(-1)[self.keys] = 1.0
-        for lo in range(0, n, _BLOCK):
-            rows = slice(lo, lo + _BLOCK)
-            diagonal = a[rows, rows]
-            diagonal += diagonal.T  # its lower triangle is still 0
-            for lo2 in range(lo + _BLOCK, n, _BLOCK):
-                cols = slice(lo2, lo2 + _BLOCK)
-                a[cols, rows] = a[rows, cols].T
-        return a
 
 
 def write_edge_list(path, adjacency: np.ndarray, space: LatentSpace) -> None:

@@ -13,9 +13,10 @@ matrix) over it and hand it to the lane; then finish replicate k (stage 2,
 the fits, the selection and the record) while the lane reduces k + 1.  So
 one float64 ``n x n`` matrix is alive at a time, and the next graph exists
 only as its boolean matrix during stage 1.  That matrix holds only what
-stage 1 reads, the upper triangle of the rows, written in row blocks on
-``lazy_zeros`` pages: the pages of the other triangle never become
-resident, and a graph of the same size as the last reuses its pages.
+stage 1 reads, the upper triangle of the rows, written in row blocks
+(``write_triangle``) on ``lazy_zeros`` pages: the pages of the other
+triangle never become resident, and a graph of the same size as the last
+reuses its pages.
 Reports split into a deterministic JSON part (config, records, aggregates)
 and a CSV part that additionally carries wall-clock timings.
 """
@@ -43,16 +44,16 @@ from .spaces import (
     harmonic_basis,
 )
 from .spectral import (
-    _BLOCK,
     Band,
     Triangle,
     as_spectrum,
     band_spectrum,
     check_dense_size,
+    check_symmetric,
     delta2,
-    lazy_zeros,
     operator_norm,
     reduce_to_band,
+    write_triangle,
 )
 
 if TYPE_CHECKING:
@@ -114,14 +115,29 @@ def _check_run(n_values, replicates: int, seed: int) -> None:
 
 def true_coefficients(basis: HarmonicBasis, envelope: Envelope) -> np.ndarray:
     """Reference expansion of the envelope up to ``TRUTH_DEGREE``, cut short as
-    soon as a whole chunk of degrees carries weighted mass below the tail tolerance."""
+    soon as a whole chunk of degrees carries weighted mass below the tail
+    tolerance: by quadrature, but exactly ``known_coeffs`` (0.0 elsewhere) for
+    a constant or coefficient-file envelope, refused unless finite at t = +-1."""
     max_degree = min(TRUTH_DEGREE, basis.max_degree)
+    known = None
+    if envelope.known_coeffs is not None:
+        for t, value in zip((-1.0, 1.0), envelope(np.array([-1.0, 1.0]))):
+            if not np.isfinite(value):
+                raise DomainError(f"envelope is not finite at t = {t:.17g}")
+        known = np.zeros(max_degree + 1)
+        for ell, v in envelope.known_coeffs:
+            if ell <= max_degree:
+                known[ell] = v
+
+    def expansion(top):
+        return envelope_coefficients(basis, envelope, top) if known is None else known[: top + 1]
+
     top = min(_TRUTH_CHUNK, max_degree)
-    coeffs = envelope_coefficients(basis, envelope, top)
+    coeffs = expansion(top)
     while top < max_degree:
         lo = top + 1
         top = min(top + _TRUTH_CHUNK, max_degree)
-        coeffs = envelope_coefficients(basis, envelope, top)
+        coeffs = expansion(top)
         dims = np.asarray(basis.dims[lo : top + 1], dtype=float)
         if float(np.sum(dims * coeffs[lo:] ** 2)) < _TRUTH_TAIL_TOL:
             break
@@ -223,35 +239,11 @@ class ExperimentReport:
         write_csv(csv_path, header, rows)
 
 
-def _scaled(adjacency) -> np.ndarray:
-    """``adjacency / n`` as the float64 matrix stage 1 may overwrite: a
-    float64 matrix is divided in place (bit for bit ``adjacency / n``), any
-    other, such as the boolean matrix ``generate_graph`` draws, is converted
-    and divided in one pass, bit for bit ``adjacency.astype(float) / n``."""
-    a = np.asarray(adjacency)
-    if a.dtype == np.float64:
-        a /= a.shape[0]
-        return a
-    return np.divide(a, a.shape[0])
-
-
-def _triangle(n: int, spent: list, fill) -> Triangle:
-    """A ``Triangle`` of ``n`` rows: ``fill(block, out)`` writes
-    ``out = m[block]`` for each ``block`` of ``_BLOCK`` rows from the
-    diagonal on, so the upper triangle of the rows is written and, of the
-    other, only the diagonal blocks.  The matrix is the last of the list
-    ``spent`` (matrices stage 1 is done with) if that has ``n`` rows, else a
-    new ``lazy_zeros`` one, once ``spent`` is emptied."""
-    if spent and spent[-1].shape[0] != n:
-        spent.clear()
-    m = spent.pop() if spent else lazy_zeros(n)
-    scale = 0.0
-    for lo in range(0, n, _BLOCK):
-        block = np.s_[lo : lo + _BLOCK, lo:]
-        out = m[block]
-        fill(block, out)
-        scale = max(scale, float(out.max()), -float(out.min()))
-    return Triangle(m, scale)
+def _over_n(matrix: np.ndarray, spent: list) -> Triangle:
+    """The ``Triangle`` of ``matrix / n`` (``write_triangle`` over ``spent``),
+    bit for bit ``matrix.astype(float) / n`` of a boolean or float matrix."""
+    n = matrix.shape[0]
+    return write_triangle(n, lambda block, out: np.divide(matrix[block], n, out=out), spent)
 
 
 def _reduce(triangles: list, spent: list, seconds: float = 0.0) -> tuple[list[Band], float]:
@@ -290,9 +282,9 @@ def fit_graph(graph, basis: HarmonicBasis, config: AdaptConfig) -> tuple:
     or float64 0/1, or the ``Triangle`` of ``A / n``, such as
     ``EdgeListData.triangle()`` writes: the upper triangle of the rows
     alone, the only part stage 1 reads, on pages that become resident only
-    where written.  A matrix is checked for finite entries and symmetry
-    (``reduce_to_band``); a float64 one is consumed: it is divided by ``n``
-    in place (bit for bit ``A / n``) and the solver overwrites it.
+    where written, which the solver destroys.  A matrix is checked
+    (``check_symmetric``) and left as it is: its ``A / n`` is written into a
+    ``Triangle`` of its own (``_over_n``).
 
     The chain is two halves: stage 1 of the solve (``reduce_to_band``), then
     stage 2 (``band_spectrum``), the fits and the selection.  ``run_experiment``
@@ -302,8 +294,9 @@ def fit_graph(graph, basis: HarmonicBasis, config: AdaptConfig) -> tuple:
     this module looks them up by (``fit_all_resolutions``,
     ``select_resolution``).
     """
-    band = reduce_to_band(graph if isinstance(graph, Triangle) else _scaled(graph),
-                          overwrite=True)
+    if not isinstance(graph, Triangle):
+        graph = _over_n(check_symmetric(graph), [])
+    band = reduce_to_band(graph)
     spectrum, estimates, result, _ = _fit_band(band, 0.0, basis, config)
     return spectrum, estimates, result
 
@@ -343,7 +336,8 @@ def _replicates(space: LatentSpace, envelope: Envelope, base_seed: int, tasks, m
     rep`` and drawn in the calling thread as its boolean matrix, which
     ``dump(n, rep, adjacency)``, if given, receives; ``drawn.stage1`` is the
     future of stage 1 of the ``Triangle`` list ``matrices(latent, adjacency,
-    spent)`` writes from it (``_triangle``), on one worker thread, the lane.
+    spent)`` writes from it (``write_triangle``), on one worker thread, the
+    lane.
 
     Graph k + 1 is drawn (and dumped) while the lane reduces graph k; its
     float64 matrices are written only once that stage 1 has returned, over
@@ -440,16 +434,13 @@ def run_experiment(config: ExperimentConfig, dump=None) -> ExperimentReport:
     """
     basis = harmonic_basis(config.space, TRUTH_DEGREE)
     truth = true_coefficients(basis, config.envelope)
-    # one record per (n, replicate), in sorted order whatever the order of n_values
-    tasks = sorted({(n, rep) for n in config.n_values for rep in range(config.replicates)})
-
-    def matrices(latent, adjacency, spent):
-        n = latent.n
-        return [_triangle(n, spent, lambda block, out: np.divide(adjacency[block], n, out=out))]
-
     records, timings = [], []
+    # one record per (n, replicate), in sorted order whatever the order of
+    # n_values, walked lazily: a run holds no replicate ahead of the loop
+    tasks = ((n, rep) for n in sorted(config.n_values) for rep in range(config.replicates))
     for n, rep, drawn in _replicates(config.space, config.envelope, config.base_seed, tasks,
-                                     matrices, dump):
+                                     lambda latent, adjacency, spent: [_over_n(adjacency, spent)],
+                                     dump):
         try:
             record, timing = _one_replicate(config, basis, truth, n, rep, drawn)
         except Exception as exc:  # recorded, not swallowed
@@ -540,11 +531,12 @@ def concentration_check(envelope: Envelope, space: LatentSpace, n_values, replic
     of theta/n against the reference expansion, with log-log slope fits.
 
     The graphs are drawn by ``run_experiment``'s replicate loop, in the
-    calling thread.  The upper triangles of (A - theta)/n and of theta/n are
-    written in row blocks (``_triangle``) once theta is evaluated, and theta
-    is then freed; their stage 1 runs on the lane and their spectra are
-    taken in the calling thread.  The operator norm is ``operator_norm`` of
-    the band of (A - theta)/n, the larger of |lambda_max| and |lambda_min|."""
+    calling thread.  The upper triangles of (A - theta)/n and of theta/n
+    are written in row blocks (``write_triangle``) once theta is evaluated,
+    and theta is then freed; their stage 1 runs on the lane and their
+    spectra are taken in the calling thread.  The operator norm is
+    ``operator_norm`` of the band of (A - theta)/n, the larger of
+    |lambda_max| and |lambda_min|."""
     n_values = tuple(int(n) for n in n_values)
     _check_run(n_values, replicates, seed)
     basis = harmonic_basis(space, TRUTH_DEGREE)
@@ -558,11 +550,10 @@ def concentration_check(envelope: Envelope, space: LatentSpace, n_values, replic
             np.subtract(adjacency[block], theta[block], out=out)
             out /= n
 
-        return [_triangle(n, spent, diff),
-                _triangle(n, spent, lambda block, out: np.divide(theta[block], n, out=out))]
+        return [write_triangle(n, diff, spent), _over_n(theta, spent)]
 
     op, sperr = {}, {}
-    tasks = [(n, rep) for n in n_values for rep in range(replicates)]
+    tasks = ((n, rep) for n in n_values for rep in range(replicates))
     for n, rep, drawn in _replicates(space, envelope, seed, tasks, matrices):
         (diff, theta), _ = drawn.stage1.result()
         op[(n, rep)] = operator_norm(diff)

@@ -12,9 +12,10 @@ are bound together or not at all (``_lapack``): without any one of them
 every solve is ``np.linalg.eigvalsh``.
 
 Stage 1 reads and writes only the upper triangle of the C-ordered rows
-(LAPACK's ``'L'`` triangle of the column-major matrix).  The matrices the
-program builds for it hold only that triangle, on ``lazy_zeros`` pages that
-become resident where they are written: about half of the ``8 n^2`` bytes.
+(LAPACK's ``'L'`` triangle of the column-major matrix), given as a
+``Triangle``.  Every ``Triangle`` of a dense matrix is written in row blocks
+by ``write_triangle`` onto ``lazy_zeros`` pages that become resident where
+they are written: about half of the ``8 n^2`` bytes.
 """
 
 from __future__ import annotations
@@ -42,16 +43,18 @@ __all__ = [
     "as_spectrum",
     "band_spectrum",
     "check_dense_size",
+    "check_symmetric",
     "eigenvalues_symmetric",
     "eigenvalues_tridiagonal",
     "lazy_zeros",
     "operator_norm",
     "delta2",
     "reduce_to_band",
+    "write_triangle",
 ]
 
 _SYM_TOL = 1e-10
-_BLOCK = 256  # tile side of the symmetry check
+_BLOCK = 256  # tile side of the symmetry check, and rows of a triangle's block
 _LAPACK_LOCK = threading.Lock()
 # Symbols of the OpenBLAS that numpy's wheels bundle carry 64-bit integers, a
 # "scipy_" prefix and a "64_" suffix; other builds may lack the prefix
@@ -106,8 +109,9 @@ class Triangle(NamedTuple):
     """A symmetric matrix as stage 1 reads it.  ``matrix`` is a C-ordered
     float64 ``n x n`` array whose upper triangle of the rows stands for the
     whole matrix; the rest is never read.  ``scale`` is the largest magnitude
-    of an entry.  The program writes its own matrices this way, on
-    ``lazy_zeros`` pages, for ``reduce_to_band``."""
+    of an entry.  ``write_triangle`` writes one from a dense matrix and
+    ``EdgeListData.triangle()`` from an edge list, both on ``lazy_zeros``
+    pages, for ``reduce_to_band``."""
 
     matrix: np.ndarray
     scale: float
@@ -131,15 +135,15 @@ def as_spectrum(x) -> Spectrum:
 
 def _scale_and_asymmetry(m: np.ndarray) -> tuple[float, float]:
     """``max|M_ij|`` and ``max|M_ij - M_ji|``, one pair of mirrored
-    ``_BLOCK x _BLOCK`` tiles at a time, so every entry is read once (twice on
-    the diagonal tiles) and the only temporary is one tile; a non-finite
-    entry is refused."""
+    ``_BLOCK x _BLOCK`` tiles at a time, each converted to float64, so every
+    entry is read once (twice on the diagonal tiles) and the only temporaries
+    are one tile's; a non-finite entry is refused."""
     scale = asym = 0.0
     n = m.shape[0]
     for lo in range(0, n, _BLOCK):
         for lo2 in range(lo, n, _BLOCK):
-            upper = m[lo : lo + _BLOCK, lo2 : lo2 + _BLOCK]
-            lower = m[lo2 : lo2 + _BLOCK, lo : lo + _BLOCK]
+            upper = np.asarray(m[lo : lo + _BLOCK, lo2 : lo2 + _BLOCK], dtype=float)
+            lower = np.asarray(m[lo2 : lo2 + _BLOCK, lo : lo + _BLOCK], dtype=float)
             tile_scale = max(float(np.max(np.abs(upper))), float(np.max(np.abs(lower))))
             if not np.isfinite(tile_scale):  # max propagates NaN and inf
                 raise DomainError("matrix has non-finite entries")
@@ -147,6 +151,19 @@ def _scale_and_asymmetry(m: np.ndarray) -> tuple[float, float]:
             scale = max(scale, tile_scale)
             asym = max(asym, float(np.max(np.abs(diff, out=diff))))
     return scale, asym
+
+
+def check_symmetric(matrix) -> np.ndarray:
+    """``matrix`` as an array of its own dtype, refused unless square, finite
+    and symmetric to ``1e-10 * max|M_ij|``, checked in float64 tiles
+    (``_scale_and_asymmetry``): no ``n x n`` temporary, of any dtype."""
+    m = np.asarray(matrix)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DomainError("matrix must be square")
+    scale, asym = _scale_and_asymmetry(m)
+    if asym > _SYM_TOL * max(scale, 1e-300):
+        raise DomainError("matrix is not symmetric")
+    return m
 
 
 def check_dense_size(n: int, label) -> None:
@@ -176,6 +193,25 @@ def lazy_zeros(n: int) -> np.ndarray:
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         buf.madvise(mmap.MADV_NOHUGEPAGE)
     return np.frombuffer(buf, dtype=np.float64, count=n * n).reshape(n, n)
+
+
+def write_triangle(n: int, fill, spent: list) -> Triangle:
+    """The ``Triangle`` of a symmetric ``n x n`` matrix ``M``, written in row
+    blocks: ``fill(block, out)`` writes ``out = M[block]`` for each ``block``
+    of ``_BLOCK`` rows from the diagonal on, so the upper triangle of the
+    rows is written and, of the other, only the diagonal blocks.  The matrix
+    is the last of the list ``spent`` (matrices stage 1 is done with) if that
+    has ``n`` rows, else a new ``lazy_zeros`` one, once ``spent`` is emptied."""
+    if spent and spent[-1].shape[0] != n:
+        spent.clear()
+    m = spent.pop() if spent else lazy_zeros(n)
+    scale = 0.0
+    for lo in range(0, n, _BLOCK):
+        block = np.s_[lo : lo + _BLOCK, lo:]
+        out = m[block]
+        fill(block, out)
+        scale = max(scale, float(out.max()), -float(out.min()))
+    return Triangle(m, scale)
 
 
 @functools.cache
@@ -368,35 +404,18 @@ def _sy2sb(lapack, m: np.ndarray, kd: int) -> np.ndarray:
     return ab
 
 
-def reduce_to_band(matrix, *, overwrite: bool = False) -> Band:
-    """Stage 1 of ``eigenvalues_symmetric``: the matrix checked, then reduced
-    to band form by ``_reduce_triangle``.  A ``Triangle`` is reduced in place
-    unchecked: it holds one triangle, so it cannot be asymmetric.
+def reduce_to_band(matrix) -> Band:
+    """Stage 1 of ``eigenvalues_symmetric``: the ``Triangle`` of a symmetric
+    matrix reduced to band form by ``_reduce_triangle``, which destroys it.
 
-    An array is checked for finite entries and for symmetry to
-    ``1e-10 * max|M_ij|`` in tiles, so the check allocates no ``n x n``
-    temporary.  Stage 1 reads only the upper triangle of the rows.  By
-    default the caller's array is left untouched and only that triangle is
-    copied, into a ``lazy_zeros`` matrix whose other pages never become
-    resident; with ``overwrite=True`` a C-contiguous, writable float64 array
-    is reduced in place and its contents are destroyed (any other array is
-    copied anyway).
+    Any other ``matrix`` is checked (``check_symmetric``) and its upper
+    triangle of the rows copied by ``write_triangle``, converted to float64
+    block by block: the caller's array is left as it is.
     """
-    if isinstance(matrix, Triangle):
-        return _reduce_triangle(*matrix)
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError("matrix must be square")
-    scale, asym = _scale_and_asymmetry(m)
-    if asym > _SYM_TOL * max(scale, 1e-300):
-        raise DomainError("matrix is not symmetric")
-    if not (overwrite and m.flags.c_contiguous and m.flags.writeable):
-        n = m.shape[0]
-        upper = lazy_zeros(n)
-        for lo in range(0, n, _BLOCK):
-            upper[lo : lo + _BLOCK, lo:] = m[lo : lo + _BLOCK, lo:]
-        m = upper
-    return _reduce_triangle(m, scale)
+    if not isinstance(matrix, Triangle):
+        m = check_symmetric(matrix)
+        matrix = write_triangle(m.shape[0], lambda block, out: np.copyto(out, m[block]), [])
+    return _reduce_triangle(*matrix)
 
 
 def _reduce_triangle(m: np.ndarray, scale: float) -> Band:
@@ -479,7 +498,7 @@ def band_spectrum(band: Band) -> Spectrum:
     return _descending(vals[::-1].copy())  # LAPACK's order is ascending
 
 
-def eigenvalues_symmetric(matrix, *, overwrite: bool = False) -> Spectrum:
+def eigenvalues_symmetric(matrix) -> Spectrum:
     """The spectrum of a symmetric matrix, eigenvalues only: stage 1,
     ``reduce_to_band``, then stage 2, ``band_spectrum``.
 
@@ -489,10 +508,9 @@ def eigenvalues_symmetric(matrix, *, overwrite: bool = False) -> Spectrum:
     symmetric multiply of stage 1 done in column tiles.  They give
     ``dsyevd_2stage``'s bits at the same BLAS thread count while the trailing
     matrix fits one tile (``n - kd <= 512``), and its eigenvalues to
-    round-off beyond it.  ``overwrite`` is ``reduce_to_band``'s: with
-    ``overwrite=True`` a C-contiguous, writable float64 array is solved in
-    place and its contents are destroyed; without it only the upper triangle
-    of the rows is copied.
+    round-off beyond it.  ``matrix`` is a ``Triangle``, which the solve
+    destroys, or an array, which it checks and copies one triangle of
+    (``reduce_to_band``) and leaves as it is.
 
     Stage 1 runs under a module-wide lock, which also guards the
     process-wide pin of OpenBLAS to one thread while a matrix of at most
@@ -503,7 +521,7 @@ def eigenvalues_symmetric(matrix, *, overwrite: bool = False) -> Spectrum:
     eigenvalues at round-off level (1 against 2 OpenBLAS threads, by up to
     about 1e-15).
     """
-    return band_spectrum(reduce_to_band(matrix, overwrite=overwrite))
+    return band_spectrum(reduce_to_band(matrix))
 
 
 def eigenvalues_tridiagonal(diag, offdiag) -> np.ndarray:

@@ -36,8 +36,8 @@ def test_read_edge_list_konect_style(tmp_path):
     assert data.n == 4
     assert data.edges.tolist() == [[0, 1], [1, 3]]
     assert any("self-loop" in w for w in data.warnings)
-    a = data.adjacency()
-    assert np.array_equal(a, a.T) and a[0, 1] == 1 and a[1, 3] == 1
+    triangle = data.triangle().matrix
+    assert np.count_nonzero(triangle) == 2 and triangle[0, 1] == triangle[1, 3] == 1 / 4
 
 
 def test_read_edge_list_zero_based(tmp_path):

@@ -108,7 +108,7 @@ def test_read_edge_list_matches_reference(tmp_path_factory, drawn):
     assert data.edges.dtype == np.int64 and data.edges.shape == (len(edges), 2)
     assert data.edges.tolist() == [list(e) for e in edges]
     assert data.warnings == warnings
-    assert np.array_equal(data.adjacency(), _reference_adjacency(n, edges))
+    assert np.array_equal(_fancy_index_adjacency(n, data.edges), _reference_adjacency(n, edges))
 
 
 def test_read_edge_list_matches_reference_large(tmp_path):
@@ -122,7 +122,7 @@ def test_read_edge_list_matches_reference_large(tmp_path):
     data = read_edge_list(path)
     assert (data.n, data.warnings) == (n, warnings)
     assert data.edges.tolist() == [list(e) for e in edges]
-    assert np.array_equal(data.adjacency(), _reference_adjacency(n, edges))
+    assert np.array_equal(_fancy_index_adjacency(n, data.edges), _reference_adjacency(n, edges))
 
 
 @pytest.mark.parametrize(
@@ -188,8 +188,8 @@ def test_declared_size_is_checked_before_the_data_is_read(tmp_path, monkeypatch)
 
 
 def _fancy_index_adjacency(n, pairs):
-    """The dense build this reader had before its keys: two fancy-index
-    assignments of the 0-based pairs."""
+    """The symmetric 0/1 float64 matrix of the 0-based pairs, by two
+    fancy-index assignments: the dense oracle of a graph read from a file."""
     a = np.zeros((n, n))
     if len(pairs):
         i, j = np.asarray(pairs).T
@@ -204,7 +204,8 @@ def _fancy_index_adjacency(n, pairs):
        st.data())
 def test_adjacency_matches_the_fancy_index_build(tmp_path_factory, n, draw):
     # duplicate and reversed pairs, self-loops, 0- or 1-based ids, with or
-    # without the "% ngg n" line; tile edges at 256 and 512 included
+    # without the "% ngg n" line, up to 700 nodes.  The triangle stage 1
+    # reads is the upper one of A / n, bit for bit
     node = st.integers(0, n - 1)
     pairs = draw.draw(st.lists(st.tuples(node, node), max_size=400))
     if pairs:  # some pairs again, reversed
@@ -225,9 +226,12 @@ def test_adjacency_matches_the_fancy_index_build(tmp_path_factory, n, draw):
         return
     data = read_edge_list(path)
     assert data.n == size
-    a = data.adjacency()
-    assert a.dtype == np.float64 and a.flags.c_contiguous
-    assert np.array_equal(a, _fancy_index_adjacency(size, simple))
+    a = _fancy_index_adjacency(size, simple)
+    assert np.array_equal(_fancy_index_adjacency(data.n, data.edges), a)
+    triangle = data.triangle()
+    assert triangle.matrix.dtype == np.float64 and triangle.matrix.flags.c_contiguous
+    assert triangle.matrix.tobytes() == np.triu(a / size).tobytes()
+    assert triangle.scale == (1 / size if simple else 0.0)
 
 
 def test_edges_are_read_only_int64_pairs_of_the_keys(tmp_path):
@@ -243,11 +247,9 @@ def test_edges_are_read_only_int64_pairs_of_the_keys(tmp_path):
 
 def test_read_and_build_stay_near_the_memory_floor(tmp_path, mapped):
     # a dense list, half of all pairs, each in either order: reading holds
-    # about 25 bytes an edge (the pairs, one key each, a mask) and the build
-    # the matrix, the keys and one tile; the fancy-index reader held 73 bytes
-    # an edge while reading and 8 more while building.  The triangle the
-    # solve reads is one lazily mapped matrix, which tracemalloc does not
-    # see, and the keys
+    # about 25 bytes an edge (the pairs, one key each, a mask), where the
+    # fancy-index reader held 73.  The triangle the solve reads is one lazily
+    # mapped matrix, which tracemalloc does not see, and the keys
     n = 1000
     rng = np.random.default_rng(0)
     i, j = np.nonzero(np.triu(rng.random((n, n)) < 0.5, 1))
@@ -262,14 +264,11 @@ def test_read_and_build_stay_near_the_memory_floor(tmp_path, mapped):
         data = read_edge_list(path)
         triangle = data.triangle()
         _, read_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        a = data.adjacency()
-        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert read_peak <= 40 * m + 2 * 2**20, read_peak / m
     assert mapped(8 * n * n) == 1
-    assert peak <= 8 * n * n + 8 * m + 2 * 2**20, peak / m
+    a = _fancy_index_adjacency(data.n, data.edges)
     assert (data.n, len(data.keys)) == (n, m) and np.count_nonzero(a) == 2 * m
     assert np.array_equal(triangle.matrix, np.triu(a / n)) and triangle.scale == 1 / n
 
@@ -328,7 +327,7 @@ def test_write_edge_list_round_trip(tmp_path_factory, n, density, seed):
     data = read_edge_list(path)
     assert data.n == n and data.warnings == ()
     assert data.edges.tolist() == np.argwhere(np.triu(a, 1)).tolist()
-    assert np.array_equal(data.adjacency(), a)
+    assert np.array_equal(_fancy_index_adjacency(data.n, data.edges), a)
 
 
 @pytest.mark.parametrize("space", [ngg.sphere(3), ngg.real_projective(4),
@@ -341,7 +340,7 @@ def test_write_edge_list_names_the_space(tmp_path, space):
     assert path.read_text().splitlines()[0] == f"% ngg n 4 space {space.name}"
     assert read_header(path) == (4, space)
     data = read_edge_list(path)
-    assert data.n == 4 and np.array_equal(data.adjacency(), a)
+    assert data.n == 4 and np.array_equal(_fancy_index_adjacency(data.n, data.edges), a)
 
 
 def _edge_list_text(a, space) -> str:

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import json
 import math
 import threading
@@ -440,20 +441,23 @@ def test_fit_graph_without_lapack_selects_as_with_it(monkeypatch, name):
             assert np.max(np.abs(got_fits[r].stage_values - fit.stage_values)) <= 1e-12
 
 
-def test_fit_graph_consumes_its_input():
-    # a float64 matrix is divided and reduced in place; the boolean matrix
-    # generate_graph draws is converted, and gives the same fit
+def test_fit_graph_leaves_its_input_alone():
+    # a matrix is checked and its A / n written into a triangle of its own:
+    # the boolean matrix generate_graph draws and its float64 copy both keep
+    # their bits and give the same fit as the Triangle of A / n
     graph = _graph(ngg.sphere(3), ngg.builtin_envelope(4), 200, 3)
     basis, config = ngg.harmonic_basis(ngg.sphere(3), 2), ngg.AdaptConfig(n=200, r_max=2)
-    a = graph.astype(np.float64)
-    before = a.copy()
-    _, fits, _ = ngg.fit_graph(a, basis, config)
-    assert not np.array_equal(a, before)
-    kept = graph.copy()
-    _, bool_fits, _ = ngg.fit_graph(graph, basis, config)
-    assert np.array_equal(graph, kept)
-    assert [f.stage_values.tobytes() for f in bool_fits.values()] == \
-        [f.stage_values.tobytes() for f in fits.values()]
+    fits = {}
+    for a in (graph, graph.astype(np.float64)):
+        before = a.copy()
+        _, fits[a.dtype.name], _ = ngg.fit_graph(a, basis, config)
+        assert a.dtype == before.dtype and a.tobytes() == before.tobytes()
+    triangle = ngg.spectral.lazy_zeros(200)
+    triangle[...] = np.triu(graph / 200)
+    _, fits["triangle"], _ = ngg.fit_graph(ngg.spectral.Triangle(triangle, 1 / 200), basis,
+                                           config)
+    stages = [[f.stage_values.tobytes() for f in by_r.values()] for by_r in fits.values()]
+    assert stages[0] == stages[1] == stages[2]
 
 
 def test_fit_graph_of_an_edge_list_triangle_is_the_matrix_fit(tmp_path):
@@ -471,7 +475,8 @@ def test_fit_graph_of_an_edge_list_triangle_is_the_matrix_fit(tmp_path):
 
 
 def test_record_edge_count_is_the_graphs():
-    # counted before fit_graph scales the matrix and the solver overwrites it
+    # counted on the boolean matrix as drawn, which the replicate loop keeps
+    # apart from the triangle of A / n that stage 1 destroys
     config = _config(n_values=(150, 200), replicates=2, envelope=ngg.builtin_envelope(4))
     report = ngg.run_experiment(config)
     assert len(report.records) == 4
@@ -527,6 +532,66 @@ def test_true_coefficients_truncates(basis3):
     assert coeffs.size <= 17  # stops well before 64 for a quartic
     assert coeffs[0] == pytest.approx(1 / 3, abs=1e-10)
     assert coeffs[4] == pytest.approx(2 / 27, abs=1e-10)
+
+
+@pytest.mark.parametrize("space", [ngg.sphere(3), ngg.real_projective(3),
+                                   ngg.complex_projective(2)], ids=["sphere3", "rp3", "cp2"])
+@pytest.mark.parametrize("pairs, size", [([(0, 0.4), (2, 0.1)], 17), ([(0, 0.4), (10, 0.05)], 25),
+                                         (None, 17)], ids=["degree2", "degree10", "constant"])
+def test_true_coefficients_of_a_defined_envelope_are_its_own(space, pairs, size):
+    # a constant or coefficient-file envelope is defined by its expansion:
+    # the truth is those values exactly, 0.0 at every other degree, as far
+    # as the chunked cut reaches (the first chunk of 8 degrees past the top
+    # one); the quadrature, the truth of every other envelope, agrees
+    big = ngg.harmonic_basis(space, TRUTH_DEGREE)
+    if pairs is None:
+        envelope, pairs = ngg.constant_envelope(0.3), [(0, 0.3)]
+    else:
+        envelope = ngg.envelope_from_coefficients(big, pairs)
+    coeffs = ngg.true_coefficients(big, envelope)
+    want = np.zeros(size)
+    for ell, v in pairs:
+        want[ell] = v
+    assert coeffs.tobytes() == want.tobytes()
+    quadrature = ngg.spaces.envelope_coefficients(big, envelope, size - 1)
+    assert np.max(np.abs(quadrature - coeffs)) <= 1e-12
+
+
+class _LoopStarted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("driver", ["run_experiment", "concentration_check"])
+def test_drivers_walk_their_tasks_lazily(monkeypatch, driver):
+    # both drivers hand the loop a lazy walk of (n, rep): when the loop
+    # starts, a run of 10^8 replicates (13 GB as a list of tuples) holds no
+    # more traced memory than one of 10^6, which a list would fail at 134 MB
+    # first; the order is sorted n for run_experiment, the given one for the
+    # check
+    import ngg.harness
+
+    def loop(space, envelope, seed, tasks, matrices, dump=None):
+        seen.append((tracemalloc.get_traced_memory()[0], list(itertools.islice(tasks, 2))))
+        raise _LoopStarted
+
+    monkeypatch.setattr(ngg.harness, "_replicates", loop)
+    for replicates in (10**6, 10**8):
+        seen = []
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(_LoopStarted):
+                if driver == "run_experiment":
+                    ngg.run_experiment(_config(n_values=(300, 200), replicates=replicates))
+                else:
+                    ngg.concentration_check(ngg.builtin_envelope(4), ngg.sphere(3),
+                                            (300, 200), replicates, 0)
+        finally:
+            tracemalloc.stop()
+        (held, first), = seen
+        n = 200 if driver == "run_experiment" else 300
+        assert first == [(n, 0), (n, 1)]
+        assert held - before < 8 * 2**20, held - before
 
 
 def test_concentration_zero_envelope():

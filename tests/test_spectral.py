@@ -2,6 +2,7 @@ import ctypes
 import itertools
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -375,16 +376,18 @@ def test_stage_one_reads_only_its_triangle(n):
     rng = np.random.default_rng(n)
     upper = np.triu(rng.random((n, n)) < 0.3, 1)
     m = (upper | upper.T).astype(float) / n
-    whole = ngg.spectral.reduce_to_band(m.copy(), overwrite=True)  # reduced in place
+    whole = ngg.spectral.reduce_to_band(ngg.spectral.Triangle(m.copy(), 1.0 / n))
     half = ngg.spectral.lazy_zeros(n)
     half[...] = np.where(np.tri(n, k=-1, dtype=bool), np.nan, m)
     band = ngg.spectral.reduce_to_band(ngg.spectral.Triangle(half, 1.0 / n))
     assert band.ab.tobytes() == whole.ab.tobytes()
     spectrum = ngg.spectral.band_spectrum(band).values
     assert spectrum.tobytes() == ngg.spectral.band_spectrum(whole).values.tobytes()
-    # the checked entry copies only that triangle of the caller's matrix
+    # an array is checked and only that triangle of it copied
+    before = m.copy()
     copied = ngg.spectral.reduce_to_band(m)
     assert copied.ab.tobytes() == whole.ab.tobytes()
+    assert m.tobytes() == before.tobytes()
 
 
 def test_lazy_zeros_is_a_writable_float64_zero_matrix():
@@ -464,21 +467,11 @@ def test_triangle_count_of_a_small_graph():
     assert _triangle_count(a) == 3  # 012, 234, 024
 
 
-@pytest.mark.parametrize("build", ["matrix", "edge list"])
-@pytest.mark.parametrize("n", [300, 544, 545, 1100])
-def test_spectrum_cubes_count_the_triangles(n, build, tmp_path):
-    # sum(l^3) = trace((A / n)^3) = 6T / n^3, T the triangle count (closed
-    # walks of length 3): an entry written at the wrong place keeps sum(l)
-    # and sum(l^2) but moves this one.  n = 544 runs stage 1's single dsymm,
-    # 545 and up its 512-column tiles
-    a = ngg.generate_graph(ngg.sample_latent(ngg.sphere(3), n, n), ngg.builtin_envelope(5), n)
+def _assert_cubes_count_the_triangles(vals, a):
+    """sum(l^3) = trace((A / n)^3) = 6T / n^3 for the spectrum ``vals`` of
+    ``A / n``, T the triangle count of ``a`` (closed walks of length 3)."""
+    n = a.shape[0]
     want = 6 * _triangle_count(a) / n**3
-    if build == "matrix":
-        vals = ngg.eigenvalues_symmetric(a / n).values
-    else:
-        write_edge_list(tmp_path / "g.txt", a, ngg.sphere(3))
-        band = ngg.spectral.reduce_to_band(read_edge_list(tmp_path / "g.txt").triangle())
-        vals = ngg.spectral.band_spectrum(band).values
     # A backward-stable solve returns the exact eigenvalues of A/n + E with
     # ||E||_2 <= n eps max|l|.  Then sum(l^3) moves by 3 trace((A/n)^2 E) +
     # O(E^2), at most 3 sum(l^2) ||E||_2 <= 3 n^2 eps max|l|^3; the n cubes
@@ -488,6 +481,47 @@ def test_spectrum_cubes_count_the_triangles(n, build, tmp_path):
     tol = 3 * (n * n + n) * np.finfo(float).eps * big**3
     cubes = math.fsum(vals * vals * vals)
     assert abs(cubes - want) <= tol, (cubes, want, tol)
+
+
+@pytest.mark.parametrize("build", ["matrix", "edge list", "rewritten"])
+@pytest.mark.parametrize("n", [300, 544, 545, 1100])
+def test_spectrum_cubes_count_the_triangles(n, build, tmp_path):
+    # an entry written at the wrong place keeps sum(l) and sum(l^2) but
+    # moves sum(l^3).  n = 544 runs stage 1's single dsymm, 545 and up its
+    # 512-column tiles.  "rewritten" is the replicate loop's reuse: A / n
+    # written over a spent matrix of the same size, which still holds what
+    # stage 1 left of another graph in both triangles
+    a = ngg.generate_graph(ngg.sample_latent(ngg.sphere(3), n, n), ngg.builtin_envelope(5), n)
+    if build == "matrix":
+        vals = ngg.eigenvalues_symmetric(a / n).values
+    elif build == "edge list":
+        write_edge_list(tmp_path / "g.txt", a, ngg.sphere(3))
+        band = ngg.spectral.reduce_to_band(read_edge_list(tmp_path / "g.txt").triangle())
+        vals = ngg.spectral.band_spectrum(band).values
+    else:
+        other = ngg.generate_graph(ngg.sample_latent(ngg.sphere(3), n, n + 1),
+                                   ngg.builtin_envelope(2), n + 1)
+        spent = ngg.spectral.lazy_zeros(n)
+        spent[...] = other / n
+        ngg.spectral.reduce_to_band(ngg.spectral.Triangle(spent, 1.0 / n))
+        assert not np.array_equal(np.triu(spent), np.triu(other / n))  # reduced entries
+        triangle = ngg.spectral.write_triangle(
+            n, lambda block, out: np.divide(a[block], n, out=out), [spent])
+        assert triangle.matrix is spent and triangle.scale == 1 / n
+        vals = ngg.spectral.band_spectrum(ngg.spectral.reduce_to_band(triangle)).values
+    _assert_cubes_count_the_triangles(vals, a)
+
+
+@pytest.mark.parametrize("envelope", [2, 6], ids=["p2", "p6"])
+@pytest.mark.parametrize("space", [ngg.real_projective(3), ngg.complex_projective(2)],
+                         ids=["rp3", "cp2"])
+def test_spectrum_cubes_count_the_triangles_on_projective_spaces(space, envelope):
+    # other cosine laws and envelopes: a jump (p2) and a sparse kink (p6);
+    # n = 600 crosses stage 1's tile and the writer's 256-row blocks
+    n = 600
+    a = ngg.generate_graph(ngg.sample_latent(space, n, envelope),
+                           ngg.builtin_envelope(envelope), n)
+    _assert_cubes_count_the_triangles(ngg.eigenvalues_symmetric(a / n).values, a)
 
 
 def test_band_spectrum_is_the_same_on_one_and_two_threads():
@@ -556,34 +590,47 @@ def test_concurrent_solves_restore_the_thread_count_and_match_serial_ones():
         put(before)
 
 
-def test_overwrite_keeps_or_consumes_the_input(rng):
-    a = rng.standard_normal((65, 65))
-    m = (a + a.T) / 2
-    before = m.copy()
-    kept = ngg.eigenvalues_symmetric(m).values
-    assert m.tobytes() == before.tobytes()
-    consumed = ngg.eigenvalues_symmetric(m, overwrite=True).values
-    assert np.array_equal(consumed, kept)
-
-
 def _read_only(m):
     m.flags.writeable = False
     return m
 
 
 @pytest.mark.parametrize(
-    "make", [lambda m: np.asfortranarray(m), lambda m: m.astype(np.float32), _read_only],
-    ids=["fortran-order", "float32", "read-only"],
+    "make", [lambda m: m, np.asfortranarray, lambda m: m.astype(np.float32), _read_only,
+             lambda m: m > 0],
+    ids=["c-order", "fortran-order", "float32", "read-only", "boolean"],
 )
-def test_overwrite_leaves_an_unsuitable_array_alone(rng, make):
-    # n = 65: below about 64 LAPACK works in a copy of its own whatever it is given
-    a = rng.standard_normal((65, 65))
+def test_solve_leaves_its_input_alone(rng, make):
+    # every array is checked and copied one triangle at a time, converted to
+    # float64 block by block: the input keeps its bits, and the spectrum is
+    # that of the float64 matrix of the same values, bit for bit
+    a = rng.standard_normal((300, 300))
     m = make((a + a.T) / 2)
     before = m.copy()
-    vals = ngg.eigenvalues_symmetric(m, overwrite=True).values
+    vals = ngg.eigenvalues_symmetric(m).values
     assert m.tobytes() == before.tobytes()
-    oracle = np.linalg.eigvalsh(np.asarray(m, dtype=float))[::-1]
-    assert np.max(np.abs(vals - oracle)) <= 8 * np.finfo(float).eps * 65 * np.max(np.abs(m))
+    as_float = np.array(m, dtype=float)
+    assert vals.tobytes() == ngg.eigenvalues_symmetric(as_float).values.tobytes()
+    oracle = np.linalg.eigvalsh(as_float)[::-1]
+    assert np.max(np.abs(vals - oracle)) <= 8 * np.finfo(float).eps * 300 * np.max(np.abs(m))
+
+
+def test_boolean_matrix_is_never_copied_whole_to_float64(rng):
+    # the check converts one tile at a time, and the triangle is written on
+    # lazily mapped pages, which tracemalloc does not see: the traced peak
+    # (three tiles and stage 1's workspace) stays far below the 8 n^2 bytes
+    # of a float64 copy
+    n = 1500
+    upper = np.triu(rng.random((n, n)) < 0.3, 1)
+    a = upper | upper.T
+    tracemalloc.start()
+    try:
+        band = ngg.spectral.reduce_to_band(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n / 4, peak / (8 * n * n)
+    assert band.ab.tobytes() == ngg.spectral.reduce_to_band(a.astype(float)).ab.tobytes()
 
 
 def test_repeated_solves_are_bitwise_equal(rng):
@@ -605,8 +652,10 @@ def test_fallback_is_eigvalsh(rng, monkeypatch):
     band = ngg.spectral.reduce_to_band(m)
     assert band.ab is None
     assert np.array_equal(ngg.spectral.band_spectrum(band).values, np.linalg.eigvalsh(m)[::-1])
-    vals = ngg.eigenvalues_symmetric(m, overwrite=True).values
+    before = m.copy()
+    vals = ngg.eigenvalues_symmetric(m).values
     assert np.array_equal(vals, np.linalg.eigvalsh(m)[::-1])
+    assert m.tobytes() == before.tobytes()
 
 
 def test_fallback_reads_only_the_triangle(monkeypatch):
