@@ -275,8 +275,8 @@ def _cmd_simulate(args) -> int:
                               base_seed=args.seed, include_r0=args.include_r0)
     dumped = set()
 
-    def dump(n, rep, adjacency):
-        write_edge_list(_dump_path(args, rep), adjacency, space)
+    def dump(n, rep, graph):
+        write_edge_list(_dump_path(args, rep), graph, space)
         dumped.add(rep)
 
     report = run_experiment(config, dump=dump if args.dump_adjacency else None)

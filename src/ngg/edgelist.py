@@ -12,12 +12,12 @@ auto-detected: files mentioning node 0 are 0-based, otherwise 1-based.  The
 parsed graph is simple and undirected: duplicate and reversed pairs
 collapse, self-loops are dropped with a warning.
 
-Parsing is numpy's C reader plus in-place array operations.  A graph is kept
-as one sorted int64 key ``i * n + j`` per edge ``i < j`` (8 bytes an edge);
-``EdgeListData.edges`` derives the ``(m, 2)`` pairs from the keys when read.
-``triangle()``, the one dense form of a graph read from a file, writes
-``A / n`` as the eigensolve reads it: the keys' entries of the upper
-triangle of the rows, scattered onto pages that become resident only where
+Parsing is numpy's C reader plus in-place array operations.  A graph, read
+here or drawn by ``generate_graph``, is an ``EdgeListData``: one sorted
+int64 key ``i * n + j`` per edge ``i < j`` (8 bytes an edge); ``edges``
+derives the ``(m, 2)`` pairs when read.  ``triangle()``, its one dense
+form, writes ``A / n`` as the eigensolve reads it: the keys' entries of the
+upper triangle of the rows, on pages that become resident only where
 written, so the build holds about half of the matrix's ``8 n^2`` bytes plus
 the keys.  The reader refuses, before allocating it, a dense ``n x n``
 float64 matrix larger than the machine's physical memory; a declared ``N``
@@ -38,7 +38,7 @@ from .spectral import Triangle, check_dense_size, lazy_zeros
 __all__ = ["EdgeListData", "read_edge_list", "read_header", "write_edge_list"]
 
 _HEADER = "% ngg n"
-_WRITE_ROWS = 64  # rows of the matrix searched for edges at a time
+_WRITE_KEYS = 1 << 14  # edges formatted at a time: about 2 MB of ints and text
 
 
 @dataclass(frozen=True)
@@ -65,17 +65,15 @@ class EdgeListData:
         return Triangle(m, value if self.keys.size else 0.0)
 
 
-def write_edge_list(path, adjacency: np.ndarray, space: LatentSpace) -> None:
-    """Write the graph of a symmetric 0/1 matrix, drawn on ``space``, as an
-    edge list: the ``% ngg n <N> space <kind:dim>`` line, then one ``i j``
-    line per edge ``i < j`` in row-major order.  The edges are found
-    ``_WRITE_ROWS`` rows at a time, so nothing the size of the matrix is
-    allocated."""
+def write_edge_list(path, graph: EdgeListData, space: LatentSpace) -> None:
+    """Write ``graph``, drawn on ``space``, as an edge list: the ``% ngg n
+    <N> space <kind:dim>`` line, then one ``i j`` line per edge ``i < j`` in
+    key order, ``_WRITE_KEYS`` keys at a time, so the text of no more than
+    that many lines is held at once."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_HEADER} {adjacency.shape[0]} space {space.name}\n")
-        for lo in range(0, adjacency.shape[0], _WRITE_ROWS):
-            i, j = np.nonzero(adjacency[lo : lo + _WRITE_ROWS])
-            edges = np.column_stack((i + lo, j))[j > i + lo]
+        fh.write(f"{_HEADER} {graph.n} space {space.name}\n")
+        for lo in range(0, graph.keys.size, _WRITE_KEYS):
+            edges = np.stack(np.divmod(graph.keys[lo : lo + _WRITE_KEYS], graph.n), axis=1)
             # one format of all the lines: twice as fast as a format per line
             fh.write(("%d %d\n" * len(edges)) % tuple(edges.ravel().tolist()))
 

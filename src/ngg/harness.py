@@ -3,20 +3,17 @@ replicate run, and the seeded Monte Carlo drivers: full estimation runs
 and concentration rate checks.
 
 Both drivers run one replicate loop.  It draws each graph in the calling
-thread as its boolean matrix, seeded ``base_seed + replicate_index`` so
-reruns and cross-``n`` comparisons pair up exactly, and hands stage 1 of the
-eigensolve of that replicate's float64 matrices to one worker thread, the
-lane.  Per replicate k, in the calling thread: draw graph k + 1 while the
-lane reduces graph k; wait for that stage 1, which is done with graph k's
-matrix; write graph k + 1's float64 matrix (``A / n``, from the boolean
-matrix) over it and hand it to the lane; then finish replicate k (stage 2,
-the fits, the selection and the record) while the lane reduces k + 1.  So
-one float64 ``n x n`` matrix is alive at a time, and the next graph exists
-only as its boolean matrix during stage 1.  That matrix holds only what
-stage 1 reads, the upper triangle of the rows, written in row blocks
-(``write_triangle``) on ``lazy_zeros`` pages: the pages of the other
-triangle never become resident, and a graph of the same size as the last
-reuses its pages.
+thread as its edge keys (``EdgeListData``, as ``estimate`` reads a graph),
+seeded ``base_seed + replicate_index`` so reruns and cross-``n``
+comparisons pair up exactly, and hands it to one worker thread, the lane,
+which writes that replicate's float64 matrices and runs stage 1 of their
+eigensolve.  Per replicate k, in the calling thread: draw graph k + 1
+while the lane reduces graph k and hand it to the lane, which writes its
+``A / n`` (``EdgeListData.triangle()``: the upper triangle of the rows, on
+``lazy_zeros`` pages that become resident where written) once that stage
+1 has returned and freed graph k's matrix; then finish replicate k (stage
+2, the fits, the selection and the record).  So one float64 ``n x n``
+matrix is alive at a time.
 Reports split into a deterministic JSON part (config, records, aggregates)
 and a CSV part that additionally carries wall-clock timings.
 """
@@ -32,6 +29,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .adapt import AdaptConfig, fit_all_resolutions, resolution_grid, select_resolution
+from .edgelist import EdgeListData
 from .errors import DomainError
 from .estimator import SpectrumEstimate, estimate_vector, spectrum_vector
 from .model import Envelope, generate_graph, probability_matrix, sample_latent
@@ -45,10 +43,12 @@ from .spaces import (
 )
 from .spectral import (
     Band,
+    Spectrum,
     Triangle,
     as_spectrum,
     band_spectrum,
     check_dense_size,
+    check_memory,
     check_symmetric,
     delta2,
     operator_norm,
@@ -75,6 +75,7 @@ __all__ = [
 TRUTH_DEGREE = 64
 _TRUTH_TAIL_TOL = 1e-12
 _TRUTH_CHUNK = 8
+_TRUTH_BYTES = 32  # a reference spectrum's traced peak a value, under delta2
 
 
 def build_identifier() -> str:
@@ -142,6 +143,17 @@ def true_coefficients(basis: HarmonicBasis, envelope: Envelope) -> np.ndarray:
         if float(np.sum(dims * coeffs[lo:] ** 2)) < _TRUTH_TAIL_TOL:
             break
     return coeffs
+
+
+def _truth(space: LatentSpace, envelope: Envelope) -> tuple:
+    """A run's basis, reference expansion and its model spectrum, built once
+    for both drivers; refused when the spectrum cannot fit in memory."""
+    basis = harmonic_basis(space, TRUTH_DEGREE)
+    truth = true_coefficients(basis, envelope)
+    size = int(sum(basis.dims[: truth.size]))
+    check_memory(_TRUTH_BYTES * size, f"{space.name}, envelope {envelope.name}: the reference "
+                 f"spectrum of {size} values", "to compare spectra with")
+    return basis, truth, as_spectrum(spectrum_vector(truth, basis.dims))
 
 
 @dataclass(frozen=True)
@@ -239,26 +251,23 @@ class ExperimentReport:
         write_csv(csv_path, header, rows)
 
 
-def _over_n(matrix: np.ndarray, spent: list) -> Triangle:
-    """The ``Triangle`` of ``matrix / n`` (``write_triangle`` over ``spent``),
-    bit for bit ``matrix.astype(float) / n`` of a boolean or float matrix."""
+def _over_n(matrix: np.ndarray) -> Triangle:
+    """The ``Triangle`` of ``matrix / n`` (``write_triangle``), bit for bit
+    ``matrix.astype(float) / n`` of a boolean or float matrix."""
     n = matrix.shape[0]
-    return write_triangle(n, lambda block, out: np.divide(matrix[block], n, out=out), spent)
+    return write_triangle(n, lambda block, out: np.divide(matrix[block], n, out=out))
 
 
-def _reduce(triangles: list, spent: list, seconds: float = 0.0) -> tuple[list[Band], float]:
-    """Stage 1 of a replicate: each ``Triangle`` popped in turn from the list
-    ``triangles`` and reduced to band form by ``reduce_to_band``, which
-    overwrites it, then its matrix appended to ``spent`` for the next
-    replicate to write over.  Returns the bands and ``seconds`` plus the
-    seconds taken."""
+def _reduce(matrices, drawn: list) -> tuple[list[Band], float]:
+    """Stage 1 of a replicate: the ``Triangle`` list ``matrices(*drawn)``
+    writes, ``drawn`` then emptied so the draw is freed, and each triangle
+    in turn reduced to band form, which destroys and frees it.  Returns the
+    bands and the seconds taken."""
     t0 = time.perf_counter()
-    bands = []
-    while triangles:
-        m = triangles.pop(0)
-        bands.append(reduce_to_band(m))
-        spent.append(m.matrix)
-    return bands, seconds + time.perf_counter() - t0
+    triangles = matrices(*drawn)
+    drawn.clear()
+    bands = [reduce_to_band(triangles.pop(0)) for _ in range(len(triangles))]
+    return bands, time.perf_counter() - t0
 
 
 def _fit_band(band: Band, reduce_seconds: float, basis: HarmonicBasis,
@@ -278,11 +287,11 @@ def _fit_band(band: Band, reduce_seconds: float, basis: HarmonicBasis,
 def fit_graph(graph, basis: HarmonicBasis, config: AdaptConfig) -> tuple:
     """Spectrum of ``A / n``, the staircase fit at every candidate
     resolution and the Goldenshluger-Lepski selection, as ``(spectrum,
-    estimates, result)``.  ``graph`` is the adjacency matrix ``A``, boolean
-    or float64 0/1, or the ``Triangle`` of ``A / n``, such as
-    ``EdgeListData.triangle()`` writes: the upper triangle of the rows
-    alone, the only part stage 1 reads, on pages that become resident only
-    where written, which the solver destroys.  A matrix is checked
+    estimates, result)``.  ``graph`` is the ``EdgeListData`` of ``A``, as
+    ``generate_graph`` and ``read_edge_list`` return it, solved by its
+    ``triangle()``; ``A`` itself, boolean or float64 0/1; or the ``Triangle``
+    of ``A / n``, the upper triangle of the rows alone on lazily resident
+    pages, which the solver destroys.  A matrix is checked
     (``check_symmetric``) and left as it is: its ``A / n`` is written into a
     ``Triangle`` of its own (``_over_n``).
 
@@ -294,8 +303,10 @@ def fit_graph(graph, basis: HarmonicBasis, config: AdaptConfig) -> tuple:
     this module looks them up by (``fit_all_resolutions``,
     ``select_resolution``).
     """
-    if not isinstance(graph, Triangle):
-        graph = _over_n(check_symmetric(graph), [])
+    if isinstance(graph, EdgeListData):
+        graph = graph.triangle()
+    elif not isinstance(graph, Triangle):
+        graph = _over_n(check_symmetric(graph))
     band = reduce_to_band(graph)
     spectrum, estimates, result, _ = _fit_band(band, 0.0, basis, config)
     return spectrum, estimates, result
@@ -320,42 +331,34 @@ class _Drawn(NamedTuple):
 
 def _draw(space: LatentSpace, envelope: Envelope, n: int, rep: int, seed: int) -> tuple:
     """Replicate (n, rep)'s graph, drawn in the calling thread from ``seed``:
-    its latent sample, its boolean adjacency matrix and the draw's timings."""
+    its latent sample, its ``EdgeListData`` and the draw's timings."""
     t0 = time.perf_counter()
     latent = sample_latent(space, n, seed)
     t1 = time.perf_counter()
-    a = generate_graph(latent, envelope, _graph_seed(seed))
+    graph = generate_graph(latent, envelope, _graph_seed(seed))
     t2 = time.perf_counter()
-    return latent, a, {"n": n, "replicate": rep, "t_sample": t1 - t0, "t_generate": t2 - t1}
+    return latent, graph, {"n": n, "replicate": rep, "t_sample": t1 - t0, "t_generate": t2 - t1}
 
 
 def _replicates(space: LatentSpace, envelope: Envelope, base_seed: int, tasks, matrices,
                 dump=None):
     """The seeded replicate loop of both drivers: ``(n, rep, drawn)`` for
     each ``(n, rep)`` of ``tasks`` in turn, the graph seeded ``base_seed +
-    rep`` and drawn in the calling thread as its boolean matrix, which
-    ``dump(n, rep, adjacency)``, if given, receives; ``drawn.stage1`` is the
-    future of stage 1 of the ``Triangle`` list ``matrices(latent, adjacency,
-    spent)`` writes from it (``write_triangle``), on one worker thread, the
-    lane.
+    rep`` and drawn in the calling thread as its ``EdgeListData``, which
+    ``dump(n, rep, graph)``, if given, receives; ``drawn.stage1`` is the
+    future of ``_reduce`` on one worker thread, the lane, which writes the
+    ``Triangle`` list ``matrices(latent, graph)`` once the last graph's
+    stage 1 has returned, and reduces it: the lane alone sets the pace.  A
+    replicate whose graph cannot be drawn is yielded at once, with a future
+    that raises the error, before the next graph is drawn."""
+    from concurrent.futures import Future, ThreadPoolExecutor
 
-    Graph k + 1 is drawn (and dumped) while the lane reduces graph k; its
-    float64 matrices are written only once that stage 1 has returned, over
-    graph k's (``spent``) where the size is the same, and the caller settles
-    replicate k while the lane reduces k + 1.  So stage 1 alone sets the
-    pace, and one replicate's float64 matrices are alive at a time: the next
-    graph exists only as its boolean matrix meanwhile.  A replicate whose
-    graph cannot be drawn is yielded at once, with a future that raises the
-    error, before the next graph is drawn."""
-    from concurrent.futures import Future, ThreadPoolExecutor, wait
-
-    spent = []  # the matrices of the last stage 1, appended on the lane
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="ngg-stage1") as lane:
         ahead = []  # (n, rep, drawn) of the replicate whose stage 1 is on the lane
         for n, rep in tasks:
             seed = base_seed + rep
             try:
-                latent, a, timing = _draw(space, envelope, n, rep, seed)
+                latent, graph, timing = _draw(space, envelope, n, rep, seed)
             except Exception as exc:  # raised when the replicate is settled
                 failed = Future()
                 failed.set_exception(exc)
@@ -363,30 +366,26 @@ def _replicates(space: LatentSpace, envelope: Envelope, base_seed: int, tasks, m
                 yield n, rep, _Drawn(seed, failed)
                 ahead = []
                 continue
-            edge_count = int(np.count_nonzero(a)) // 2
-            # outside the try: an error of ``dump`` or ``matrices``, such as a
-            # failed dump write, ends the run instead of becoming the replicate's
+            # outside the try: an error of ``dump``, such as a failed write,
+            # ends the run instead of becoming the replicate's
             if dump is not None:
-                dump(n, rep, a)
-            wait([d.stage1 for _, _, d in ahead])  # graph k's matrices spent
-            t0 = time.perf_counter()
-            mats = matrices(latent, a, spent)
-            stage1 = lane.submit(_reduce, mats, spent, time.perf_counter() - t0)
-            del latent, a, mats  # the boolean matrix goes before the next is drawn
+                dump(n, rep, graph)
+            stage1 = lane.submit(_reduce, matrices, [latent, graph])
+            edge_count = graph.keys.size
+            del latent, graph  # the lane holds the draw until it is written
             yield from ahead
             ahead = [(n, rep, _Drawn(seed, stage1, edge_count, timing))]
         yield from ahead
 
 
 def _one_replicate(config: ExperimentConfig, basis: HarmonicBasis, truth: np.ndarray,
-                   n: int, rep: int, drawn: _Drawn):
-    """Record and timings of replicate (n, rep) from ``_draw``'s result:
-    its band solved, fitted, selected and compared with the truth."""
+                   truth_full: Spectrum, n: int, rep: int, drawn: _Drawn):
+    """Record and timings of replicate (n, rep) from ``_draw``'s result: its
+    band solved, fitted, selected and compared with the truth (``truth_full``)."""
     (band,), reduce_seconds = drawn.stage1.result()
     _, estimates, result, (t_eig, t_fit, t_adapt) = _fit_band(
         band, reduce_seconds, basis, config.adapt_config(n))
     timing = {**drawn.timing, "t_eig": t_eig, "t_fit": t_fit, "t_adapt": t_adapt}
-    truth_full = as_spectrum(spectrum_vector(truth, basis.dims))
     fits = []
     for r in sorted(estimates):
         est = estimates[r]
@@ -418,31 +417,25 @@ def run_experiment(config: ExperimentConfig, dump=None) -> ExperimentReport:
     """Sample, generate, eigendecompose, fit every candidate resolution,
     select, and record -- for every (n, replicate) pair.
 
-    In the replicate loop (``_replicates``) stage 1 of graph k's solve
-    (``reduce_to_band``, the O(n^3) part) runs on the lane while the calling
-    thread draws graph k + 1 and finishes replicate k - 1: stage 2, the
-    fits, the selection and the record.  Graph k + 1 stays a boolean matrix
-    until that stage 1 has returned; its ``A / n`` is then written over graph
-    k's float64 matrix, upper triangle only, so one float64 ``n x n`` matrix
-    is alive at a time and about half of its pages are resident.  A stage 1
-    of at most ``ONE_THREAD_MAX_N`` rows runs on one OpenBLAS thread, so the
-    two threads share two cores; the records are those of a serial loop.
-    ``dump(n, rep, adjacency)``, if given, is called in the calling thread
-    with each graph drawn, as its boolean matrix; an error it raises ends
-    the run.  A failing replicate is recorded with its error message and
-    never aborts the rest of the run.
+    The replicate loop (``_replicates``, see the module docstring) solves
+    each graph's ``EdgeListData.triangle()``, as ``estimate`` does.  A stage
+    1 of at most ``ONE_THREAD_MAX_N`` rows runs on one OpenBLAS thread, so
+    the two threads share two cores; the records are those of a serial
+    loop.  ``dump(n, rep, graph)``, if given, is called in the calling thread
+    with each graph drawn; an error it raises ends the run.  A failing
+    replicate is recorded with its error message and never aborts the rest
+    of the run.
     """
-    basis = harmonic_basis(config.space, TRUTH_DEGREE)
-    truth = true_coefficients(basis, config.envelope)
+    basis, truth, truth_full = _truth(config.space, config.envelope)
     records, timings = [], []
     # one record per (n, replicate), in sorted order whatever the order of
     # n_values, walked lazily: a run holds no replicate ahead of the loop
     tasks = ((n, rep) for n in sorted(config.n_values) for rep in range(config.replicates))
     for n, rep, drawn in _replicates(config.space, config.envelope, config.base_seed, tasks,
-                                     lambda latent, adjacency, spent: [_over_n(adjacency, spent)],
+                                     lambda latent, graph: [graph.triangle()],
                                      dump):
         try:
-            record, timing = _one_replicate(config, basis, truth, n, rep, drawn)
+            record, timing = _one_replicate(config, basis, truth, truth_full, n, rep, drawn)
         except Exception as exc:  # recorded, not swallowed
             record = {"n": n, "replicate": rep, "seed": drawn.seed,
                       "error": f"{type(exc).__name__}: {exc}"}
@@ -531,26 +524,23 @@ def concentration_check(envelope: Envelope, space: LatentSpace, n_values, replic
     of theta/n against the reference expansion, with log-log slope fits.
 
     The graphs are drawn by ``run_experiment``'s replicate loop, in the
-    calling thread.  The upper triangles of (A - theta)/n and of theta/n
-    are written in row blocks (``write_triangle``) once theta is evaluated,
-    and theta is then freed; their stage 1 runs on the lane and their
-    spectra are taken in the calling thread.  The operator norm is
+    calling thread.  On the lane, theta is evaluated, the upper triangles of
+    (A - theta)/n (A's upper triangle set from the keys) and of theta/n are
+    written in row blocks (``write_triangle``), theta is freed and both are
+    reduced; their spectra are taken in the calling thread.  The operator norm is
     ``operator_norm`` of the band of (A - theta)/n, the larger of
     |lambda_max| and |lambda_min|."""
     n_values = tuple(int(n) for n in n_values)
     _check_run(n_values, replicates, seed)
-    basis = harmonic_basis(space, TRUTH_DEGREE)
-    truth = as_spectrum(spectrum_vector(true_coefficients(basis, envelope), basis.dims))
+    basis, _, truth = _truth(space, envelope)
 
-    def matrices(latent, adjacency, spent):
-        n = latent.n
+    def matrices(latent, graph):
+        n = graph.n
         theta = probability_matrix(latent, envelope)
-
-        def diff(block, out):
-            np.subtract(adjacency[block], theta[block], out=out)
-            out /= n
-
-        return [write_triangle(n, diff, spent), _over_n(theta, spent)]
+        upper = np.zeros((n, n), dtype=bool)  # A's upper triangle, the part stage 1 reads
+        upper.reshape(-1)[graph.keys] = True
+        return [write_triangle(n, lambda block, out: np.divide(
+            np.subtract(upper[block], theta[block], out=out), n, out=out)), _over_n(theta)]
 
     op, sperr = {}, {}
     tasks = ((n, rep) for n in n_values for rep in range(replicates))

@@ -2,8 +2,8 @@
 
 A graph model here is a latent space, an envelope ``p: [-1, 1] -> [0, 1]``,
 and a size ``n``: nodes get i.i.d. uniform latent positions, and an edge
-between ``i`` and ``j`` appears independently with probability
-``p(cos(distance))`` evaluated at the pairwise cosine.
+between ``i`` and ``j`` appears independently with probability ``p`` of the
+pairwise cosine.  A drawn graph is its sorted edge keys (``EdgeListData``).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .edgelist import EdgeListData
 from .errors import DomainError, ModelError
 from .spaces import HarmonicBasis, LatentSpace, SpaceKind
 
@@ -214,33 +215,40 @@ def probability_matrix(latent: LatentSample, p: Envelope) -> np.ndarray:
     return theta
 
 
-def generate_graph(latent: LatentSample, p: Envelope, seed: int) -> np.ndarray:
+def generate_graph(latent: LatentSample, p: Envelope, seed: int) -> EdgeListData:
     """Draw one Bernoulli graph: independent edges for i < j with probability
-    p applied to the pairwise cosine, returned as its symmetric boolean
-    adjacency matrix with a false diagonal (``fit_graph`` solves it as
-    ``A / n``).
+    p applied to the pairwise cosine, returned as its sorted edge keys
+    ``i * n + j`` (``EdgeListData``, the type ``read_edge_list`` returns;
+    ``fit_graph`` solves it as ``A / n``).
 
     Generation walks blocks of consecutive rows, each holding at most
     ``_BLOCK_COSINES`` cosines (at least one row).  A block draws its
     uniforms in one call over its pairs in row-major order, so the RNG stream
-    is consumed pair by pair exactly as a row-by-row loop consumes it, and
-    is written with its mirror image below the diagonal at once: the only
-    ``n x n`` array is the result.
-    Identical (latent, p, seed) reproduce the adjacency bit for bit.
+    is consumed pair by pair exactly as a row-by-row loop consumes it, into a
+    ``(hi - lo) x n`` boolean block whose nonzero positions, offset by
+    ``lo * n``, are its keys in order.  The blocks wait as bits (``n^2 / 8``
+    bytes in all) until the edge count is known, so the keys are written
+    once, 8 bytes an edge.
+    Identical (latent, p, seed) reproduce the keys bit for bit.
     """
     rng = np.random.default_rng(seed)
     n = latent.n
     pts = latent.points
-    adj = np.zeros((n, n), dtype=bool)
+    blocks = []  # (first key, edges, draws as bits) of each block
     lo = 0
     while lo < n - 1:
         width = n - 1 - lo  # pairs in row lo: columns lo + 1 .. n - 1
         hi = min(n - 1, lo + max(1, _BLOCK_COSINES // width))
-        upper = np.arange(width) >= np.arange(hi - lo)[:, None]  # column j > row i
-        t = cosines(latent.space, pts[lo:hi], pts[lo + 1 :])[upper]
+        upper = np.arange(n) > np.arange(lo, hi)[:, None]  # column j > row i
+        t = cosines(latent.space, pts[lo:hi], pts[lo + 1 :])[upper[:, lo + 1 :]]
         block = np.zeros_like(upper)
         block[upper] = rng.random(t.size) < _checked_probabilities(p, t)
-        adj[lo:hi, lo + 1 :] = block  # below the diagonal here nothing is drawn yet
-        adj[lo + 1 :, lo:hi] |= block.T
+        blocks.append((lo * n, np.count_nonzero(block), np.packbits(block)))
         lo = hi
-    return adj
+    keys = np.empty(sum(edges for _, edges, _ in blocks), dtype=np.int64)
+    at = 0
+    for first, edges, bits in blocks:  # the bits' zero padding adds no key
+        np.add(np.flatnonzero(np.unpackbits(bits)), first, out=keys[at : at + edges])
+        at += edges
+    keys.flags.writeable = False
+    return EdgeListData(n=n, keys=keys, warnings=())

@@ -43,6 +43,7 @@ __all__ = [
     "as_spectrum",
     "band_spectrum",
     "check_dense_size",
+    "check_memory",
     "check_symmetric",
     "eigenvalues_symmetric",
     "eigenvalues_tridiagonal",
@@ -166,20 +167,24 @@ def check_symmetric(matrix) -> np.ndarray:
     return m
 
 
-def check_dense_size(n: int, label) -> None:
-    """Refuse a graph whose dense float64 adjacency cannot fit in memory;
-    ``label`` (an input path, or the option that set ``n``) starts the message."""
+def check_memory(need: int, what: str, purpose: str) -> None:
+    """Refuse ``what`` if the ``need`` bytes of its ``purpose`` exceed physical memory."""
     try:
         phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no sysconf on this platform
         return
-    need = 8 * n * n
     if need > phys:
-        gib = Decimal(need) / 2**30  # an n of any size: a float would overflow
+        gib = Decimal(need) / 2**30  # a need of any size: a float would overflow
         raise DomainError(
-            f"{label}: n = {n} nodes needs {gib:.1f} GiB for the dense "
-            f"adjacency matrix, more than the {phys / 2**30:.1f} GiB of physical memory"
+            f"{what} needs {gib:.1f} GiB {purpose}, more than the {phys / 2**30:.1f} GiB "
+            "of physical memory"
         )
+
+
+def check_dense_size(n: int, label) -> None:
+    """Refuse a graph whose dense float64 adjacency cannot fit in memory;
+    ``label`` (an input path, or the option that set ``n``) starts the message."""
+    check_memory(8 * n * n, f"{label}: n = {n} nodes", "for the dense adjacency matrix")
 
 
 def lazy_zeros(n: int) -> np.ndarray:
@@ -195,16 +200,13 @@ def lazy_zeros(n: int) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.float64, count=n * n).reshape(n, n)
 
 
-def write_triangle(n: int, fill, spent: list) -> Triangle:
+def write_triangle(n: int, fill) -> Triangle:
     """The ``Triangle`` of a symmetric ``n x n`` matrix ``M``, written in row
-    blocks: ``fill(block, out)`` writes ``out = M[block]`` for each ``block``
-    of ``_BLOCK`` rows from the diagonal on, so the upper triangle of the
-    rows is written and, of the other, only the diagonal blocks.  The matrix
-    is the last of the list ``spent`` (matrices stage 1 is done with) if that
-    has ``n`` rows, else a new ``lazy_zeros`` one, once ``spent`` is emptied."""
-    if spent and spent[-1].shape[0] != n:
-        spent.clear()
-    m = spent.pop() if spent else lazy_zeros(n)
+    blocks onto a new ``lazy_zeros`` matrix: ``fill(block, out)`` writes
+    ``out = M[block]`` for each ``block`` of ``_BLOCK`` rows from the
+    diagonal on, so the upper triangle of the rows is written and, of the
+    other, only the diagonal blocks."""
+    m = lazy_zeros(n)
     scale = 0.0
     for lo in range(0, n, _BLOCK):
         block = np.s_[lo : lo + _BLOCK, lo:]
@@ -414,7 +416,7 @@ def reduce_to_band(matrix) -> Band:
     """
     if not isinstance(matrix, Triangle):
         m = check_symmetric(matrix)
-        matrix = write_triangle(m.shape[0], lambda block, out: np.copyto(out, m[block]), [])
+        matrix = write_triangle(m.shape[0], lambda block, out: np.copyto(out, m[block]))
     return _reduce_triangle(*matrix)
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import ngg
+from ngg.edgelist import EdgeListData
 
 settings.register_profile(
     "fast",
@@ -16,6 +17,23 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("fast")
+
+
+def dense(graph):
+    """The symmetric boolean adjacency matrix of a graph's ``EdgeListData``,
+    set at its keys and mirrored: the dense oracle of the tests."""
+    a = np.zeros(graph.n * graph.n, dtype=bool)
+    a[graph.keys] = True
+    a = a.reshape(graph.n, graph.n)
+    return a | a.T
+
+
+def graph_of(adjacency):
+    """The ``EdgeListData`` of a symmetric 0/1 matrix: the sorted keys
+    ``i * n + j`` of its edges ``i < j``, as ``generate_graph`` returns them."""
+    keys = np.flatnonzero(np.triu(np.asarray(adjacency), 1))
+    keys.flags.writeable = False
+    return EdgeListData(n=len(adjacency), keys=keys, warnings=())
 
 
 @pytest.fixture(scope="session")

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ngg
+from conftest import graph_of
 from ngg.cli import _MAX_GRID, main
-from ngg.edgelist import read_edge_list, write_edge_list
+from ngg.edgelist import read_edge_list, read_header, write_edge_list
 from ngg.errors import DomainError
 from ngg.estimator import MAX_RESOLUTION
 
@@ -82,6 +83,24 @@ def test_cli_estimate_malformed_dump(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert not (tmp_path / "o.json").exists()
+
+
+def test_cli_simulate_reference_spectrum_larger_than_memory(tmp_path, capsys, monkeypatch):
+    # sphere:10 with p2 expands its truth to 182 billion values: refused
+    # before any graph is drawn, with exit 1 and no report
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drew a graph")
+
+    monkeypatch.setattr(ngg.harness, "generate_graph", unreachable)
+    out = tmp_path / "x.json"
+    rc = main(["simulate", "--space", "sphere:10", "--envelope", "p2", "--n", "100",
+               "--r-max", "1", "--replicates", "2", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sphere:10, envelope p2: the reference spectrum of "
+                          "182195026585 values needs 5429.8 GiB")
+    assert err.count("\n") == 1 and "MemoryError" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_estimate_declared_graph_larger_than_memory(tmp_path, capsys):
@@ -307,6 +326,26 @@ def test_cli_round_trip_of_an_edgeless_graph(tmp_path):
     assert record["edge_count"] == 0 and est["spectrum"] == [0.0] * 20
 
 
+@pytest.mark.parametrize("space", ["sphere:3", "rp:3", "cp:2"])
+def test_cli_dumps_are_the_drawn_keys_and_count_their_edges(tmp_path, space):
+    # each dump reads back as the keys generate_graph draws for its replicate,
+    # with its n and space, and the record's edge_count is their number
+    sim_json, adj = tmp_path / "sim.json", tmp_path / "d.txt"
+    assert main(["simulate", "--space", space, "--envelope", "p5", "--n", "300",
+                 "--replicates", "2", "--r-max", "2", "--seed", "4", "--out", str(sim_json),
+                 "--dump-adjacency", str(adj)]) == 0
+    records = json.loads(sim_json.read_text())["records"]
+    for rec in records:
+        path = tmp_path / f"d.txt.rep{rec['replicate']}"
+        latent = ngg.sample_latent(ngg.spaces.parse_space(space), 300, rec["seed"])
+        drawn = ngg.generate_graph(latent, ngg.builtin_envelope(5), rec["graph_seed"])
+        data = read_edge_list(path)
+        assert read_header(path) == (300, latent.space)
+        assert data.keys.tobytes() == drawn.keys.tobytes()
+        assert rec["edge_count"] == data.keys.size > 0
+    assert len(records) == 2
+
+
 def _dump_rp3(tmp_path):
     """The rp:3 graph whose fit a sphere:3 estimate got wrong: its simulated
     record and the dump's path."""
@@ -339,9 +378,8 @@ def test_cli_estimate_fits_the_space_the_dump_names(tmp_path):
 def test_cli_estimate_fits_a_quaternionic_or_octonionic_graph_file(tmp_path, space):
     # simulate does not sample these spaces, but a graph file may name them
     rng = np.random.default_rng(6)
-    upper = np.triu(rng.random((80, 80)) < 0.3, 1)
     adj = tmp_path / "g.txt"
-    write_edge_list(adj, (upper | upper.T).astype(float), space)
+    write_edge_list(adj, graph_of(rng.random((80, 80)) < 0.3), space)
     reports = []
     for flags in ([], ["--space", space.name]):
         out = tmp_path / f"est{len(reports)}.json"
@@ -481,12 +519,8 @@ def test_cli_estimate_small_real_graph(tmp_path):
     # a 27-node interaction network; defaults (r_max 4, kappa 0.25) must run
     space = ngg.sphere(3)
     lat = ngg.sample_latent(space, 27, 14)
-    adj = ngg.generate_graph(lat, ngg.builtin_envelope(4), 15)
-    lines = ["% generated test network"]
-    for i in range(27):
-        for j in range(i + 1, 27):
-            if adj[i, j]:
-                lines.append(f"{i + 1} {j + 1}")
+    graph = ngg.generate_graph(lat, ngg.builtin_envelope(4), 15)
+    lines = ["% generated test network"] + [f"{i + 1} {j + 1}" for i, j in graph.edges]
     path = tmp_path / "zebra_like.txt"
     path.write_text("\n".join(lines) + "\n")
     out = tmp_path / "est.json"

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ngg
-from ngg.edgelist import read_edge_list, read_header, write_edge_list
+from conftest import graph_of
+from ngg.edgelist import EdgeListData, read_edge_list, read_header, write_edge_list
 from ngg.errors import DomainError
 
 
@@ -323,7 +324,7 @@ def test_write_edge_list_round_trip(tmp_path_factory, n, density, seed):
     a = np.triu(np.random.default_rng(seed).random((n, n)) < density, 1).astype(float)
     a += a.T
     path = tmp_path_factory.mktemp("dump") / "graph.txt"
-    write_edge_list(path, a, ngg.sphere(3))
+    write_edge_list(path, graph_of(a), ngg.sphere(3))
     data = read_edge_list(path)
     assert data.n == n and data.warnings == ()
     assert data.edges.tolist() == np.argwhere(np.triu(a, 1)).tolist()
@@ -336,7 +337,7 @@ def test_write_edge_list_round_trip(tmp_path_factory, n, density, seed):
 def test_write_edge_list_names_the_space(tmp_path, space):
     a = np.ones((4, 4)) - np.eye(4)
     path = tmp_path / "graph.txt"
-    write_edge_list(path, a, space)
+    write_edge_list(path, graph_of(a), space)
     assert path.read_text().splitlines()[0] == f"% ngg n 4 space {space.name}"
     assert read_header(path) == (4, space)
     data = read_edge_list(path)
@@ -357,18 +358,60 @@ def test_write_edge_list_bytes(tmp_path, n, density):
     a = np.triu(np.random.default_rng(n).random((n, n)) < density, 1).astype(float)
     a += a.T
     path = tmp_path / "graph.txt"
-    write_edge_list(path, a, ngg.real_projective(3))
+    write_edge_list(path, graph_of(a), ngg.real_projective(3))
     assert path.read_bytes() == _edge_list_text(a.tolist(), ngg.real_projective(3)).encode()
 
 
 def test_write_edge_list_allocates_nothing_the_size_of_the_matrix(tmp_path):
+    # the text of _WRITE_KEYS lines at a time, not of all 150k
     n = 1000
-    a = np.triu(np.random.default_rng(0).random((n, n)) < 0.3, 1).astype(float)
-    a += a.T
+    graph = graph_of(np.random.default_rng(0).random((n, n)) < 0.3)
     tracemalloc.start()
     try:
-        write_edge_list(tmp_path / "graph.txt", a, ngg.sphere(3))
+        write_edge_list(tmp_path / "graph.txt", graph, ngg.sphere(3))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * 8 * n * n
+
+
+_ROUND_TRIP_SPACES = [ngg.sphere(3), ngg.real_projective(3), ngg.complex_projective(2)]
+
+
+@pytest.mark.parametrize("space", _ROUND_TRIP_SPACES, ids=lambda s: s.name)
+def test_dump_round_trip_is_the_identity_on_the_graph(tmp_path, space):
+    # generate_graph's keys, written and read back, are the keys, and the
+    # header gives back n and the space: a drawn graph, an edgeless one, and
+    # graphs of one write chunk of keys, one fewer and one more
+    chunk = ngg.edgelist._WRITE_KEYS
+    latent = ngg.sample_latent(space, 300, 1)
+    drawn = [ngg.generate_graph(latent, ngg.builtin_envelope(5), 2),
+             ngg.generate_graph(latent, ngg.constant_envelope(0.0), 2)]
+    full = ngg.generate_graph(ngg.sample_latent(space, 200, 3), ngg.constant_envelope(1.0), 4)
+    assert full.keys.size == 200 * 199 // 2 > chunk + 1
+    for size in (chunk - 1, chunk, chunk + 1):
+        keys = full.keys[:size]
+        assert keys.size == size and not keys.flags.writeable
+        drawn.append(EdgeListData(n=200, keys=keys, warnings=()))
+    for k, graph in enumerate(drawn):
+        path = tmp_path / f"g{k}.txt"
+        write_edge_list(path, graph, space)
+        assert read_header(path) == (graph.n, space)
+        data = read_edge_list(path)
+        assert data.n == graph.n and data.warnings == ()
+        assert data.keys.dtype == np.int64 and data.keys.tobytes() == graph.keys.tobytes()
+    assert drawn[0].keys.size > 0 and drawn[1].keys.size == 0
+
+
+def test_one_node_graph_is_written_as_its_header_alone(tmp_path):
+    # a graph of one node has no edge to write; read_edge_list refuses it
+    # as too small to fit, read_header still gives back n and the space
+    graph = ngg.generate_graph(ngg.sample_latent(ngg.real_projective(3), 1, 0),
+                               ngg.constant_envelope(1.0), 0)
+    assert graph.n == 1 and graph.keys.size == 0
+    path = tmp_path / "g.txt"
+    write_edge_list(path, graph, ngg.real_projective(3))
+    assert path.read_text() == "% ngg n 1 space real-projective:3\n"
+    assert read_header(path) == (1, ngg.real_projective(3))
+    with pytest.raises(DomainError, match="fewer than 2 nodes"):
+        read_edge_list(path)

@@ -6,6 +6,7 @@ import scipy.stats
 from hypothesis import given, strategies as st
 
 import ngg
+from conftest import dense, graph_of
 from ngg.errors import DomainError, ModelError
 
 
@@ -194,10 +195,11 @@ def test_envelope_out_of_range_is_error(sphere3):
 def test_generate_graph_extremes(sphere3):
     lat = ngg.sample_latent(sphere3, 12, 3)
     full = ngg.generate_graph(lat, ngg.constant_envelope(1.0), 0)
-    assert full.dtype == np.bool_
-    assert np.array_equal(full, np.ones((12, 12)) - np.eye(12))
+    assert isinstance(full, ngg.edgelist.EdgeListData) and full.n == 12
+    assert full.keys.dtype == np.int64 and not full.keys.flags.writeable
+    assert np.array_equal(dense(full), np.ones((12, 12)) - np.eye(12))
     empty = ngg.generate_graph(lat, ngg.constant_envelope(0.0), 0)
-    assert not empty.any()
+    assert empty.n == 12 and empty.keys.size == 0 and empty.keys.dtype == np.int64
 
 
 def test_generate_graph_density(sphere3):
@@ -205,17 +207,20 @@ def test_generate_graph_density(sphere3):
     lat = ngg.sample_latent(sphere3, n, 21)
     a = ngg.generate_graph(lat, ngg.constant_envelope(0.5), 22)
     pairs = n * (n - 1) / 2
-    density = np.count_nonzero(a) / 2 / pairs
+    density = a.keys.size / pairs
     assert abs(density - 0.5) < 3 * math.sqrt(0.25 / pairs)
 
 
 @given(st.integers(0, 2**63 - 1))
 def test_generate_graph_symmetric_zero_diagonal(seed):
+    # the keys are the pairs i < j, sorted: their matrix is symmetric with a
+    # false diagonal
     lat = ngg.sample_latent(ngg.sphere(3), 25, 4)
-    a = ngg.generate_graph(lat, ngg.builtin_envelope(4), seed)
-    assert np.array_equal(a, a.T)
-    assert np.all((a == 0) | (a == 1))
-    assert not np.diagonal(a).any()
+    g = ngg.generate_graph(lat, ngg.builtin_envelope(4), seed)
+    i, j = np.divmod(g.keys, 25)
+    assert np.all(i < j) and np.all(j < 25)
+    assert np.all(np.diff(g.keys) > 0)
+    assert g.warnings == ()
 
 
 def test_generate_graph_deterministic(sphere3):
@@ -223,7 +228,7 @@ def test_generate_graph_deterministic(sphere3):
     p = ngg.builtin_envelope(1)
     a = ngg.generate_graph(lat, p, 17)
     b = ngg.generate_graph(lat, p, 17)
-    assert np.array_equal(a, b)
+    assert a.n == b.n and np.array_equal(a.keys, b.keys)
 
 
 def test_conditional_edge_frequency(sphere3):
@@ -235,7 +240,7 @@ def test_conditional_edge_frequency(sphere3):
     t = ngg.cosines(sphere3, lat.points, lat.points)
     iu = np.triu_indices(n, k=1)
     tv = t[iu]
-    av = g[iu]
+    av = dense(g)[iu]
     edges = np.linspace(-1, 1, 21)
     worst = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -251,7 +256,8 @@ def test_conditional_edge_frequency(sphere3):
 
 def _row_loop_graph(latent, p, seed):
     """Reference generator: one row of pairs at a time, as generation was first
-    written; the block version must give the same adjacency matrix."""
+    written, into a symmetric boolean matrix; the block version must give the
+    keys of the same graph."""
     rng = np.random.default_rng(seed)
     n, pts = latent.n, latent.points
     adj = np.zeros((n, n), dtype=bool)
@@ -283,8 +289,9 @@ def test_generate_graph_matches_row_loop(space):
             for seed in (0, 1, 2):
                 lat = ngg.sample_latent(space, n, seed + 10)
                 got = ngg.generate_graph(lat, p, seed)
-                assert got.dtype == np.bool_
-                assert np.array_equal(got, _row_loop_graph(lat, p, seed)), (p.name, n, seed)
+                want = graph_of(_row_loop_graph(lat, p, seed))
+                assert got.n == n and got.keys.dtype == np.int64
+                assert np.array_equal(got.keys, want.keys), (p.name, n, seed)
 
 
 @pytest.mark.parametrize("budget", [1, 5, 64, 1000])
@@ -296,7 +303,8 @@ def test_generate_graph_small_blocks_match_row_loop(monkeypatch, budget):
             for n in (2, 3, 17, 60):
                 lat = ngg.sample_latent(space, n, n)
                 got = ngg.generate_graph(lat, p, 5)
-                assert np.array_equal(got, _row_loop_graph(lat, p, 5)), (p.name, n)
+                assert np.array_equal(got.keys, graph_of(_row_loop_graph(lat, p, 5)).keys), \
+                    (p.name, n)
 
 
 def test_generate_graph_envelope_calls_per_block(sphere3):

@@ -114,16 +114,55 @@ def test_estimate_keeps_the_unread_triangle_off_resident_memory(tmp_path):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads Linux's ru_maxrss of a child")
+def test_simulate_holds_one_triangle_beside_the_next_graphs_keys(tmp_path):
+    # graph k + 1 is drawn while stage 1 reduces graph k: over a bare import,
+    # the child holds half the matrix (the triangle), a 4 KiB page a row, 8
+    # bytes an edge of the graph being drawn and 8 of the previous one, which
+    # malloc may keep once freed, the draws as bits, and what does not grow
+    # with n (the lane, BLAS buffers, the truth, the draw's block temporaries
+    # of at most 2^17 cosines), read from a 600-node run.  A boolean n x n
+    # matrix kept beside the draw fails it
+    if ngg.spectral._lapack() is None:
+        pytest.skip("numpy's LAPACK lacks the routines of the two-stage solve")
+
+    def peak(*argv):
+        proc = _run("peak_rss.py", [sys.executable, *argv], tmp_path, OPENBLAS_NUM_THREADS="2")
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout)
+
+    def grown(n):
+        out = tmp_path / f"s{n}.json"
+        rss = peak("-m", "ngg", "simulate", "--space", "sphere:3", "--envelope", "p5", "--n",
+                   str(n), "--replicates", "2", "--out", str(out)) - base
+        m = max(rec["edge_count"] for rec in json.loads(out.read_text())["records"])
+        return rss, 4 * n * (n + 1) + 4096 * n + 16 * m + n * n // 8
+
+    base = peak("-c", "import ngg.cli")
+    small, small_terms = grown(600)
+    rss, terms = grown(3000)
+    assert rss <= small - small_terms + terms, (rss, small - small_terms + terms)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads Linux's ru_maxrss of a child")
 def test_fit_graph_of_a_boolean_matrix_stays_below_a_float64_copy(tmp_path):
     # fit_graph checks the boolean matrix one tile at a time and writes the
     # triangle of A / n alone, on lazily mapped pages: over a child that only
-    # draws the graph, the fit peaks at about 0.70 of the 8 n^2 bytes of a
-    # float64 copy, where converting the matrix whole peaked at 1.00
+    # draws the graph and sets its boolean matrix, the fit peaks at about 0.70
+    # of the 8 n^2 bytes of a float64 copy, where converting the matrix whole
+    # peaked at 1.00
     if ngg.spectral._lapack() is None:
         pytest.skip("numpy's LAPACK lacks the routines of the two-stage solve")
     n = 3000
-    draw = ("import ngg; a = ngg.generate_graph(ngg.sample_latent(ngg.sphere(3), {n}, 1), "
-            "ngg.builtin_envelope(5), 2); basis = ngg.harmonic_basis(ngg.sphere(3), 4); "
+    # the boolean matrix is set from the drawn keys a chunk at a time
+    draw = ("import ngg, numpy as np\n"
+            "g = ngg.generate_graph(ngg.sample_latent(ngg.sphere(3), {n}, 1), "
+            "ngg.builtin_envelope(5), 2)\n"
+            "a = np.zeros(({n}, {n}), dtype=bool)\n"
+            "for i, j in map(np.divmod, np.array_split(g.keys, 64), [{n}] * 64):\n"
+            "    a[i, j] = a[j, i] = True\n"
+            "del g, i, j\n"
+            "basis = ngg.harmonic_basis(ngg.sphere(3), 4)\n"
             "config = ngg.AdaptConfig(n={n}, r_max=4)").format(n=n)
 
     def peak(code):
@@ -132,5 +171,5 @@ def test_fit_graph_of_a_boolean_matrix_stays_below_a_float64_copy(tmp_path):
         assert proc.returncode == 0, proc.stderr
         return int(proc.stdout)
 
-    grown = peak(f"{draw}; ngg.fit_graph(a, basis, config)") - peak(draw)
+    grown = peak(f"{draw}\nngg.fit_graph(a, basis, config)") - peak(draw)
     assert grown < 0.85 * 8 * n * n, grown / (8 * n * n)

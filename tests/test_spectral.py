@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ngg
+from conftest import dense, graph_of
 from ngg.edgelist import read_edge_list, write_edge_list
 from ngg.errors import DomainError
 
@@ -442,36 +443,47 @@ def test_tiled_stage_one_keeps_the_spectrum(graph):
     assert abs(math.fsum(vals * vals) - want) <= 1e-12 * max(want, 1e-300)
 
 
-_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-
-
-def _triangle_count(a):
-    """Triangles of the 0/1 graph ``a``: the common neighbours of each edge,
-    counted on its two packed bit rows ANDed, summed over the edges and
-    divided by three, the edges of a triangle."""
-    rows = np.packbits(a != 0, axis=1)
-    i, j = np.nonzero(np.triu(a, 1))
-    popcount = getattr(np, "bitwise_count", _BYTE_BITS.__getitem__)  # numpy >= 2.0 has it
-    common = 0
-    for lo in range(0, i.size, 4096):
-        both = rows[i[lo : lo + 4096]] & rows[j[lo : lo + 4096]]
-        common += int(popcount(both).sum(dtype=np.int64))
-    assert common % 3 == 0
-    return common // 3
+def _triangle_count(graph):
+    """Triangles of the graph of sorted keys ``graph.keys``, by row
+    intersections: for each node ``i``, the later neighbours of each of its
+    later neighbours ``j`` that are later neighbours of ``i`` too, so each
+    triangle ``i < j < k`` is counted once, without the dense matrix.  The
+    rows of the neighbours are gathered by one index array per node."""
+    n = graph.n
+    rows, cols = np.divmod(graph.keys, n)
+    start = np.searchsorted(rows, np.arange(n + 1))  # row i is cols[start[i]:start[i + 1]]
+    mine = np.zeros(n, dtype=bool)
+    count = 0
+    for i in range(n):
+        later = cols[start[i] : start[i + 1]]
+        lo, sizes = start[later], start[later + 1] - start[later]
+        total = int(sizes.sum())
+        if total:
+            gather = np.arange(total) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+            mine[later] = True
+            count += int(np.count_nonzero(mine[cols[gather]]))
+            mine[later] = False
+    return count
 
 
 def test_triangle_count_of_a_small_graph():
     a = np.zeros((5, 5))
     for i, j in ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (0, 4)):
         a[i, j] = a[j, i] = 1.0
-    assert _triangle_count(a) == 3  # 012, 234, 024
+    assert _triangle_count(graph_of(a)) == 3  # 012, 234, 024
+    # trace(A^3) / 6, the closed walks of length 3, on random graphs
+    rng = np.random.default_rng(3)
+    for n, density in ((1, 0.5), (2, 1.0), (7, 1.0), (40, 0.0), (40, 0.3), (90, 0.7)):
+        a = np.triu(rng.random((n, n)) < density, 1).astype(np.int64)
+        a += a.T
+        assert _triangle_count(graph_of(a)) * 6 == np.trace(a @ a @ a), (n, density)
 
 
-def _assert_cubes_count_the_triangles(vals, a):
+def _assert_cubes_count_the_triangles(vals, graph):
     """sum(l^3) = trace((A / n)^3) = 6T / n^3 for the spectrum ``vals`` of
-    ``A / n``, T the triangle count of ``a`` (closed walks of length 3)."""
-    n = a.shape[0]
-    want = 6 * _triangle_count(a) / n**3
+    ``A / n``, T the triangle count of ``graph`` (closed walks of length 3)."""
+    n = graph.n
+    want = 6 * _triangle_count(graph) / n**3
     # A backward-stable solve returns the exact eigenvalues of A/n + E with
     # ||E||_2 <= n eps max|l|.  Then sum(l^3) moves by 3 trace((A/n)^2 E) +
     # O(E^2), at most 3 sum(l^2) ||E||_2 <= 3 n^2 eps max|l|^3; the n cubes
@@ -488,28 +500,36 @@ def _assert_cubes_count_the_triangles(vals, a):
 def test_spectrum_cubes_count_the_triangles(n, build, tmp_path):
     # an entry written at the wrong place keeps sum(l) and sum(l^2) but
     # moves sum(l^3).  n = 544 runs stage 1's single dsymm, 545 and up its
-    # 512-column tiles.  "rewritten" is the replicate loop's reuse: A / n
-    # written over a spent matrix of the same size, which still holds what
-    # stage 1 left of another graph in both triangles
-    a = ngg.generate_graph(ngg.sample_latent(ngg.sphere(3), n, n), ngg.builtin_envelope(5), n)
+    # 512-column tiles.  "rewritten" is A / n written again in 256-row blocks
+    # by write_triangle from the upper triangle of A set from the keys, the
+    # form the concentration check writes (A - theta) / n from
+    graph = ngg.generate_graph(ngg.sample_latent(ngg.sphere(3), n, n), ngg.builtin_envelope(5), n)
     if build == "matrix":
-        vals = ngg.eigenvalues_symmetric(a / n).values
+        vals = ngg.eigenvalues_symmetric(dense(graph) / n).values
     elif build == "edge list":
-        write_edge_list(tmp_path / "g.txt", a, ngg.sphere(3))
+        write_edge_list(tmp_path / "g.txt", graph, ngg.sphere(3))
         band = ngg.spectral.reduce_to_band(read_edge_list(tmp_path / "g.txt").triangle())
         vals = ngg.spectral.band_spectrum(band).values
     else:
-        other = ngg.generate_graph(ngg.sample_latent(ngg.sphere(3), n, n + 1),
-                                   ngg.builtin_envelope(2), n + 1)
-        spent = ngg.spectral.lazy_zeros(n)
-        spent[...] = other / n
-        ngg.spectral.reduce_to_band(ngg.spectral.Triangle(spent, 1.0 / n))
-        assert not np.array_equal(np.triu(spent), np.triu(other / n))  # reduced entries
-        triangle = ngg.spectral.write_triangle(
-            n, lambda block, out: np.divide(a[block], n, out=out), [spent])
-        assert triangle.matrix is spent and triangle.scale == 1 / n
+        upper = np.zeros((n, n), dtype=bool)
+        upper.reshape(-1)[graph.keys] = True
+        triangle = ngg.harness._over_n(upper)
+        assert triangle.scale == 1 / n
+        upper = np.triu(np.ones((n, n), dtype=bool))
+        assert triangle.matrix[upper].tobytes() == (dense(graph) / n)[upper].tobytes()
         vals = ngg.spectral.band_spectrum(ngg.spectral.reduce_to_band(triangle)).values
-    _assert_cubes_count_the_triangles(vals, a)
+    _assert_cubes_count_the_triangles(vals, graph)
+
+
+def test_spectrum_cubes_count_the_triangles_on_the_blas_pool():
+    # n = 2049, the first size whose stage 1 runs on OpenBLAS's default pool,
+    # drawn straight from generate_graph and solved from its keys' triangle,
+    # as simulate solves it
+    n = 2049
+    graph = ngg.generate_graph(ngg.sample_latent(ngg.sphere(3), n, 1), ngg.builtin_envelope(5), 2)
+    assert n == ngg.spectral.ONE_THREAD_MAX_N + 1
+    band = ngg.spectral.reduce_to_band(graph.triangle())
+    _assert_cubes_count_the_triangles(ngg.spectral.band_spectrum(band).values, graph)
 
 
 @pytest.mark.parametrize("envelope", [2, 6], ids=["p2", "p6"])
@@ -519,9 +539,9 @@ def test_spectrum_cubes_count_the_triangles_on_projective_spaces(space, envelope
     # other cosine laws and envelopes: a jump (p2) and a sparse kink (p6);
     # n = 600 crosses stage 1's tile and the writer's 256-row blocks
     n = 600
-    a = ngg.generate_graph(ngg.sample_latent(space, n, envelope),
-                           ngg.builtin_envelope(envelope), n)
-    _assert_cubes_count_the_triangles(ngg.eigenvalues_symmetric(a / n).values, a)
+    graph = ngg.generate_graph(ngg.sample_latent(space, n, envelope),
+                               ngg.builtin_envelope(envelope), n)
+    _assert_cubes_count_the_triangles(ngg.eigenvalues_symmetric(dense(graph) / n).values, graph)
 
 
 def test_band_spectrum_is_the_same_on_one_and_two_threads():
