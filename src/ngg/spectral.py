@@ -50,7 +50,10 @@ __all__ = [
     "lazy_zeros",
     "operator_norm",
     "delta2",
+    "delta2_runs",
     "reduce_to_band",
+    "SignedRuns",
+    "signed_runs",
     "write_triangle",
 ]
 
@@ -585,6 +588,80 @@ def delta2(x, y) -> float:
     with np.errstate(over="ignore"):
         sq = (pad[0] - pad[1]) ** 2
         dist = math.sqrt(sq[:kp].sum() + sq[kp:].sum())
+    if not math.isfinite(dist):
+        raise DomainError("delta2 overflows float64")
+    return dist
+
+
+class SignedRuns(NamedTuple):
+    """A multiset of values with multiplicities, such as a staircase model
+    spectrum, split as ``delta2`` aligns it: ``nonneg`` holds the ``(value,
+    count)`` runs of the values ``>= 0`` (exact zeros of either sign
+    included) by decreasing value, ``neg`` those below zero by increasing
+    value.  Built by ``signed_runs``, compared by ``delta2_runs``."""
+
+    nonneg: list
+    neg: list
+
+
+def signed_runs(values, counts) -> SignedRuns:
+    """The ``SignedRuns`` of the multiset holding ``values[k]`` ``counts[k]``
+    times, for ``k`` up to the shorter length, such as stage values or
+    expansion coefficients with their ``basis.dims``; a non-finite value is
+    refused, as ``as_spectrum`` refuses it."""
+    values = np.asarray(values, dtype=float).tolist()
+    if not all(map(math.isfinite, values)):
+        raise DomainError("spectrum has non-finite values")
+    runs = SignedRuns([], [])
+    for v, c in zip(values, counts):
+        if c:
+            (runs.nonneg if v >= 0 else runs.neg).append((v, int(c)))
+    runs.nonneg.sort(reverse=True)
+    runs.neg.sort()
+    return runs
+
+
+_END = (0.0, math.inf)  # past a list's last run: zeros without end
+
+
+def _aligned_squares(xs: list, ys: list, terms: list) -> None:
+    """Append ``count * (a - b)**2`` for each stretch of ``count`` positions
+    on which the runs ``xs`` and ``ys``, laid out one position after
+    another and padded with zeros, hold ``a`` and ``b``."""
+    xi, yi = iter(xs), iter(ys)
+    (a, ca), (b, cb) = next(xi, _END), next(yi, _END)
+    add = terms.append
+    while True:
+        d = a - b
+        if ca < cb:
+            add(ca * (d * d))
+            cb -= ca
+            a, ca = next(xi, _END)
+        elif cb < ca:
+            add(cb * (d * d))
+            ca -= cb
+            b, cb = next(yi, _END)
+        elif ca == math.inf:  # both lists ended
+            return
+        else:
+            add(ca * (d * d))
+            (a, ca), (b, cb) = next(xi, _END), next(yi, _END)
+
+
+def delta2_runs(x: SignedRuns, y: SignedRuns) -> float:
+    """``delta2`` of two multisets given as ``SignedRuns``, without expanding
+    either: the stretches on which both sign lists hold one value each, at
+    most as many as their runs together, give ``count * (a - b)**2`` each,
+    summed with one rounding (``math.fsum``).  ``(a - b)**2`` is rounded as
+    ``delta2`` rounds it, so only the two sums differ.  A distance too large
+    for a float64 is refused."""
+    terms = []
+    _aligned_squares(x.nonneg, y.nonneg, terms)
+    _aligned_squares(x.neg, y.neg, terms)
+    try:
+        dist = math.sqrt(math.fsum(terms))
+    except OverflowError:  # a partial sum overflowed
+        dist = math.inf
     if not math.isfinite(dist):
         raise DomainError("delta2 overflows float64")
     return dist

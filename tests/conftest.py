@@ -1,6 +1,9 @@
+import bisect
+import itertools
 import mmap
 import types
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,6 +37,52 @@ def graph_of(adjacency):
     keys = np.flatnonzero(np.triu(np.asarray(adjacency), 1))
     keys.flags.writeable = False
     return EdgeListData(n=len(adjacency), keys=keys, warnings=())
+
+
+UNIT_ROUNDOFF = 2.0**-53  # of float64 round-to-nearest
+
+
+def gamma(k):
+    """``k u / (1 - k u)``, the relative error bound of ``k`` roundings of
+    unit roundoff ``u`` each (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., 2002, Lemma 3.1)."""
+    return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
+
+
+def delta2_merge_bound(dist, size):
+    """How far ``ngg.delta2`` of two expansions with ``size`` values in all
+    may lie from ``delta2_runs`` of their runs, ``dist``.  Both take the same
+    rounded squares of the same rounded differences, and the exact sum S of
+    those squares from there on.  The expansion adds at most ``size`` of
+    them, padding included, over two sums and their total: any order of
+    adding nonnegative terms so is within ``gamma(size)`` of S (Higham,
+    2002, section 4.2).  The merge rounds each ``count * square`` once and
+    their sum once: within ``gamma(2)``.  The square root halves a relative
+    error and is rounded once on each side, so the distances lie within
+    ``(gamma(size) + gamma(2)) / 2 + 2u``, below ``gamma(size + 4)``."""
+    return gamma(size + 4) * dist
+
+
+def exact_squared_distance(x, y):
+    """The squared ``delta2`` of two multisets given as ``(values,
+    counts)``, in exact rational arithmetic, without expanding either: each
+    sign's values laid out by position (nonnegative ones decreasing,
+    negative ones increasing, zeros past the end) and compared between the
+    run ends of either.  The oracle for multiplicities too large to
+    expand."""
+    total = Fraction(0)
+    for nonneg in (True, False):
+        sides = []
+        for values, counts in (x, y):
+            runs = sorted(((float(v), int(c)) for v, c in zip(values, counts)
+                           if c and (v >= 0) == nonneg), reverse=nonneg)
+            sides.append(([v for v, _ in runs], list(itertools.accumulate(c for _, c in runs))))
+        cuts = sorted({0, *sides[0][1], *sides[1][1]})
+        for lo, hi in zip(cuts, cuts[1:]):
+            a, b = (Fraction(values[k]) if (k := bisect.bisect_right(ends, lo)) < len(values)
+                    else Fraction(0) for values, ends in sides)
+            total += (hi - lo) * (a - b) ** 2
+    return total
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ngg
+from conftest import UNIT_ROUNDOFF, delta2_merge_bound
 from ngg.adapt import penalty, resolution_grid
 from ngg.errors import DomainError
 from ngg.estimator import ZERO_BLOCK, estimate_vector
@@ -40,12 +41,21 @@ def _biases(estimates, config, basis):
 
 
 def _bias_proxy_oracle(estimates, r, config, basis):
-    """Every expansion rebuilt and every term's distance computed, once per r."""
+    """Every expansion rebuilt and every term's distance computed by
+    ``delta2`` on the expansions, once per r: the bias proxy, and how far
+    ``select_resolution``'s may lie from it.  A term's distance is within
+    ``delta2_merge_bound`` of the run merge's, and its subtraction of the
+    penalty rounds on either side; a max moves no more than its terms."""
     grid = list(resolution_grid(config))
     vecs = {rr: estimate_vector(est, basis.dims) for rr, est in estimates.items()}
-    return max(
-        ngg.delta2(vecs[rp], vecs[min(rp, r)]) - penalty(config, basis, rp) for rp in grid
-    )
+    bias, tol = -math.inf, 0.0
+    for rp in grid:
+        x, y, pen = vecs[rp], vecs[min(rp, r)], penalty(config, basis, rp)
+        d = ngg.delta2(x, y)
+        gap = delta2_merge_bound(d, x.size + y.size)
+        bias = max(bias, d - pen)
+        tol = max(tol, gap + UNIT_ROUNDOFF * (2 * (d + pen) + gap))
+    return bias, tol
 
 
 @pytest.mark.parametrize("kappa", [float("nan"), float("inf"), float("-inf")])
@@ -75,7 +85,7 @@ def test_bias_proxy_singleton(basis3):
     ests = _estimates_from_stages({1: [0.5, 0.1]})
     res = ngg.select_resolution(ests, cfg, basis3)
     assert res.rows[0].bias == pytest.approx(-penalty(cfg, basis3, 1))
-    assert res.rows[0].bias == _bias_proxy_oracle(ests, 1, cfg, basis3)
+    assert res.rows[0].bias == _bias_proxy_oracle(ests, 1, cfg, basis3)[0]  # no distance
     assert res.selected_r == 1
 
 
@@ -86,7 +96,7 @@ def test_bias_proxy_at_r_max_sees_only_penalties(basis3):
     )
     expected = max(-penalty(cfg, basis3, r) for r in (1, 2, 3))
     assert _biases(ests, cfg, basis3)[3] == pytest.approx(expected)
-    assert _bias_proxy_oracle(ests, 3, cfg, basis3) == pytest.approx(expected)
+    assert _bias_proxy_oracle(ests, 3, cfg, basis3)[0] == pytest.approx(expected)
     assert expected == pytest.approx(-penalty(cfg, basis3, 1))
 
 
@@ -101,7 +111,7 @@ def test_bias_proxy_two_resolution_toy(basis3):
     assert biases[0] == pytest.approx(expect_b0)
     assert biases[1] == pytest.approx(-penalty(cfg, basis3, 0))
     for r in (0, 1):
-        assert _bias_proxy_oracle(ests, r, cfg, basis3) == pytest.approx(biases[r])
+        assert _bias_proxy_oracle(ests, r, cfg, basis3)[0] == pytest.approx(biases[r])
 
 
 def test_bias_proxy_missing_estimate(basis3):
@@ -141,18 +151,22 @@ def test_bias_proxy_largest_resolution_is_minimal(basis3, seed):
     biases = _biases(ests, cfg, basis3)
     for r in range(1, 5):
         assert biases[4] <= biases[r] + 1e-12
-        assert biases[r] == _bias_proxy_oracle(ests, r, cfg, basis3)
+        want, tol = _bias_proxy_oracle(ests, r, cfg, basis3)
+        assert abs(biases[r] - want) <= tol
 
 
 # --- one-pass selection against the per-resolution loop --------------------------
 
 
 def _selection_oracle(estimates, config, basis):
+    """The selection and its rows ``(r, bias, penalty, objective, tol)``
+    from the per-resolution loop; ``tol`` bounds how far the one-pass bias
+    may lie from the row's, and the objective adds one rounding each side."""
     rows = []
     for r in resolution_grid(config):
-        b = _bias_proxy_oracle(estimates, r, config, basis)
+        b, tol = _bias_proxy_oracle(estimates, r, config, basis)
         pen = penalty(config, basis, r)
-        rows.append((r, b, pen, b + pen))
+        rows.append((r, b, pen, b + pen, tol))
     return min(rows, key=lambda row: (row[3], row[0]))[0], rows
 
 
@@ -181,32 +195,47 @@ def test_select_resolution_matches_per_resolution_loop(
     fits = ngg.fit_all_resolutions(v, basis, cfg)
     res = ngg.select_resolution(fits, cfg, basis)
     selected, rows = _selection_oracle(fits, cfg, basis)
-    assert [(x.r, x.bias, x.penalty, x.objective) for x in res.rows] == rows
+    assert [(x.r, x.penalty) for x in res.rows] == [(r, pen) for r, _, pen, _, _ in rows]
+    for x, (_, b, pen, objective, tol) in zip(res.rows, rows):
+        assert abs(x.bias - b) <= tol
+        assert x.objective == x.bias + x.penalty
+        assert abs(x.objective - objective) <= tol + 2 * UNIT_ROUNDOFF * (abs(b) + pen + tol)
     assert res.selected_r == selected
 
 
 @pytest.mark.parametrize("r_max, include_r0", [(1, False), (1, True), (4, True), (6, False)])
-def test_select_resolution_expands_once_and_measures_each_pair_once(
+def test_select_resolution_expands_nothing_and_merges_each_pair_once(
     monkeypatch, r_max, include_r0
 ):
+    # each fit becomes its runs once, in grid order, and each pair r < r' is
+    # merged once; no model spectrum is expanded and delta2 never runs
     basis = _BASES["sphere:3"]
-    calls = {"estimate_vector": 0, "delta2": 0}
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def unreachable(*args, **kwargs):
+        raise AssertionError("expanded or sorted a model spectrum")
 
-        return wrapper
+    for owner, name in [(ngg.estimator, "estimate_vector"), (ngg.estimator, "spectrum_vector"),
+                        (ngg, "estimate_vector"), (ngg.spectral, "delta2"), (ngg, "delta2")]:
+        monkeypatch.setattr(owner, name, unreachable)
+    built, merged = [], []
 
-    monkeypatch.setattr(ngg.adapt, "estimate_vector", counted("estimate_vector", estimate_vector))
-    monkeypatch.setattr(ngg.adapt, "delta2", counted("delta2", ngg.delta2))
+    def runs(*args, _signed_runs=ngg.adapt.signed_runs):
+        built.append(_signed_runs(*args))
+        return built[-1]
+
+    def merge(x, y, _merge=ngg.adapt.delta2_runs):
+        merged.append(tuple(next(k for k, b in enumerate(built) if b is a) for a in (x, y)))
+        return _merge(x, y)
+
+    monkeypatch.setattr(ngg.adapt, "signed_runs", runs)
+    monkeypatch.setattr(ngg.adapt, "delta2_runs", merge)
     rng = np.random.default_rng(r_max)
     cfg = ngg.AdaptConfig(n=200, r_max=r_max, include_r0=include_r0)
     ests = {r: _estimate(r, rng.normal(0, 0.3, r + 1)) for r in resolution_grid(cfg)}
     ngg.select_resolution(ests, cfg, basis)
     g = len(resolution_grid(cfg))
-    assert calls == {"estimate_vector": g, "delta2": g * (g - 1) // 2}
+    assert len(built) == g
+    assert sorted(merged) == [(rp, r) for rp in range(g) for r in range(rp)]
 
 
 def test_bias_proxy_resolution_off_the_grid(basis3):

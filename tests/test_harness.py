@@ -5,6 +5,7 @@ import math
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ngg
-from conftest import dense
+from conftest import delta2_merge_bound, dense, exact_squared_distance, gamma
 from ngg.edgelist import write_edge_list
 from ngg.errors import DomainError, NggError
 from ngg.estimator import spectrum_vector
@@ -330,6 +331,37 @@ def test_concentration_holds_one_replicate_at_a_time(monkeypatch, mapped):
     assert peak <= 4.0 * 8 * n * n
 
 
+def test_concentration_writes_its_triangles_without_a_graph_matrix(monkeypatch):
+    # once theta is evaluated, the lane's matrices step writes (A - theta)/n
+    # from the keys and theta/n, onto maps tracemalloc does not see: what it
+    # allocates beside theta, the key scatter's temporaries, stays below
+    # n^2 / 2 bytes, under the n^2 of a boolean A
+    import ngg.harness
+
+    n, marks, peaks = 1500, [], []
+
+    def evaluated(*args, _theta=ngg.harness.probability_matrix):
+        theta = _theta(*args)
+        marks.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return theta
+
+    def reduced(triangle, _reduce=ngg.harness.reduce_to_band):
+        if len(peaks) < len(marks):  # the first reduction after the matrices step
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        return _reduce(triangle)
+
+    monkeypatch.setattr(ngg.harness, "probability_matrix", evaluated)
+    monkeypatch.setattr(ngg.harness, "reduce_to_band", reduced)
+    tracemalloc.start()
+    try:  # one replicate: no draw runs beside the lane
+        ngg.concentration_check(ngg.builtin_envelope(5), ngg.sphere(3), (n,), 1, 0)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 1
+    assert peaks[0] - marks[0] < n * n // 2, peaks[0] - marks[0]
+
+
 def test_report_embeds_config_and_build():
     report = ngg.run_experiment(_config(replicates=1))
     doc = report.to_json_dict()
@@ -599,11 +631,13 @@ def test_drivers_walk_their_tasks_lazily(monkeypatch, driver):
         assert held - before < 8 * 2**20, held - before
 
 
-@pytest.mark.parametrize("driver", ["run_experiment", "concentration_check"])
+@pytest.mark.parametrize("driver", ["concentration_check"])
 def test_reference_spectrum_larger_than_memory_is_refused_before_any_draw(monkeypatch, driver):
     # the truth of p2 on sphere:10 keeps 65 degrees, 182195026585 values once
     # repeated by their multiplicities: 5.3 TiB at 32 bytes a value, which
-    # every replicate used to ask for and record as a MemoryError
+    # every replicate used to ask for and record as a MemoryError.  The
+    # concentration check compares n eigenvalues with that spectrum, so it
+    # refuses it before any draw; run_experiment compares runs and needs none
     import ngg.harness
 
     def unreachable(*args, **kwargs):
@@ -613,31 +647,58 @@ def test_reference_spectrum_larger_than_memory_is_refused_before_any_draw(monkey
     space, envelope = ngg.sphere(10), ngg.builtin_envelope(2)
     with pytest.raises(DomainError, match=r"sphere:10, envelope p2: the reference spectrum of "
                                           r"182195026585 values needs 5429\.8 GiB"):
-        if driver == "run_experiment":
-            ngg.run_experiment(ngg.ExperimentConfig(space=space, envelope=envelope,
-                                                    n_values=(100,), replicates=2, r_max=1))
-        else:
-            ngg.concentration_check(envelope, space, (100,), 2, 0)
+        ngg.concentration_check(envelope, space, (100,), 2, 0)
 
 
-def test_reference_spectrum_is_expanded_once_per_run(monkeypatch):
-    # the truth's spectrum is built before the loop and shared by every
-    # replicate, whose records are unchanged
+def test_run_experiment_compares_with_a_reference_spectrum_larger_than_memory():
+    # the same truth as above, 182195026585 values once expanded: each fit is
+    # compared with its 65 coefficients as runs, and every distance's square
+    # lies within gamma(7) of the exact one (the merge's six roundings)
+    space, envelope = ngg.sphere(10), ngg.builtin_envelope(2)
+    report = ngg.run_experiment(ngg.ExperimentConfig(space=space, envelope=envelope,
+                                                     n_values=(100,), replicates=2, r_max=1))
+    truth, dims = report.truth["coefficients"], report.truth["dims"]
+    assert sum(dims) == 182195026585
+    assert [rec.get("error") for rec in report.records] == [None, None]
+    for rec in report.records:
+        for fit in rec["fits"]:
+            stages = (fit["stages"], dims)
+            for key, other in (("delta2_vs_truth_r", (truth[: fit["r"] + 1], dims)),
+                               ("delta2_vs_truth", (truth, dims))):
+                want = exact_squared_distance(stages, other)
+                assert math.isfinite(fit[key])
+                assert abs(Fraction(fit[key]) ** 2 - want) <= gamma(7) * want, key
+    assert math.isfinite(report.aggregates["per_n"]["100"]["mean_sq_delta2_selected"])
+
+
+def test_reference_spectrum_is_never_expanded_by_run_experiment(monkeypatch):
+    # each fit is compared with the truth as their runs: no model spectrum is
+    # expanded and delta2 never runs, and the distances agree with delta2 of
+    # the expansions within the rounding of the two sums
     import ngg.harness
 
     config = _config(n_values=(200, 150), replicates=3, envelope=ngg.builtin_envelope(2))
-    clean = ngg.run_experiment(config).records
-    sizes = []
 
-    def counted(values, dims, _expand=ngg.harness.spectrum_vector):
-        sizes.append(len(values))
-        return _expand(values, dims)
+    def unreachable(*args, **kwargs):
+        raise AssertionError("expanded or sorted a model spectrum")
 
-    monkeypatch.setattr(ngg.harness, "spectrum_vector", counted)
+    for owner, name in [(ngg.harness, "spectrum_vector"), (ngg.harness, "as_spectrum"),
+                        (ngg.harness, "delta2"), (ngg.estimator, "spectrum_vector"),
+                        (ngg.estimator, "estimate_vector"), (ngg, "estimate_vector")]:
+        monkeypatch.setattr(owner, name, unreachable)
     report = ngg.run_experiment(config)
-    full = len(report.truth["coefficients"])
-    assert full > config.r_max + 1 and sizes.count(full) == 1
-    assert report.records == clean
+    monkeypatch.undo()
+    truth, dims = report.truth["coefficients"], report.truth["dims"]
+    assert len(truth) > config.r_max + 1
+    full = spectrum_vector(truth, dims)
+    for rec in report.records:
+        assert "error" not in rec
+        for fit in rec["fits"]:
+            vec = spectrum_vector(fit["stages"], dims)
+            for key, other in (("delta2_vs_truth_r", spectrum_vector(truth[: fit["r"] + 1], dims)),
+                               ("delta2_vs_truth", full)):
+                gap = delta2_merge_bound(fit[key], vec.size + other.size)
+                assert abs(fit[key] - ngg.delta2(vec, other)) <= gap, key
 
 
 def test_concentration_zero_envelope():

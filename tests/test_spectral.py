@@ -4,15 +4,18 @@ import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ngg
-from conftest import dense, graph_of
+from conftest import delta2_merge_bound, dense, exact_squared_distance, gamma, graph_of
 from ngg.edgelist import read_edge_list, write_edge_list
 from ngg.errors import DomainError
+from ngg.estimator import spectrum_vector
+from ngg.spectral import delta2_runs, signed_runs
 
 _PERMS7 = np.array(list(itertools.permutations(range(7))))
 
@@ -230,6 +233,99 @@ def test_delta2_refuses_overflow(x, y):
         ngg.delta2(x, y)
     with pytest.raises(DomainError, match="overflows"):
         ngg.delta2(y, x)
+
+
+# --- the rearrangement distance of staircases, run by run ---------------------
+
+_STAIRCASE_DIMS = {
+    name: ngg.harmonic_basis(space, top).dims
+    for name, space, top in [
+        ("sphere:3", ngg.sphere(3), 16),
+        ("rp:3", ngg.real_projective(3), 16),
+        ("cp:2", ngg.complex_projective(2), 16),
+        ("sphere:10", ngg.sphere(10), 4),  # 935 values at degree 4
+    ]
+}
+# degrees 40..64 of sphere:10, 6.9e8 to 2.3e10 each: too many to expand
+_LARGE_DIMS = ngg.harmonic_basis(ngg.sphere(10), 64).dims[40:]
+
+
+def _stages(size, values=st.floats(-2, 2, allow_nan=False)):
+    """Stage values of resolutions whose degree blocks number ``size``: any,
+    with ties, with zeros of both signs, or all negative."""
+    tied = st.sampled_from([0.0, -0.0, 0.25, -0.25, 1.5])
+    return st.one_of(st.lists(values, min_size=1, max_size=size),
+                     st.lists(st.one_of(values, tied), min_size=1, max_size=size),
+                     st.lists(tied, min_size=1, max_size=size),
+                     st.lists(st.floats(-2, -1e-3), min_size=1, max_size=size))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(sorted(_STAIRCASE_DIMS)), st.data())
+def test_delta2_runs_matches_delta2_of_the_expansions(space, data):
+    dims = _STAIRCASE_DIMS[space]
+    x = data.draw(_stages(len(dims)))
+    y = data.draw(st.one_of(_stages(len(dims)), st.permutations(x)))
+    vx, vy = spectrum_vector(x, dims), spectrum_vector(y, dims)
+    got = delta2_runs(signed_runs(x, dims), signed_runs(y, dims))
+    assert abs(got - ngg.delta2(vx, vy)) <= delta2_merge_bound(got, vx.size + vy.size)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([*sorted(_STAIRCASE_DIMS), "large"]), st.data())
+def test_delta2_runs_of_one_multiset_is_zero_and_symmetric(space, data):
+    dims = _LARGE_DIMS if space == "large" else _STAIRCASE_DIMS[space]
+    x, y = data.draw(_stages(len(dims))), data.draw(_stages(len(dims)))
+    rx, ry = signed_runs(x, dims), signed_runs(y, dims)
+    assert delta2_runs(rx, rx) == 0.0
+    assert delta2_runs(rx, ry) == delta2_runs(ry, rx)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_delta2_runs_with_multiplicities_too_large_to_expand(data):
+    # against exact arithmetic: the merge rounds each difference, its
+    # square, each count times it, their sum and its root, so its square
+    # lies within gamma(7) of the exact squared distance.  Values below
+    # 1e-100 are taken as 0, so that no square underflows, where no
+    # relative bound holds
+    normal = st.floats(-2, 2).map(lambda v: v if abs(v) > 1e-100 else 0.0)
+    x, y = data.draw(_stages(5, normal)), data.draw(_stages(5, normal))
+    got = delta2_runs(signed_runs(x, _LARGE_DIMS), signed_runs(y, _LARGE_DIMS))
+    want = exact_squared_distance((x, _LARGE_DIMS), (y, _LARGE_DIMS))
+    assert abs(Fraction(got) ** 2 - want) <= gamma(7) * want
+
+
+def test_delta2_runs_edge_cases():
+    dims = _STAIRCASE_DIMS["sphere:3"]
+    cases = [
+        ([0.0], [-0.0]),  # zeros of both signs
+        ([0.0, 0.0], [0.3]),
+        ([-0.5, -0.25, -1.0], [-0.25]),  # all negative
+        ([-0.5, -0.25], [0.5, 0.25, 0.125]),  # one sign each
+        ([0.25, 0.25, -0.25, 0.25], [0.25, -0.25]),  # ties within and across fits
+        (list(np.linspace(-1, 1, 17)), list(np.linspace(1, -1, 17) ** 3)),  # r = 16
+    ]
+    for x, y in cases:
+        vx, vy = spectrum_vector(x, dims), spectrum_vector(y, dims)
+        got = delta2_runs(signed_runs(x, dims), signed_runs(y, dims))
+        assert abs(got - ngg.delta2(vx, vy)) <= delta2_merge_bound(got, vx.size + vy.size), (x, y)
+        assert got == delta2_runs(signed_runs(y, dims), signed_runs(x, dims))
+    assert delta2_runs(signed_runs([], dims), signed_runs([0.0], dims)) == 0.0
+
+
+def test_signed_runs_layout_and_refusals():
+    runs = signed_runs(np.array([0.5, -0.25, -0.0, 0.5, -1.0]), (1, 3, 5, 7, 0))
+    assert runs.nonneg == [(0.5, 7), (0.5, 1), (-0.0, 5)]
+    assert runs.neg == [(-0.25, 3)]  # a value counted 0 times is left out
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="non-finite"):
+            signed_runs([0.5, bad], (1, 3))
+    for x, y in [(([1e200], (3,)), ([-1e200], (3,))),  # a square overflows
+                 (([1e154], (3,)), ([0.0], (1,))),  # a count times a square
+                 (([1e154, 1e154], (1, 1)), ([0.0], (1,)))]:  # each term finite, not their sum
+        with pytest.raises(DomainError, match="overflows"):
+            delta2_runs(signed_runs(*x), signed_runs(*y))
 
 
 def test_as_spectrum_fields():
