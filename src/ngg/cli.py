@@ -314,8 +314,6 @@ def _cmd_estimate(args) -> int:
     data = read_edge_list(path)
     warnings = list(data.warnings)
     n = data.n
-    graph = data.triangle()
-    del data  # the solve holds only the matrix
     adapt_cfg = AdaptConfig(n=n, r_max=args.r_max, kappa=args.kappa,
                             include_r0=args.include_r0)
     basis = harmonic_basis(space, args.r_max)
@@ -332,6 +330,8 @@ def _cmd_estimate(args) -> int:
         )
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
+    graph = data.triangle()  # once the checks have passed
+    del data  # the solve holds only the matrix
     spectrum, estimates, result = fit_graph(graph, basis, adapt_cfg)
     values = result.envelope(grid)
     out = {

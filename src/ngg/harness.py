@@ -15,8 +15,8 @@ while the lane reduces graph k and hand it to the lane, which writes its
 2, the fits, the selection and the record).  So one float64 ``n x n``
 matrix is alive at a time.  A record compares each fit with the reference
 expansion as their runs, values with their multiplicities
-(``delta2_runs``), so no model spectrum is expanded, however many values
-the reference stands for; only the concentration check expands it.
+(``delta2_runs``), and so does the concentration check with theta/n's
+spectrum: none is expanded, however many values the reference stands for.
 Reports split into a deterministic JSON part (config, records, aggregates)
 and a CSV part that additionally carries wall-clock timings.
 """
@@ -34,8 +34,8 @@ import numpy as np
 from .adapt import AdaptConfig, fit_all_resolutions, resolution_grid, select_resolution
 from .edgelist import EdgeListData
 from .errors import DomainError
-from .estimator import SpectrumEstimate, spectrum_vector
-from .model import Envelope, generate_graph, probability_matrix, sample_latent
+from .estimator import SpectrumEstimate
+from .model import Envelope, generate_graph, probability_rows, sample_latent
 from .reports import csv_beside, write_csv, write_json
 from .spaces import (
     HarmonicBasis,
@@ -47,18 +47,15 @@ from .spaces import (
 from .spectral import (
     Band,
     SignedRuns,
-    Spectrum,
     Triangle,
-    as_spectrum,
     band_spectrum,
     check_dense_size,
-    check_memory,
     check_symmetric,
-    delta2,
     delta2_runs,
     operator_norm,
     reduce_to_band,
     signed_runs,
+    stage_one_threads,
     write_triangle,
 )
 
@@ -81,7 +78,6 @@ __all__ = [
 TRUTH_DEGREE = 64
 _TRUTH_TAIL_TOL = 1e-12
 _TRUTH_CHUNK = 8
-_TRUTH_BYTES = 32  # a reference spectrum's traced peak a value, under delta2
 _SCATTER_KEYS = 8192  # edge keys set per step in a block of (A - theta) / n
 
 
@@ -109,8 +105,8 @@ def build_identifier() -> str:
 
 
 def _check_run(n_values, replicates: int, seed: int) -> None:
-    """Checks shared by every seeded run: at least one graph size and none
-    twice, at least one replicate, and a nonnegative base seed."""
+    """Checks shared by every seeded run: at least one graph size, none twice
+    or too large for memory, at least one replicate and a nonnegative seed."""
     if replicates < 1:
         raise DomainError(f"replicates must be >= 1, got {replicates}")
     if not n_values:
@@ -119,6 +115,8 @@ def _check_run(n_values, replicates: int, seed: int) -> None:
         raise DomainError(f"graph sizes must be distinct, got {list(n_values)}")
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
+    for n in n_values:
+        check_dense_size(n, "graph size")
 
 
 def true_coefficients(basis: HarmonicBasis, envelope: Envelope) -> np.ndarray:
@@ -158,17 +156,6 @@ def _truth(space: LatentSpace, envelope: Envelope) -> tuple[HarmonicBasis, np.nd
     return basis, true_coefficients(basis, envelope)
 
 
-def _truth_spectrum(space: LatentSpace, envelope: Envelope, basis: HarmonicBasis,
-                    truth: np.ndarray) -> Spectrum:
-    """The model spectrum of the reference expansion, each coefficient
-    repeated by its degree's dimension, which ``concentration_check``
-    compares ``n`` eigenvalues with; refused when it cannot fit in memory."""
-    size = int(sum(basis.dims[: truth.size]))
-    check_memory(_TRUTH_BYTES * size, f"{space.name}, envelope {envelope.name}: the reference "
-                 f"spectrum of {size} values", "to compare spectra with")
-    return as_spectrum(spectrum_vector(truth, basis.dims))
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     space: LatentSpace
@@ -189,7 +176,6 @@ class ExperimentConfig:
                 raise DomainError(
                     f"n = {n} violates n >= 2 * cum_dim(r_max) = {need}"
                 )
-            check_dense_size(n, "graph size")
 
     def adapt_config(self, n: int) -> AdaptConfig:
         """The selection settings of a replicate on ``n`` nodes."""
@@ -542,28 +528,29 @@ def concentration_check(envelope: Envelope, space: LatentSpace, n_values, replic
     of theta/n against the reference expansion, with log-log slope fits.
 
     The graphs are drawn by ``run_experiment``'s replicate loop, in the
-    calling thread.  On the lane, theta is evaluated, the upper triangles of
-    (A - theta)/n and of theta/n are written in row blocks
-    (``write_triangle``), theta is freed and both are reduced; their spectra
-    are taken in the calling thread.  A block of (A - theta)/n is -theta
-    with 1 added at the keys of its rows (a ``searchsorted`` of the sorted
-    keys), divided by n: A is never held as a matrix.  The operator norm is
-    ``operator_norm`` of the band of (A - theta)/n, the larger of
-    |lambda_max| and |lambda_min|.  The spectrum error compares n
-    eigenvalues with the reference expansion's model spectrum, which is
-    expanded once per call and refused when it cannot fit in memory."""
+    calling thread.  On the lane, under ``stage_one_threads``, the upper
+    triangles of (A - theta)/n and of theta/n are written in row blocks
+    (``write_triangle``), each block of theta evaluated where it is written
+    (``probability_rows``); both are then reduced, and their spectra taken in
+    the calling thread.  A block of (A - theta)/n is -theta with 1 added at
+    the keys of its rows (a ``searchsorted``), divided by n: neither A nor
+    theta is ever held whole.  The operator norm is the larger of
+    |lambda_max| and |lambda_min| of (A - theta)/n; the spectrum error is
+    ``delta2_runs`` of theta/n's n eigenvalues against the reference runs."""
     n_values = tuple(int(n) for n in n_values)
     _check_run(n_values, replicates, seed)
     basis, coefficients = _truth(space, envelope)
-    truth = _truth_spectrum(space, envelope, basis, coefficients)
+    truth_runs = signed_runs(coefficients, basis.dims)
 
     def matrices(latent, graph):
         n, keys = graph.n, graph.keys
-        theta = probability_matrix(latent, envelope)
+
+        def theta(block):  # theta[block], evaluated where it is written
+            return probability_rows(latent, envelope, block[0].start, block[0].stop)
 
         def diff(block, out):  # (A - theta)[block] / n, A's 1s from the keys of its rows
             rows = block[0]
-            np.subtract(0.0, theta[block], out=out)
+            np.subtract(0.0, theta(block), out=out)
             lo, hi = np.searchsorted(keys, (rows.start * n, rows.stop * n))
             for at in range(lo, hi, _SCATTER_KEYS):
                 i, j = np.divmod(keys[at : min(at + _SCATTER_KEYS, hi)] - rows.start * n, n)
@@ -571,14 +558,17 @@ def concentration_check(envelope: Envelope, space: LatentSpace, n_values, replic
                 out[i, j] += 1.0
             np.divide(out, n, out=out)
 
-        return [write_triangle(n, diff), _over_n(theta)]
+        with stage_one_threads(n):
+            return [write_triangle(n, diff),
+                    write_triangle(n, lambda block, out: np.divide(theta(block), n, out=out))]
 
     op, sperr = {}, {}
     tasks = ((n, rep) for n in n_values for rep in range(replicates))
     for n, rep, drawn in _replicates(space, envelope, seed, tasks, matrices):
         (diff, theta), _ = drawn.stage1.result()
         op[(n, rep)] = operator_norm(diff)
-        sperr[(n, rep)] = delta2(band_spectrum(theta), truth)
+        sperr[(n, rep)] = delta2_runs(signed_runs(band_spectrum(theta).values, [1] * n),
+                                      truth_runs)
     rows = [{"n": n,
              "mean_op_norm_error": float(np.mean([op[(n, r)] for r in range(replicates)])),
              "mean_delta2_theta_spectrum": float(np.mean([sperr[(n, r)]

@@ -202,17 +202,24 @@ def _checked_probabilities(p: Envelope, t: np.ndarray) -> np.ndarray:
     return np.clip(vals, 0.0, 1.0)
 
 
-def probability_matrix(latent: LatentSample, p: Envelope) -> np.ndarray:
-    """Matrix of edge probabilities p(cosine), zero diagonal.  The envelope
-    sees the cosines in row-major blocks of ``_BLOCK_COSINES`` values and
-    overwrites them, so its temporaries are the size of a block."""
-    theta = cosines(latent.space, latent.points, latent.points)
+def probability_rows(latent: LatentSample, p: Envelope, lo: int, hi: int) -> np.ndarray:
+    """Rows ``lo:hi`` of the matrix of edge probabilities p(cosine) from
+    column ``lo`` on, ``theta[lo:hi, lo:]``, with a zero diagonal.  The
+    envelope sees the cosines in row-major blocks of ``_BLOCK_COSINES``
+    values and overwrites them, so its temporaries are the size of a block."""
+    pts = latent.points
+    theta = cosines(latent.space, pts[lo:hi], pts[lo:])
     np.fill_diagonal(theta, 1.0)
     flat = theta.reshape(-1)  # a view: cosines returns a new C-ordered matrix
-    for lo in range(0, flat.size, _BLOCK_COSINES):
-        flat[lo : lo + _BLOCK_COSINES] = _checked_probabilities(p, flat[lo : lo + _BLOCK_COSINES])
+    for at in range(0, flat.size, _BLOCK_COSINES):
+        flat[at : at + _BLOCK_COSINES] = _checked_probabilities(p, flat[at : at + _BLOCK_COSINES])
     np.fill_diagonal(theta, 0.0)
     return theta
+
+
+def probability_matrix(latent: LatentSample, p: Envelope) -> np.ndarray:
+    """Matrix of edge probabilities p(cosine), zero diagonal: ``probability_rows`` of all rows."""
+    return probability_rows(latent, p, 0, latent.n)
 
 
 def generate_graph(latent: LatentSample, p: Envelope, seed: int) -> EdgeListData:

@@ -43,7 +43,6 @@ __all__ = [
     "as_spectrum",
     "band_spectrum",
     "check_dense_size",
-    "check_memory",
     "check_symmetric",
     "eigenvalues_symmetric",
     "eigenvalues_tridiagonal",
@@ -54,6 +53,7 @@ __all__ = [
     "reduce_to_band",
     "SignedRuns",
     "signed_runs",
+    "stage_one_threads",
     "write_triangle",
 ]
 
@@ -170,24 +170,19 @@ def check_symmetric(matrix) -> np.ndarray:
     return m
 
 
-def check_memory(need: int, what: str, purpose: str) -> None:
-    """Refuse ``what`` if the ``need`` bytes of its ``purpose`` exceed physical memory."""
+def check_dense_size(n: int, label) -> None:
+    """Refuse a graph whose dense float64 adjacency cannot fit in memory;
+    ``label`` (an input path, or the option that set ``n``) starts the message."""
     try:
         phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no sysconf on this platform
         return
-    if need > phys:
-        gib = Decimal(need) / 2**30  # a need of any size: a float would overflow
+    if 8 * n * n > phys:
+        gib = Decimal(8 * n * n) / 2**30  # a need of any size: a float would overflow
         raise DomainError(
-            f"{what} needs {gib:.1f} GiB {purpose}, more than the {phys / 2**30:.1f} GiB "
-            "of physical memory"
+            f"{label}: n = {n} nodes needs {gib:.1f} GiB for the dense adjacency matrix, "
+            f"more than the {phys / 2**30:.1f} GiB of physical memory"
         )
-
-
-def check_dense_size(n: int, label) -> None:
-    """Refuse a graph whose dense float64 adjacency cannot fit in memory;
-    ``label`` (an input path, or the option that set ``n``) starts the message."""
-    check_memory(8 * n * n, f"{label}: n = {n} nodes", "for the dense adjacency matrix")
 
 
 def lazy_zeros(n: int) -> np.ndarray:
@@ -319,6 +314,15 @@ def _blas_threads(count):
         put(before)
 
 
+@contextlib.contextmanager
+def stage_one_threads(n: int):
+    """Stage 1 of an ``n``-row matrix, or the BLAS calls writing its triangle, run
+    inside: one at a time under ``_LAPACK_LOCK``, on one OpenBLAS thread up to
+    ``ONE_THREAD_MAX_N`` rows and on the default pool beyond."""
+    with _LAPACK_LOCK, _blas_threads(1 if n <= ONE_THREAD_MAX_N else None):
+        yield
+
+
 @dataclass(frozen=True)
 class Band:
     """A symmetric matrix after stage 1 of the eigensolve, from
@@ -437,16 +441,14 @@ def _reduce_triangle(m: np.ndarray, scale: float) -> Band:
     matrix may be freed or refilled.  A matrix whose largest entry is below
     2^-485 or above 2^485 is scaled first, as ``dsyevd_2stage`` does.
 
-    A matrix of at most ``ONE_THREAD_MAX_N`` rows is reduced on one OpenBLAS
-    thread, a larger one on the default pool, so the band depends on ``n``
-    alone for small matrices and on the machine's thread count for large
-    ones.  The reduction runs under a module-wide lock that also guards that
-    process-wide pin: one stage 1 at a time, so callers that solve from
-    several threads at once get the same bands as serial calls, while
-    ``band_spectrum`` needs no lock.  If numpy's LAPACK lacks any of the
-    routines of ``_lapack``, the whole spectrum is taken here by
-    ``np.linalg.eigvalsh`` (one-stage ``dsyevd``) of the transpose, whose
-    lower triangle is the rows' upper one.
+    The reduction runs under ``stage_one_threads``: one stage 1 at a time, on
+    one OpenBLAS thread up to ``ONE_THREAD_MAX_N`` rows, so the band depends on
+    ``n`` alone for small matrices and on the machine's thread count for large
+    ones, and callers that solve from several threads at once get the same
+    bands as serial calls, while ``band_spectrum`` needs no lock.  If numpy's
+    LAPACK lacks any of the routines of ``_lapack``, the whole spectrum is
+    taken here by ``np.linalg.eigvalsh`` (one-stage ``dsyevd``) of the
+    transpose, whose lower triangle is the rows' upper one.
     """
     n = m.shape[0]
     if n <= 1:  # dsyevd_2stage's own shortcut
@@ -466,7 +468,7 @@ def _reduce_triangle(m: np.ndarray, scale: float) -> Band:
     # dsytrd_2stage's band width; a C-ordered symmetric matrix is its own
     # column-major transpose, so LAPACK's 'L' triangle is the rows' upper one
     kd = int(_fortran(lapack["ilaenv2stage"], 1, b"DSYTRD_2STAGE", b"N", n, -1, -1, -1))
-    with _LAPACK_LOCK, _blas_threads(1 if n <= ONE_THREAD_MAX_N else None):
+    with stage_one_threads(n):
         ab = _sy2sb(lapack, m, kd)
     return Band(ab, kd, sigma)
 

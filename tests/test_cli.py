@@ -545,6 +545,23 @@ def test_cli_estimate_r_max_too_large(tmp_path, capsys):
     assert "smaller --r-max" in capsys.readouterr().err
 
 
+def test_cli_estimate_r_max_too_large_is_refused_before_the_matrix(tmp_path, capsys,
+                                                                   monkeypatch):
+    # a 60-node graph is too small for the resolution-8 model: refused before
+    # its A / n is written
+    def unreachable(self):
+        raise AssertionError("wrote A / n")
+
+    monkeypatch.setattr(ngg.edgelist.EdgeListData, "triangle", unreachable)
+    path = tmp_path / "g.txt"
+    path.write_text("".join(f"{i} {(i + j) % 60}\n" for i in range(60) for j in (1, 2, 5)))
+    rc = main(["estimate", "--input", str(path), "--r-max", "8",
+               "--out", str(tmp_path / "o.json")])
+    assert rc == 2
+    assert "smaller --r-max" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_cli_envelope_coefficients_file(tmp_path, capsys):
     coeffs = tmp_path / "env.txt"
     coeffs.write_text("# degree value\n0 0.4\n2 0.1\n")

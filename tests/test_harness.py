@@ -247,7 +247,10 @@ def test_dump_error_ends_the_run_and_is_no_record():
 
 def test_concentration_is_a_full_solve_of_each_replicate():
     # the bands reduced on the lane give the bits of whole solves of
-    # (A - theta)/n and theta/n, with the graphs drawn apart from the loop
+    # (A - theta)/n and theta/n, with the graphs drawn apart from the loop (one
+    # row block: the block cosines are theta's); the spectrum error is
+    # delta2_runs of the n eigenvalues against the truth's runs, which agrees
+    # with delta2 of the expansions within the rounding of the two sums
     space, envelope = ngg.sphere(3), ngg.builtin_envelope(4)
     table = ngg.concentration_check(envelope, space, (100, 200), replicates=2, seed=9)
     basis = ngg.harmonic_basis(space, TRUTH_DEGREE)
@@ -256,8 +259,9 @@ def test_concentration_is_a_full_solve_of_each_replicate():
     for (n, rep), op in table.op_norm.items():
         theta = ngg.probability_matrix(ngg.sample_latent(space, n, 9 + rep), envelope)
         assert op == ngg.operator_norm((dense(_graph(space, envelope, n, 9 + rep)) - theta) / n)
+        got = table.spectrum_error[(n, rep)]
         expect = ngg.delta2(ngg.eigenvalues_symmetric(theta / n), truth)
-        assert table.spectrum_error[(n, rep)] == expect
+        assert abs(got - expect) <= delta2_merge_bound(got, n + truth.size)
 
 
 @pytest.mark.parametrize("failing", ["generate_graph", "sample_latent"])
@@ -306,8 +310,8 @@ def test_failed_draw_is_settled_in_order_and_the_run_goes_on(monkeypatch):
 
 
 def test_concentration_holds_one_replicate_at_a_time(monkeypatch, mapped):
-    # (A - theta)/n and theta/n are reduced in place on the lane, theta is
-    # evaluated in blocks, and the next graph waits for both reductions:
+    # (A - theta)/n and theta/n are written a block of rows of theta at a time
+    # and reduced in place on the lane, and the next graph waits for both:
     # when it is drawn, the previous graph's two mapped matrices, freed when
     # their stage 1 returns, are the only ones that may be alive
     import ngg.harness
@@ -328,38 +332,52 @@ def test_concentration_holds_one_replicate_at_a_time(monkeypatch, mapped):
     finally:
         tracemalloc.stop()
     assert alive[0] == 0 and max(alive) <= 2, alive
-    assert peak <= 4.0 * 8 * n * n
+    assert peak <= 2.0 * 8 * n * n  # a whole theta and its cosines took it to 2.8
 
 
 def test_concentration_writes_its_triangles_without_a_graph_matrix(monkeypatch):
-    # once theta is evaluated, the lane's matrices step writes (A - theta)/n
-    # from the keys and theta/n, onto maps tracemalloc does not see: what it
-    # allocates beside theta, the key scatter's temporaries, stays below
-    # n^2 / 2 bytes, under the n^2 of a boolean A
+    # the lane's matrices step evaluates theta a block of rows at a time, where
+    # it writes (A - theta)/n from the keys and theta/n onto maps tracemalloc
+    # does not see: what it allocates is a block's cosines and their clipped
+    # copy (8 bytes each, _BLOCK rows of at most n columns), the envelope's
+    # temporaries on one chunk of _BLOCK_COSINES values and the key scatter's
+    # (a few int64 arrays of _SCATTER_KEYS).  A whole theta, 8 n^2 bytes,
+    # exceeds that bound
     import ngg.harness
+    import ngg.model
 
-    n, marks, peaks = 1500, [], []
+    n, envelope, marks, peaks = 1500, ngg.builtin_envelope(5), [], []
 
-    def evaluated(*args, _theta=ngg.harness.probability_matrix):
-        theta = _theta(*args)
+    def unreachable(*args, **kwargs):
+        raise AssertionError("evaluated the whole theta")
+
+    def matrices_step(*args, _reduce=ngg.harness._reduce):
         marks.append(tracemalloc.get_traced_memory()[0])
         tracemalloc.reset_peak()
-        return theta
+        return _reduce(*args)
 
     def reduced(triangle, _reduce=ngg.harness.reduce_to_band):
         if len(peaks) < len(marks):  # the first reduction after the matrices step
             peaks.append(tracemalloc.get_traced_memory()[1])
         return _reduce(triangle)
 
-    monkeypatch.setattr(ngg.harness, "probability_matrix", evaluated)
+    for owner in (ngg, ngg.model):
+        monkeypatch.setattr(owner, "probability_matrix", unreachable)
+    monkeypatch.setattr(ngg.harness, "_reduce", matrices_step)
     monkeypatch.setattr(ngg.harness, "reduce_to_band", reduced)
     tracemalloc.start()
     try:  # one replicate: no draw runs beside the lane
-        ngg.concentration_check(ngg.builtin_envelope(5), ngg.sphere(3), (n,), 1, 0)
+        ngg.concentration_check(envelope, ngg.sphere(3), (n,), 1, 0)
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ngg.model._checked_probabilities(envelope, np.linspace(-1.0, 1.0,
+                                                               ngg.model._BLOCK_COSINES))
+        chunk = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert len(peaks) == 1
-    assert peaks[0] - marks[0] < n * n // 2, peaks[0] - marks[0]
+    bound = 2 * 8 * ngg.spectral._BLOCK * n + chunk + 8 * 8 * ngg.harness._SCATTER_KEYS
+    assert len(peaks) == 1 and bound < 8 * n * n
+    assert peaks[0] - marks[0] <= bound, (peaks[0] - marks[0], bound)
 
 
 def test_report_embeds_config_and_build():
@@ -631,23 +649,27 @@ def test_drivers_walk_their_tasks_lazily(monkeypatch, driver):
         assert held - before < 8 * 2**20, held - before
 
 
-@pytest.mark.parametrize("driver", ["concentration_check"])
-def test_reference_spectrum_larger_than_memory_is_refused_before_any_draw(monkeypatch, driver):
+def test_concentration_compares_with_a_reference_spectrum_larger_than_memory():
     # the truth of p2 on sphere:10 keeps 65 degrees, 182195026585 values once
-    # repeated by their multiplicities: 5.3 TiB at 32 bytes a value, which
-    # every replicate used to ask for and record as a MemoryError.  The
-    # concentration check compares n eigenvalues with that spectrum, so it
-    # refuses it before any draw; run_experiment compares runs and needs none
-    import ngg.harness
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("drew a graph")
-
-    monkeypatch.setattr(ngg.harness, "generate_graph", unreachable)
+    # repeated by their multiplicities: 5.3 TiB at 32 bytes a value, which the
+    # check used to refuse.  It compares the n eigenvalues of theta/n, each
+    # counted once, with the truth's runs, and every distance's square lies
+    # within gamma(7) of the exact one: the rounded difference, its square,
+    # the count times it, the sum, and the square root rounded and squared
     space, envelope = ngg.sphere(10), ngg.builtin_envelope(2)
-    with pytest.raises(DomainError, match=r"sphere:10, envelope p2: the reference spectrum of "
-                                          r"182195026585 values needs 5429\.8 GiB"):
-        ngg.concentration_check(envelope, space, (100,), 2, 0)
+    basis = ngg.harmonic_basis(space, TRUTH_DEGREE)
+    truth = ngg.true_coefficients(basis, envelope)
+    dims = basis.dims[: truth.size]
+    assert sum(dims) == 182195026585
+    n = 100
+    table = ngg.concentration_check(envelope, space, (n,), 2, 0)
+    for rep in range(2):
+        theta = ngg.probability_matrix(ngg.sample_latent(space, n, rep), envelope)
+        eigenvalues = ngg.eigenvalues_symmetric(theta / n).values  # one row block: the same bits
+        got = table.spectrum_error[(n, rep)]
+        want = exact_squared_distance((eigenvalues, [1] * n), (truth, dims))
+        assert math.isfinite(got)
+        assert abs(Fraction(got) ** 2 - want) <= gamma(7) * want
 
 
 def test_run_experiment_compares_with_a_reference_spectrum_larger_than_memory():
@@ -672,9 +694,10 @@ def test_run_experiment_compares_with_a_reference_spectrum_larger_than_memory():
 
 
 def test_reference_spectrum_is_never_expanded_by_run_experiment(monkeypatch):
-    # each fit is compared with the truth as their runs: no model spectrum is
-    # expanded and delta2 never runs, and the distances agree with delta2 of
-    # the expansions within the rounding of the two sums
+    # each fit is compared with the truth as their runs: the harness holds no
+    # expansion and no delta2, the estimator expands no model spectrum, and
+    # the distances agree with delta2 of the expansions within the rounding of
+    # the two sums
     import ngg.harness
 
     config = _config(n_values=(200, 150), replicates=3, envelope=ngg.builtin_envelope(2))
@@ -682,9 +705,10 @@ def test_reference_spectrum_is_never_expanded_by_run_experiment(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("expanded or sorted a model spectrum")
 
-    for owner, name in [(ngg.harness, "spectrum_vector"), (ngg.harness, "as_spectrum"),
-                        (ngg.harness, "delta2"), (ngg.estimator, "spectrum_vector"),
-                        (ngg.estimator, "estimate_vector"), (ngg, "estimate_vector")]:
+    for name in ("spectrum_vector", "as_spectrum", "delta2"):
+        assert not hasattr(ngg.harness, name), name
+    for owner, name in [(ngg.estimator, "spectrum_vector"), (ngg.estimator, "estimate_vector"),
+                        (ngg, "estimate_vector")]:
         monkeypatch.setattr(owner, name, unreachable)
     report = ngg.run_experiment(config)
     monkeypatch.undo()
@@ -748,6 +772,31 @@ def test_concentration_independent_of_thread_count():
     serial = table()
     with ThreadPoolExecutor(max_workers=2) as pool:
         assert list(pool.map(table, range(2))) == [serial, serial]
+
+
+def test_concentration_independent_of_blas_thread_count():
+    # theta's cosines are BLAS products written on the lane under stage 1's
+    # rule: a graph of at most ONE_THREAD_MAX_N nodes gives the same table on
+    # any OpenBLAS thread count (the operator norm at n = 1100 moved in its
+    # last bits while the cosines ran on the default pool)
+    def table(count):
+        with ngg.spectral._blas_threads(count):
+            t = ngg.concentration_check(ngg.builtin_envelope(5), ngg.sphere(3), (1100,),
+                                        replicates=1, seed=1)
+        return json_dumps(t.to_json_dict())
+
+    assert table(1) == table(2)
+
+
+def test_concentration_refuses_a_graph_larger_than_memory_before_any_draw(monkeypatch):
+    import ngg.harness
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sampled a graph")
+
+    monkeypatch.setattr(ngg.harness, "sample_latent", unreachable)
+    with pytest.raises(DomainError, match=r"graph size: n = 10000000 nodes needs .* GiB"):
+        ngg.concentration_check(ngg.builtin_envelope(5), ngg.sphere(3), (100, 10**7), 1, 0)
 
 
 @pytest.mark.parametrize("space", [ngg.real_projective(3), ngg.complex_projective(2)],

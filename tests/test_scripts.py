@@ -65,6 +65,8 @@ def test_script_runs_at_toy_size(tmp_path, script, args, outputs):
          "error: the directory of 'missing/r.json' is missing"),
         ("risk_curve.py", ["--n", "100", "--replicates", "1", "--out", "missing/r.csv"], 1,
          "error: the directory of 'missing/r.csv' is missing"),
+        # a graph too large for memory is refused before any graph is drawn
+        ("rate_check.py", ["--n", "10000000"], 1, "error: graph size: n = 10000000 nodes needs"),
     ],
 )
 def test_script_refuses_bad_input_without_a_traceback(tmp_path, script, args, code, message):
@@ -173,3 +175,39 @@ def test_fit_graph_of_a_boolean_matrix_stays_below_a_float64_copy(tmp_path):
 
     grown = peak(f"{draw}\nngg.fit_graph(a, basis, config)") - peak(draw)
     assert grown < 0.85 * 8 * n * n, grown / (8 * n * n)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads Linux's ru_maxrss of a child")
+def test_rate_check_holds_two_triangles_beside_the_next_graphs_keys(tmp_path):
+    # the lane writes (A - theta)/n and theta/n a block of theta's rows at a
+    # time and reduces both while the next graph is drawn: over a bare import,
+    # the child holds two triangles (half the matrix each, a 4 KiB page a row,
+    # and the lower half of each 256-row diagonal block), 16 bytes an edge, the
+    # draws as bits, theta's row-block temporaries (a block's cosines and their
+    # clipped copy, and as much again that malloc may keep once freed), stage
+    # 1's band and panel buffers (8 (3 kd + 2) bytes a row, kd = 32), and what
+    # does not grow with n, read from a 600-node run.  A whole theta held
+    # beside the triangles fails it
+    if ngg.spectral._lapack() is None:
+        pytest.skip("numpy's LAPACK lacks the routines of the two-stage solve")
+    from ngg.harness import _graph_seed
+
+    def peak(*argv):
+        proc = _run("peak_rss.py", [sys.executable, *argv], tmp_path, OPENBLAS_NUM_THREADS="2")
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout)
+
+    def grown(n):
+        rss = peak(str(_ROOT / "scripts" / "rate_check.py"), "--n", str(n), "--replicates", "2",
+                   "--out", str(tmp_path / f"r{n}.json")) - base
+        m = max(ngg.generate_graph(ngg.sample_latent(ngg.sphere(3), n, rep),
+                                   ngg.builtin_envelope(5), _graph_seed(rep)).keys.size
+                for rep in range(2))
+        triangle = 4 * n * (n + 1) + 4096 * n + 4 * 255 * n
+        return rss, 2 * triangle + 16 * m + n * n // 8 + 4 * 8 * 256 * n + 8 * (3 * 32 + 2) * n
+
+    base = peak("-c", "import ngg.cli")
+    small, small_terms = grown(600)
+    rss, terms = grown(3000)
+    assert rss <= small - small_terms + terms, (rss, small - small_terms + terms)
