@@ -17,12 +17,7 @@ from .errors import (
     QuadratureError,
     SolverError,
 )
-from .estimator import (
-    SpectrumEstimate,
-    estimate_vector,
-    fit_resolution,
-    score_ordering,
-)
+from .estimator import SpectrumEstimate
 from .harness import (
     ExperimentConfig,
     ExperimentReport,
@@ -39,7 +34,6 @@ from .model import (
     cosines,
     envelope_from_coefficients,
     generate_graph,
-    probability_matrix,
     sample_latent,
 )
 from .spaces import (
@@ -57,6 +51,6 @@ from .spaces import (
     real_projective,
     sphere,
 )
-from .spectral import Spectrum, as_spectrum, delta2, eigenvalues_symmetric, operator_norm
+from .spectral import Spectrum, as_spectrum
 
 __version__ = "0.1.0"

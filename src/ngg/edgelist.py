@@ -39,6 +39,7 @@ __all__ = ["EdgeListData", "read_edge_list", "read_header", "write_edge_list"]
 
 _HEADER = "% ngg n"
 _WRITE_KEYS = 1 << 14  # edges formatted at a time: about 2 MB of ints and text
+_CHECK_KEYS = 1 << 16  # keys compared at a time when an EdgeListData is checked
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,31 @@ class EdgeListData:
     n: int
     keys: np.ndarray  # (m,) int64 i * n + j of the edges i < j, sorted, unique, read-only
     warnings: tuple[str, ...]
+
+    def __post_init__(self):
+        """Refuse keys that are not a graph on ``n`` nodes: anything but a 1-D
+        int64 array, strictly increasing, whose every key is ``i * n + j``
+        with ``0 <= i < j < n``.  The order is checked ``_CHECK_KEYS`` keys at
+        a time; then, the keys being sorted, row ``i``'s keys with ``j <= i``
+        are those in ``[i * n, i * n + i]``, counted by two binary searches a
+        row, so no temporary grows with the edge count."""
+        n, keys = self.n, self.keys
+        if not isinstance(n, int) or n < 1:
+            raise DomainError(f"graph must have a positive integer node count, got {n!r}")
+        if not isinstance(keys, np.ndarray) or keys.ndim != 1 or keys.dtype != np.int64:
+            raise DomainError("edge keys must be a 1-D int64 array")
+        for lo in range(0, keys.size - 1, _CHECK_KEYS):
+            run = keys[lo : lo + _CHECK_KEYS + 1]
+            if not (run[1:] > run[:-1]).all():
+                raise DomainError("edge keys must be strictly increasing")
+        if keys.size and not (0 <= keys[0] and keys[-1] < n * n):
+            raise DomainError(f"edge keys must lie in [0, n^2) = [0, {n * n}) for n = {n}")
+        first = np.searchsorted(keys, np.arange(0, n * n, n))  # at or past (i, 0)
+        upper = np.searchsorted(keys, np.arange(1, n * n + 1, n + 1))  # past (i, i)
+        bad = np.flatnonzero(first != upper)
+        if bad.size:
+            key = int(keys[first[bad[0]]])
+            raise DomainError(f"edge key {key} is the pair {divmod(key, n)}, not i < j")
 
     @property
     def edges(self) -> np.ndarray:

@@ -10,19 +10,20 @@ run.  The fit finds the best ordering with a Bellman/Held-Karp dynamic
 program over subsets of blocks, ``O(2^(R+2) (R+2))`` steps instead of scoring
 all ``(R + 2)!`` orderings.
 
-The DP runs in numpy one popcount level at a time, in one private core that
-fits a tuple of resolutions: ``fit_resolution`` runs it on ``(r,)`` and
-``adapt.fit_all_resolutions`` on its grid.  Consecutive resolutions whose
-transitions fit one cost chunk share a pass, whose levels serve all of them,
-so the grid 1..6 runs 8 levels, not the 33 of one DP per resolution.  A pass's
-tables are built once per block dimensions and resolutions, so ``R`` is
-capped at ``MAX_RESOLUTION``.
+The DP runs in numpy one popcount level at a time, in one private core,
+``_fit_resolutions``, that ``adapt.fit_all_resolutions`` runs on its grid.
+Consecutive resolutions whose transitions fit one cost chunk share a pass,
+whose levels serve all of them, so the grid 1..6 runs 8 levels, not the 33 of
+one DP per resolution.  A pass's tables are built once per block dimensions
+and resolutions, so ``R`` is capped at ``MAX_RESOLUTION``.
 
 Every run cost reads prefix sums of the sorted values and of their squares,
-which a ``Spectrum`` carries; every fit and ``score_ordering`` accept one in
-place of a raw spectrum.  One helper holds the run-mean and run-cost formula
-for the DP and for ``score_ordering``, which scores one ordering; with the
-exhaustive search over all orderings in the tests, it is the DP's oracle.
+which a ``Spectrum`` carries; every fit accepts one in place of a raw
+spectrum.  One helper, ``_run_costs``, holds the run-mean and run-cost
+formula, and ``_read_runs`` reads an ordering's stages and score off its
+runs.  The oracle ``score_ordering`` in ``tests/oracles.py`` scores one
+ordering with both: with the exhaustive search over all orderings, it checks
+the DP.
 """
 
 from __future__ import annotations
@@ -40,11 +41,7 @@ from .spectral import Spectrum, as_spectrum
 __all__ = [
     "MAX_RESOLUTION",
     "ZERO_BLOCK",
-    "score_ordering",
     "SpectrumEstimate",
-    "fit_resolution",
-    "estimate_vector",
-    "spectrum_vector",
 ]
 
 ZERO_BLOCK = -1  # ordering symbol for the zero block
@@ -83,32 +80,6 @@ def _read_runs(ordering, means, costs):
             stages[sym] = mean
         score += cost
     return stages, max(score, 0.0)
-
-
-def score_ordering(spectrum, ordering, dims):
-    """Stage values and squared-deviation score of one block ordering.
-
-    The sorted eigenvalues are cut into consecutive runs with lengths given by
-    the ordering; a degree block contributes the run's squared deviation from
-    its mean (the fitted stage), the zero block contributes the run's raw sum
-    of squares.
-    """
-    spec = as_spectrum(spectrum)
-    n = spec.n
-    r = len(ordering) - 2
-    if sorted(ordering) != [ZERO_BLOCK, *range(r + 1)]:
-        raise DomainError(f"ordering {tuple(ordering)} is not a permutation of -1, 0..r")
-    if len(dims) <= r:
-        raise DomainError(f"need {r + 1} dimensions for the ordering, got {len(dims)}")
-    dims = tuple(int(d) for d in dims[: r + 1])
-    total = sum(dims)
-    if total > n:
-        raise DomainError(f"need n >= {total} eigenvalues, got {n}")
-    lengths = {sym: (dims[sym] if sym != ZERO_BLOCK else n - total) for sym in ordering}
-    ends = np.cumsum([lengths[sym] for sym in ordering])
-    starts = np.concatenate(([0], ends[:-1]))
-    means, costs = _run_costs(spec, starts, ends, np.equal(ordering, ZERO_BLOCK))
-    return _read_runs(ordering, means.tolist(), costs.tolist())
 
 
 def _passes(rs):
@@ -232,7 +203,7 @@ def _fit_pass(spec: Spectrum, dims: tuple, rs: tuple) -> list[SpectrumEstimate]:
             state = int(pred[lo + j])
         orderings.append(tuple(ordering))
 
-    # stages and score read off the path's runs, as score_ordering reads them
+    # stages and score read off the path's runs, as _read_runs reads any ordering's
     blk = blk_of[path]
     ends = first[pred[path]]
     means, costs = (a.tolist() for a in _run_costs(spec, ends - lengths[blk], ends,
@@ -262,8 +233,8 @@ def _fit_resolutions(spectrum, basis: HarmonicBasis, rs: tuple) -> list[Spectrum
     ``1e-12 * sum(v**2)`` of the minimum.  It is rebuilt from position 0,
     taking at each step the smallest remaining symbol that keeps the
     accumulated excess over the minimum within that tolerance.  Stage values
-    and score are read off the chosen ordering's runs, bit for bit those of
-    ``score_ordering``.
+    and score are read off the chosen ordering's runs by ``_read_runs``, bit
+    for bit those of that ordering scored alone.
     """
     if rs[0] < 0:
         raise DomainError("resolution must be nonnegative")
@@ -279,24 +250,3 @@ def _fit_resolutions(spectrum, basis: HarmonicBasis, rs: tuple) -> list[Spectrum
         )
     dims = tuple(int(d) for d in basis.dims[: top + 1])
     return [fit for group in _passes(rs) for fit in _fit_pass(spec, dims[: group[-1] + 1], group)]
-
-
-def fit_resolution(spectrum, basis: HarmonicBasis, r: int) -> SpectrumEstimate:
-    """Least-squares staircase fit at resolution ``r``, at most
-    ``MAX_RESOLUTION``: the DP of ``_fit_resolutions`` on ``(r,)``, with its
-    tie rule.  ``spectrum`` may be a ``Spectrum``, which is used without
-    sorting again."""
-    return _fit_resolutions(spectrum, basis, (r,))[0]
-
-
-def spectrum_vector(values, dims) -> np.ndarray:
-    """Repeat the value of each degree ``ell`` ``dims[ell]`` times: the model
-    spectrum of stage values or expansion coefficients of degrees 0..len-1."""
-    values = np.asarray(values, dtype=float)
-    return np.repeat(values, np.asarray(dims[: values.size], dtype=int))
-
-
-def estimate_vector(est: SpectrumEstimate, dims) -> np.ndarray:
-    """Expand stage values with their multiplicities into the model spectrum
-    vector (length cum_dims[r])."""
-    return spectrum_vector(est.stage_values, dims)

@@ -50,9 +50,7 @@ from .spectral import (
     Triangle,
     band_spectrum,
     check_dense_size,
-    check_symmetric,
     delta2_runs,
-    operator_norm,
     reduce_to_band,
     signed_runs,
     stage_one_threads,
@@ -250,13 +248,6 @@ class ExperimentReport:
         write_csv(csv_path, header, rows)
 
 
-def _over_n(matrix: np.ndarray) -> Triangle:
-    """The ``Triangle`` of ``matrix / n`` (``write_triangle``), bit for bit
-    ``matrix.astype(float) / n`` of a boolean or float matrix."""
-    n = matrix.shape[0]
-    return write_triangle(n, lambda block, out: np.divide(matrix[block], n, out=out))
-
-
 def _reduce(matrices, drawn: list) -> tuple[list[Band], float]:
     """Stage 1 of a replicate: the ``Triangle`` list ``matrices(*drawn)``
     writes, ``drawn`` then emptied so the draw is freed, and each triangle
@@ -288,11 +279,8 @@ def fit_graph(graph, basis: HarmonicBasis, config: AdaptConfig) -> tuple:
     resolution and the Goldenshluger-Lepski selection, as ``(spectrum,
     estimates, result)``.  ``graph`` is the ``EdgeListData`` of ``A``, as
     ``generate_graph`` and ``read_edge_list`` return it, solved by its
-    ``triangle()``; ``A`` itself, boolean or float64 0/1; or the ``Triangle``
-    of ``A / n``, the upper triangle of the rows alone on lazily resident
-    pages, which the solver destroys.  A matrix is checked
-    (``check_symmetric``) and left as it is: its ``A / n`` is written into a
-    ``Triangle`` of its own (``_over_n``).
+    ``triangle()``, or that ``Triangle`` of ``A / n`` itself, which the
+    solver destroys; any other input is refused.
 
     The chain is two halves: stage 1 of the solve (``reduce_to_band``), then
     stage 2 (``band_spectrum``), the fits and the selection.  ``run_experiment``
@@ -305,7 +293,8 @@ def fit_graph(graph, basis: HarmonicBasis, config: AdaptConfig) -> tuple:
     if isinstance(graph, EdgeListData):
         graph = graph.triangle()
     elif not isinstance(graph, Triangle):
-        graph = _over_n(check_symmetric(graph))
+        raise DomainError(f"fit_graph takes an EdgeListData or the Triangle of its A / n, "
+                          f"not {type(graph).__name__}")
     band = reduce_to_band(graph)
     spectrum, estimates, result, _ = _fit_band(band, 0.0, basis, config)
     return spectrum, estimates, result
@@ -566,7 +555,8 @@ def concentration_check(envelope: Envelope, space: LatentSpace, n_values, replic
     tasks = ((n, rep) for n in n_values for rep in range(replicates))
     for n, rep, drawn in _replicates(space, envelope, seed, tasks, matrices):
         (diff, theta), _ = drawn.stage1.result()
-        op[(n, rep)] = operator_norm(diff)
+        values = band_spectrum(diff).values  # descending: the norm is at an end
+        op[(n, rep)] = float(max(abs(values[0]), abs(values[-1])))
         sperr[(n, rep)] = delta2_runs(signed_runs(band_spectrum(theta).values, [1] * n),
                                       truth_runs)
     rows = [{"n": n,

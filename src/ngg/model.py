@@ -26,7 +26,6 @@ __all__ = [
     "LatentSample",
     "sample_latent",
     "cosines",
-    "probability_matrix",
     "generate_graph",
 ]
 
@@ -178,11 +177,12 @@ def cosines(space: LatentSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         t = 2.0 * np.abs(x @ y.conj().T) ** 2 - 1.0
     else:
         raise DomainError(f"pairwise cosine not supported on {space.kind.value}")
-    return np.clip(np.real(t), -1.0, 1.0)
+    # in place: t is a new real array, or a scalar for two single points
+    return np.clip(t, -1.0, 1.0, out=t if isinstance(t, np.ndarray) else None)
 
 
 # ---------------------------------------------------------------------------
-# probability matrix and graph generation
+# edge probabilities and graph generation
 
 _RANGE_TOL = 1e-12
 # Cosines per generation block.  1 MB float64 arrays stay in cache (2^16 to
@@ -215,11 +215,6 @@ def probability_rows(latent: LatentSample, p: Envelope, lo: int, hi: int) -> np.
         flat[at : at + _BLOCK_COSINES] = _checked_probabilities(p, flat[at : at + _BLOCK_COSINES])
     np.fill_diagonal(theta, 0.0)
     return theta
-
-
-def probability_matrix(latent: LatentSample, p: Envelope) -> np.ndarray:
-    """Matrix of edge probabilities p(cosine), zero diagonal: ``probability_rows`` of all rows."""
-    return probability_rows(latent, p, 0, latent.n)
 
 
 def generate_graph(latent: LatentSample, p: Envelope, seed: int) -> EdgeListData:

@@ -11,11 +11,11 @@ the same eigenvalues to round-off beyond it.  The LAPACK and BLAS routines
 are bound together or not at all (``_lapack``): without any one of them
 every solve is ``np.linalg.eigvalsh``.
 
-Stage 1 reads and writes only the upper triangle of the C-ordered rows
-(LAPACK's ``'L'`` triangle of the column-major matrix), given as a
-``Triangle``.  Every ``Triangle`` of a dense matrix is written in row blocks
-by ``write_triangle`` onto ``lazy_zeros`` pages that become resident where
-they are written: about half of the ``8 n^2`` bytes.
+Stage 1 takes one input, a ``Triangle``: the upper triangle of the C-ordered
+rows (LAPACK's ``'L'`` triangle of the column-major matrix) on ``lazy_zeros``
+pages that become resident where they are written, about half of the
+``8 n^2`` bytes.  ``EdgeListData.triangle()`` writes the ``A / n`` of a
+graph, and ``write_triangle`` any other symmetric matrix in row blocks.
 """
 
 from __future__ import annotations
@@ -43,12 +43,8 @@ __all__ = [
     "as_spectrum",
     "band_spectrum",
     "check_dense_size",
-    "check_symmetric",
-    "eigenvalues_symmetric",
     "eigenvalues_tridiagonal",
     "lazy_zeros",
-    "operator_norm",
-    "delta2",
     "delta2_runs",
     "reduce_to_band",
     "SignedRuns",
@@ -57,8 +53,7 @@ __all__ = [
     "write_triangle",
 ]
 
-_SYM_TOL = 1e-10
-_BLOCK = 256  # tile side of the symmetry check, and rows of a triangle's block
+_BLOCK = 256  # rows of a triangle's block
 _LAPACK_LOCK = threading.Lock()
 # Symbols of the OpenBLAS that numpy's wheels bundle carry 64-bit integers, a
 # "scipy_" prefix and a "64_" suffix; other builds may lack the prefix
@@ -90,9 +85,9 @@ class Spectrum:
     eigenvalues of a symmetric matrix.  Its first ``nonneg`` values are the
     nonnegative ones (exact zeros of either sign included).  ``s1[k]`` and
     ``s2[k]`` are the sums of its ``k`` largest values and of their squares
-    (``s1[0] = s2[0] = 0``), taken on first use: ``delta2`` never reads them.
-    A prefix sum that overflows reads inf, which the fit refuses.  Built by
-    ``as_spectrum``, ``eigenvalues_symmetric`` and ``band_spectrum``."""
+    (``s1[0] = s2[0] = 0``), taken on first use.  A prefix sum that
+    overflows reads inf, which the fit refuses.  Built by ``as_spectrum`` and
+    ``band_spectrum``."""
 
     values: np.ndarray
     nonneg: int
@@ -113,9 +108,10 @@ class Triangle(NamedTuple):
     """A symmetric matrix as stage 1 reads it.  ``matrix`` is a C-ordered
     float64 ``n x n`` array whose upper triangle of the rows stands for the
     whole matrix; the rest is never read.  ``scale`` is the largest magnitude
-    of an entry.  ``write_triangle`` writes one from a dense matrix and
-    ``EdgeListData.triangle()`` from an edge list, both on ``lazy_zeros``
-    pages, for ``reduce_to_band``."""
+    of an entry.  ``EdgeListData.triangle()`` writes one from a graph's edge
+    keys and ``write_triangle`` from row blocks of any symmetric matrix, both
+    on ``lazy_zeros`` pages, for ``reduce_to_band``, the one input of the
+    solve."""
 
     matrix: np.ndarray
     scale: float
@@ -135,39 +131,6 @@ def as_spectrum(x) -> Spectrum:
     if isinstance(x, Spectrum):
         return x
     return _descending(np.sort(np.asarray(x, dtype=float).ravel())[::-1])
-
-
-def _scale_and_asymmetry(m: np.ndarray) -> tuple[float, float]:
-    """``max|M_ij|`` and ``max|M_ij - M_ji|``, one pair of mirrored
-    ``_BLOCK x _BLOCK`` tiles at a time, each converted to float64, so every
-    entry is read once (twice on the diagonal tiles) and the only temporaries
-    are one tile's; a non-finite entry is refused."""
-    scale = asym = 0.0
-    n = m.shape[0]
-    for lo in range(0, n, _BLOCK):
-        for lo2 in range(lo, n, _BLOCK):
-            upper = np.asarray(m[lo : lo + _BLOCK, lo2 : lo2 + _BLOCK], dtype=float)
-            lower = np.asarray(m[lo2 : lo2 + _BLOCK, lo : lo + _BLOCK], dtype=float)
-            tile_scale = max(float(np.max(np.abs(upper))), float(np.max(np.abs(lower))))
-            if not np.isfinite(tile_scale):  # max propagates NaN and inf
-                raise DomainError("matrix has non-finite entries")
-            diff = upper - lower.T
-            scale = max(scale, tile_scale)
-            asym = max(asym, float(np.max(np.abs(diff, out=diff))))
-    return scale, asym
-
-
-def check_symmetric(matrix) -> np.ndarray:
-    """``matrix`` as an array of its own dtype, refused unless square, finite
-    and symmetric to ``1e-10 * max|M_ij|``, checked in float64 tiles
-    (``_scale_and_asymmetry``): no ``n x n`` temporary, of any dtype."""
-    m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError("matrix must be square")
-    scale, asym = _scale_and_asymmetry(m)
-    if asym > _SYM_TOL * max(scale, 1e-300):
-        raise DomainError("matrix is not symmetric")
-    return m
 
 
 def check_dense_size(n: int, label) -> None:
@@ -203,14 +166,17 @@ def write_triangle(n: int, fill) -> Triangle:
     blocks onto a new ``lazy_zeros`` matrix: ``fill(block, out)`` writes
     ``out = M[block]`` for each ``block`` of ``_BLOCK`` rows from the
     diagonal on, so the upper triangle of the rows is written and, of the
-    other, only the diagonal blocks."""
+    other, only the diagonal blocks.  A non-finite entry is refused."""
     m = lazy_zeros(n)
     scale = 0.0
     for lo in range(0, n, _BLOCK):
         block = np.s_[lo : lo + _BLOCK, lo:]
         out = m[block]
         fill(block, out)
-        scale = max(scale, float(out.max()), -float(out.min()))
+        top = max(float(out.max()), -float(out.min()))  # NaN if any entry is NaN
+        if not math.isfinite(top):
+            raise DomainError("matrix has non-finite entries")
+        scale = max(scale, top)
     return Triangle(m, scale)
 
 
@@ -413,43 +379,38 @@ def _sy2sb(lapack, m: np.ndarray, kd: int) -> np.ndarray:
     return ab
 
 
-def reduce_to_band(matrix) -> Band:
-    """Stage 1 of ``eigenvalues_symmetric``: the ``Triangle`` of a symmetric
-    matrix reduced to band form by ``_reduce_triangle``, which destroys it.
-
-    Any other ``matrix`` is checked (``check_symmetric``) and its upper
-    triangle of the rows copied by ``write_triangle``, converted to float64
-    block by block: the caller's array is left as it is.
-    """
-    if not isinstance(matrix, Triangle):
-        m = check_symmetric(matrix)
-        matrix = write_triangle(m.shape[0], lambda block, out: np.copyto(out, m[block]))
-    return _reduce_triangle(*matrix)
-
-
-def _reduce_triangle(m: np.ndarray, scale: float) -> Band:
-    """Stage 1 of the C-ordered float64 ``n x n`` matrix of which only the
-    upper triangle of the rows is read, and destroyed: the symmetric matrix
-    that triangle stands for, reduced to band form by LAPACK's
-    ``dsytrd_sy2sb`` call sequence (``_sy2sb``), whose symmetric multiply
-    runs in column tiles (``_symm``).  ``scale`` is the largest magnitude of
-    an entry.  Where the trailing matrix of every panel fits one tile
+def reduce_to_band(triangle: Triangle) -> Band:
+    """Stage 1 of the solve: the symmetric matrix that ``triangle`` stands
+    for, reduced to band form by LAPACK's ``dsytrd_sy2sb`` call sequence
+    (``_sy2sb``), whose symmetric multiply runs in column tiles (``_symm``).
+    Only the upper triangle of the rows of ``triangle.matrix`` is read, and
+    it is destroyed.  Where the trailing matrix of every panel fits one tile
     (``n - kd <= _SYMM_TILE``, so ``n <= 544`` with OpenBLAS's ``kd = 32``)
     the band is ``dsytrd_sy2sb``'s bit for bit; beyond it the band differs at
     round-off level.  This is the O(n^3) part of the solve, in BLAS-3 calls,
     and the only one that reads the ``n x n`` matrix: once it returns, the
-    matrix may be freed or refilled.  A matrix whose largest entry is below
-    2^-485 or above 2^485 is scaled first, as ``dsyevd_2stage`` does.
+    matrix may be freed or refilled.  A matrix whose largest entry
+    (``triangle.scale``) is below 2^-485 or above 2^485 is scaled first, as
+    ``dsyevd_2stage`` does; one with a non-finite entry is refused, and so is
+    any input other than a ``Triangle``.
 
     The reduction runs under ``stage_one_threads``: one stage 1 at a time, on
     one OpenBLAS thread up to ``ONE_THREAD_MAX_N`` rows, so the band depends on
     ``n`` alone for small matrices and on the machine's thread count for large
-    ones, and callers that solve from several threads at once get the same
-    bands as serial calls, while ``band_spectrum`` needs no lock.  If numpy's
-    LAPACK lacks any of the routines of ``_lapack``, the whole spectrum is
-    taken here by ``np.linalg.eigvalsh`` (one-stage ``dsyevd``) of the
-    transpose, whose lower triangle is the rows' upper one.
+    ones (1 against 2 threads moves the eigenvalues by up to about 1e-15), and
+    callers that solve from several threads at once get the same bands as
+    serial calls, while ``band_spectrum`` needs no lock.  If numpy's LAPACK
+    lacks any of the routines of ``_lapack``, the whole spectrum is taken here
+    by ``np.linalg.eigvalsh`` (one-stage ``dsyevd``) of the transpose, whose
+    lower triangle is the rows' upper one.
     """
+    if not isinstance(triangle, Triangle):
+        raise DomainError(
+            f"the solve takes a Triangle, as EdgeListData.triangle() or write_triangle "
+            f"writes it, not {type(triangle).__name__}")
+    m, scale = triangle
+    if not math.isfinite(scale):
+        raise DomainError("matrix has non-finite entries")
     n = m.shape[0]
     if n <= 1:  # dsyevd_2stage's own shortcut
         return Band(None, eigenvalues=m.diagonal().copy())
@@ -474,13 +435,13 @@ def _reduce_triangle(m: np.ndarray, scale: float) -> Band:
 
 
 def band_spectrum(band: Band) -> Spectrum:
-    """Stage 2 of ``eigenvalues_symmetric``: the spectrum of a matrix that
-    ``reduce_to_band`` reduced.  LAPACK's ``dsytrd_sb2st`` reduces a copy of
-    the band to a tridiagonal matrix T, reading only the band, and
-    ``eigenvalues_tridiagonal`` (``dsterf``) takes all ``n`` eigenvalues of
-    T; a band solved in stage 1 already holds them.  Neither routine calls
-    threaded BLAS, so this half gives the same bits on any number of OpenBLAS
-    threads and takes no lock: it can run beside another matrix's stage 1."""
+    """Stage 2 of the solve: the spectrum of a matrix that ``reduce_to_band``
+    reduced.  LAPACK's ``dsytrd_sb2st`` reduces a copy of the band to a
+    tridiagonal matrix T, reading only the band, and ``eigenvalues_tridiagonal``
+    (``dsterf``) takes all ``n`` eigenvalues of T; a band solved in stage 1
+    already holds them.  Neither routine calls threaded BLAS, so this half
+    gives the same bits on any number of OpenBLAS threads and takes no lock:
+    it can run beside another matrix's stage 1."""
     vals = band.eigenvalues
     if vals is None:
         sb2st = _lapack()["dsytrd_sb2st"]
@@ -503,32 +464,6 @@ def band_spectrum(band: Band) -> Spectrum:
         if band.sigma != 1.0:
             vals *= 1.0 / band.sigma  # as dsyevd_2stage scales back
     return _descending(vals[::-1].copy())  # LAPACK's order is ascending
-
-
-def eigenvalues_symmetric(matrix) -> Spectrum:
-    """The spectrum of a symmetric matrix, eigenvalues only: stage 1,
-    ``reduce_to_band``, then stage 2, ``band_spectrum``.
-
-    Together the two stages are LAPACK's two-stage routine
-    ``dsyevd_2stage`` (full -> band -> tridiagonal -> ``dsterf``), called
-    step by step through ctypes in the LAPACK numpy already loaded, with the
-    symmetric multiply of stage 1 done in column tiles.  They give
-    ``dsyevd_2stage``'s bits at the same BLAS thread count while the trailing
-    matrix fits one tile (``n - kd <= 512``), and its eigenvalues to
-    round-off beyond it.  ``matrix`` is a ``Triangle``, which the solve
-    destroys, or an array, which it checks and copies one triangle of
-    (``reduce_to_band``) and leaves as it is.
-
-    Stage 1 runs under a module-wide lock, which also guards the
-    process-wide pin of OpenBLAS to one thread while a matrix of at most
-    ``ONE_THREAD_MAX_N`` rows is reduced.  So the spectrum of such a matrix
-    does not depend on the machine's thread count, and callers that solve
-    from several threads at once get the same spectra as serial calls.  A
-    larger matrix keeps the default BLAS pool, whose thread count moves its
-    eigenvalues at round-off level (1 against 2 OpenBLAS threads, by up to
-    about 1e-15).
-    """
-    return band_spectrum(reduce_to_band(matrix))
 
 
 def eigenvalues_tridiagonal(diag, offdiag) -> np.ndarray:
@@ -557,50 +492,15 @@ def eigenvalues_tridiagonal(diag, offdiag) -> np.ndarray:
     return d
 
 
-def operator_norm(matrix) -> float:
-    """Largest absolute eigenvalue (= spectral norm for symmetric input).
-    ``matrix`` may also be the ``Band`` that ``reduce_to_band`` made of it."""
-    band = matrix if isinstance(matrix, Band) else reduce_to_band(matrix)
-    vals = band_spectrum(band).values
-    if vals.size == 0:
-        return 0.0
-    return float(max(abs(vals[0]), abs(vals[-1])))
-
-
-def delta2(x, y) -> float:
-    """l2 rearrangement distance between two real multisets.
-
-    Both inputs are implicitly padded with zeros; by the Hardy-Littlewood
-    rearrangement inequality the optimal matching aligns the nonnegative
-    entries downward from the largest and the negative entries upward from
-    the smallest, surplus entries on either side matching zero.  Exact zeros
-    count as nonnegative (either convention gives the same distance).  Both
-    inputs go through ``as_spectrum``, so a non-finite entry is refused and a
-    multiset compared with many others can be sorted once beforehand.  A
-    distance too large for a float64 is refused.
-    """
-    x, y = as_spectrum(x), as_spectrum(y)
-    xn, yn = x.values.size - x.nonneg, y.values.size - y.nonneg
-    kp = max(x.nonneg, y.nonneg)
-    pad = np.zeros((2, kp + max(xn, yn)))  # x then y: nonnegative run, then negative run
-    pad[0, : x.nonneg] = x.values[: x.nonneg]
-    pad[1, : y.nonneg] = y.values[: y.nonneg]
-    pad[0, kp : kp + xn] = x.values[::-1][:xn]  # most negative first
-    pad[1, kp : kp + yn] = y.values[::-1][:yn]
-    with np.errstate(over="ignore"):
-        sq = (pad[0] - pad[1]) ** 2
-        dist = math.sqrt(sq[:kp].sum() + sq[kp:].sum())
-    if not math.isfinite(dist):
-        raise DomainError("delta2 overflows float64")
-    return dist
-
-
 class SignedRuns(NamedTuple):
     """A multiset of values with multiplicities, such as a staircase model
-    spectrum, split as ``delta2`` aligns it: ``nonneg`` holds the ``(value,
-    count)`` runs of the values ``>= 0`` (exact zeros of either sign
-    included) by decreasing value, ``neg`` those below zero by increasing
-    value.  Built by ``signed_runs``, compared by ``delta2_runs``."""
+    spectrum, split as the l2 rearrangement distance aligns it: ``nonneg``
+    holds the ``(value, count)`` runs of the values ``>= 0`` (exact zeros of
+    either sign included) by decreasing value, ``neg`` those below zero by
+    increasing value.  By the Hardy-Littlewood rearrangement inequality the
+    optimal matching of two zero-padded multisets pairs their nonnegative
+    values downward from the largest and their negative ones upward from the
+    smallest.  Built by ``signed_runs``, compared by ``delta2_runs``."""
 
     nonneg: list
     neg: list
@@ -651,12 +551,14 @@ def _aligned_squares(xs: list, ys: list, terms: list) -> None:
 
 
 def delta2_runs(x: SignedRuns, y: SignedRuns) -> float:
-    """``delta2`` of two multisets given as ``SignedRuns``, without expanding
-    either: the stretches on which both sign lists hold one value each, at
-    most as many as their runs together, give ``count * (a - b)**2`` each,
-    summed with one rounding (``math.fsum``).  ``(a - b)**2`` is rounded as
-    ``delta2`` rounds it, so only the two sums differ.  A distance too large
-    for a float64 is refused."""
+    """The l2 rearrangement distance (delta2) of two multisets given as
+    ``SignedRuns``, without expanding either: the stretches on which both
+    sign lists hold one value each, at most as many as their runs together,
+    give ``count * (a - b)**2`` each, summed with one rounding
+    (``math.fsum``).  ``(a - b)**2`` is rounded as the distance of the
+    expanded values rounds it (its oracle, ``delta2`` in the tests'
+    ``oracles.py``), so only the two sums differ.  A distance too large for
+    a float64 is refused."""
     terms = []
     _aligned_squares(x.nonneg, y.nonneg, terms)
     _aligned_squares(x.neg, y.neg, terms)

@@ -50,7 +50,7 @@ def gamma(k):
 
 
 def delta2_merge_bound(dist, size):
-    """How far ``ngg.delta2`` of two expansions with ``size`` values in all
+    """How far ``oracles.delta2`` of two expansions with ``size`` values in all
     may lie from ``delta2_runs`` of their runs, ``dist``.  Both take the same
     rounded squares of the same rounded differences, and the exact sum S of
     those squares from there on.  The expansion adds at most ``size`` of

@@ -415,3 +415,41 @@ def test_one_node_graph_is_written_as_its_header_alone(tmp_path):
     assert read_header(path) == (1, ngg.real_projective(3))
     with pytest.raises(DomainError, match="fewer than 2 nodes"):
         read_edge_list(path)
+
+
+def _keys(*values):
+    return np.array(values, dtype=np.int64)
+
+
+@pytest.mark.parametrize("n, keys, match", [
+    (10, _keys(10), r"edge key 10 is the pair \(1, 0\)"),  # below the diagonal: never read
+    (10, _keys(3, 11), r"edge key 11 is the pair \(1, 1\)"),  # on it
+    (10, _keys(99), r"edge key 99 is the pair \(9, 9\)"),
+    (10, _keys(-1), r"lie in \[0, n\^2\)"),  # would write the last diagonal entry
+    (10, _keys(1, 100), r"lie in \[0, n\^2\)"),  # past the matrix
+    (10, _keys(5, 3), "strictly increasing"),
+    (10, _keys(3, 3), "strictly increasing"),
+    (10, np.array([1, 2], dtype=np.int32), "1-D int64"),
+    (10, np.array([[1]]), "1-D int64"),
+    (10, np.array([1.0]), "1-D int64"),
+    (10, [1, 2], "1-D int64"),
+    (0, _keys(), "positive integer node count"),
+    (10.0, _keys(1), "positive integer node count"),
+], ids=["below-diagonal", "diagonal", "last-diagonal", "negative", "past-matrix", "descending",
+        "repeated", "int32", "2-d", "float", "list", "no-node", "float-n"])
+def test_edge_list_data_refuses_keys_that_are_no_graph(n, keys, match):
+    with pytest.raises(DomainError, match=match):
+        EdgeListData(n=n, keys=keys, warnings=())
+
+
+def test_edge_list_data_checks_the_order_across_its_chunks(monkeypatch):
+    # the order is compared a chunk of keys at a time, overlapping by one key
+    monkeypatch.setattr(ngg.edgelist, "_CHECK_KEYS", 4)
+    keys = np.arange(1, 10, dtype=np.int64)  # row 0 of a 10-node graph
+    assert EdgeListData(n=10, keys=keys, warnings=()).keys is keys
+    for at in range(1, keys.size):
+        swapped = keys.copy()
+        swapped[[at - 1, at]] = swapped[[at, at - 1]]
+        with pytest.raises(DomainError, match="strictly increasing"):
+            EdgeListData(n=10, keys=swapped, warnings=())
+

@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 import ngg
 from ngg.errors import DomainError
 from ngg.estimator import MAX_RESOLUTION, ZERO_BLOCK
+from ngg.spectral import signed_runs
+from oracles import eigenvalues, fit_one, score_ordering
 
 
 def brute_force_min(values, dims):
@@ -61,7 +63,7 @@ def test_score_ordering_walkthrough(basis3):
     # ordering [d1, d0, zero] on 20 sorted eigenvalues: the first stage is the
     # mean of the top 3, the next is the 4th value, the rest score against 0
     values = np.sort(np.linspace(-0.5, 1.0, 20))[::-1]
-    stages, score = ngg.score_ordering(values, (1, 0, ZERO_BLOCK), basis3.dims)
+    stages, score = score_ordering(values, (1, 0, ZERO_BLOCK), basis3.dims)
     assert stages[1] == pytest.approx(values[:3].mean())
     assert stages[0] == pytest.approx(values[3])
     expected = float(np.sum((values[:3] - values[:3].mean()) ** 2) + np.sum(values[4:] ** 2))
@@ -70,7 +72,7 @@ def test_score_ordering_walkthrough(basis3):
 
 def test_score_ordering_example(basis3):
     values = np.array([0.9, 0.3, 0.3, 0.3, 0.01, -0.02])
-    stages, score = ngg.score_ordering(values, (0, 1, ZERO_BLOCK), basis3.dims)
+    stages, score = score_ordering(values, (0, 1, ZERO_BLOCK), basis3.dims)
     assert np.allclose(stages, [0.9, 0.3])
     assert score == pytest.approx(5e-4, rel=1e-9)
 
@@ -82,29 +84,29 @@ def test_score_ordering_example(basis3):
 )
 def test_score_ordering_refuses_a_malformed_ordering(basis3, ordering):
     with pytest.raises(DomainError, match="permutation"):
-        ngg.score_ordering(np.zeros(10), ordering, basis3.dims)
+        score_ordering(np.zeros(10), ordering, basis3.dims)
 
 
 def test_score_ordering_refuses_too_few_dims():
     with pytest.raises(DomainError, match="dimensions"):
-        ngg.score_ordering(np.zeros(10), (0, 1, 2, ZERO_BLOCK), (1, 3))
+        score_ordering(np.zeros(10), (0, 1, 2, ZERO_BLOCK), (1, 3))
 
 
 def test_score_ordering_zero_spectrum(basis3):
-    stages, score = ngg.score_ordering(np.zeros(10), (ZERO_BLOCK, 0, 1), basis3.dims)
+    stages, score = score_ordering(np.zeros(10), (ZERO_BLOCK, 0, 1), basis3.dims)
     assert np.array_equal(stages, [0.0, 0.0])
     assert score == 0.0
 
 
 def test_fit_resolution_six_value_example(basis3):
     values = np.array([0.9, 0.3, 0.3, 0.3, 0.01, -0.02])
-    est = ngg.fit_resolution(values, basis3, 1)
+    est = fit_one(values, basis3, 1)
     assert est.ordering == (0, 1, ZERO_BLOCK)
     assert np.allclose(est.stage_values, [0.9, 0.3])
     assert est.score == pytest.approx(5e-4, rel=1e-9)
     # oracle: score every ordering by hand
     scores = [
-        ngg.score_ordering(values, o, basis3.dims)[1] for o in enumerate_orderings(1)
+        score_ordering(values, o, basis3.dims)[1] for o in enumerate_orderings(1)
     ]
     assert est.score == pytest.approx(min(scores))
 
@@ -112,26 +114,26 @@ def test_fit_resolution_six_value_example(basis3):
 def test_fit_resolution_constant_graph(basis3):
     n, a = 60, 0.45
     tn = a * (np.ones((n, n)) - np.eye(n)) / n
-    est = ngg.fit_resolution(ngg.eigenvalues_symmetric(tn), basis3, 0)
+    est = fit_one(eigenvalues(tn), basis3, 0)
     assert est.stage_values[0] == pytest.approx(a * (n - 1) / n, rel=1e-10)
 
 
 def test_fit_resolution_perfect_fit(basis3):
     # n equal to the model dimension: a valid stage vector is fit exactly
     values = np.array([0.9, 0.3, 0.3, 0.3])
-    est = ngg.fit_resolution(values, basis3, 1)
+    est = fit_one(values, basis3, 1)
     assert est.score == pytest.approx(0.0, abs=1e-15)
     assert np.allclose(est.stage_values, [0.9, 0.3])
 
 
 def test_fit_resolution_requires_enough_eigenvalues(basis3):
     with pytest.raises(DomainError):
-        ngg.fit_resolution(np.zeros(3), basis3, 1)  # needs n >= 4
+        fit_one(np.zeros(3), basis3, 1)  # needs n >= 4
 
 
 def test_fit_resolution_rejects_negative_resolution(basis3):
     with pytest.raises(DomainError):
-        ngg.fit_resolution(np.zeros(10), basis3, -1)
+        fit_one(np.zeros(10), basis3, -1)
 
 
 def test_fit_matches_brute_force(rng, basis3):
@@ -139,7 +141,7 @@ def test_fit_matches_brute_force(rng, basis3):
         n = int(rng.integers(4, 9))
         values = np.sort(rng.standard_normal(n))[::-1]
         for r in (0, 1):
-            est = ngg.fit_resolution(values, basis3, r)
+            est = fit_one(values, basis3, r)
             oracle = brute_force_min(values, basis3.dims[: r + 1])
             assert est.score == pytest.approx(oracle, abs=1e-12)
 
@@ -147,15 +149,15 @@ def test_fit_matches_brute_force(rng, basis3):
 def test_min_score_nonincreasing_in_resolution(rng, basis3):
     for _ in range(20):
         values = np.sort(rng.standard_normal(30))[::-1]
-        scores = [ngg.fit_resolution(values, basis3, r).score for r in range(4)]
+        scores = [fit_one(values, basis3, r).score for r in range(4)]
         assert all(scores[i + 1] <= scores[i] + 1e-12 for i in range(3))
 
 
 @given(st.floats(0.1, 10.0), st.integers(0, 2**32 - 1))
 def test_fit_scale_equivariance(basis3, c, seed):
     values = np.random.default_rng(seed).standard_normal(12)
-    base = ngg.fit_resolution(values, basis3, 1)
-    scaled = ngg.fit_resolution(c * values, basis3, 1)
+    base = fit_one(values, basis3, 1)
+    scaled = fit_one(c * values, basis3, 1)
     assert scaled.ordering == base.ordering
     assert np.allclose(scaled.stage_values, c * base.stage_values, rtol=1e-10, atol=1e-12)
     assert scaled.score == pytest.approx(c * c * base.score, rel=1e-9, abs=1e-12)
@@ -165,15 +167,15 @@ def test_fit_scale_equivariance(basis3, c, seed):
 def test_fit_permutation_invariance(basis3, seed):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(10)
-    est1 = ngg.fit_resolution(values, basis3, 1)
-    est2 = ngg.fit_resolution(rng.permutation(values), basis3, 1)
+    est1 = fit_one(values, basis3, 1)
+    est2 = fit_one(rng.permutation(values), basis3, 1)
     assert est1.score == pytest.approx(est2.score, abs=1e-12)
     assert np.allclose(est1.stage_values, est2.stage_values)
 
 
 def test_score_recomputable(rng, basis3):
     values = np.sort(rng.standard_normal(25))[::-1]
-    est = ngg.fit_resolution(values, basis3, 2)
+    est = fit_one(values, basis3, 2)
     # recompute the score directly from the run partition
     dims = {sym: (basis3.dims[sym] if sym != ZERO_BLOCK else 25 - 9) for sym in est.ordering}
     pos, direct = 0, 0.0
@@ -188,14 +190,16 @@ def test_score_recomputable(rng, basis3):
 
 
 def test_estimate_vector_expansion(basis3):
+    # an estimate's model spectrum, each stage counted basis.dims times, is
+    # held as its runs, never expanded
     est = ngg.SpectrumEstimate(
         r=1, stage_values=np.array([0.9, 0.3]), ordering=(0, 1, ZERO_BLOCK), score=0.0
     )
-    assert np.array_equal(ngg.estimate_vector(est, basis3.dims), [0.9, 0.3, 0.3, 0.3])
+    assert signed_runs(est.stage_values, basis3.dims) == ([(0.9, 1), (0.3, 3)], [])
     zero = ngg.SpectrumEstimate(
         r=2, stage_values=np.zeros(3), ordering=(0, 1, 2, ZERO_BLOCK), score=0.0
     )
-    assert np.array_equal(ngg.estimate_vector(zero, basis3.dims), np.zeros(9))
+    assert signed_runs(zero.stage_values, basis3.dims) == ([(0.0, 5), (0.0, 3), (0.0, 1)], [])
 
 
 # --- subset DP against the exhaustive ordering search ---------------------------------
@@ -211,7 +215,7 @@ _ORACLE_BASES = {
 
 def exhaustive_scores(values, basis, r):
     values = np.sort(np.asarray(values, float))[::-1]
-    return [(ngg.score_ordering(values, o, basis.dims), o) for o in enumerate_orderings(r)]
+    return [(score_ordering(values, o, basis.dims), o) for o in enumerate_orderings(r)]
 
 
 def _oracle_spectrum(basis, r, extra, seed):
@@ -223,7 +227,7 @@ def _oracle_spectrum(basis, r, extra, seed):
 def test_fit_matches_exhaustive_search(name, r, extra, seed):
     basis = _ORACLE_BASES[name]
     values = _oracle_spectrum(basis, r, extra, seed)
-    est = ngg.fit_resolution(values, basis, r)
+    est = fit_one(values, basis, r)
     (stages, score), ordering = min(exhaustive_scores(values, basis, r), key=lambda t: t[0][1])
     assert est.ordering == ordering
     assert np.array_equal(est.stage_values, stages)
@@ -241,7 +245,7 @@ def test_fit_tie_rule_on_tied_spectra(name, r, extra, seed, zero):
     tol = 1e-12 * float(np.sum(values * values))
     scored = exhaustive_scores(values, basis, r)
     best = min(score for (_, score), _ in scored)
-    est = ngg.fit_resolution(values, basis, r)
+    est = fit_one(values, basis, r)
     assert abs(est.score - best) <= tol
     assert est.ordering == next(o for (_, score), o in scored if score <= best + tol)
 
@@ -253,7 +257,7 @@ def test_fit_with_empty_zero_block_matches_exhaustive_search(name, r):
     # its length (a RuntimeWarning fails the test)
     basis = _ORACLE_BASES[name]
     values = _oracle_spectrum(basis, r, 0, r)
-    est = ngg.fit_resolution(values, basis, r)
+    est = fit_one(values, basis, r)
     (stages, score), ordering = min(exhaustive_scores(values, basis, r), key=lambda t: t[0][1])
     assert est.ordering == ordering
     assert np.array_equal(est.stage_values, stages)
@@ -284,8 +288,8 @@ def test_fit_all_resolutions_equals_independent_fits(name, r_max, include_r0, ex
     fits = ngg.fit_all_resolutions(values, basis, cfg)
     assert sorted(fits) == list(range(0 if include_r0 else 1, r_max + 1))
     for r, est in fits.items():
-        assert _same_fit(est, ngg.fit_resolution(values, basis, r))
-        assert _same_fit(est, ngg.fit_resolution(ngg.as_spectrum(values), basis, r))
+        assert _same_fit(est, fit_one(values, basis, r))
+        assert _same_fit(est, fit_one(ngg.as_spectrum(values), basis, r))
 
 
 _PASS_BASES = {
@@ -318,7 +322,7 @@ def test_fit_all_resolutions_in_passes_equals_independent_fits(name, r_max, incl
     fits = ngg.fit_all_resolutions(values, basis, cfg)
     assert sorted(fits) == grid
     for r, est in fits.items():
-        assert _same_fit(est, ngg.fit_resolution(values, basis, r))
+        assert _same_fit(est, fit_one(values, basis, r))
 
 
 _AT_THE_CAP = """
@@ -357,9 +361,9 @@ def test_fit_all_resolutions_at_the_cap_bounds_its_memory_and_time():
 def test_resolution_above_the_cap_is_refused():
     basis = ngg.harmonic_basis(ngg.sphere(3), MAX_RESOLUTION + 1)
     values = np.zeros(basis.cum_dims[-1])
-    assert ngg.fit_resolution(values, basis, MAX_RESOLUTION).r == MAX_RESOLUTION
+    assert fit_one(values, basis, MAX_RESOLUTION).r == MAX_RESOLUTION
     with pytest.raises(DomainError, match="largest supported"):
-        ngg.fit_resolution(values, basis, MAX_RESOLUTION + 1)
+        fit_one(values, basis, MAX_RESOLUTION + 1)
     with pytest.raises(DomainError, match="largest supported"):
         ngg.AdaptConfig(n=10**6, r_max=MAX_RESOLUTION + 1)
 
@@ -368,15 +372,15 @@ def test_resolution_above_the_cap_is_refused():
 def test_overflowing_spectrum_is_refused(basis3, big):
     v = np.array([big, -big, big, 0.5, 0.1, 0.0, 1e-3, 2.0])
     with pytest.raises(DomainError, match="overflows"):
-        ngg.fit_resolution(v, basis3, 1)
+        fit_one(v, basis3, 1)
     with pytest.raises(DomainError, match="overflows"):
-        ngg.score_ordering(v, (ZERO_BLOCK, 0, 1), basis3.dims)
+        score_ordering(v, (ZERO_BLOCK, 0, 1), basis3.dims)
 
 
 def test_fit_high_resolution_is_fast_and_monotone(basis3):
     values = np.random.default_rng(10).standard_normal(200) / 10
     t0 = time.perf_counter()
-    scores = [ngg.fit_resolution(values, basis3, r).score for r in range(11)]
+    scores = [fit_one(values, basis3, r).score for r in range(11)]
     assert time.perf_counter() - t0 < 5.0  # the (R+2)! search needs hours at R=10
     assert all(scores[i + 1] <= scores[i] + 1e-12 for i in range(10))
 
@@ -390,4 +394,4 @@ def test_non_finite_spectrum_is_refused(bad, pos):
     with pytest.raises(DomainError, match="non-finite"):
         ngg.fit_all_resolutions(v, basis, ngg.AdaptConfig(n=51, r_max=2))
     with pytest.raises(DomainError, match="non-finite"):
-        ngg.score_ordering(v, (ZERO_BLOCK, 0), basis.dims)
+        score_ordering(v, (ZERO_BLOCK, 0), basis.dims)

@@ -16,8 +16,10 @@ import ngg
 from conftest import delta2_merge_bound, dense, exact_squared_distance, gamma
 from ngg.edgelist import write_edge_list
 from ngg.errors import DomainError, NggError
-from ngg.estimator import spectrum_vector
 from ngg.harness import TRUTH_DEGREE, _graph_seed
+from ngg.model import probability_rows
+from ngg.spectral import Band, Triangle, lazy_zeros
+from oracles import delta2, eigenvalues, triangle
 from ngg.reports import json_dumps
 
 
@@ -254,13 +256,15 @@ def test_concentration_is_a_full_solve_of_each_replicate():
     space, envelope = ngg.sphere(3), ngg.builtin_envelope(4)
     table = ngg.concentration_check(envelope, space, (100, 200), replicates=2, seed=9)
     basis = ngg.harmonic_basis(space, TRUTH_DEGREE)
-    truth = spectrum_vector(ngg.true_coefficients(basis, envelope), basis.dims)
+    coefficients = ngg.true_coefficients(basis, envelope)
+    truth = np.repeat(coefficients, basis.dims[: coefficients.size])
     assert list(table.op_norm) == [(n, rep) for n in (100, 200) for rep in range(2)]
     for (n, rep), op in table.op_norm.items():
-        theta = ngg.probability_matrix(ngg.sample_latent(space, n, 9 + rep), envelope)
-        assert op == ngg.operator_norm((dense(_graph(space, envelope, n, 9 + rep)) - theta) / n)
+        theta = probability_rows(ngg.sample_latent(space, n, 9 + rep), envelope, 0, n)
+        ends = eigenvalues((dense(_graph(space, envelope, n, 9 + rep)) - theta) / n).values
+        assert op == max(abs(ends[0]), abs(ends[-1]))
         got = table.spectrum_error[(n, rep)]
-        expect = ngg.delta2(ngg.eigenvalues_symmetric(theta / n), truth)
+        expect = delta2(eigenvalues(theta / n), truth)
         assert abs(got - expect) <= delta2_merge_bound(got, n + truth.size)
 
 
@@ -338,18 +342,15 @@ def test_concentration_holds_one_replicate_at_a_time(monkeypatch, mapped):
 def test_concentration_writes_its_triangles_without_a_graph_matrix(monkeypatch):
     # the lane's matrices step evaluates theta a block of rows at a time, where
     # it writes (A - theta)/n from the keys and theta/n onto maps tracemalloc
-    # does not see: what it allocates is a block's cosines and their clipped
-    # copy (8 bytes each, _BLOCK rows of at most n columns), the envelope's
+    # does not see: what it allocates is a block's cosines, clipped in place
+    # (8 bytes each, _BLOCK rows of at most n columns), the envelope's
     # temporaries on one chunk of _BLOCK_COSINES values and the key scatter's
     # (a few int64 arrays of _SCATTER_KEYS).  A whole theta, 8 n^2 bytes,
-    # exceeds that bound
+    # exceeds that bound, and so does a clipped copy of the block's cosines
     import ngg.harness
     import ngg.model
 
     n, envelope, marks, peaks = 1500, ngg.builtin_envelope(5), [], []
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("evaluated the whole theta")
 
     def matrices_step(*args, _reduce=ngg.harness._reduce):
         marks.append(tracemalloc.get_traced_memory()[0])
@@ -361,8 +362,6 @@ def test_concentration_writes_its_triangles_without_a_graph_matrix(monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1])
         return _reduce(triangle)
 
-    for owner in (ngg, ngg.model):
-        monkeypatch.setattr(owner, "probability_matrix", unreachable)
     monkeypatch.setattr(ngg.harness, "_reduce", matrices_step)
     monkeypatch.setattr(ngg.harness, "reduce_to_band", reduced)
     tracemalloc.start()
@@ -375,7 +374,7 @@ def test_concentration_writes_its_triangles_without_a_graph_matrix(monkeypatch):
         chunk = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    bound = 2 * 8 * ngg.spectral._BLOCK * n + chunk + 8 * 8 * ngg.harness._SCATTER_KEYS
+    bound = 8 * ngg.spectral._BLOCK * n + chunk + 8 * 8 * ngg.harness._SCATTER_KEYS
     assert len(peaks) == 1 and bound < 8 * n * n
     assert peaks[0] - marks[0] <= bound, (peaks[0] - marks[0], bound)
 
@@ -458,7 +457,7 @@ def test_fit_graph_is_the_four_call_chain(name, data):
     a = _graph(space, envelope, n, data.draw(st.integers(0, 2**31), label="seed"))
 
     # stage 1, stage 2 (the whole dsterf spectrum), the fits, the selection
-    spectrum = ngg.spectral.band_spectrum(ngg.spectral.reduce_to_band(dense(a) / n))
+    spectrum = eigenvalues(dense(a) / n)
     fits = ngg.fit_all_resolutions(spectrum, basis, config)
     result = ngg.select_resolution(fits, config, basis)
     got_spectrum, got_fits, got_result = ngg.fit_graph(a, basis, config)
@@ -484,7 +483,7 @@ def test_fit_graph_without_lapack_selects_as_with_it(monkeypatch, name):
         _, fits, result = ngg.fit_graph(a, basis, config)
         with monkeypatch.context() as patch:
             patch.setattr(ngg.spectral, "_lapack", lambda: None)
-            assert ngg.spectral.reduce_to_band(dense(a) / 300).ab is None
+            assert ngg.spectral.reduce_to_band(triangle(dense(a) / 300)).ab is None
             _, got_fits, got_result = ngg.fit_graph(a, basis, config)
         assert got_result.selected_r == result.selected_r
         assert got_fits.keys() == fits.keys()
@@ -494,24 +493,27 @@ def test_fit_graph_without_lapack_selects_as_with_it(monkeypatch, name):
 
 
 def test_fit_graph_leaves_its_input_alone():
-    # a matrix is checked and its A / n written into a triangle of its own:
-    # a boolean matrix and its float64 copy both keep their bits and give
-    # the same fit as the Triangle of A / n and as the graph's keys
-    keys = _graph(ngg.sphere(3), ngg.builtin_envelope(4), 200, 3)
-    graph = dense(keys)
+    # the graph's keys keep their bits: A / n is written into a triangle of
+    # its own, and gives the fit of the Triangle of A / n written by hand
+    graph = _graph(ngg.sphere(3), ngg.builtin_envelope(4), 200, 3)
+    before = graph.keys.copy()
     basis, config = ngg.harmonic_basis(ngg.sphere(3), 2), ngg.AdaptConfig(n=200, r_max=2)
     fits = {}
-    _, fits["keys"], _ = ngg.fit_graph(keys, basis, config)
-    for a in (graph, graph.astype(np.float64)):
-        before = a.copy()
-        _, fits[a.dtype.name], _ = ngg.fit_graph(a, basis, config)
-        assert a.dtype == before.dtype and a.tobytes() == before.tobytes()
-    triangle = ngg.spectral.lazy_zeros(200)
-    triangle[...] = np.triu(graph / 200)
-    _, fits["triangle"], _ = ngg.fit_graph(ngg.spectral.Triangle(triangle, 1 / 200), basis,
-                                           config)
+    _, fits["keys"], _ = ngg.fit_graph(graph, basis, config)
+    assert graph.keys.tobytes() == before.tobytes()
+    upper = lazy_zeros(200)
+    upper[...] = np.triu(dense(graph) / 200)
+    _, fits["triangle"], _ = ngg.fit_graph(Triangle(upper, 1 / 200), basis, config)
     stages = [[f.stage_values.tobytes() for f in by_r.values()] for by_r in fits.values()]
-    assert stages[0] == stages[1] == stages[2] == stages[3]
+    assert stages[0] == stages[1]
+
+
+@pytest.mark.parametrize("given", [np.eye(30, dtype=bool), np.eye(30).tolist(), Band(None)],
+                         ids=["ndarray", "list", "band"])
+def test_fit_graph_refuses_anything_but_a_graph_or_its_triangle(given):
+    basis, config = ngg.harmonic_basis(ngg.sphere(3), 1), ngg.AdaptConfig(n=30, r_max=1)
+    with pytest.raises(DomainError, match="takes an EdgeListData or the Triangle"):
+        ngg.fit_graph(given, basis, config)
 
 
 def test_fit_graph_of_an_edge_list_triangle_is_the_matrix_fit(tmp_path):
@@ -519,9 +521,9 @@ def test_fit_graph_of_an_edge_list_triangle_is_the_matrix_fit(tmp_path):
     graph = _graph(ngg.sphere(3), ngg.builtin_envelope(5), 300, 4)
     write_edge_list(tmp_path / "g.txt", graph, ngg.sphere(3))
     basis, config = ngg.harmonic_basis(ngg.sphere(3), 3), ngg.AdaptConfig(n=300, r_max=3)
-    spectrum, fits, result = ngg.fit_graph(dense(graph), basis, config)
-    triangle = ngg.edgelist.read_edge_list(tmp_path / "g.txt").triangle()
-    got_spectrum, got_fits, got_result = ngg.fit_graph(triangle, basis, config)
+    spectrum, fits, result = ngg.fit_graph(triangle(dense(graph) / 300), basis, config)
+    read = ngg.edgelist.read_edge_list(tmp_path / "g.txt").triangle()
+    got_spectrum, got_fits, got_result = ngg.fit_graph(read, basis, config)
     assert got_spectrum.values.tobytes() == spectrum.values.tobytes()
     assert [f.stage_values.tobytes() for f in got_fits.values()] == \
         [f.stage_values.tobytes() for f in fits.values()]
@@ -664,10 +666,10 @@ def test_concentration_compares_with_a_reference_spectrum_larger_than_memory():
     n = 100
     table = ngg.concentration_check(envelope, space, (n,), 2, 0)
     for rep in range(2):
-        theta = ngg.probability_matrix(ngg.sample_latent(space, n, rep), envelope)
-        eigenvalues = ngg.eigenvalues_symmetric(theta / n).values  # one row block: the same bits
+        theta = probability_rows(ngg.sample_latent(space, n, rep), envelope, 0, n)
+        values = eigenvalues(theta / n).values  # one row block: the same bits
         got = table.spectrum_error[(n, rep)]
-        want = exact_squared_distance((eigenvalues, [1] * n), (truth, dims))
+        want = exact_squared_distance((values, [1] * n), (truth, dims))
         assert math.isfinite(got)
         assert abs(Fraction(got) ** 2 - want) <= gamma(7) * want
 
@@ -693,7 +695,7 @@ def test_run_experiment_compares_with_a_reference_spectrum_larger_than_memory():
     assert math.isfinite(report.aggregates["per_n"]["100"]["mean_sq_delta2_selected"])
 
 
-def test_reference_spectrum_is_never_expanded_by_run_experiment(monkeypatch):
+def test_reference_spectrum_is_never_expanded_by_run_experiment():
     # each fit is compared with the truth as their runs: the harness holds no
     # expansion and no delta2, the estimator expands no model spectrum, and
     # the distances agree with delta2 of the expansions within the rounding of
@@ -702,27 +704,26 @@ def test_reference_spectrum_is_never_expanded_by_run_experiment(monkeypatch):
 
     config = _config(n_values=(200, 150), replicates=3, envelope=ngg.builtin_envelope(2))
 
-    def unreachable(*args, **kwargs):
-        raise AssertionError("expanded or sorted a model spectrum")
-
-    for name in ("spectrum_vector", "as_spectrum", "delta2"):
-        assert not hasattr(ngg.harness, name), name
-    for owner, name in [(ngg.estimator, "spectrum_vector"), (ngg.estimator, "estimate_vector"),
-                        (ngg, "estimate_vector")]:
-        monkeypatch.setattr(owner, name, unreachable)
+    for owner in (ngg, ngg.harness, ngg.estimator, ngg.spectral):
+        for name in ("spectrum_vector", "estimate_vector", "delta2"):
+            assert not hasattr(owner, name), (owner, name)
+    assert not hasattr(ngg.harness, "as_spectrum")
     report = ngg.run_experiment(config)
-    monkeypatch.undo()
     truth, dims = report.truth["coefficients"], report.truth["dims"]
     assert len(truth) > config.r_max + 1
-    full = spectrum_vector(truth, dims)
+
+    def expand(values):
+        return np.repeat(values, dims[: len(values)])
+
+    full = expand(truth)
     for rec in report.records:
         assert "error" not in rec
         for fit in rec["fits"]:
-            vec = spectrum_vector(fit["stages"], dims)
-            for key, other in (("delta2_vs_truth_r", spectrum_vector(truth[: fit["r"] + 1], dims)),
+            vec = expand(fit["stages"])
+            for key, other in (("delta2_vs_truth_r", expand(truth[: fit["r"] + 1])),
                                ("delta2_vs_truth", full)):
                 gap = delta2_merge_bound(fit[key], vec.size + other.size)
-                assert abs(fit[key] - ngg.delta2(vec, other)) <= gap, key
+                assert abs(fit[key] - delta2(vec, other)) <= gap, key
 
 
 def test_concentration_zero_envelope():

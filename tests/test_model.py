@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,16 +156,16 @@ def test_pairwise_cosine_law(space, shape):
 
 def test_probability_matrix_trivial(sphere3):
     lat = ngg.sample_latent(sphere3, 6, 0)
-    assert np.array_equal(ngg.probability_matrix(lat, ngg.constant_envelope(0.0)),
+    assert np.array_equal(ngg.model.probability_rows(lat, ngg.constant_envelope(0.0), 0, lat.n),
                           np.zeros((6, 6)))
-    m = ngg.probability_matrix(lat, ngg.constant_envelope(0.3))
+    m = ngg.model.probability_rows(lat, ngg.constant_envelope(0.3), 0, lat.n)
     assert np.allclose(m, 0.3 * (np.ones((6, 6)) - np.eye(6)))
 
 
 def test_probability_matrix_identical_points(sphere3):
     e = np.array([0.0, 0.0, 1.0])
     lat = ngg.LatentSample(sphere3, np.stack([e, e]))
-    m = ngg.probability_matrix(lat, ngg.builtin_envelope(1))
+    m = ngg.model.probability_rows(lat, ngg.builtin_envelope(1), 0, lat.n)
     assert m[0, 1] == 1.0 and m[1, 0] == 1.0 and m[0, 0] == 0.0
 
 
@@ -175,7 +176,28 @@ def test_probability_matrix_of_a_coefficient_envelope(sphere3):
     t = ngg.cosines(sphere3, lat.points, lat.points)
     expect = env(t.ravel()).reshape(t.shape)
     np.fill_diagonal(expect, 0.0)
-    assert np.array_equal(ngg.probability_matrix(lat, env), expect)
+    assert np.array_equal(ngg.model.probability_rows(lat, env, 0, lat.n), expect)
+
+
+def test_probability_rows_clips_its_cosines_in_place(sphere3):
+    # one row block of theta, as the concentration check writes it: its
+    # cosines, 8 bytes an entry, are clipped in place and overwritten by the
+    # envelope one chunk of _BLOCK_COSINES at a time, so the traced peak is
+    # the block, one chunk's envelope values and their clipped copy (8 bytes
+    # each), and a few small objects.  A clipped copy of the block's cosines
+    # exceeds it
+    n, rows, chunk = 3000, ngg.spectral._BLOCK, ngg.model._BLOCK_COSINES
+    lat = ngg.sample_latent(sphere3, n, 0)
+    tracemalloc.start()
+    try:
+        theta = ngg.model.probability_rows(lat, ngg.constant_envelope(0.5), 0, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert theta.shape == (rows, n)
+    bound = 8 * rows * n + 2 * 8 * chunk + (1 << 16)
+    assert bound < 2 * 8 * rows * n
+    assert peak <= bound, (peak, bound)
 
 
 @pytest.mark.parametrize("pairs", [[(-1, 0.5)], [(-2, 0.5)], [(0, 0.4), (-3, 0.1)]])
@@ -187,7 +209,7 @@ def test_envelope_from_coefficients_refuses_negative_degrees(pairs):
 def test_envelope_out_of_range_is_error(sphere3):
     lat = ngg.sample_latent(sphere3, 5, 1)
     with pytest.raises(ModelError):
-        ngg.probability_matrix(lat, ngg.constant_envelope(1.2))
+        ngg.model.probability_rows(lat, ngg.constant_envelope(1.2), 0, lat.n)
     with pytest.raises(ModelError):
         ngg.generate_graph(lat, ngg.constant_envelope(-0.1), 0)
 
@@ -337,7 +359,7 @@ def test_nan_envelope_is_refused(sphere3):
     with pytest.raises(ModelError, match="'nan' has a non-finite value"):
         ngg.generate_graph(lat, nan, 0)
     with pytest.raises(ModelError, match="'nan' has a non-finite value"):
-        ngg.probability_matrix(lat, nan)
+        ngg.model.probability_rows(lat, nan, 0, lat.n)
 
 
 @pytest.mark.parametrize("budget", [1, 1 << 17])
@@ -353,7 +375,7 @@ def test_nan_at_the_last_pair_is_refused(monkeypatch, budget):
     with pytest.raises(ModelError, match="'hole' has a non-finite value"):
         ngg.generate_graph(lat, hole, 0)
     with pytest.raises(ModelError, match="'hole' has a non-finite value"):
-        ngg.probability_matrix(lat, hole)
+        ngg.model.probability_rows(lat, hole, 0, lat.n)
 
 
 # --- even powers without libm's negative-base pow -------------------------------

@@ -147,48 +147,17 @@ def test_simulate_holds_one_triangle_beside_the_next_graphs_keys(tmp_path):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads Linux's ru_maxrss of a child")
-def test_fit_graph_of_a_boolean_matrix_stays_below_a_float64_copy(tmp_path):
-    # fit_graph checks the boolean matrix one tile at a time and writes the
-    # triangle of A / n alone, on lazily mapped pages: over a child that only
-    # draws the graph and sets its boolean matrix, the fit peaks at about 0.70
-    # of the 8 n^2 bytes of a float64 copy, where converting the matrix whole
-    # peaked at 1.00
-    if ngg.spectral._lapack() is None:
-        pytest.skip("numpy's LAPACK lacks the routines of the two-stage solve")
-    n = 3000
-    # the boolean matrix is set from the drawn keys a chunk at a time
-    draw = ("import ngg, numpy as np\n"
-            "g = ngg.generate_graph(ngg.sample_latent(ngg.sphere(3), {n}, 1), "
-            "ngg.builtin_envelope(5), 2)\n"
-            "a = np.zeros(({n}, {n}), dtype=bool)\n"
-            "for i, j in map(np.divmod, np.array_split(g.keys, 64), [{n}] * 64):\n"
-            "    a[i, j] = a[j, i] = True\n"
-            "del g, i, j\n"
-            "basis = ngg.harmonic_basis(ngg.sphere(3), 4)\n"
-            "config = ngg.AdaptConfig(n={n}, r_max=4)").format(n=n)
-
-    def peak(code):
-        proc = _run("peak_rss.py", [sys.executable, "-c", code], tmp_path,
-                    OPENBLAS_NUM_THREADS="2")
-        assert proc.returncode == 0, proc.stderr
-        return int(proc.stdout)
-
-    grown = peak(f"{draw}\nngg.fit_graph(a, basis, config)") - peak(draw)
-    assert grown < 0.85 * 8 * n * n, grown / (8 * n * n)
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="reads Linux's ru_maxrss of a child")
 def test_rate_check_holds_two_triangles_beside_the_next_graphs_keys(tmp_path):
     # the lane writes (A - theta)/n and theta/n a block of theta's rows at a
     # time and reduces both while the next graph is drawn: over a bare import,
     # the child holds two triangles (half the matrix each, a 4 KiB page a row,
     # and the lower half of each 256-row diagonal block), 16 bytes an edge, the
-    # draws as bits, theta's row-block temporaries (a block's cosines and their
-    # clipped copy, and as much again that malloc may keep once freed), stage
-    # 1's band and panel buffers (8 (3 kd + 2) bytes a row, kd = 32), and what
-    # does not grow with n, read from a 600-node run.  A whole theta held
-    # beside the triangles fails it
+    # draws as bits, theta's row-block temporaries (a block's cosines and the
+    # envelope's on one chunk, within two blocks, and as much again that
+    # malloc may keep once freed), stage 1's band and panel buffers
+    # (8 (3 kd + 2) bytes a row, kd = 32), and what does not grow with n,
+    # read from a 600-node run.  A whole theta held beside the triangles
+    # fails it
     if ngg.spectral._lapack() is None:
         pytest.skip("numpy's LAPACK lacks the routines of the two-stage solve")
     from ngg.harness import _graph_seed
