@@ -77,8 +77,9 @@ def fit_all_resolutions(
 ) -> dict[int, SpectrumEstimate]:
     """Staircase fits for every resolution on the candidate grid, all from
     one sort of the spectrum and one set of its prefix sums, in as few DP
-    passes as the fit's cost chunk allows.  The spectrum must hold
-    ``config.n`` values, the size the penalty is priced at."""
+    passes as the fit's cost chunk allows.  The one checked entry to the
+    fit: ``r_max`` within the basis, and ``config.n`` values (the size the
+    penalty is priced at) with room for the model at ``r_max``."""
     if config.r_max > basis.max_degree:
         raise DomainError(
             f"r_max = {config.r_max} exceeds basis max_degree {basis.max_degree}"

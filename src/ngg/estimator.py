@@ -12,16 +12,17 @@ all ``(R + 2)!`` orderings.
 
 The DP runs in numpy one popcount level at a time, in one private core,
 ``_fit_resolutions``, that ``adapt.fit_all_resolutions`` runs on its grid.
-Consecutive resolutions whose transitions fit one cost chunk share a pass,
-whose levels serve all of them, so the grid 1..6 runs 8 levels, not the 33 of
-one DP per resolution.  A pass's tables are built once per block dimensions
-and resolutions, so ``R`` is capped at ``MAX_RESOLUTION``.
+That entry checks the resolutions and the spectrum's size and prepares the
+``Spectrum`` the core reads, which checks nothing again.  Consecutive resolutions whose
+transitions fit one cost chunk share a pass, whose levels serve all of
+them, so the grid 1..6 runs 8 levels, not the 33 of one DP per resolution.
+A pass's tables are built once per block dimensions and resolutions, so
+``R`` is capped at ``MAX_RESOLUTION``.
 
 Every run cost reads prefix sums of the sorted values and of their squares,
-which a ``Spectrum`` carries; every fit accepts one in place of a raw
-spectrum.  One helper, ``_run_costs``, holds the run-mean and run-cost
-formula, and ``_read_runs`` reads an ordering's stages and score off its
-runs.  The oracle ``score_ordering`` in ``tests/oracles.py`` scores one
+which a ``Spectrum`` carries.  One helper, ``_run_costs``, holds the
+run-mean and run-cost formula, and ``_read_runs`` reads an ordering's
+stages and score off its runs.  The oracle ``score_ordering`` in ``tests/oracles.py`` scores one
 ordering with both: with the exhaustive search over all orderings, it checks
 the DP.
 """
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError
 from .spaces import HarmonicBasis
-from .spectral import Spectrum, as_spectrum
+from .spectral import Spectrum
 
 __all__ = [
     "MAX_RESOLUTION",
@@ -216,10 +217,10 @@ def _fit_pass(spec: Spectrum, dims: tuple, rs: tuple) -> list[SpectrumEstimate]:
     return fits
 
 
-def _fit_resolutions(spectrum, basis: HarmonicBasis, rs: tuple) -> list[SpectrumEstimate]:
-    """Least-squares staircase fits at the ascending resolutions ``rs``, each
-    at most ``MAX_RESOLUTION``, in as few DP passes as the cost chunk allows.
-    ``spectrum`` may be a ``Spectrum``, which is used without sorting again.
+def _fit_resolutions(spec: Spectrum, basis: HarmonicBasis, rs: tuple) -> list[SpectrumEstimate]:
+    """Least-squares staircase fits at the ascending resolutions ``rs`` in as
+    few DP passes as the cost chunk allows, on the ``Spectrum`` that
+    ``fit_all_resolutions`` has checked against ``rs`` and prepared.
 
     ``G(T)``, the least cost of packing the block set ``T`` into the last
     ``|T|`` positions of the sorted spectrum, satisfies
@@ -236,17 +237,5 @@ def _fit_resolutions(spectrum, basis: HarmonicBasis, rs: tuple) -> list[Spectrum
     and score are read off the chosen ordering's runs by ``_read_runs``, bit
     for bit those of that ordering scored alone.
     """
-    if rs[0] < 0:
-        raise DomainError("resolution must be nonnegative")
-    top = rs[-1]
-    if top > MAX_RESOLUTION:
-        raise DomainError(f"resolution {top} exceeds the largest supported {MAX_RESOLUTION}")
-    if top > basis.max_degree:
-        raise DomainError(f"resolution {top} exceeds basis max_degree {basis.max_degree}")
-    spec = as_spectrum(spectrum)
-    if spec.n < basis.cum_dims[top]:
-        raise DomainError(
-            f"n = {spec.n} is below the model dimension {basis.cum_dims[top]} at resolution {top}"
-        )
-    dims = tuple(int(d) for d in basis.dims[: top + 1])
+    dims = tuple(int(d) for d in basis.dims[: rs[-1] + 1])
     return [fit for group in _passes(rs) for fit in _fit_pass(spec, dims[: group[-1] + 1], group)]

@@ -5,33 +5,38 @@ and concentration rate checks.
 Both drivers run one replicate loop.  It draws each graph in the calling
 thread as its edge keys (``EdgeListData``, as ``estimate`` reads a graph),
 seeded ``base_seed + replicate_index`` so reruns and cross-``n``
-comparisons pair up exactly, and hands it to one worker thread, the lane,
-which writes that replicate's float64 matrices and runs stage 1 of their
-eigensolve.  Per replicate k, in the calling thread: draw graph k + 1
-while the lane reduces graph k and hand it to the lane, which writes its
-``A / n`` (``EdgeListData.triangle()``: the upper triangle of the rows, on
-``lazy_zeros`` pages that become resident where written) once that stage
-1 has returned and freed graph k's matrix; then finish replicate k (stage
-2, the fits, the selection and the record).  So one float64 ``n x n``
-matrix is alive at a time.  A record compares each fit with the reference
-expansion as their runs, values with their multiplicities
-(``delta2_runs``), and so does the concentration check with theta/n's
-spectrum: none is expanded, however many values the reference stands for.
-Reports split into a deterministic JSON part (config, records, aggregates)
-and a CSV part that additionally carries wall-clock timings.
+comparisons pair up exactly, and hands its triangle writers to one worker
+thread, the lane, which writes each float64 triangle and runs stage 1 of
+its eigensolve before writing the next.  Per replicate k, in the calling
+thread: draw graph k + 1 while the lane reduces graph k and hand it to the
+lane, which writes its ``A / n`` (``EdgeListData.triangle()``: the upper
+triangle of the rows, on ``lazy_zeros`` pages that become resident where
+written) once that stage 1 has returned and freed graph k's matrix; then
+finish replicate k (stage 2, the fits, the selection and the record).  So
+one float64 ``n x n`` matrix is alive at a time, in both drivers.  A
+record compares each fit with the reference expansion as their runs,
+values with their multiplicities (``delta2_runs``), and so does the
+concentration check with theta/n's spectrum: none is expanded, however
+many values the reference stands for.  Reports split into a deterministic
+JSON part (config, records, aggregates) and a CSV part that adds each
+replicate's phase seconds, timed by one timer, ``_clock``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import numbers
 import time
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .adapt import AdaptConfig, fit_all_resolutions, resolution_grid, select_resolution
+from .adapt import (AdaptConfig, check_settings, fit_all_resolutions, resolution_grid,
+                    select_resolution)
 from .edgelist import EdgeListData
 from .errors import DomainError
 from .estimator import SpectrumEstimate
@@ -103,8 +108,16 @@ def build_identifier() -> str:
 
 
 def _check_run(n_values, replicates: int, seed: int) -> None:
-    """Checks shared by every seeded run: at least one graph size, none twice
-    or too large for memory, at least one replicate and a nonnegative seed."""
+    """Checks shared by every seeded run, before any draw: a sequence of at
+    least one graph size, none twice or too large for memory, at least one
+    replicate and a nonnegative seed, each an integer (a bool or a float
+    such as ``100.0`` is refused, a numpy integer accepted)."""
+    if not isinstance(n_values, Sequence):
+        raise DomainError(f"graph sizes must be a sequence, got {type(n_values).__name__}")
+    for label, v in (("replicates", replicates), ("seed", seed),
+                     *(("graph size", n) for n in n_values)):
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise DomainError(f"{label} must be an integer, got {v!r}")
     if replicates < 1:
         raise DomainError(f"replicates must be >= 1, got {replicates}")
     if not n_values:
@@ -167,13 +180,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_run(self.n_values, self.replicates, self.base_seed)
+        check_settings(self.r_max, self.kappa, self.include_r0)
+        need = 2 * cumulative_dim(self.space, self.r_max)
         for n in self.n_values:
-            self.adapt_config(n)  # kappa, and a candidate grid that is not empty
-            need = 2 * cumulative_dim(self.space, self.r_max)
             if n < max(need, 2):
-                raise DomainError(
-                    f"n = {n} violates n >= 2 * cum_dim(r_max) = {need}"
-                )
+                raise DomainError(f"n = {n} violates n >= 2 * cum_dim(r_max) = {need}")
 
     def adapt_config(self, n: int) -> AdaptConfig:
         """The selection settings of a replicate on ``n`` nodes."""
@@ -209,7 +220,7 @@ class ExperimentReport:
     truth: dict
     records: list
     aggregates: dict
-    timings: list = field(default_factory=list)  # CSV-only, wall-clock per phase
+    timings: list = field(default_factory=list)  # CSV-only: each record's phase seconds
 
     def to_json_dict(self) -> dict:
         return {
@@ -230,48 +241,58 @@ class ExperimentReport:
         r_max = self.config["r_max"]
         header = ["n", "replicate", "seed", "selected_r", "delta2_selected_vs_truth"]
         header += [f"stage_{ell}_at_rmax" for ell in range(r_max + 1)]
-        header += ["t_sample", "t_generate", "t_eig", "t_fit", "t_adapt"]
+        columns = ["t_sample", "t_generate", "t_eig", "t_fit", "t_adapt"]
+        header += columns
         rows = []
-        timing = {(t["n"], t["replicate"]): t for t in self.timings}
-        for rec in self.records:
+        for rec, t in zip(self.records, self.timings, strict=True):
             if "error" in rec:
                 continue
             stages = next(f["stages"] for f in rec["fits"] if f["r"] == r_max)
-            t = timing.get((rec["n"], rec["replicate"]), {})
             rows.append(
                 [rec["n"], rec["replicate"], rec["seed"], rec["selected_r"],
                  rec["delta2_selected_vs_truth"]]
                 + list(stages)
-                + [t.get(k, float("nan")) for k in
-                   ("t_sample", "t_generate", "t_eig", "t_fit", "t_adapt")]
+                + [t[k] for k in columns]
             )
         write_csv(csv_path, header, rows)
 
 
-def _reduce(matrices, drawn: list) -> tuple[list[Band], float]:
-    """Stage 1 of a replicate: the ``Triangle`` list ``matrices(*drawn)``
-    writes, ``drawn`` then emptied so the draw is freed, and each triangle
-    in turn reduced to band form, which destroys and frees it.  Returns the
-    bands and the seconds taken."""
-    t0 = time.perf_counter()
-    triangles = matrices(*drawn)
-    drawn.clear()
-    bands = [reduce_to_band(triangles.pop(0)) for _ in range(len(triangles))]
-    return bands, time.perf_counter() - t0
+@contextlib.contextmanager
+def _clock(timing: dict | None, key: str):
+    """Add the seconds the ``with`` body takes to ``timing[key]``, one of a
+    replicate's CSV timings; with no ``timing`` (``fit_graph``), time
+    nothing."""
+    if timing is None:
+        yield
+        return
+    start = time.perf_counter()
+    yield
+    timing[key] = timing.get(key, 0.0) + time.perf_counter() - start
 
 
-def _fit_band(band: Band, reduce_seconds: float, basis: HarmonicBasis,
-              config: AdaptConfig) -> tuple:
+def _reduce(writers: list, timing: dict) -> list[Band]:
+    """Stage 1 of a replicate, on the lane: each triangle writer popped off
+    ``writers`` in turn, its ``Triangle`` written and reduced to band form,
+    which destroys and frees it, before the next is written, so one triangle
+    is alive at a time.  Returns the bands; the time goes to ``t_eig``."""
+    bands = []
+    with _clock(timing, "t_eig"):
+        while writers:
+            bands.append(reduce_to_band(writers.pop(0)()))
+    return bands
+
+
+def _fit_band(band: Band, basis: HarmonicBasis, config: AdaptConfig,
+              timing: dict | None = None) -> tuple:
     """Second half of ``fit_graph``: the spectrum of the band, the fits and
-    the selection, with ``reduce_seconds`` added to the solve's time."""
-    t0 = time.perf_counter()
-    spectrum = band_spectrum(band)
-    t1 = time.perf_counter()
-    estimates = fit_all_resolutions(spectrum, basis, config)
-    t2 = time.perf_counter()
-    result = select_resolution(estimates, config, basis)
-    t3 = time.perf_counter()
-    return spectrum, estimates, result, (reduce_seconds + t1 - t0, t2 - t1, t3 - t2)
+    the selection, each step's seconds added to ``timing``, if given."""
+    with _clock(timing, "t_eig"):
+        spectrum = band_spectrum(band)
+    with _clock(timing, "t_fit"):
+        estimates = fit_all_resolutions(spectrum, basis, config)
+    with _clock(timing, "t_adapt"):
+        result = select_resolution(estimates, config, basis)
+    return spectrum, estimates, result
 
 
 def fit_graph(graph, basis: HarmonicBasis, config: AdaptConfig) -> tuple:
@@ -295,9 +316,7 @@ def fit_graph(graph, basis: HarmonicBasis, config: AdaptConfig) -> tuple:
     elif not isinstance(graph, Triangle):
         raise DomainError(f"fit_graph takes an EdgeListData or the Triangle of its A / n, "
                           f"not {type(graph).__name__}")
-    band = reduce_to_band(graph)
-    spectrum, estimates, result, _ = _fit_band(band, 0.0, basis, config)
-    return spectrum, estimates, result
+    return _fit_band(reduce_to_band(graph), basis, config)
 
 
 def _fit_fields(est: SpectrumEstimate) -> dict:
@@ -309,75 +328,66 @@ def _fit_fields(est: SpectrumEstimate) -> dict:
 
 class _Drawn(NamedTuple):
     """A replicate's graph once drawn: its seed, the future of ``_reduce`` on
-    its matrices, its edge count and the draw's timings."""
+    its triangle writers, its timings so far and its edge count."""
 
     seed: int
     stage1: Future
+    timing: dict
     edge_count: int | None = None
-    timing: dict | None = None
 
 
-def _draw(space: LatentSpace, envelope: Envelope, n: int, rep: int, seed: int) -> tuple:
-    """Replicate (n, rep)'s graph, drawn in the calling thread from ``seed``:
-    its latent sample, its ``EdgeListData`` and the draw's timings."""
-    t0 = time.perf_counter()
-    latent = sample_latent(space, n, seed)
-    t1 = time.perf_counter()
-    graph = generate_graph(latent, envelope, _graph_seed(seed))
-    t2 = time.perf_counter()
-    return latent, graph, {"n": n, "replicate": rep, "t_sample": t1 - t0, "t_generate": t2 - t1}
-
-
-def _replicates(space: LatentSpace, envelope: Envelope, base_seed: int, tasks, matrices,
+def _replicates(space: LatentSpace, envelope: Envelope, base_seed: int, tasks, writers,
                 dump=None):
     """The seeded replicate loop of both drivers: ``(n, rep, drawn)`` for
     each ``(n, rep)`` of ``tasks`` in turn, the graph seeded ``base_seed +
     rep`` and drawn in the calling thread as its ``EdgeListData``, which
-    ``dump(n, rep, graph)``, if given, receives; ``drawn.stage1`` is the
-    future of ``_reduce`` on one worker thread, the lane, which writes the
-    ``Triangle`` list ``matrices(latent, graph)`` once the last graph's
-    stage 1 has returned, and reduces it: the lane alone sets the pace.  A
-    replicate whose graph cannot be drawn is yielded at once, with a future
-    that raises the error, before the next graph is drawn."""
+    ``dump(n, rep, graph)``, if given, receives, each step timed into
+    ``drawn.timing``.  ``drawn.stage1`` is the future of ``_reduce`` on one
+    worker thread, the lane, of the triangle writers ``writers(latent,
+    graph)``, run once the last graph's stage 1 has returned: the lane
+    alone sets the pace.  A replicate whose graph cannot be drawn is
+    yielded at once, with a future that raises the error, before the next
+    graph is drawn."""
     from concurrent.futures import Future, ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="ngg-stage1") as lane:
         ahead = []  # (n, rep, drawn) of the replicate whose stage 1 is on the lane
         for n, rep in tasks:
-            seed = base_seed + rep
+            seed, timing = base_seed + rep, {}
             try:
-                latent, graph, timing = _draw(space, envelope, n, rep, seed)
+                with _clock(timing, "t_sample"):
+                    latent = sample_latent(space, n, seed)
+                with _clock(timing, "t_generate"):
+                    graph = generate_graph(latent, envelope, _graph_seed(seed))
             except Exception as exc:  # raised when the replicate is settled
                 failed = Future()
                 failed.set_exception(exc)
                 yield from ahead
-                yield n, rep, _Drawn(seed, failed)
+                yield n, rep, _Drawn(seed, failed, timing)
                 ahead = []
                 continue
             # outside the try: an error of ``dump``, such as a failed write,
             # ends the run instead of becoming the replicate's
             if dump is not None:
                 dump(n, rep, graph)
-            stage1 = lane.submit(_reduce, matrices, [latent, graph])
+            stage1 = lane.submit(_reduce, writers(latent, graph), timing)
             edge_count = graph.keys.size
-            del latent, graph  # the lane holds the draw until it is written
+            del latent, graph  # the writers hold the draw until they have written
             yield from ahead
-            ahead = [(n, rep, _Drawn(seed, stage1, edge_count, timing))]
+            ahead = [(n, rep, _Drawn(seed, stage1, timing, edge_count))]
         yield from ahead
 
 
 def _one_replicate(config: ExperimentConfig, basis: HarmonicBasis, truth: np.ndarray,
-                   truth_runs: SignedRuns, n: int, rep: int, drawn: _Drawn):
-    """Record and timings of replicate (n, rep) from ``_draw``'s result: its
-    band solved, fitted, selected and compared with the truth.  Each fit's
-    staircase is compared, as their runs (``delta2_runs``), with the
-    truth's first ``r + 1`` coefficients and with the whole expansion
-    (``truth_runs``), each coefficient counted ``basis.dims`` times: no
-    spectrum is expanded."""
-    (band,), reduce_seconds = drawn.stage1.result()
-    _, estimates, result, (t_eig, t_fit, t_adapt) = _fit_band(
-        band, reduce_seconds, basis, config.adapt_config(n))
-    timing = {**drawn.timing, "t_eig": t_eig, "t_fit": t_fit, "t_adapt": t_adapt}
+                   truth_runs: SignedRuns, n: int, rep: int, drawn: _Drawn) -> dict:
+    """Record of replicate (n, rep) as ``_replicates`` yields it: its band
+    solved, fitted, selected and compared with the truth, each step's
+    seconds added to ``drawn.timing``.  Each fit's staircase is compared, as
+    their runs (``delta2_runs``), with the truth's first ``r + 1``
+    coefficients and with the whole expansion (``truth_runs``), each
+    coefficient counted ``basis.dims`` times: no spectrum is expanded."""
+    (band,) = drawn.stage1.result()
+    _, estimates, result = _fit_band(band, basis, config.adapt_config(n), drawn.timing)
     fits = []
     for r in sorted(estimates):
         est = estimates[r]
@@ -390,7 +400,7 @@ def _one_replicate(config: ExperimentConfig, basis: HarmonicBasis, truth: np.nda
                 "delta2_vs_truth": delta2_runs(runs, truth_runs),
             }
         )
-    record = {
+    return {
         "n": n,
         "replicate": rep,
         "seed": drawn.seed,
@@ -402,7 +412,6 @@ def _one_replicate(config: ExperimentConfig, basis: HarmonicBasis, truth: np.nda
         "delta2_selected_vs_truth": next(
             f["delta2_vs_truth"] for f in fits if f["r"] == result.selected_r),
     }
-    return record, timing
 
 
 def run_experiment(config: ExperimentConfig, dump=None) -> ExperimentReport:
@@ -425,16 +434,14 @@ def run_experiment(config: ExperimentConfig, dump=None) -> ExperimentReport:
     # n_values, walked lazily: a run holds no replicate ahead of the loop
     tasks = ((n, rep) for n in sorted(config.n_values) for rep in range(config.replicates))
     for n, rep, drawn in _replicates(config.space, config.envelope, config.base_seed, tasks,
-                                     lambda latent, graph: [graph.triangle()],
-                                     dump):
+                                     lambda latent, graph: [graph.triangle], dump):
         try:
-            record, timing = _one_replicate(config, basis, truth, truth_runs, n, rep, drawn)
+            record = _one_replicate(config, basis, truth, truth_runs, n, rep, drawn)
         except Exception as exc:  # recorded, not swallowed
             record = {"n": n, "replicate": rep, "seed": drawn.seed,
                       "error": f"{type(exc).__name__}: {exc}"}
-            timing = {"n": n, "replicate": rep}
         records.append(record)
-        timings.append(timing)
+        timings.append(drawn.timing)
     aggregates = _aggregate(config, basis, truth, records)
     return ExperimentReport(
         config=config.to_dict(),
@@ -518,20 +525,20 @@ def concentration_check(envelope: Envelope, space: LatentSpace, n_values, replic
 
     The graphs are drawn by ``run_experiment``'s replicate loop, in the
     calling thread.  On the lane, under ``stage_one_threads``, the upper
-    triangles of (A - theta)/n and of theta/n are written in row blocks
-    (``write_triangle``), each block of theta evaluated where it is written
-    (``probability_rows``); both are then reduced, and their spectra taken in
-    the calling thread.  A block of (A - theta)/n is -theta with 1 added at
-    the keys of its rows (a ``searchsorted``), divided by n: neither A nor
-    theta is ever held whole.  The operator norm is the larger of
-    |lambda_max| and |lambda_min| of (A - theta)/n; the spectrum error is
-    ``delta2_runs`` of theta/n's n eigenvalues against the reference runs."""
-    n_values = tuple(int(n) for n in n_values)
+    triangle of (A - theta)/n is written in row blocks (``write_triangle``),
+    each block of theta evaluated where it is written (``probability_rows``),
+    and reduced; then theta/n's, in the same way: one triangle is alive at
+    a time.  Their spectra are taken in the calling thread.  A block of
+    (A - theta)/n is -theta with 1 added at the keys of its rows (a
+    ``searchsorted``), divided by n: neither A nor theta is ever held
+    whole.  The operator norm is the larger of |lambda_max| and
+    |lambda_min| of (A - theta)/n; the spectrum error is ``delta2_runs`` of
+    theta/n's n eigenvalues against the reference runs."""
     _check_run(n_values, replicates, seed)
     basis, coefficients = _truth(space, envelope)
     truth_runs = signed_runs(coefficients, basis.dims)
 
-    def matrices(latent, graph):
+    def writers(latent, graph):
         n, keys = graph.n, graph.keys
 
         def theta(block):  # theta[block], evaluated where it is written
@@ -547,14 +554,17 @@ def concentration_check(envelope: Envelope, space: LatentSpace, n_values, replic
                 out[i, j] += 1.0
             np.divide(out, n, out=out)
 
-        with stage_one_threads(n):
-            return [write_triangle(n, diff),
-                    write_triangle(n, lambda block, out: np.divide(theta(block), n, out=out))]
+        def written(fill):  # each triangle under stage 1's thread rule
+            with stage_one_threads(n):
+                return write_triangle(n, fill)
+
+        return [lambda: written(diff),
+                lambda: written(lambda block, out: np.divide(theta(block), n, out=out))]
 
     op, sperr = {}, {}
     tasks = ((n, rep) for n in n_values for rep in range(replicates))
-    for n, rep, drawn in _replicates(space, envelope, seed, tasks, matrices):
-        (diff, theta), _ = drawn.stage1.result()
+    for n, rep, drawn in _replicates(space, envelope, seed, tasks, writers):
+        diff, theta = drawn.stage1.result()
         values = band_spectrum(diff).values  # descending: the norm is at an end
         op[(n, rep)] = float(max(abs(values[0]), abs(values[-1])))
         sperr[(n, rep)] = delta2_runs(signed_runs(band_spectrum(theta).values, [1] * n),

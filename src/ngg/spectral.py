@@ -82,15 +82,12 @@ _SYMM_TILE = 512
 @dataclass(frozen=True)
 class Spectrum:
     """A finite real multiset of ``n`` values sorted descending, such as the
-    eigenvalues of a symmetric matrix.  Its first ``nonneg`` values are the
-    nonnegative ones (exact zeros of either sign included).  ``s1[k]`` and
-    ``s2[k]`` are the sums of its ``k`` largest values and of their squares
-    (``s1[0] = s2[0] = 0``), taken on first use.  A prefix sum that
-    overflows reads inf, which the fit refuses.  Built by ``as_spectrum`` and
-    ``band_spectrum``."""
+    eigenvalues of a symmetric matrix.  ``s1[k]`` and ``s2[k]`` are the sums
+    of its ``k`` largest values and of their squares (``s1[0] = s2[0] =
+    0``), taken on first use.  A prefix sum that overflows reads inf, which
+    the fit refuses.  Built by ``as_spectrum`` and ``band_spectrum``."""
 
     values: np.ndarray
-    nonneg: int
     n: int
 
     @functools.cached_property
@@ -121,7 +118,7 @@ def _descending(v: np.ndarray) -> Spectrum:
     """The ``Spectrum`` of values already sorted descending, checked finite."""
     if not np.isfinite(v).all():
         raise DomainError("spectrum has non-finite values")
-    return Spectrum(v, int(np.count_nonzero(v >= 0)), v.size)
+    return Spectrum(v, v.size)
 
 
 def as_spectrum(x) -> Spectrum:

@@ -27,11 +27,12 @@ def delta2(x, y) -> float:
     distance too large for a float64 is refused.
     """
     x, y = as_spectrum(x), as_spectrum(y)
-    xn, yn = x.values.size - x.nonneg, y.values.size - y.nonneg
-    kp = max(x.nonneg, y.nonneg)
+    xp, yp = (int(np.count_nonzero(s.values >= 0)) for s in (x, y))  # the nonnegative prefixes
+    xn, yn = x.n - xp, y.n - yp
+    kp = max(xp, yp)
     pad = np.zeros((2, kp + max(xn, yn)))  # x then y: nonnegative run, then negative run
-    pad[0, : x.nonneg] = x.values[: x.nonneg]
-    pad[1, : y.nonneg] = y.values[: y.nonneg]
+    pad[0, :xp] = x.values[:xp]
+    pad[1, :yp] = y.values[:yp]
     pad[0, kp : kp + xn] = x.values[::-1][:xn]  # most negative first
     pad[1, kp : kp + yn] = y.values[::-1][:yn]
     with np.errstate(over="ignore"):
@@ -109,5 +110,7 @@ def eigenvalues(m):
 
 
 def fit_one(spectrum, basis, r):
-    """The staircase fit at the one resolution ``r``: the DP on ``(r,)``."""
-    return _fit_resolutions(spectrum, basis, (r,))[0]
+    """The staircase fit at the one resolution ``r``: the DP on ``(r,)`` of
+    the ``Spectrum`` it prepares, unchecked, as ``fit_all_resolutions``
+    prepares one after its checks."""
+    return _fit_resolutions(as_spectrum(spectrum), basis, (r,))[0]

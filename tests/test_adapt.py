@@ -300,6 +300,27 @@ def test_fit_all_resolutions_requires_room(basis3):
         ngg.fit_all_resolutions(np.zeros(10), basis3, cfg)
 
 
+@pytest.mark.parametrize(
+    "degree, size, n, match",
+    [
+        (2, 100, 100, "r_max = 4 exceeds basis max_degree 2"),
+        (16, 10, 10, "n = 10 is below the model dimension 25 at r_max = 4"),
+        (16, 1000, 50, "1000 values, config.n = 50"),
+    ],
+    ids=["above-the-basis", "too-few-values", "another-size"],
+)
+def test_fit_all_resolutions_refuses_before_any_dp_table(degree, size, n, match):
+    # fit_all_resolutions is the one checked entry to the fit: it refuses
+    # before the DP core builds its first table
+    from ngg.estimator import _pass
+
+    basis = ngg.harmonic_basis(ngg.sphere(3), degree)
+    _pass.cache_clear()
+    with pytest.raises(DomainError, match=match):
+        ngg.fit_all_resolutions(np.zeros(size), basis, ngg.AdaptConfig(n=n, r_max=4))
+    assert _pass.cache_info().currsize == 0
+
+
 def test_fit_all_resolutions_refuses_r_max_above_the_basis():
     basis = ngg.harmonic_basis(ngg.sphere(3), 2)
     with pytest.raises(DomainError, match="r_max = 4 exceeds basis max_degree 2"):

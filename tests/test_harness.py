@@ -314,10 +314,11 @@ def test_failed_draw_is_settled_in_order_and_the_run_goes_on(monkeypatch):
 
 
 def test_concentration_holds_one_replicate_at_a_time(monkeypatch, mapped):
-    # (A - theta)/n and theta/n are written a block of rows of theta at a time
-    # and reduced in place on the lane, and the next graph waits for both:
-    # when it is drawn, the previous graph's two mapped matrices, freed when
-    # their stage 1 returns, are the only ones that may be alive
+    # (A - theta)/n and then theta/n are written a block of rows of theta at a
+    # time and reduced in place on the lane, each before the next is written,
+    # and the next graph waits for both: when it is drawn, one of the previous
+    # graph's mapped matrices, freed when its stage 1 returns, is the only one
+    # that may be alive
     import ngg.harness
 
     n = 1000
@@ -335,7 +336,7 @@ def test_concentration_holds_one_replicate_at_a_time(monkeypatch, mapped):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert alive[0] == 0 and max(alive) <= 2, alive
+    assert alive[0] == 0 and max(alive) <= 1, alive
     assert peak <= 2.0 * 8 * n * n  # a whole theta and its cosines took it to 2.8
 
 
@@ -759,6 +760,51 @@ def test_concentration_refuses_bad_run_arguments(kw, match):
     args.update(kw)
     with pytest.raises(DomainError, match=match):
         ngg.concentration_check(ngg.builtin_envelope(4), ngg.sphere(3), **args)
+
+
+def _run_driver(driver, n_values, replicates, seed):
+    if driver == "run_experiment":
+        config = _config(n_values=n_values, replicates=replicates, base_seed=seed)
+        return json_dumps(ngg.run_experiment(config).to_json_dict()["records"])
+    table = ngg.concentration_check(ngg.builtin_envelope(4), ngg.sphere(3), n_values,
+                                    replicates, seed)
+    return json_dumps(table.to_json_dict())
+
+
+@pytest.mark.parametrize("driver", ["run_experiment", "concentration_check"])
+@pytest.mark.parametrize(
+    "kw, match",
+    [
+        (dict(n_values=(100.7,)), r"graph size must be an integer, got 100\.7"),
+        (dict(n_values=(100, 200.0)), r"graph size must be an integer, got 200\.0"),
+        (dict(n_values=(True, 100)), "graph size must be an integer, got True"),
+        (dict(n_values=100), "graph sizes must be a sequence, got int"),
+        (dict(n_values={100, 200}), "graph sizes must be a sequence, got set"),
+        (dict(replicates=1.5), r"replicates must be an integer, got 1\.5"),
+        (dict(replicates=True), "replicates must be an integer, got True"),
+        (dict(seed=1.5), r"seed must be an integer, got 1\.5"),
+        (dict(seed=False), "seed must be an integer, got False"),
+    ],
+)
+def test_drivers_refuse_run_arguments_of_the_wrong_type(monkeypatch, driver, kw, match):
+    # refused with DomainError before any draw, by the check both drivers
+    # share: a float size is not truncated, and no raw TypeError escapes
+    import ngg.harness
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sampled a graph")
+
+    monkeypatch.setattr(ngg.harness, "sample_latent", unreachable)
+    args = dict(n_values=(100, 200), replicates=2, seed=0)
+    args.update(kw)
+    with pytest.raises(DomainError, match=match):
+        _run_driver(driver, **args)
+
+
+@pytest.mark.parametrize("driver", ["run_experiment", "concentration_check"])
+def test_drivers_take_numpy_integer_run_arguments(driver):
+    assert _run_driver(driver, (np.int64(100),), np.int32(1), np.uint8(3)) == \
+        _run_driver(driver, (100,), 1, 3)
 
 
 def test_concentration_independent_of_thread_count():

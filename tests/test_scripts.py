@@ -147,17 +147,18 @@ def test_simulate_holds_one_triangle_beside_the_next_graphs_keys(tmp_path):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads Linux's ru_maxrss of a child")
-def test_rate_check_holds_two_triangles_beside_the_next_graphs_keys(tmp_path):
-    # the lane writes (A - theta)/n and theta/n a block of theta's rows at a
-    # time and reduces both while the next graph is drawn: over a bare import,
-    # the child holds two triangles (half the matrix each, a 4 KiB page a row,
-    # and the lower half of each 256-row diagonal block), 16 bytes an edge, the
-    # draws as bits, theta's row-block temporaries (a block's cosines and the
-    # envelope's on one chunk, within two blocks, and as much again that
-    # malloc may keep once freed), stage 1's band and panel buffers
+def test_rate_check_holds_one_triangle_beside_the_next_graphs_keys(tmp_path):
+    # the lane writes (A - theta)/n a block of theta's rows at a time and
+    # reduces it, then theta/n in the same way, while the next graph is
+    # drawn: over a bare import, the child holds one triangle (half the
+    # matrix, a 4 KiB page a row, and the lower half of each 256-row
+    # diagonal block), 16 bytes an edge (the keys being drawn and the last
+    # graph's, held by its first writer and maybe kept by malloc), the
+    # draws as bits, theta's row-block temporaries (a block's cosines and
+    # the envelope's on one chunk, within two blocks, and as much again
+    # that malloc may keep once freed), stage 1's band and panel buffers
     # (8 (3 kd + 2) bytes a row, kd = 32), and what does not grow with n,
-    # read from a 600-node run.  A whole theta held beside the triangles
-    # fails it
+    # read from a 600-node run.  Both triangles held at once fail it
     if ngg.spectral._lapack() is None:
         pytest.skip("numpy's LAPACK lacks the routines of the two-stage solve")
     from ngg.harness import _graph_seed
@@ -174,7 +175,7 @@ def test_rate_check_holds_two_triangles_beside_the_next_graphs_keys(tmp_path):
                                    ngg.builtin_envelope(5), _graph_seed(rep)).keys.size
                 for rep in range(2))
         triangle = 4 * n * (n + 1) + 4096 * n + 4 * 255 * n
-        return rss, 2 * triangle + 16 * m + n * n // 8 + 4 * 8 * 256 * n + 8 * (3 * 32 + 2) * n
+        return rss, triangle + 16 * m + n * n // 8 + 4 * 8 * 256 * n + 8 * (3 * 32 + 2) * n
 
     base = peak("-c", "import ngg.cli")
     small, small_terms = grown(600)

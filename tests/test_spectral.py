@@ -325,11 +325,10 @@ def test_as_spectrum_fields():
     assert s.values.tolist() == [2.0, 0.5, 0.0, -1.0]
     assert s.s1.tolist() == [0.0, 2.0, 2.5, 2.5, 1.5]
     assert s.s2.tolist() == [0.0, 4.0, 4.25, 4.25, 5.25]
-    assert s.nonneg == 3
+    assert s.n == 4
     assert ngg.as_spectrum(s) is s
-    assert ngg.as_spectrum([-0.0, -2.0]).nonneg == 1  # -0.0 counts as nonnegative
     empty = ngg.as_spectrum([])
-    assert empty.values.size == 0 and empty.s1.tolist() == [0.0] and empty.nonneg == 0
+    assert empty.values.size == empty.n == 0 and empty.s1.tolist() == [0.0]
 
 
 def test_eigenvalues_symmetric_spectrum_equals_converted_values():
@@ -339,7 +338,7 @@ def test_eigenvalues_symmetric_spectrum_equals_converted_values():
     again = ngg.as_spectrum(spec.values.copy())
     for field in ("values", "s1", "s2"):
         assert getattr(spec, field).tobytes() == getattr(again, field).tobytes()
-    assert spec.nonneg == again.nonneg == int(np.count_nonzero(spec.values >= 0))
+    assert spec.n == again.n == 60
 
 
 # --- the two-stage routine against numpy's eigvalsh ---------------------------------
