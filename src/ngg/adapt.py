@@ -4,12 +4,13 @@ reconstruction from fitted stage values."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .estimator import MAX_RESOLUTION, SpectrumEstimate, _fit_resolutions
 from .model import Envelope
 from .spaces import HarmonicBasis
@@ -44,17 +45,21 @@ class AdaptConfig:
     include_r0: bool = False
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("n must be positive")
+        check_integer(self.n, "n", 1)
         check_settings(self.r_max, self.kappa, self.include_r0)
 
 
 def check_settings(r_max: int, kappa: float, include_r0: bool) -> None:
-    """The ``AdaptConfig`` checks that do not need ``n``: a finite ``kappa > 0``
-    and a non-empty candidate grid topped by ``r_max <= MAX_RESOLUTION``.
-    ``estimate`` runs them before it reads its input."""
-    if not (math.isfinite(kappa) and kappa > 0):
-        raise DomainError(f"kappa must be a finite positive number, got {kappa}")
+    """The ``AdaptConfig`` checks that do not need ``n``: a real ``kappa > 0``,
+    finite and not a bool, a bool ``include_r0`` and a non-empty candidate
+    grid topped by an integer ``r_max <= MAX_RESOLUTION``.  ``estimate`` runs
+    them before it reads its input."""
+    if (isinstance(kappa, bool) or not isinstance(kappa, numbers.Real)
+            or not (math.isfinite(kappa) and kappa > 0)):
+        raise DomainError(f"kappa must be a finite positive number, got {kappa!r}")
+    if not isinstance(include_r0, bool):
+        raise DomainError(f"include_r0 must be a bool, got {include_r0!r}")
+    check_integer(r_max, "r_max", 0)
     if r_max < (0 if include_r0 else 1):
         raise DomainError("r_max too small for the candidate grid")
     if r_max > MAX_RESOLUTION:

@@ -12,20 +12,21 @@ thread: draw graph k + 1 while the lane reduces graph k and hand it to the
 lane, which writes its ``A / n`` (``EdgeListData.triangle()``: the upper
 triangle of the rows, on ``lazy_zeros`` pages that become resident where
 written) once that stage 1 has returned and freed graph k's matrix; then
-finish replicate k (stage 2, the fits, the selection and the record).  So
-one float64 ``n x n`` matrix is alive at a time, in both drivers.  A
-record compares each fit with the reference expansion as their runs,
-values with their multiplicities (``delta2_runs``), and so does the
-concentration check with theta/n's spectrum: none is expanded, however
-many values the reference stands for.  Reports split into a deterministic
-JSON part (config, records, aggregates) and a CSV part that adds each
-replicate's phase seconds, timed by one timer, ``_clock``.
+finish replicate k (stage 2, the fits, the selection and the record).  The
+concentration check writes (A - theta)/n onto that same ``A / n``, then
+theta/n onto ``lazy_zeros``, both by ``write_triangle``, which owns stage
+1's thread rule.  So one float64 ``n x n`` matrix is alive at a time, in
+both drivers.  A record compares each fit with the reference expansion as
+their runs, values with their multiplicities (``delta2_runs``), and so
+does the concentration check with theta/n's spectrum: none is expanded,
+however many values the reference stands for.  Reports split into a
+deterministic JSON part (config, records, aggregates) and a CSV part that
+adds each replicate's phase seconds, timed by one timer, ``_clock``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import numbers
 import time
 from collections import Counter
 from collections.abc import Sequence
@@ -38,7 +39,7 @@ import numpy as np
 from .adapt import (AdaptConfig, check_settings, fit_all_resolutions, resolution_grid,
                     select_resolution)
 from .edgelist import EdgeListData
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .estimator import SpectrumEstimate
 from .model import Envelope, generate_graph, probability_rows, sample_latent
 from .reports import csv_beside, write_csv, write_json
@@ -56,9 +57,9 @@ from .spectral import (
     band_spectrum,
     check_dense_size,
     delta2_runs,
+    lazy_zeros,
     reduce_to_band,
     signed_runs,
-    stage_one_threads,
     write_triangle,
 )
 
@@ -81,7 +82,6 @@ __all__ = [
 TRUTH_DEGREE = 64
 _TRUTH_TAIL_TOL = 1e-12
 _TRUTH_CHUNK = 8
-_SCATTER_KEYS = 8192  # edge keys set per step in a block of (A - theta) / n
 
 
 def build_identifier() -> str:
@@ -109,23 +109,18 @@ def build_identifier() -> str:
 
 def _check_run(n_values, replicates: int, seed: int) -> None:
     """Checks shared by every seeded run, before any draw: a sequence of at
-    least one graph size, none twice or too large for memory, at least one
-    replicate and a nonnegative seed, each an integer (a bool or a float
-    such as ``100.0`` is refused, a numpy integer accepted)."""
+    least one positive graph size, none twice or too large for memory, at
+    least one replicate and a nonnegative seed, each an integer
+    (``check_integer``)."""
     if not isinstance(n_values, Sequence):
         raise DomainError(f"graph sizes must be a sequence, got {type(n_values).__name__}")
-    for label, v in (("replicates", replicates), ("seed", seed),
-                     *(("graph size", n) for n in n_values)):
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-            raise DomainError(f"{label} must be an integer, got {v!r}")
-    if replicates < 1:
-        raise DomainError(f"replicates must be >= 1, got {replicates}")
+    for label, v, least in (("replicates", replicates, 1), ("seed", seed, 0),
+                            *(("graph size", n, 1) for n in n_values)):
+        check_integer(v, label, least)
     if not n_values:
         raise DomainError("at least one graph size is required")
     if len(set(n_values)) != len(n_values):
         raise DomainError(f"graph sizes must be distinct, got {list(n_values)}")
-    if seed < 0:
-        raise DomainError(f"seed must be nonnegative, got {seed}")
     for n in n_values:
         check_dense_size(n, "graph size")
 
@@ -150,15 +145,12 @@ def true_coefficients(basis: HarmonicBasis, envelope: Envelope) -> np.ndarray:
         return envelope_coefficients(basis, envelope, top) if known is None else known[: top + 1]
 
     top = min(_TRUTH_CHUNK, max_degree)
-    coeffs = expansion(top)
-    while top < max_degree:
-        lo = top + 1
-        top = min(top + _TRUTH_CHUNK, max_degree)
+    while True:
+        lo, top = top + 1, min(top + _TRUTH_CHUNK, max_degree)
         coeffs = expansion(top)
         dims = np.asarray(basis.dims[lo : top + 1], dtype=float)
-        if float(np.sum(dims * coeffs[lo:] ** 2)) < _TRUTH_TAIL_TOL:
-            break
-    return coeffs
+        if top == max_degree or float(np.sum(dims * coeffs[lo:] ** 2)) < _TRUTH_TAIL_TOL:
+            return coeffs
 
 
 def _truth(space: LatentSpace, envelope: Envelope) -> tuple[HarmonicBasis, np.ndarray]:
@@ -258,13 +250,9 @@ class ExperimentReport:
 
 
 @contextlib.contextmanager
-def _clock(timing: dict | None, key: str):
+def _clock(timing: dict, key: str):
     """Add the seconds the ``with`` body takes to ``timing[key]``, one of a
-    replicate's CSV timings; with no ``timing`` (``fit_graph``), time
-    nothing."""
-    if timing is None:
-        yield
-        return
+    replicate's CSV timings."""
     start = time.perf_counter()
     yield
     timing[key] = timing.get(key, 0.0) + time.perf_counter() - start
@@ -282,10 +270,9 @@ def _reduce(writers: list, timing: dict) -> list[Band]:
     return bands
 
 
-def _fit_band(band: Band, basis: HarmonicBasis, config: AdaptConfig,
-              timing: dict | None = None) -> tuple:
+def _fit_band(band: Band, basis: HarmonicBasis, config: AdaptConfig, timing: dict) -> tuple:
     """Second half of ``fit_graph``: the spectrum of the band, the fits and
-    the selection, each step's seconds added to ``timing``, if given."""
+    the selection, each step's seconds added to ``timing``."""
     with _clock(timing, "t_eig"):
         spectrum = band_spectrum(band)
     with _clock(timing, "t_fit"):
@@ -316,7 +303,7 @@ def fit_graph(graph, basis: HarmonicBasis, config: AdaptConfig) -> tuple:
     elif not isinstance(graph, Triangle):
         raise DomainError(f"fit_graph takes an EdgeListData or the Triangle of its A / n, "
                           f"not {type(graph).__name__}")
-    return _fit_band(reduce_to_band(graph), basis, config)
+    return _fit_band(reduce_to_band(graph), basis, config, {})
 
 
 def _fit_fields(est: SpectrumEstimate) -> dict:
@@ -524,14 +511,15 @@ def concentration_check(envelope: Envelope, space: LatentSpace, n_values, replic
     of theta/n against the reference expansion, with log-log slope fits.
 
     The graphs are drawn by ``run_experiment``'s replicate loop, in the
-    calling thread.  On the lane, under ``stage_one_threads``, the upper
-    triangle of (A - theta)/n is written in row blocks (``write_triangle``),
-    each block of theta evaluated where it is written (``probability_rows``),
-    and reduced; then theta/n's, in the same way: one triangle is alive at
-    a time.  Their spectra are taken in the calling thread.  A block of
-    (A - theta)/n is -theta with 1 added at the keys of its rows (a
-    ``searchsorted``), divided by n: neither A nor theta is ever held
-    whole.  The operator norm is the larger of |lambda_max| and
+    calling thread.  On the lane, the upper triangle of (A - theta)/n is
+    written in row blocks (``write_triangle``, which applies stage 1's
+    thread rule to the blocks' BLAS calls) onto the graph's own ``A / n``
+    (``EdgeListData.triangle()``, the one scatter of A's entries), theta/n
+    subtracted a block at a time as it is evaluated (``probability_rows``),
+    and reduced; then theta/n is written onto ``lazy_zeros`` in the same way
+    and reduced: one triangle is alive at a time, and theta is never held
+    whole.  Their spectra are taken in the calling thread.  An edge's entry
+    is 1/n - theta/n.  The operator norm is the larger of |lambda_max| and
     |lambda_min| of (A - theta)/n; the spectrum error is ``delta2_runs`` of
     theta/n's n eigenvalues against the reference runs."""
     _check_run(n_values, replicates, seed)
@@ -539,27 +527,16 @@ def concentration_check(envelope: Envelope, space: LatentSpace, n_values, replic
     truth_runs = signed_runs(coefficients, basis.dims)
 
     def writers(latent, graph):
-        n, keys = graph.n, graph.keys
+        n = graph.n
 
-        def theta(block):  # theta[block], evaluated where it is written
-            return probability_rows(latent, envelope, block[0].start, block[0].stop)
+        def theta(block):  # theta[block] / n, evaluated where it is written
+            rows = probability_rows(latent, envelope, block[0].start, block[0].stop)
+            return np.divide(rows, n, out=rows)
 
-        def diff(block, out):  # (A - theta)[block] / n, A's 1s from the keys of its rows
-            rows = block[0]
-            np.subtract(0.0, theta(block), out=out)
-            lo, hi = np.searchsorted(keys, (rows.start * n, rows.stop * n))
-            for at in range(lo, hi, _SCATTER_KEYS):
-                i, j = np.divmod(keys[at : min(at + _SCATTER_KEYS, hi)] - rows.start * n, n)
-                j -= rows.start
-                out[i, j] += 1.0
-            np.divide(out, n, out=out)
-
-        def written(fill):  # each triangle under stage 1's thread rule
-            with stage_one_threads(n):
-                return write_triangle(n, fill)
-
-        return [lambda: written(diff),
-                lambda: written(lambda block, out: np.divide(theta(block), n, out=out))]
+        return [lambda: write_triangle(graph.triangle().matrix,
+                                       lambda block, out: np.subtract(out, theta(block), out=out)),
+                lambda: write_triangle(lazy_zeros(n),
+                                       lambda block, out: np.copyto(out, theta(block)))]
 
     op, sperr = {}, {}
     tasks = ((n, rep) for n in n_values for rep in range(replicates))

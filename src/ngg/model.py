@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .edgelist import EdgeListData
-from .errors import DomainError, ModelError
+from .errors import DomainError, ModelError, check_integer
 from .spaces import HarmonicBasis, LatentSpace, SpaceKind
 
 __all__ = [
@@ -142,8 +142,7 @@ class LatentSample:
 def sample_latent(space: LatentSpace, n: int, seed: int) -> LatentSample:
     """Uniform sampling via normalized Gaussian vectors; projective points are
     sphere points up to scalar, stored with a canonical representative."""
-    if n < 1:
-        raise DomainError("n must be positive")
+    check_integer(n, "n", 1)
     rng = np.random.default_rng(seed)
     d = space.dim
     if space.kind is SpaceKind.SPHERE:

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QuadratureError, check_integer
 from .spectral import eigenvalues_tridiagonal
 
 if TYPE_CHECKING:  # model imports this module
@@ -71,6 +71,7 @@ class LatentSpace:
     dim: int
 
     def __post_init__(self):
+        check_integer(self.dim, "ambient dimension", 2)  # the least of any family
         if self.kind in (SpaceKind.SPHERE, SpaceKind.REAL_PROJECTIVE):
             # at d = 2, a + b = -1 and _dims divides by a + b + 1 = 0
             if self.dim < 3:
@@ -170,15 +171,13 @@ def _dims(space: LatentSpace, max_degree: int) -> tuple[int, ...]:
 
 def dim_of_degree(space: LatentSpace, ell: int) -> int:
     """Dimension of the degree-``ell`` eigenspace."""
-    if ell < 0:
-        raise DomainError("degree must be nonnegative")
+    check_integer(ell, "degree", 0)
     return _dims(space, ell)[ell]
 
 
 def cumulative_dim(space: LatentSpace, max_degree: int) -> int:
     """Total dimension of eigenspaces of degree <= ``max_degree``."""
-    if max_degree < 0:
-        raise DomainError("degree must be nonnegative")
+    check_integer(max_degree, "degree", 0)
     return sum(_dims(space, max_degree))
 
 
@@ -274,8 +273,7 @@ class HarmonicBasis:
 
 
 def harmonic_basis(space: LatentSpace, max_degree: int) -> HarmonicBasis:
-    if max_degree < 0:
-        raise DomainError("max_degree must be nonnegative")
+    check_integer(max_degree, "max_degree", 0)
     dims = _dims(space, max_degree)
     for ell, v in enumerate(dims):  # sqrt(d_ell) scales every evaluation
         if v > sys.float_info.max:

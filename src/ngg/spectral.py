@@ -15,7 +15,8 @@ Stage 1 takes one input, a ``Triangle``: the upper triangle of the C-ordered
 rows (LAPACK's ``'L'`` triangle of the column-major matrix) on ``lazy_zeros``
 pages that become resident where they are written, about half of the
 ``8 n^2`` bytes.  ``EdgeListData.triangle()`` writes the ``A / n`` of a
-graph, and ``write_triangle`` any other symmetric matrix in row blocks.
+graph, and ``write_triangle`` any symmetric matrix in row blocks, onto a new
+``lazy_zeros`` matrix or onto a graph's ``A / n``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ __all__ = [
     "reduce_to_band",
     "SignedRuns",
     "signed_runs",
-    "stage_one_threads",
     "write_triangle",
 ]
 
@@ -158,22 +158,29 @@ def lazy_zeros(n: int) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.float64, count=n * n).reshape(n, n)
 
 
-def write_triangle(n: int, fill) -> Triangle:
+def write_triangle(m: np.ndarray, fill) -> Triangle:
     """The ``Triangle`` of a symmetric ``n x n`` matrix ``M``, written in row
-    blocks onto a new ``lazy_zeros`` matrix: ``fill(block, out)`` writes
-    ``out = M[block]`` for each ``block`` of ``_BLOCK`` rows from the
-    diagonal on, so the upper triangle of the rows is written and, of the
-    other, only the diagonal blocks.  A non-finite entry is refused."""
-    m = lazy_zeros(n)
+    blocks onto ``m``, a new ``lazy_zeros(n)`` or a graph's own
+    ``EdgeListData.triangle().matrix``: ``fill(block, out)`` updates ``out =
+    m[block]`` in place to ``M[block]`` for each ``block`` of ``_BLOCK`` rows
+    from the diagonal on, so the upper triangle of the rows is written and,
+    of the other, only the diagonal blocks.  The fills run under stage 1's
+    thread rule (``_stage_one_threads``).  An ``m`` that is not a square,
+    C-ordered, writable float64 array is refused, and so is a non-finite entry."""
+    if not (isinstance(m, np.ndarray) and m.dtype == np.float64 and m.ndim == 2
+            and m.shape[0] == m.shape[1] and m.flags.c_contiguous and m.flags.writeable):
+        raise DomainError("write_triangle takes a square, C-ordered, writable float64 matrix")
+    n = m.shape[0]
     scale = 0.0
-    for lo in range(0, n, _BLOCK):
-        block = np.s_[lo : lo + _BLOCK, lo:]
-        out = m[block]
-        fill(block, out)
-        top = max(float(out.max()), -float(out.min()))  # NaN if any entry is NaN
-        if not math.isfinite(top):
-            raise DomainError("matrix has non-finite entries")
-        scale = max(scale, top)
+    with _stage_one_threads(n):
+        for lo in range(0, n, _BLOCK):
+            block = np.s_[lo : lo + _BLOCK, lo:]
+            out = m[block]
+            fill(block, out)
+            top = max(float(out.max()), -float(out.min()))  # NaN if any entry is NaN
+            if not math.isfinite(top):
+                raise DomainError("matrix has non-finite entries")
+            scale = max(scale, top)
     return Triangle(m, scale)
 
 
@@ -278,7 +285,7 @@ def _blas_threads(count):
 
 
 @contextlib.contextmanager
-def stage_one_threads(n: int):
+def _stage_one_threads(n: int):
     """Stage 1 of an ``n``-row matrix, or the BLAS calls writing its triangle, run
     inside: one at a time under ``_LAPACK_LOCK``, on one OpenBLAS thread up to
     ``ONE_THREAD_MAX_N`` rows and on the default pool beyond."""
@@ -391,7 +398,7 @@ def reduce_to_band(triangle: Triangle) -> Band:
     ``dsyevd_2stage`` does; one with a non-finite entry is refused, and so is
     any input other than a ``Triangle``.
 
-    The reduction runs under ``stage_one_threads``: one stage 1 at a time, on
+    The reduction runs under ``_stage_one_threads``: one stage 1 at a time, on
     one OpenBLAS thread up to ``ONE_THREAD_MAX_N`` rows, so the band depends on
     ``n`` alone for small matrices and on the machine's thread count for large
     ones (1 against 2 threads moves the eigenvalues by up to about 1e-15), and
@@ -426,7 +433,7 @@ def reduce_to_band(triangle: Triangle) -> Band:
     # dsytrd_2stage's band width; a C-ordered symmetric matrix is its own
     # column-major transpose, so LAPACK's 'L' triangle is the rows' upper one
     kd = int(_fortran(lapack["ilaenv2stage"], 1, b"DSYTRD_2STAGE", b"N", n, -1, -1, -1))
-    with stage_one_threads(n):
+    with _stage_one_threads(n):
         ab = _sy2sb(lapack, m, kd)
     return Band(ab, kd, sigma)
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from ngg.errors import DomainError
 from ngg.estimator import ZERO_BLOCK, _fit_resolutions, _read_runs, _run_costs
-from ngg.spectral import as_spectrum, band_spectrum, reduce_to_band, write_triangle
+from ngg.spectral import as_spectrum, band_spectrum, lazy_zeros, reduce_to_band, write_triangle
 
 
 def delta2(x, y) -> float:
@@ -96,11 +96,11 @@ def triangle_count(graph) -> int:
 
 def triangle(m):
     """The ``Triangle`` of the dense symmetric test matrix ``m``, written by
-    ``write_triangle`` as float64 one row block at a time: ``m`` is left as
-    it is, and only its upper triangle of the rows (with the diagonal
-    blocks) is read."""
+    ``write_triangle`` onto ``lazy_zeros`` as float64 one row block at a
+    time: ``m`` is left as it is, and only its upper triangle of the rows
+    (with the diagonal blocks) is read."""
     m = np.asarray(m)
-    return write_triangle(m.shape[0], lambda block, out: np.copyto(out, m[block]))
+    return write_triangle(lazy_zeros(m.shape[0]), lambda block, out: np.copyto(out, m[block]))
 
 
 def eigenvalues(m):

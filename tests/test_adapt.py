@@ -66,6 +66,36 @@ def test_config_rejects_non_finite_kappa(kappa):
         ngg.AdaptConfig(n=100, kappa=kappa)
 
 
+@pytest.mark.parametrize(
+    "kw, match",
+    [
+        (dict(r_max=2.5), r"r_max must be an integer, got 2\.5"),
+        (dict(r_max=True), "r_max must be an integer, got True"),
+        (dict(n=100.5, r_max=2), r"n must be an integer, got 100\.5"),
+        (dict(n=100.0), r"n must be an integer, got 100\.0"),
+        (dict(n=True), "n must be an integer, got True"),
+        (dict(include_r0="no"), "include_r0 must be a bool, got 'no'"),
+        (dict(include_r0=1), "include_r0 must be a bool, got 1"),
+        (dict(kappa="0.3"), "kappa must be a finite positive number, got '0.3'"),
+        (dict(kappa=None), "kappa must be a finite positive number, got None"),
+        (dict(kappa=True), "kappa must be a finite positive number, got True"),
+    ],
+)
+def test_config_refuses_settings_of_the_wrong_type(kw, match):
+    # refused with DomainError by the integer rule the run arguments follow:
+    # no float or bool is taken for a count, no string for a flag, and no
+    # raw TypeError escapes
+    args = dict(n=100)
+    args.update(kw)
+    with pytest.raises(DomainError, match=match):
+        ngg.AdaptConfig(**args)
+
+
+def test_config_takes_numpy_numbers():
+    config = ngg.AdaptConfig(n=np.int64(100), r_max=np.int32(3), kappa=np.float32(0.5))
+    assert list(resolution_grid(config)) == [1, 2, 3]
+
+
 def test_config_validation():
     with pytest.raises(DomainError):
         ngg.AdaptConfig(n=100, kappa=0.0)

@@ -64,6 +64,21 @@ def test_config_refuses_bad_run_arguments(kw, match):
         _config(**kw)
 
 
+@pytest.mark.parametrize(
+    "kw, match",
+    [
+        (dict(r_max=2.5), r"r_max must be an integer, got 2\.5"),
+        (dict(r_max=True), "r_max must be an integer, got True"),
+        (dict(kappa=None), "kappa must be a finite positive number, got None"),
+        (dict(kappa="0.3"), "kappa must be a finite positive number, got '0.3'"),
+        (dict(include_r0="no"), "include_r0 must be a bool, got 'no'"),
+    ],
+)
+def test_config_refuses_settings_of_the_wrong_type(kw, match):
+    with pytest.raises(DomainError, match=match):
+        _config(**kw)
+
+
 def test_config_rejects_an_empty_candidate_grid():
     # r_max = 0 leaves no candidate unless R = 0 is admitted
     with pytest.raises(DomainError, match="r_max too small"):
@@ -249,8 +264,9 @@ def test_dump_error_ends_the_run_and_is_no_record():
 
 def test_concentration_is_a_full_solve_of_each_replicate():
     # the bands reduced on the lane give the bits of whole solves of
-    # (A - theta)/n and theta/n, with the graphs drawn apart from the loop (one
-    # row block: the block cosines are theta's); the spectrum error is
+    # A/n - theta/n (theta/n subtracted from the graph's own A / n) and
+    # theta/n, with the graphs drawn apart from the loop (one row block: the
+    # block cosines are theta's); the spectrum error is
     # delta2_runs of the n eigenvalues against the truth's runs, which agrees
     # with delta2 of the expansions within the rounding of the two sums
     space, envelope = ngg.sphere(3), ngg.builtin_envelope(4)
@@ -261,7 +277,7 @@ def test_concentration_is_a_full_solve_of_each_replicate():
     assert list(table.op_norm) == [(n, rep) for n in (100, 200) for rep in range(2)]
     for (n, rep), op in table.op_norm.items():
         theta = probability_rows(ngg.sample_latent(space, n, 9 + rep), envelope, 0, n)
-        ends = eigenvalues((dense(_graph(space, envelope, n, 9 + rep)) - theta) / n).values
+        ends = eigenvalues(dense(_graph(space, envelope, n, 9 + rep)) / n - theta / n).values
         assert op == max(abs(ends[0]), abs(ends[-1]))
         got = table.spectrum_error[(n, rep)]
         expect = delta2(eigenvalues(theta / n), truth)
@@ -342,12 +358,12 @@ def test_concentration_holds_one_replicate_at_a_time(monkeypatch, mapped):
 
 def test_concentration_writes_its_triangles_without_a_graph_matrix(monkeypatch):
     # the lane's matrices step evaluates theta a block of rows at a time, where
-    # it writes (A - theta)/n from the keys and theta/n onto maps tracemalloc
-    # does not see: what it allocates is a block's cosines, clipped in place
-    # (8 bytes each, _BLOCK rows of at most n columns), the envelope's
-    # temporaries on one chunk of _BLOCK_COSINES values and the key scatter's
-    # (a few int64 arrays of _SCATTER_KEYS).  A whole theta, 8 n^2 bytes,
-    # exceeds that bound, and so does a clipped copy of the block's cosines
+    # it writes (A - theta)/n onto the graph's own A / n and theta/n, both on
+    # maps tracemalloc does not see: what it allocates is a block's cosines,
+    # clipped in place (8 bytes each, _BLOCK rows of at most n columns) and
+    # the envelope's temporaries on one chunk of _BLOCK_COSINES values.  A
+    # whole theta, 8 n^2 bytes, exceeds that bound, and so does a clipped
+    # copy of the block's cosines
     import ngg.harness
     import ngg.model
 
@@ -375,7 +391,7 @@ def test_concentration_writes_its_triangles_without_a_graph_matrix(monkeypatch):
         chunk = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    bound = 8 * ngg.spectral._BLOCK * n + chunk + 8 * 8 * ngg.harness._SCATTER_KEYS
+    bound = 8 * ngg.spectral._BLOCK * n + chunk
     assert len(peaks) == 1 and bound < 8 * n * n
     assert peaks[0] - marks[0] <= bound, (peaks[0] - marks[0], bound)
 
@@ -592,6 +608,29 @@ def test_true_coefficients_truncates(basis3):
     assert coeffs[4] == pytest.approx(2 / 27, abs=1e-10)
 
 
+@pytest.mark.parametrize("envelope, calls", [(1, 1), (2, 7), (3, 2), (4, 1), (5, 1), (6, 2)],
+                         ids=[f"p{i}" for i in range(1, 7)])
+def test_true_coefficients_computes_only_tested_chunks(monkeypatch, envelope, calls):
+    # each quadrature but the last is a chunk whose tail was tested: the
+    # expansion up to degree 8 is never taken on its own before the first
+    # tested chunk, and the truth is the one quadrature up to its top degree
+    import ngg.harness
+
+    seen = []
+
+    def counted(basis, env, top, _coefficients=ngg.harness.envelope_coefficients):
+        seen.append(top)
+        return _coefficients(basis, env, top)
+
+    basis = ngg.harmonic_basis(ngg.sphere(3), TRUTH_DEGREE)
+    monkeypatch.setattr(ngg.harness, "envelope_coefficients", counted)
+    coeffs = ngg.true_coefficients(basis, ngg.builtin_envelope(envelope))
+    assert seen == [16 + 8 * k for k in range(calls)]
+    assert coeffs.size == seen[-1] + 1
+    whole = ngg.spaces.envelope_coefficients(basis, ngg.builtin_envelope(envelope), seen[-1])
+    assert coeffs.tobytes() == whole.tobytes()
+
+
 @pytest.mark.parametrize("space", [ngg.sphere(3), ngg.real_projective(3),
                                    ngg.complex_projective(2)], ids=["sphere3", "rp3", "cp2"])
 @pytest.mark.parametrize("pairs, size", [([(0, 0.4), (2, 0.1)], 17), ([(0, 0.4), (10, 0.05)], 25),
@@ -784,6 +823,7 @@ def _run_driver(driver, n_values, replicates, seed):
         (dict(replicates=True), "replicates must be an integer, got True"),
         (dict(seed=1.5), r"seed must be an integer, got 1\.5"),
         (dict(seed=False), "seed must be an integer, got False"),
+        (dict(n_values=(100, 0)), "graph size must be >= 1, got 0"),
     ],
 )
 def test_drivers_refuse_run_arguments_of_the_wrong_type(monkeypatch, driver, kw, match):

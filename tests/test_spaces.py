@@ -17,6 +17,35 @@ from ngg.errors import DomainError, QuadratureError
 # --- dimensions -------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: ngg.sphere(3.5), r"ambient dimension must be an integer, got 3\.5"),
+        (lambda: ngg.complex_projective(True), "ambient dimension must be an integer, got True"),
+        (lambda: ngg.harmonic_basis(ngg.sphere(3), 2.5), r"max_degree .* integer, got 2\.5"),
+        (lambda: ngg.harmonic_basis(ngg.sphere(3), 4.0), r"max_degree .* integer, got 4\.0"),
+        (lambda: ngg.cumulative_dim(ngg.sphere(3), 2.5), r"degree must be an integer, got 2\.5"),
+        (lambda: ngg.dim_of_degree(ngg.sphere(3), 1.0), r"degree must be an integer, got 1\.0"),
+        (lambda: ngg.sample_latent(ngg.sphere(3), 2.5, 0), r"n must be an integer, got 2\.5"),
+        (lambda: ngg.sample_latent(ngg.sphere(3), True, 0), "n must be an integer, got True"),
+    ],
+    ids=["sphere-float", "cp-bool", "basis-float", "basis-whole-float", "cum-dim-float",
+         "dim-float", "sample-float", "sample-bool"],
+)
+def test_sizes_and_degrees_of_the_wrong_type_are_refused(build, match):
+    # the integer rule of the run arguments: no float or bool is taken for a
+    # dimension, a degree or a point count, and no raw TypeError escapes
+    with pytest.raises(DomainError, match=match):
+        build()
+
+
+def test_sizes_and_degrees_take_numpy_integers():
+    basis = ngg.harmonic_basis(ngg.sphere(np.int64(3)), np.int32(4))
+    assert basis.dims == ngg.harmonic_basis(ngg.sphere(3), 4).dims
+    latent = ngg.sample_latent(ngg.sphere(3), np.int64(5), 0)
+    assert latent.points.tobytes() == ngg.sample_latent(ngg.sphere(3), 5, 0).points.tobytes()
+
+
 def _sphere_dim(d, ell):
     """Closed form for the sphere in R^d: C(ell+d-1, ell) - C(ell+d-3, ell-2)."""
     return math.comb(ell + d - 1, ell) - (math.comb(ell + d - 3, ell - 2) if ell >= 2 else 0)

@@ -14,7 +14,8 @@ import ngg
 from conftest import delta2_merge_bound, dense, exact_squared_distance, gamma, graph_of
 from ngg.edgelist import read_edge_list, write_edge_list
 from ngg.errors import DomainError
-from ngg.spectral import Band, Triangle, delta2_runs, reduce_to_band, signed_runs, write_triangle
+from ngg.spectral import (Band, Triangle, delta2_runs, lazy_zeros, reduce_to_band, signed_runs,
+                          write_triangle)
 from oracles import delta2, eigenvalues, triangle, triangle_count
 
 _PERMS7 = np.array(list(itertools.permutations(range(7))))
@@ -565,8 +566,8 @@ def test_spectrum_cubes_count_the_triangles(n, build, tmp_path):
     # an entry written at the wrong place keeps sum(l) and sum(l^2) but
     # moves sum(l^3).  n = 544 runs stage 1's single dsymm, 545 and up its
     # 512-column tiles.  "rewritten" is A / n written again in 256-row blocks
-    # by write_triangle from the upper triangle of A set from the keys, the
-    # form the concentration check writes (A - theta) / n from
+    # by write_triangle onto lazy_zeros from the upper triangle of A set
+    # from the keys
     graph = ngg.generate_graph(ngg.sample_latent(ngg.sphere(3), n, n), ngg.builtin_envelope(5), n)
     if build == "matrix":
         vals = eigenvalues(dense(graph) / n).values
@@ -577,7 +578,8 @@ def test_spectrum_cubes_count_the_triangles(n, build, tmp_path):
     else:
         upper = np.zeros((n, n), dtype=bool)
         upper.reshape(-1)[graph.keys] = True
-        written = write_triangle(n, lambda block, out: np.divide(upper[block], n, out=out))
+        written = write_triangle(lazy_zeros(n),
+                                 lambda block, out: np.divide(upper[block], n, out=out))
         assert written.scale == 1 / n
         upper = np.triu(np.ones((n, n), dtype=bool))
         assert written.matrix[upper].tobytes() == (dense(graph) / n)[upper].tobytes()
@@ -644,6 +646,66 @@ def test_small_solve_pins_one_thread_and_restores_the_count(monkeypatch):
     # the band width, then every call of the stage-1 loop on one thread
     assert len(seen) > 2 and set(seen[1:]) == {1}
     assert get() == before
+
+
+@pytest.mark.parametrize(
+    "make", [lambda n: np.asfortranarray(lazy_zeros(n)), lambda n: np.zeros((n, n), np.float32),
+             lambda n: np.zeros((n, n + 1)), lambda n: _read_only(lazy_zeros(n)),
+             lambda n: lazy_zeros(n + 1)[:n, :n], lambda n: np.zeros(n * n),
+             lambda n: [[0.0] * n] * n],
+    ids=["fortran-order", "float32", "non-square", "read-only", "strided", "flat", "list"],
+)
+def test_write_triangle_refuses_a_matrix_it_cannot_write_in_place(make):
+    # the matrix is written in place, row block by row block, and stage 1
+    # reads it as a C-ordered float64 array: any other is refused before a
+    # block is filled
+    def fill(block, out):
+        raise AssertionError("filled a block")
+
+    with pytest.raises(DomainError, match="square, C-ordered, writable float64"):
+        write_triangle(make(300), fill)
+
+
+def test_write_triangle_updates_the_matrix_it_is_given():
+    # fill updates the block in place: a graph's own A / n becomes
+    # (A - theta) / n with no second scatter of A, and the scale is that of
+    # the written matrix
+    graph = ngg.generate_graph(ngg.sample_latent(ngg.sphere(3), 600, 4), ngg.builtin_envelope(5), 4)
+    a = graph.triangle()
+    theta = np.full((600, 600), 0.25)
+    written = write_triangle(a.matrix, lambda block, out: np.subtract(out, theta[block] / 600,
+                                                                      out=out))
+    assert written.matrix is a.matrix
+    upper = np.triu(np.ones((600, 600), dtype=bool))
+    want = dense(graph) / 600 - theta / 600
+    assert written.matrix[upper].tobytes() == want[upper].tobytes()
+    assert written.scale == np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [300, ngg.spectral.ONE_THREAD_MAX_N,
+                               ngg.spectral.ONE_THREAD_MAX_N + 1])
+def test_write_triangle_fills_under_stage_one_thread_rule(n):
+    # the fills' BLAS calls (theta's cosines) run under stage 1's thread
+    # rule, which write_triangle applies itself: one OpenBLAS thread up to
+    # ONE_THREAD_MAX_N rows whatever the count outside, the default pool
+    # beyond, and the count is restored
+    if _threads() is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    get, put = _threads()
+    before, seen = get(), []
+
+    def fill(block, out):
+        seen.append(get())
+        out[...] = 1.0
+
+    put(2)
+    try:
+        write_triangle(lazy_zeros(n), fill)
+        pinned = 1 if n <= ngg.spectral.ONE_THREAD_MAX_N else 2
+        assert seen == [pinned] * -(-n // ngg.spectral._BLOCK)
+        assert get() == 2
+    finally:
+        put(before)
 
 
 def test_concurrent_solves_restore_the_thread_count_and_match_serial_ones():
